@@ -11,17 +11,13 @@ Usage:
 """
 
 import argparse
-import math
 import sys
 import time
 
 from wittlink.bridge import bridge_compare
 from wittlink.cft import AbelianField, all_subgroups, conductor, ramified_set
 from wittlink.rings import primes_below
-
-
-def second_level(c: int, p: int) -> int:
-    return 2 * c if math.gcd(p, 2 * c) == 1 else 3 * c
+from wittlink.verify import second_level
 
 
 def main() -> int:

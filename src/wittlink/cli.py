@@ -1,7 +1,9 @@
 """Command-line entry point: one-shot exact computations and reports.
 
 Subcommands: witt, field, linking, monodromy, reciprocity, bridge,
-verify-all.  Global flags --format {text,json,csv}, --seed N, --jobs N.
+verify-all.  Global flags --format {text,json,csv}, --seed N, --jobs N
+(--jobs is accepted for compatibility and has no effect: every command
+runs in one thread).
 
 Exit codes: 0 success, 1 usage or parse error, 2 domain violation
 (ramified prime, non-coprime level, non-unit, ...), 3 verification
@@ -22,7 +24,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import DomainViolation, ParseError
@@ -62,7 +63,6 @@ class RunConfig:
     cyclotomic_bound: int = 40
     output_format: str = "text"
     seed: int = 20240901
-    parallelism: int = 1
 
 
 # --------------------------------------------------------------------------
@@ -420,12 +420,7 @@ def _reciprocity_pairs(bound: int) -> list[tuple[int, int]]:
 def cmd_reciprocity(ns: argparse.Namespace, cfg: RunConfig) -> tuple[int, Output]:
     if cfg.max_prime < 5:
         raise DomainViolation("--max-prime must be at least 5")
-    pairs = _reciprocity_pairs(cfg.max_prime)
-    if cfg.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            rows = list(pool.map(lambda pq: reciprocity_row(*pq), pairs))
-    else:
-        rows = [reciprocity_row(p, q) for p, q in pairs]
+    rows = [reciprocity_row(p, q) for p, q in _reciprocity_pairs(cfg.max_prime)]
     disagreements = [r for r in rows if not r.agree]
     payload = [
         {
@@ -556,13 +551,14 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="wittlink", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     parser.add_argument("--seed", type=int, default=20240901)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
     # the same flags are accepted after the subcommand; SUPPRESS keeps a
     # pre-subcommand value alive when the post-subcommand flag is absent
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
+                        help="accepted for compatibility; has no effect")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     w = subs.add_parser("witt", help="rational Witt vector arithmetic", parents=[common])
@@ -614,7 +610,6 @@ def main(argv: list | None = None) -> int:
             cyclotomic_bound=getattr(ns, "cyclotomic_bound", 40),
             output_format=ns.format,
             seed=ns.seed,
-            parallelism=ns.jobs,
         )
         if ns.command == "witt":
             code, out = cmd_witt(ns)

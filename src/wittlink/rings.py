@@ -8,13 +8,20 @@ Every ring element is a plain payload interpreted through a RingSpec:
     Fp        int in [0, p), p prime
     C(n)      tuple of deg(Phi_n) ints: a residue mod the n-th cyclotomic
               polynomial Phi_n, i.e. an element of Z[x]/Phi_n(x)
+    K(n)      tuple of deg(Phi_n) rationals: an element of Q(zeta_n), the
+              fraction field of C(n).  Internal: C(n) inverts and divides
+              by computing in K(n) and checking integrality, and the Witt
+              normalization takes gcds over it.
     Fq(p, k)  tuple of k ints mod p: a residue mod a fixed irreducible
-              polynomial of degree k over F_p.  This sixth variant is the
-              internal extension point used by the group-ring decoder; the
-              public surface needs only the first five.
+              polynomial of degree k over F_p.  This is the internal
+              extension point used by the group-ring decoder; the public
+              surface needs only the first five.
 
 Polynomials are dense tuples of payloads, constant term first, with no
-trailing zero coefficients.  No floating point appears anywhere.
+trailing zero coefficients.  Underneath, every list-level polynomial
+operation (residues mod Phi_n or the F_q modulus, inverses, the gcds of
+the Witt normalization) runs on one dense-list kernel, the ``_dl_*``
+functions, over Q or over F_p.  No floating point appears anywhere.
 
 Resultants use the convention
 
@@ -26,8 +33,9 @@ subresultant remainder sequence (exact over any integral domain, controls
 coefficient growth); a division-free Berkowitz determinant of the
 Sylvester matrix backs rings without exact division and serves as an
 independent oracle in the tests.  Both routes run over the base ring or
-over polynomial rings R[t] (needed by the Witt multiplication), selected
-through a small ops adapter.
+over polynomial rings R[t] (needed by the Witt multiplication): the ops
+object they take is the RingSpec itself, or _PolyRingOps, which gives
+R[t] the same method names.
 """
 
 from __future__ import annotations
@@ -111,16 +119,35 @@ def euler_phi(n: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# integer coefficient lists (used for cyclotomic polynomials)
+# dense coefficient lists: the one list-level polynomial kernel
+#
+# Polynomials as ascending lists of ints or Fractions.  The modulus p = 0
+# means exact arithmetic over Q; a prime p means F_p, with results reduced
+# into [0, p).  Dividing by a leading coefficient of +-1 keeps ints as ints,
+# so Z[x] arithmetic modulo a monic polynomial never leaves the integers.
 
 
-def _ilist_trim(c: list[int]) -> list[int]:
+def _dl_trim(c: list, p: int = 0) -> list:
+    """Reduce mod p (when p > 0) and drop trailing zeros, in place."""
+    if p:
+        c[:] = [v % p for v in c]
     while c and c[-1] == 0:
         c.pop()
     return c
 
 
-def _ilist_mul(a: list[int], b: list[int]) -> list[int]:
+def _dl_inv(c, p: int = 0):
+    """Inverse of a nonzero scalar; +-1 is its own inverse, as an int."""
+    if p:
+        return pow(c, -1, p)
+    return c if c in (1, -1) else 1 / Fraction(c)
+
+
+def _dl_sub(a: list, b: list, p: int = 0) -> list:
+    return _dl_trim([x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)], p)
+
+
+def _dl_mul(a: list, b: list, p: int = 0) -> list:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -128,23 +155,49 @@ def _ilist_mul(a: list[int], b: list[int]) -> list[int]:
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-    return _ilist_trim(out)
+    return _dl_trim(out, p)
 
 
-def _ilist_divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """Divide by a monic integer polynomial; exact integer arithmetic."""
-    assert b and b[-1] == 1
-    r = list(a)
+def _dl_divmod(a: list, b: list, p: int = 0) -> tuple[list, list]:
+    """Quotient and remainder of a by b; b is trimmed and nonzero."""
+    inv = _dl_inv(b[-1], p)
     db = len(b) - 1
+    r = list(a)
     q = [0] * max(len(r) - db, 0)
-    while len(r) - 1 >= db and r:
-        lead = r[-1]
-        shift = len(r) - 1 - db
-        q[shift] = lead
-        for i, bc in enumerate(b):
-            r[i + shift] -= lead * bc
-        _ilist_trim(r)
-    return q, r
+    while len(r) > db:
+        coef = r.pop() * inv  # the leading term cancels exactly
+        if p:
+            coef %= p
+        if coef:
+            shift = len(r) - db
+            q[shift] = coef
+            for i in range(db):
+                r[shift + i] -= coef * b[i]
+    return _dl_trim(q, p), _dl_trim(r, p)
+
+
+def _dl_gcd(a: list, b: list, p: int = 0) -> list:
+    """Monic gcd; [] when both arguments are zero."""
+    a, b = _dl_trim(list(a), p), _dl_trim(list(b), p)
+    while b:
+        a, b = b, _dl_divmod(a, b, p)[1]
+    if not a:
+        return a
+    inv = _dl_inv(a[-1], p)
+    return _dl_trim([c * inv for c in a], p)
+
+
+def _dl_invmod(a: list, m: list, p: int = 0) -> list | None:
+    """Inverse of a modulo m (trimmed, nonzero), or None when gcd(a, m) != 1."""
+    r0, r1 = _dl_trim(list(m), p), _dl_divmod(a, m, p)[1]
+    s0, s1 = [], [1]
+    while r1:
+        quo, r2 = _dl_divmod(r0, r1, p)
+        r0, r1, s0, s1 = r1, r2, s1, _dl_sub(s0, _dl_mul(quo, s1, p), p)
+    if len(r0) != 1:
+        return None
+    inv = _dl_inv(r0[0], p)
+    return _dl_trim([c * inv for c in s0], p)
 
 
 @functools.lru_cache(maxsize=None)
@@ -159,181 +212,32 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         return (-1, 1)
     poly = [-1] + [0] * (n - 1) + [1]
     for d in divisors(n)[:-1]:
-        poly, rem = _ilist_divmod_monic(poly, list(cyclotomic_polynomial(d)))
+        poly, rem = _dl_divmod(poly, cyclotomic_polynomial(d))
         assert not rem
     return tuple(poly)
 
 
-# --------------------------------------------------------------------------
-# F_p[x] on int lists (irreducible modulus sieve for the Fq variant)
-
-
-def _fpx_trim(c: list[int], p: int) -> list[int]:
-    for i in range(len(c)):
-        c[i] %= p
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _fpx_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fpx_trim(out, p)
-
-
-def _fpx_rem(a: list[int], m: list[int], p: int) -> list[int]:
-    r = [c % p for c in a]
-    _fpx_trim(r, p)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], -1, p)
-    while len(r) - 1 >= dm and r:
-        coef = r[-1] * inv_lead % p
-        shift = len(r) - 1 - dm
-        for i, mc in enumerate(m):
-            r[i + shift] = (r[i + shift] - coef * mc) % p
-        _fpx_trim(r, p)
-    return r
-
-
-def _fpx_powmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
-    result = [1]
-    b = _fpx_rem(base, m, p)
-    while e:
-        if e & 1:
-            result = _fpx_rem(_fpx_mul(result, b, p), m, p)
-        b = _fpx_rem(_fpx_mul(b, b, p), m, p)
-        e >>= 1
-    return result
-
-
-def _fpx_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = [c % p for c in a], [c % p for c in b]
-    _fpx_trim(a, p)
-    _fpx_trim(b, p)
-    while b:
-        a, b = b, _fpx_rem(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _fpx_is_irreducible(h: list[int], p: int) -> bool:
-    k = len(h) - 1
-    x = [0, 1]
-    if _fpx_powmod(x, p**k, h, p) != _fpx_rem(x, h, p):
-        return False
-    for q in {q for q in range(2, k + 1) if k % q == 0 and is_prime(q)}:
-        xp = _fpx_powmod(x, p ** (k // q), h, p)
-        diff = _fpx_trim([(xc - bc) % p for xc, bc in itertools.zip_longest(xp, x, fillvalue=0)], p)
-        if len(_fpx_gcd(h, diff, p)) != 1:
-            return False
-    return True
-
-
 @functools.lru_cache(maxsize=None)
 def _ext_field_modulus(p: int, k: int) -> tuple[int, ...]:
-    """Lexicographically least monic irreducible of degree k over F_p."""
+    """Lexicographically least monic irreducible of degree k over F_p.
+
+    Rabin's test: h of degree k is irreducible iff h divides x^(p^k) - x
+    and is coprime to x^(p^(k/r)) - x for every prime r dividing k.
+    """
     if k == 1:
         return (0, 1)
+    F = RingSpec.prime_field(p)
+    x = Polynomial.from_ints(F, [0, 1])
+    rs = [r for r in range(2, k + 1) if k % r == 0 and is_prime(r)]
     for tail in itertools.product(range(p), repeat=k):
-        h = list(tail) + [1]
-        if h[0] == 0:
+        if tail[0] == 0:
             continue
-        if _fpx_is_irreducible(h, p):
-            return tuple(h)
+        h = Polynomial.from_ints(F, list(tail) + [1])
+        if poly_pow_mod(x, p**k, h) == x and all(
+            poly_gcd_monic(h, poly_pow_mod(x, p ** (k // r), h) - x).degree == 0 for r in rs
+        ):
+            return h.coeffs
     raise AssertionError("no irreducible polynomial found")  # unreachable
-
-
-def _fpx_invmod(a: list[int], m: list[int], p: int) -> list[int] | None:
-    r0, r1 = [c % p for c in m], _fpx_rem(a, m, p)
-    s0, s1 = [], [1]
-    _fpx_trim(r0, p)
-    while r1:
-        # r0 = q*r1 + r2
-        r2 = list(r0)
-        q = [0] * max(len(r2) - len(r1) + 1, 1)
-        inv_lead = pow(r1[-1], -1, p)
-        while len(r2) >= len(r1) and r2:
-            coef = r2[-1] * inv_lead % p
-            shift = len(r2) - len(r1)
-            q[shift] = coef
-            for i, rc in enumerate(r1):
-                r2[i + shift] = (r2[i + shift] - coef * rc) % p
-            _fpx_trim(r2, p)
-        _fpx_trim(q, p)
-        qs1 = _fpx_mul(q, s1, p)
-        s2 = _fpx_trim(
-            [(sc - qc) % p for sc, qc in itertools.zip_longest(s0, qs1, fillvalue=0)], p
-        )
-        r0, r1, s0, s1 = r1, r2, s1, s2
-    if len(r0) != 1:
-        return None
-    inv_lead = pow(r0[0], -1, p)
-    return _fpx_trim([c * inv_lead % p for c in s0], p)
-
-
-# --------------------------------------------------------------------------
-# Q[x] on Fraction lists (cyclotomic unit inversion, gcd reduction)
-
-
-def _qx_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _qx_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _qx_trim(out)
-
-
-def _qx_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    r = _qx_trim(list(a))
-    b = _qx_trim(list(b))
-    db = len(b) - 1
-    inv_lead = 1 / b[-1]
-    q = [Fraction(0)] * max(len(r) - db, 0)
-    while len(r) - 1 >= db and r:
-        coef = r[-1] * inv_lead
-        shift = len(r) - 1 - db
-        q[shift] = coef
-        for i, bc in enumerate(b):
-            r[i + shift] -= coef * bc
-        _qx_trim(r)
-    return _qx_trim(q), r
-
-
-def _qx_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    return _qx_divmod(a, b)[1]
-
-
-def _qx_invmod(a: list[Fraction], m: list[Fraction]) -> list[Fraction] | None:
-    """Inverse of a modulo m in Q[x], or None when gcd(a, m) != 1."""
-    r0, r1 = list(m), _qx_rem(a, m)
-    s0: list[Fraction] = []
-    s1: list[Fraction] = [Fraction(1)]
-    while r1:
-        q, r2 = _qx_divmod(r0, r1)
-        qs1 = _qx_mul(q, s1)
-        s2 = _qx_trim([sc - qc for sc, qc in itertools.zip_longest(s0, qs1, fillvalue=Fraction(0))])
-        r0, r1, s0, s1 = r1, r2, s1, s2
-    if len(r0) != 1:
-        return None
-    inv_lead = 1 / r0[0]
-    return _qx_trim([c * inv_lead for c in s0])
 
 
 # --------------------------------------------------------------------------
@@ -344,6 +248,7 @@ _KIND_Q = "Q"
 _KIND_ZN = "Zn"
 _KIND_FP = "Fp"
 _KIND_C = "C"
+_KIND_K = "K"
 _KIND_FQ = "Fq"
 
 
@@ -398,17 +303,41 @@ class RingSpec:
     # ---------------------------------------------------------- structure
     @property
     def is_field(self) -> bool:
-        return self.kind in (_KIND_Q, _KIND_FP, _KIND_FQ)
+        return self.kind in (_KIND_Q, _KIND_FP, _KIND_FQ, _KIND_K)
 
     @property
     def is_domain(self) -> bool:
         # Zn is excluded wholesale: composite moduli have zero divisors and
         # the Zn contract promises no general division anyway.
-        return self.kind in (_KIND_Z, _KIND_Q, _KIND_FP, _KIND_FQ, _KIND_C)
+        return self.kind != _KIND_ZN
+
+    def fraction_field(self) -> "RingSpec":
+        """Q for Z, Q(zeta_n) for Z[zeta_n]."""
+        if self.kind == _KIND_Z:
+            return RingSpec.rationals()
+        if self.kind == _KIND_C:
+            return RingSpec(_KIND_K, self.n)
+        raise UnsupportedRing(f"no fraction field kept for {self}")
+
+    def from_fraction_field(self, payload):
+        """The payload of Z or Z[zeta_n] equal to one of its fraction field, or None."""
+        if self.kind == _KIND_Z:
+            return int(payload) if payload.denominator == 1 else None
+        if any(v.denominator != 1 for v in payload):
+            return None
+        return tuple(int(v) for v in payload)
 
     @property
-    def _cyc_len(self) -> int:
-        return len(cyclotomic_polynomial(self.n)) - 1
+    def _modulus(self) -> tuple[tuple[int, ...], int]:
+        """(monic modulus, prime or 0) behind the C, K and Fq payload vectors."""
+        if self.kind == _KIND_FQ:
+            return _ext_field_modulus(self.n, self.k), self.n
+        return cyclotomic_polynomial(self.n), 0
+
+    def _reduce(self, c: list) -> tuple:
+        m, p = self._modulus
+        r = _dl_divmod(c, m, p)[1]
+        return tuple(r + [0] * (len(m) - 1 - len(r)))
 
     def __str__(self) -> str:
         if self.kind == _KIND_Z:
@@ -421,19 +350,17 @@ class RingSpec:
             return f"F{self.n}"
         if self.kind == _KIND_C:
             return f"Z[zeta_{self.n}]"
+        if self.kind == _KIND_K:
+            return f"Q(zeta_{self.n})"
         return f"F{self.n}^{self.k}"
 
     # ------------------------------------------------------- payload ops
     def zero(self):
-        if self.kind == _KIND_Z:
+        if self.kind in (_KIND_Z, _KIND_ZN, _KIND_FP):
             return 0
         if self.kind == _KIND_Q:
             return Fraction(0)
-        if self.kind in (_KIND_ZN, _KIND_FP):
-            return 0
-        if self.kind == _KIND_C:
-            return (0,) * self._cyc_len
-        return (0,) * self.k
+        return (0,) * (len(self._modulus[0]) - 1)
 
     def one(self):
         return self.from_int(1)
@@ -446,12 +373,8 @@ class RingSpec:
         if self.kind in (_KIND_ZN, _KIND_FP):
             return v % self.n
         if self.kind == _KIND_C:
-            d = self._cyc_len
-            if d == 1:
-                # x == a single rational residue (Phi_1 or Phi_2 quotient)
-                return (int(v),)
-            return (int(v),) + (0,) * (d - 1)
-        return (v % self.n,) + (0,) * (self.k - 1)
+            return (int(v),) + (0,) * (len(cyclotomic_polynomial(self.n)) - 2)
+        return self.canon((v,))
 
     def canon(self, payload):
         """Canonical form of a raw payload; validates shape."""
@@ -461,24 +384,14 @@ class RingSpec:
             return Fraction(payload)
         if self.kind in (_KIND_ZN, _KIND_FP):
             return int(payload) % self.n
-        if self.kind == _KIND_C:
-            c = _ilist_trim([int(v) for v in payload])
-            phi = list(cyclotomic_polynomial(self.n))
-            if len(c) >= len(phi):
-                c = _ilist_divmod_monic(c, phi)[1]
-            c = c + [0] * (self._cyc_len - len(c))
-            return tuple(c)
-        c = [int(v) % self.n for v in payload]
-        if len(c) > self.k:
-            c = [v % self.n for v in _fpx_rem(c, list(_ext_field_modulus(self.n, self.k)), self.n)]
-        return tuple(c + [0] * (self.k - len(c)))
+        return self._reduce([Fraction(v) if self.kind == _KIND_K else int(v) for v in payload])
 
     def add(self, a, b):
         if self.kind in (_KIND_Z, _KIND_Q):
             return a + b
         if self.kind in (_KIND_ZN, _KIND_FP):
             return (a + b) % self.n
-        if self.kind == _KIND_C:
+        if self.kind in (_KIND_C, _KIND_K):
             return tuple(x + y for x, y in zip(a, b))
         return tuple((x + y) % self.n for x, y in zip(a, b))
 
@@ -487,7 +400,7 @@ class RingSpec:
             return a - b
         if self.kind in (_KIND_ZN, _KIND_FP):
             return (a - b) % self.n
-        if self.kind == _KIND_C:
+        if self.kind in (_KIND_C, _KIND_K):
             return tuple(x - y for x, y in zip(a, b))
         return tuple((x - y) % self.n for x, y in zip(a, b))
 
@@ -496,7 +409,7 @@ class RingSpec:
             return -a
         if self.kind in (_KIND_ZN, _KIND_FP):
             return (-a) % self.n
-        if self.kind == _KIND_C:
+        if self.kind in (_KIND_C, _KIND_K):
             return tuple(-x for x in a)
         return tuple((-x) % self.n for x in a)
 
@@ -505,14 +418,7 @@ class RingSpec:
             return a * b
         if self.kind in (_KIND_ZN, _KIND_FP):
             return a * b % self.n
-        if self.kind == _KIND_C:
-            prod = _ilist_mul(list(a), list(b))
-            phi = list(cyclotomic_polynomial(self.n))
-            if len(prod) >= len(phi):
-                prod = _ilist_divmod_monic(prod, phi)[1]
-            return tuple(prod + [0] * (self._cyc_len - len(prod)))
-        prod = _fpx_rem(_fpx_mul(list(a), list(b), self.n), list(_ext_field_modulus(self.n, self.k)), self.n)
-        return tuple(prod + [0] * (self.k - len(prod)))
+        return self._reduce(_dl_mul(a, b))
 
     def mul_int(self, a, m: int):
         return self.mul(a, self.from_int(m))
@@ -522,27 +428,23 @@ class RingSpec:
             if a in (1, -1):
                 return a
             raise NotAUnit(f"{a} is not a unit in Z")
-        if self.kind == _KIND_Q:
-            if a == 0:
-                raise NotAUnit("0 is not a unit")
-            return 1 / a
         if self.kind in (_KIND_ZN, _KIND_FP):
             if math.gcd(a, self.n) != 1:
                 raise NotAUnit(f"{a} is not a unit mod {self.n}")
             return pow(a, -1, self.n)
         if self.kind == _KIND_C:
-            if self.is_zero(a):
-                raise NotAUnit("0 is not a unit")
-            inv = _qx_invmod([Fraction(v) for v in a], [Fraction(v) for v in cyclotomic_polynomial(self.n)])
-            if inv is None or any(f.denominator != 1 for f in inv):
+            inv = self.from_fraction_field(self.fraction_field().inv(a))
+            if inv is None:
                 raise NotAUnit(f"{self.render(a)} is not a unit in {self}")
-            ints = [int(f) for f in inv]
-            return tuple(ints + [0] * (self._cyc_len - len(ints)))
+            return inv
         if self.is_zero(a):
             raise NotAUnit("0 is not a unit")
-        inv = _fpx_invmod(list(a), list(_ext_field_modulus(self.n, self.k)), self.n)
-        assert inv is not None
-        return tuple(inv + [0] * (self.k - len(inv)))
+        if self.kind == _KIND_Q:
+            return 1 / a
+        m, p = self._modulus
+        inv = _dl_invmod(a, m, p)
+        assert inv is not None  # the modulus is irreducible
+        return tuple(inv + [0] * (len(m) - 1 - len(inv)))
 
     def exact_div(self, a, b):
         """a / b when the quotient exists in the ring; raises otherwise."""
@@ -558,14 +460,10 @@ class RingSpec:
         if self.kind == _KIND_C:
             if self.is_zero(b):
                 raise DomainViolation("division by zero")
-            phi = [Fraction(v) for v in cyclotomic_polynomial(self.n)]
-            binv = _qx_invmod([Fraction(v) for v in b], phi)
-            assert binv is not None  # Phi_n is irreducible over Q
-            quot = _qx_rem(_qx_mul([Fraction(v) for v in a], binv), phi)
-            if any(f.denominator != 1 for f in quot):
+            quot = self.from_fraction_field(self.fraction_field().exact_div(a, b))
+            if quot is None:
                 raise DomainViolation("inexact division in Z[zeta]")
-            ints = [int(f) for f in quot]
-            return tuple(ints + [0] * (self._cyc_len - len(ints)))
+            return quot
         raise UnsupportedRing(f"no exact division in {self}")
 
     def pow_payload(self, a, e: int):
@@ -580,7 +478,7 @@ class RingSpec:
         return result
 
     def is_zero(self, a) -> bool:
-        if self.kind in (_KIND_C, _KIND_FQ):
+        if self.kind in (_KIND_C, _KIND_K, _KIND_FQ):
             return all(v == 0 for v in a)
         return a == 0
 
@@ -591,12 +489,9 @@ class RingSpec:
         return a
 
     def render(self, a) -> str:
-        if self.kind in (_KIND_Z, _KIND_ZN, _KIND_FP):
+        if self.kind in (_KIND_Z, _KIND_ZN, _KIND_FP, _KIND_Q):
             return str(a)
-        if self.kind == _KIND_Q:
-            return str(a)
-        var = "z" if self.kind == _KIND_C else "w"
-        return _render_int_vector(a, var)
+        return _render_int_vector(a, "w" if self.kind == _KIND_FQ else "z")
 
 
 def _render_int_vector(vec, var: str) -> str:
@@ -902,63 +797,11 @@ def poly_exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 # --------------------------------------------------------------------------
-# generic resultant machinery over an ops adapter
-
-
-class _ScalarOps:
-    """Adapter exposing a RingSpec's payload ops to the generic routines."""
-
-    __slots__ = ("spec",)
-
-    def __init__(self, spec: RingSpec):
-        self.spec = spec
-
-    @property
-    def is_field(self):
-        return self.spec.is_field
-
-    @property
-    def has_exact_div(self):
-        return self.spec.is_domain
-
-    @property
-    def zero(self):
-        return self.spec.zero()
-
-    @property
-    def one(self):
-        return self.spec.one()
-
-    def add(self, a, b):
-        return self.spec.add(a, b)
-
-    def sub(self, a, b):
-        return self.spec.sub(a, b)
-
-    def mul(self, a, b):
-        return self.spec.mul(a, b)
-
-    def neg(self, a):
-        return self.spec.neg(a)
-
-    def inv(self, a):
-        return self.spec.inv(a)
-
-    def exact_div(self, a, b):
-        return self.spec.exact_div(a, b)
-
-    def pow(self, a, e):
-        return self.spec.pow_payload(a, e)
-
-    def is_zero(self, a):
-        return self.spec.is_zero(a)
-
-    def is_one(self, a):
-        return self.spec.is_one(a)
+# generic resultant machinery over a RingSpec or _PolyRingOps
 
 
 class _PolyRingOps:
-    """Adapter treating Polynomial-over-spec as the coefficient ring R[t]."""
+    """Polynomial-over-spec as the coefficient ring R[t], with RingSpec's op names."""
 
     __slots__ = ("spec",)
     is_field = False
@@ -967,14 +810,12 @@ class _PolyRingOps:
         self.spec = spec
 
     @property
-    def has_exact_div(self):
+    def is_domain(self):
         return self.spec.is_domain
 
-    @property
     def zero(self):
         return Polynomial.zero(self.spec)
 
-    @property
     def one(self):
         return Polynomial.one(self.spec)
 
@@ -993,8 +834,8 @@ class _PolyRingOps:
     def exact_div(self, a, b):
         return poly_exact_div(a, b)
 
-    def pow(self, a, e):
-        result = self.one
+    def pow_payload(self, a, e):
+        result = self.one()
         base = a
         while e:
             if e & 1:
@@ -1033,14 +874,14 @@ def _lp_prem(A: list, B: list, ops) -> list:
         _lp_trim(r, ops)
         e -= 1
     if e > 0 and not lb_is_one:
-        f = ops.pow(lb, e)
+        f = ops.pow_payload(lb, e)
         r = [ops.mul(f, c) for c in r]
     return r
 
 
 def _lp_resultant_field(A: list, B: list, ops):
     sign = 1
-    acc = ops.one
+    acc = ops.one()
     if len(A) < len(B):
         if ((len(A) - 1) * (len(B) - 1)) % 2:
             sign = -sign
@@ -1057,13 +898,13 @@ def _lp_resultant_field(A: list, B: list, ops):
                 r[i + shift] = ops.sub(r[i + shift], ops.mul(coef, bc))
             _lp_trim(r, ops)
         if not r:
-            return ops.zero
+            return ops.zero()
         dR = len(r) - 1
-        acc = ops.mul(acc, ops.pow(B[-1], dA - dR))
+        acc = ops.mul(acc, ops.pow_payload(B[-1], dA - dR))
         if (dA * dB) % 2:
             sign = -sign
         A, B = B, r
-    res = ops.mul(acc, ops.pow(B[0], len(A) - 1))
+    res = ops.mul(acc, ops.pow_payload(B[0], len(A) - 1))
     return ops.neg(res) if sign < 0 else res
 
 
@@ -1082,47 +923,47 @@ def _lp_resultant_prs(A: list, B: list, ops):
             sign = -sign
         A, B = B, A
     if len(B) - 1 == 0:
-        res = ops.pow(B[0], len(A) - 1)
+        res = ops.pow_payload(B[0], len(A) - 1)
         return ops.neg(res) if sign < 0 else res
-    num = ops.one
-    den = ops.one
+    num = ops.one()
+    den = ops.one()
     psi = None
     prev_gap = None
     prev_lc = None
     while True:
         dA, dB = len(A) - 1, len(B) - 1
         if dB == 0:
-            base = ops.pow(B[0], dA)
+            base = ops.pow_payload(B[0], dA)
             break
         lb = B[-1]
         R = _lp_prem(A, B, ops)
         if not R:
-            return ops.zero
+            return ops.zero()
         dR = len(R) - 1
         delta = dA - dB + 1
         if (dA * dB) % 2:
             sign = -sign
         e = dA - dR - delta * dB
         if e >= 0:
-            num = ops.mul(num, ops.pow(lb, e))
+            num = ops.mul(num, ops.pow_payload(lb, e))
         else:
-            den = ops.mul(den, ops.pow(lb, -e))
+            den = ops.mul(den, ops.pow_payload(lb, -e))
         # subresultant beta for size control
         gap = dA - dB
         if psi is None:
-            beta = ops.one if (gap + 1) % 2 == 0 else ops.neg(ops.one)
-            psi = ops.neg(ops.one)
+            beta = ops.one() if (gap + 1) % 2 == 0 else ops.neg(ops.one())
+            psi = ops.neg(ops.one())
         else:
             if prev_gap == 0:
                 pass  # psi unchanged; only reachable while psi is a sign
             else:
-                psi = ops.exact_div(ops.pow(ops.neg(prev_lc), prev_gap), ops.pow(psi, prev_gap - 1))
-            beta = ops.neg(ops.mul(prev_lc, ops.pow(psi, gap)))
+                psi = ops.exact_div(ops.pow_payload(ops.neg(prev_lc), prev_gap), ops.pow_payload(psi, prev_gap - 1))
+            beta = ops.neg(ops.mul(prev_lc, ops.pow_payload(psi, gap)))
         prev_gap = gap
         prev_lc = lb
         try:
             R_small = [ops.exact_div(c, beta) for c in R]
-            num = ops.mul(num, ops.pow(beta, dB))
+            num = ops.mul(num, ops.pow_payload(beta, dB))
             R = R_small
         except DomainViolation:  # pragma: no cover - beta always divides
             pass
@@ -1138,10 +979,11 @@ def _sylvester_matrix(A: list, B: list, ops) -> list[list]:
     rows = []
     Ad = list(reversed(A))
     Bd = list(reversed(B))
+    zero = ops.zero()
     for i in range(n):
-        rows.append([ops.zero] * i + Ad + [ops.zero] * (dim - m - 1 - i))
+        rows.append([zero] * i + Ad + [zero] * (dim - m - 1 - i))
     for i in range(m):
-        rows.append([ops.zero] * i + Bd + [ops.zero] * (dim - n - 1 - i))
+        rows.append([zero] * i + Bd + [zero] * (dim - n - 1 - i))
     return rows
 
 
@@ -1149,15 +991,15 @@ def _berkowitz_det(M: list[list], ops):
     """Division-free determinant (Berkowitz); works over any commutative ring."""
     n = len(M)
     if n == 0:
-        return ops.one
-    V = [ops.one, ops.neg(M[0][0])]
+        return ops.one()
+    V = [ops.one(), ops.neg(M[0][0])]
     for r in range(1, n):
         row = M[r][:r]
         col = [M[i][r] for i in range(r)]
         sums = []
         vec = col
         for j in range(r):
-            acc = ops.zero
+            acc = ops.zero()
             for x, y in zip(row, vec):
                 acc = ops.add(acc, ops.mul(x, y))
             sums.append(acc)
@@ -1166,14 +1008,14 @@ def _berkowitz_det(M: list[list], ops):
                     functools.reduce(
                         ops.add,
                         (ops.mul(M[i][t], vec[t]) for t in range(r)),
-                        ops.zero,
+                        ops.zero(),
                     )
                     for i in range(r)
                 ]
-        toep = [ops.one, ops.neg(M[r][r])] + [ops.neg(s) for s in sums]
+        toep = [ops.one(), ops.neg(M[r][r])] + [ops.neg(s) for s in sums]
         V_new = []
         for i in range(r + 2):
-            acc = ops.zero
+            acc = ops.zero()
             for j in range(len(V)):
                 k = i - j
                 if 0 <= k < len(toep):
@@ -1194,12 +1036,12 @@ def _lp_resultant(A: list, B: list, ops):
     if not A and not B:
         raise DomainViolation("resultant of two zero polynomials")
     if not A or not B:
-        return ops.zero
+        return ops.zero()
     if len(A) == 1 and len(B) == 1:
-        return ops.one
+        return ops.one()
     if ops.is_field:
         return _lp_resultant_field(A, B, ops)
-    if ops.has_exact_div:
+    if ops.is_domain:
         return _lp_resultant_prs(A, B, ops)
     return _lp_resultant_det(A, B, ops)
 
@@ -1212,21 +1054,20 @@ def poly_resultant(f: Polynomial, g: Polynomial) -> RingElement:
     when one argument is the zero polynomial; rejects two zeros.
     """
     f._check(g)
-    ops = _ScalarOps(f.spec)
-    return RingElement(f.spec, _lp_resultant(list(f.coeffs), list(g.coeffs), ops))
+    return RingElement(f.spec, _lp_resultant(list(f.coeffs), list(g.coeffs), f.spec))
 
 
 def poly_resultant_det(f: Polynomial, g: Polynomial) -> RingElement:
     """Sylvester-determinant route; independent cross-check of poly_resultant."""
     f._check(g)
-    ops = _ScalarOps(f.spec)
-    A = _lp_trim(list(f.coeffs), ops)
-    B = _lp_trim(list(g.coeffs), ops)
+    s = f.spec
+    A = _lp_trim(list(f.coeffs), s)
+    B = _lp_trim(list(g.coeffs), s)
     if not A and not B:
         raise DomainViolation("resultant of two zero polynomials")
     if not A or not B:
-        return RingElement(f.spec, ops.zero)
-    return RingElement(f.spec, _lp_resultant_det(A, B, ops))
+        return RingElement(s, s.zero())
+    return RingElement(s, _lp_resultant_det(A, B, s))
 
 
 # --------------------------------------------------------------------------

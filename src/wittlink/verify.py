@@ -305,7 +305,8 @@ def criterion_reciprocity(prime_bound: int = 100) -> SuiteResult:
 # criterion 6: the bridge over the full subfield grid
 
 
-def _second_level(c: int, p: int) -> int:
+def second_level(c: int, p: int) -> int:
+    """The auxiliary level 2c or 3c, whichever is coprime to p first."""
     for k in (2, 3):
         if math.gcd(p, k * c) == 1:
             return k * c
@@ -322,7 +323,7 @@ def criterion_bridge_grid(n_max: int = 40, p_max: int = 50, seed: int = 0) -> Su
             for p in primes_below(p_max):
                 if p in ramified_set(F):
                     continue
-                for m in {c, _second_level(c, p)}:
+                for m in {c, second_level(c, p)}:
                     report = bridge_compare(F, p, m, seed=seed, samples=4)
                     checks += 1
                     if not report.match:

@@ -22,15 +22,25 @@ independent oracle: they turn Witt (+) and (x) into componentwise + and *.
 Equality never relies on normal forms: f == g iff
 f.num * g.den == g.num * f.den, valid because denominators with constant
 term 1 are power-series units.
+
+Normalization divides num and den by their gcd, scaled to constant term
+1.  Over a field (Q, F_p, F_q) that gcd is taken directly.  Over Z and
+Z[zeta_n] one route serves both: a probe first maps the parts onto F_q
+(c -> c mod q, or zeta -> omega, a root of Phi_n mod a prime q = 1 mod n)
+and a constant gcd there proves them coprime; otherwise the gcd is taken
+over the fraction field (Q or Q(zeta_n)), and the reduced parts are kept
+only if they are integral, which over Z always holds.  Over Z/n the parts
+are left as given.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainViolation, NotSplit, SpecMismatch, UnsupportedRing
+from .cft import subgroup_generated
 from .rings import (
     Polynomial,
     RingElement,
@@ -38,16 +48,17 @@ from .rings import (
     _KIND_C,
     _KIND_FP,
     _KIND_FQ,
+    _KIND_Q,
     _KIND_Z,
     _PolyRingOps,
+    _dl_divmod,
+    _dl_gcd,
+    _dl_inv,
+    _dl_trim,
     _lp_resultant,
-    _qx_divmod,
-    _qx_invmod,
-    _qx_mul,
-    _qx_rem,
-    _qx_trim,
     conjugate_polynomial,
     cyclotomic_polynomial,
+    is_prime,
     poly_divmod,
 )
 
@@ -55,169 +66,93 @@ from .rings import (
 # normalization helpers
 
 
-def _probe_coprime_mod_p(num: Polynomial, den: Polynomial) -> bool:
-    """Certify gcd(num, den) = 1 over Z by a gcd modulo large primes.
+@functools.lru_cache(maxsize=None)
+def _probe_primes(n: int) -> tuple[tuple[int, int], ...]:
+    """Two primes q = 1 (mod n) above 2^31, each with a root omega of Phi_n mod q.
 
-    deg(gcd mod q) >= deg(gcd over Q) whenever q preserves both leading
-    coefficients, so a constant gcd modulo one good prime proves
+    zeta -> omega is then a ring map Z[zeta_n] -> F_q; for n = 1 it is the
+    reduction Z -> F_q.
+    """
+    phi = cyclotomic_polynomial(n)
+    out = []
+    q = (2**31 // n + 1) * n + 1
+    while len(out) < 2:
+        if is_prime(q):
+            # a^((q-1)/n) has order dividing n; it is a root of Phi_n iff exactly n
+            for a in range(2, q):
+                omega = pow(a, (q - 1) // n, q)
+                if sum(c * pow(omega, i, q) for i, c in enumerate(phi)) % q == 0:
+                    out.append((q, omega))
+                    break
+        q += n
+    return tuple(out)
+
+
+def _probe_coprime(num: Polynomial, den: Polynomial) -> bool:
+    """Certify gcd(num, den) = 1 over Z or Z[zeta_n] by a gcd in F_q[t].
+
+    When both leading coefficients map to nonzero values under
+    zeta -> omega, deg(gcd mod q) >= deg(gcd over the fraction field):
+    monic factors over the integrally closed localization at the prime
+    kernel reduce.  A constant gcd modulo one such q therefore proves
     coprimality.  Returns False when no probe certifies (unknown).
     """
-    for q in (2147483629, 1000003):
-        if num.lc % q == 0 or den.lc % q == 0:
-            continue
-        a = [c % q for c in num.coeffs]
-        b = [c % q for c in den.coeffs]
-        while b and any(b):
-            # remainder of a by b over F_q
-            while b and b[-1] == 0:
-                b.pop()
-            if not b:
-                break
-            inv = pow(b[-1], -1, q)
-            r = list(a)
-            while len(r) >= len(b) and any(r):
-                while r and r[-1] == 0:
-                    r.pop()
-                if len(r) < len(b):
-                    break
-                coef = r[-1] * inv % q
-                shift = len(r) - len(b)
-                for i, bc in enumerate(b):
-                    r[i + shift] = (r[i + shift] - coef * bc) % q
-            while r and r[-1] == 0:
-                r.pop()
-            a, b = b, r
-        if len(a) == 1:
+    spec = num.spec
+    cyclo = spec.kind == _KIND_C
+    for q, omega in _probe_primes(spec.n if cyclo else 1):
+        if cyclo:
+            powers = [pow(omega, i, q) for i in range(len(num.lc))]
+            a = [sum(v * w for v, w in zip(c, powers)) % q for c in num.coeffs]
+            b = [sum(v * w for v, w in zip(c, powers)) % q for c in den.coeffs]
+        else:
+            a = [c % q for c in num.coeffs]
+            b = [c % q for c in den.coeffs]
+        if a[-1] and b[-1] and len(_dl_gcd(a, b, q)) == 1:
             return True
     return False
 
 
-def _fraction_coeffs(poly: Polynomial) -> list[Fraction]:
-    return [Fraction(c) for c in poly.coeffs]
-
-
-def _qx_gcd_monic(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _qx_trim(list(a)), _qx_trim(list(b))
-    while b:
-        a, b = b, _qx_rem(a, b)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _normalize_int_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    spec = num.spec
-    if _probe_coprime_mod_p(num, den):
-        return num, den
-    fn, fd = _fraction_coeffs(num), _fraction_coeffs(den)
-    g = _qx_gcd_monic(fn, fd)
-    if len(g) <= 1:
-        return num, den
-    g = [c / g[0] for c in g]  # constant term 1; nonzero since num(0) = 1
-    qn, rn = _qx_divmod(fn, g)
-    qd, rd = _qx_divmod(fd, g)
-    assert not rn and not rd
-    assert all(c.denominator == 1 for c in qn + qd)  # Gauss: quotients stay integral
-    return (
-        Polynomial.from_payloads(spec, [int(c) for c in qn]),
-        Polynomial.from_payloads(spec, [int(c) for c in qd]),
-    )
-
-
 def _normalize_field_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Divide both parts by their gcd, scaled to constant term 1."""
     spec = num.spec
+    if spec.kind in (_KIND_Q, _KIND_FP):  # scalar payloads: the list kernel
+        p = spec.n
+        g = _dl_gcd(num.coeffs, den.coeffs, p)
+        if len(g) <= 1:
+            return num, den
+        inv = _dl_inv(g[0], p)
+        g = _dl_trim([c * inv for c in g], p)
+        return (
+            Polynomial.from_payloads(spec, _dl_divmod(num.coeffs, g, p)[0]),
+            Polynomial.from_payloads(spec, _dl_divmod(den.coeffs, g, p)[0]),
+        )
     a, b = num, den
     while not b.is_zero:
         a, b = b, poly_divmod(a, b)[1]
     if a.degree <= 0:
         return num, den
     g = a.scale(spec.inv(a.constant_term))
-    qn = poly_divmod(num, g)[0]
-    qd = poly_divmod(den, g)[0]
-    return qn, qd
+    return poly_divmod(num, g)[0], poly_divmod(den, g)[0]
 
 
-def _normalize_cyclotomic_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Reduce over Q(zeta); keep the reduction only if it stays integral."""
+def _normalize_domain_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Reduce over Z or Z[zeta_n]: probe, then the fraction-field gcd.
+
+    The reduced parts are kept only when they are integral, which over Z
+    always holds (Gauss's lemma).
+    """
+    if _probe_coprime(num, den):
+        return num, den
     spec = num.spec
-    phi = [Fraction(v) for v in cyclotomic_polynomial(spec.n)]
-    d = len(phi) - 1
-
-    def fvec(payload):
-        return [Fraction(v) for v in payload]
-
-    def f_is_zero(v):
-        return all(x == 0 for x in v)
-
-    def f_mul(x, y):
-        return _qx_rem(_qx_mul(list(x), list(y)), phi)
-
-    def f_sub(x, y):
-        out = [Fraction(0)] * max(len(x), len(y))
-        for i, c in enumerate(x):
-            out[i] += c
-        for i, c in enumerate(y):
-            out[i] -= c
-        return out
-
-    def f_inv(x):
-        inv = _qx_invmod(list(x), phi)
-        assert inv is not None
-        return inv
-
-    def rem(a, b):
-        r = [list(c) for c in a]
-        inv_lead = f_inv(b[-1])
-        while r and len(r) >= len(b):
-            if f_is_zero(r[-1]):
-                r.pop()
-                continue
-            coef = f_mul(r[-1], inv_lead)
-            shift = len(r) - len(b)
-            for i, bc in enumerate(b):
-                r[i + shift] = f_sub(r[i + shift], f_mul(coef, bc))
-            while r and f_is_zero(r[-1]):
-                r.pop()
-        return r
-
-    a = [fvec(c) for c in num.coeffs]
-    b = [fvec(c) for c in den.coeffs]
-    while b:
-        a, b = b, rem(a, b)
-        while b and f_is_zero(b[-1]):
-            b.pop()
-    if len(a) <= 1:
-        return num, den
-    g = [f_mul(c, f_inv(a[0])) for c in a]  # constant term 1
-
-    def divide(coeffs):
-        r = [fvec(c) for c in coeffs]
-        q = [None] * (len(r) - len(g) + 1)
-        inv_lead = f_inv(g[-1])
-        while r and len(r) >= len(g):
-            coef = f_mul(r[-1], inv_lead)
-            q[len(r) - len(g)] = coef
-            shift = len(r) - len(g)
-            for i, gc in enumerate(g):
-                r[i + shift] = f_sub(r[i + shift], f_mul(coef, gc))
-            while r and f_is_zero(r[-1]):
-                r.pop()
-        if r:
-            return None
-        return q
-
-    qn, qd = divide(num.coeffs), divide(den.coeffs)
-    if qn is None or qd is None:
-        return num, den
-    flat = [x for c in qn + qd for x in c]
-    if any(f.denominator != 1 for f in flat):
-        return num, den  # reduced form leaves Z[zeta]; keep the given parts
-    to_payload = lambda c: tuple([int(v) for v in c] + [0] * (d - len(c)))
-    return (
-        Polynomial.from_payloads(spec, [to_payload(c) for c in qn]),
-        Polynomial.from_payloads(spec, [to_payload(c) for c in qd]),
+    field = spec.fraction_field()
+    qn, qd = _normalize_field_parts(
+        Polynomial.from_payloads(field, num.coeffs), Polynomial.from_payloads(field, den.coeffs)
     )
+    cn = tuple(spec.from_fraction_field(c) for c in qn.coeffs)
+    cd = tuple(spec.from_fraction_field(c) for c in qd.coeffs)
+    if None in cn or None in cd:
+        return num, den  # the reduced form leaves Z[zeta]; keep the given parts
+    return Polynomial(spec, cn), Polynomial(spec, cd)
 
 
 def _normalize_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -226,12 +161,10 @@ def _normalize_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Poly
         return Polynomial.one(spec), Polynomial.one(spec)
     if den.is_one or num.is_one:
         return num, den
-    if spec.kind == _KIND_Z:
-        return _normalize_int_parts(num, den)
     if spec.is_field:
         return _normalize_field_parts(num, den)
-    if spec.kind == _KIND_C:
-        return _normalize_cyclotomic_parts(num, den)
+    if spec.kind in (_KIND_Z, _KIND_C):
+        return _normalize_domain_parts(num, den)
     return num, den  # Zn: no division available; equality is cross-multiplied
 
 
@@ -656,6 +589,7 @@ def witt_to_groupring(f: WittVector, splitting_degree_bound: int = 1) -> GroupRi
 
 
 def _unit_generators(n: int) -> list[int]:
+    """Greedy generators of (Z/n)^*: each unit not yet generated, ascending."""
     if n <= 2:
         return []
     units = [u for u in range(1, n) if math.gcd(u, n) == 1]
@@ -665,25 +599,7 @@ def _unit_generators(n: int) -> list[int]:
         if u in closure:
             continue
         gens.append(u)
-        frontier = list(closure)
-        for g in frontier:
-            cur = g
-            while True:
-                cur = cur * u % n
-                if cur in closure:
-                    break
-                closure.add(cur)
-        # rebuild closure properly (small n, plain fixpoint)
-        closure = {1}
-        again = True
-        while again:
-            again = False
-            for a in list(closure):
-                for g in gens:
-                    v = a * g % n
-                    if v not in closure:
-                        closure.add(v)
-                        again = True
+        closure = subgroup_generated(n, gens)
         if len(closure) == len(units):
             break
     return gens

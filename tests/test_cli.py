@@ -80,6 +80,11 @@ def test_witt_frob_identity(capsys):
     assert code == 0 and out.strip() == "1-2t"
 
 
+def test_witt_frob_cyclotomic_cancellation(capsys):
+    code, out, _ = run(capsys, "witt", "frob", "3", "(1-t^4)/(1+t^2)", "--ring", "C8")
+    assert code == 0 and out.strip() == "1-t^2"
+
+
 def test_witt_parse_error_exit_1(capsys):
     code, _, err = run(capsys, "witt", "mul", "1-2x", "1-3t")
     assert code == 1 and "position" in err

@@ -12,6 +12,12 @@ from wittlink.rings import (
     cyclotomic_polynomial,
     elem_arith,
     format_polynomial,
+    _dl_divmod,
+    _dl_gcd,
+    _dl_invmod,
+    poly_divmod,
+    poly_gcd_monic,
+    poly_mod,
     poly_mul,
     poly_resultant,
     poly_resultant_det,
@@ -110,6 +116,32 @@ def test_format_polynomial():
     assert format_polynomial(zpoly(1, -5, 6)) == "1-5t+6t^2"
     assert format_polynomial(zpoly(0)) == "0"
     assert format_polynomial(zpoly(0, 1)) == "t"
+
+
+@given(
+    st.sampled_from([7, 101, 0]),
+    st.lists(st.integers(-30, 30), max_size=7),
+    st.lists(st.integers(-30, 30), min_size=1, max_size=5),
+)
+@settings(max_examples=150, deadline=None)
+def test_dense_list_kernel_matches_polynomial(p, a, b):
+    # p = 0 is Q; the kernel works on the payload lists of Polynomial
+    spec = RingSpec.prime_field(p) if p else Q
+    f, g = Polynomial.from_ints(spec, a), Polynomial.from_ints(spec, b)
+    if g.is_zero:
+        return
+    A, B = list(f.coeffs), list(g.coeffs)
+    q, r = poly_divmod(f, g)
+    dq, dr = _dl_divmod(A, B, p)
+    assert (Polynomial.from_payloads(spec, dq), Polynomial.from_payloads(spec, dr)) == (q, r)
+    gcd = poly_gcd_monic(f, g)
+    assert Polynomial.from_payloads(spec, _dl_gcd(A, B, p)) == gcd
+    if g.degree >= 1:
+        inv = _dl_invmod(A, B, p)
+        if gcd.degree == 0:
+            assert poly_mod(Polynomial.from_payloads(spec, inv) * f, g) == Polynomial.one(spec)
+        else:
+            assert inv is None
 
 
 # --------------------------------------------------------------------------

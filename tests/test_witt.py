@@ -1,5 +1,6 @@
 """Rational Witt vectors: ring operations, ghost oracle, group-ring maps, descent."""
 
+import math
 import random
 
 import pytest
@@ -418,3 +419,49 @@ def test_ring_laws_sample():
         assert witt_mul(f, witt_add(g, h)) == witt_add(witt_mul(f, g), witt_mul(f, h))
         gf, gg = ghost(f, 10), ghost(g, 10)
         assert ghost(witt_mul(f, g), 10).components == (gf * gg).components
+
+
+# --------------------------------------------------------------------------
+# normalization over Z[zeta_n]: the coprimality probe and the shared route
+
+
+C8 = RingSpec.cyclotomic(8)
+
+
+def test_from_polys_cyclotomic_cancels_with_zero_quotient_terms():
+    # 1 - t^4 = (1 - t^2)(1 + t^2): the quotient has zero coefficients
+    f = WittVector.from_polys(
+        Polynomial.from_ints(C8, [1, 0, 0, 0, -1]), Polynomial.from_ints(C8, [1, 0, 1])
+    )
+    assert f.num == Polynomial.from_ints(C8, [1, 0, -1])
+    assert f.den.is_one
+
+
+def test_mul_cyclotomic_with_cancellation_matches_ghost():
+    # f = (1+t)(1-t)(1-z^4 t)/(1+z^4 t), g = (1+z t)(1-z t)/(1-z^2 t) over Z[zeta_5]
+    def lin(sign, k):  # 1 + sign * zeta^k * t
+        return Polynomial.from_payloads(C5, [C5.one(), C5.canon([0] * k + [sign])])
+
+    f = WittVector.from_polys(lin(1, 0) * lin(-1, 0) * lin(-1, 4), lin(1, 4))
+    g = WittVector.from_polys(lin(1, 1) * lin(-1, 1), lin(-1, 2))
+    h = witt_mul(f, g)
+    assert ghost(h, 12).components == (ghost(f, 12) * ghost(g, 12)).components
+
+
+def test_probe_primes_carry_roots_of_cyclotomic_polynomials():
+    from wittlink.rings import cyclotomic_polynomial
+    from wittlink.witt import _probe_coprime, _probe_primes
+
+    for n in range(1, 41):
+        phi = cyclotomic_polynomial(n)
+        for q, omega in _probe_primes(n):
+            assert (q - 1) % n == 0
+            assert all(q % d for d in range(2, math.isqrt(q) + 1))  # trial division
+            assert sum(c * pow(omega, i, q) for i, c in enumerate(phi)) % q == 0
+        # a shared factor is never certified coprime
+        spec = RingSpec.cyclotomic(n)
+        common = Polynomial.from_ints(spec, [1, 1])
+        assert not _probe_coprime(
+            common * Polynomial.from_ints(spec, [1, -2]), common * Polynomial.from_ints(spec, [1, 3])
+        )
+        assert _probe_coprime(Polynomial.from_ints(spec, [1, -2]), Polynomial.from_ints(spec, [1, 3]))
