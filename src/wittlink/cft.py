@@ -50,11 +50,15 @@ def legendre(q: int, p: int) -> int:
     return 1 if e == 1 else -1
 
 
+def _check_level(n: int) -> None:
+    if n < 1:
+        raise DomainViolation(f"level must be >= 1, got {n}")
+
+
 @functools.lru_cache(maxsize=None)
 def unit_group(n: int) -> tuple[int, ...]:
     """Units mod n, sorted.  unit_group(1) is the trivial group (0,)."""
-    if n < 1:
-        raise DomainViolation(f"level must be >= 1, got {n}")
+    _check_level(n)
     if n == 1:
         return (0,)
     return tuple(u for u in range(1, n) if math.gcd(u, n) == 1)
@@ -62,6 +66,7 @@ def unit_group(n: int) -> tuple[int, ...]:
 
 def subgroup_generated(n: int, gens) -> frozenset:
     """Smallest multiplicatively closed subset of (Z/n)^* containing 1 and gens."""
+    _check_level(n)
     if n == 1:
         return frozenset({0})
     closure = {1}
@@ -192,10 +197,12 @@ def rationals_field() -> AbelianField:
 
 
 def cyclotomic_field(n: int) -> AbelianField:
+    _check_level(n)
     return AbelianField(n, frozenset({1 % n}), label=f"Q(mu_{n})")
 
 
 def abelian_field(level: int, subgroup_elements, label: str = "") -> AbelianField:
+    _check_level(level)
     return AbelianField(level, frozenset(e % level for e in subgroup_elements), label)
 
 

@@ -6,8 +6,8 @@ verify-all.  Global flags --format {text,json,csv}, --seed N, --jobs N
 runs in one thread).
 
 Exit codes: 0 success, 1 usage or parse error, 2 domain violation
-(ramified prime, non-coprime level, non-unit, ...), 3 verification
-mismatch.
+(ramified prime, non-coprime level, non-unit, a size cap, a result too
+large to print, ...), 3 verification mismatch.
 
 JSON output is schema-stable with top-level keys {command, config,
 rows|report, verdict} and contains exact integers only; every float is a
@@ -52,6 +52,13 @@ from .orbits import (
 )
 from .bridge import bridge_compare
 from .verify import VerifyConfig, run_all
+
+
+# Size caps on CLI arguments, so that one argument cannot take minutes or
+# gigabytes; each is reported as a domain violation that names the limit.
+MAX_FROBENIUS_INDEX = 10_000
+MAX_GHOST_PRECISION = 10_000
+MAX_LITERAL_DEGREE = 1_000
 
 
 @dataclass(frozen=True)
@@ -111,7 +118,7 @@ def parse_poly_literal(text: str, spec: RingSpec, var: str = "t") -> Polynomial:
         j = i
         while j < len(s) and s[j].isdigit():
             j += 1
-        coef = int(s[i:j]) if j > i else None
+        coef = _parse_int(s[i:j]) if j > i else None
         i = _skip_spaces(s, j)
         exp = 0
         if i < len(s) and s[i] == var:
@@ -124,7 +131,11 @@ def parse_poly_literal(text: str, spec: RingSpec, var: str = "t") -> Polynomial:
                     j += 1
                 if j == i:
                     raise ParseError(f"expected exponent digits at position {i}: {s[i:i+8]!r}")
-                exp = int(s[i:j])
+                exp = _parse_int(s[i:j])
+                if exp > MAX_LITERAL_DEGREE:
+                    raise DomainViolation(
+                        f"exponent {exp} exceeds the literal degree limit {MAX_LITERAL_DEGREE}"
+                    )
                 i = j
         elif coef is None:
             raise ParseError(f"expected a coefficient or '{var}' at position {i}: {s[i:i+8]!r}")
@@ -133,6 +144,13 @@ def parse_poly_literal(text: str, spec: RingSpec, var: str = "t") -> Polynomial:
         i = _skip_spaces(s, i)
     top = max(terms)
     return Polynomial.from_ints(spec, [terms.get(k, 0) for k in range(top + 1)])
+
+
+def _parse_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:  # beyond Python's int-to-str digit limit
+        raise ParseError(f"integer literal of {len(digits)} digits is too long: {exc}") from exc
 
 
 def _strip_outer_parens(s: str) -> str:
@@ -241,6 +259,17 @@ def _length_fields(p: int, f: int) -> dict:
 _WITT_ARITY = {"add": 2, "mul": 2, "frob": 2, "ghost": 1, "teich": 1, "split": 1}
 
 
+def _render(value) -> str:
+    """str(value); an integer beyond Python's int-to-str limit is a domain violation."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise DomainViolation(
+            f"result too large to render: an integer has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from exc
+
+
 def cmd_witt(ns: argparse.Namespace) -> tuple[int, Output]:
     spec = parse_ring(ns.ring)
     op = ns.witt_op
@@ -250,25 +279,31 @@ def cmd_witt(ns: argparse.Namespace) -> tuple[int, Output]:
         f = parse_witt_literal(ns.args[0], spec)
         g = parse_witt_literal(ns.args[1], spec)
         result = witt_add(f, g) if op == "add" else witt_mul(f, g)
-        rendered = str(result)
+        rendered = _render(result)
     elif op == "frob":
         if not ns.args[0].lstrip("-").isdigit():
             raise ParseError(f"witt frob needs an integer index, got {ns.args[0]!r}")
-        n = int(ns.args[0])
+        n = _parse_int(ns.args[0])
+        if n > MAX_FROBENIUS_INDEX:
+            raise DomainViolation(f"Frobenius index {n} exceeds the limit {MAX_FROBENIUS_INDEX}")
         f = parse_witt_literal(ns.args[1], spec)
         result = frobenius(n, f)
-        rendered = str(result)
+        rendered = _render(result)
     elif op == "ghost":
+        if ns.precision > MAX_GHOST_PRECISION:
+            raise DomainViolation(
+                f"ghost precision {ns.precision} exceeds the limit {MAX_GHOST_PRECISION}"
+            )
         f = parse_witt_literal(ns.args[0], spec)
-        rendered = str(ghost(f, ns.precision))
+        rendered = _render(ghost(f, ns.precision))
     elif op == "teich":
         if not ns.args[0].lstrip("-").isdigit():
             raise ParseError(f"witt teich needs an integer, got {ns.args[0]!r}")
-        a = RingElement.of(spec, int(ns.args[0]))
-        rendered = str(teichmuller(a))
+        a = RingElement.of(spec, _parse_int(ns.args[0]))
+        rendered = _render(teichmuller(a))
     else:  # split
         f = parse_witt_literal(ns.args[0], spec)
-        rendered = str(split_counit(f))
+        rendered = _render(split_counit(f))
     row = {"operation": op, "ring": str(spec), "inputs": list(ns.args), "result": rendered}
     out = Output(
         command="witt",
@@ -565,7 +600,8 @@ def build_parser() -> _Parser:
     w.add_argument("witt_op", choices=("add", "mul", "frob", "ghost", "teich", "split"))
     w.add_argument("args", nargs="+", help="operands (polynomial or P/Q literals)")
     w.add_argument("--ring", default="Z", help="Z, Q, F<p>, Z<n> or C<n>")
-    w.add_argument("-N", "--precision", type=int, default=8, help="ghost component count")
+    w.add_argument("-N", "--precision", type=int, default=8,
+                   help=f"ghost component count (at most {MAX_GHOST_PRECISION})")
 
     f = subs.add_parser("field", help="abelian field invariants", parents=[common])
     f.add_argument("field_op", choices=("split", "conductor", "ramified"))

@@ -33,9 +33,10 @@ subresultant remainder sequence (exact over any integral domain, controls
 coefficient growth); a division-free Berkowitz determinant of the
 Sylvester matrix backs rings without exact division and serves as an
 independent oracle in the tests.  Both routes run over the base ring or
-over polynomial rings R[t] (needed by the Witt multiplication): the ops
-object they take is the RingSpec itself, or _PolyRingOps, which gives
-R[t] the same method names.
+over polynomial rings R[t] (needed by the resultant form of the Witt
+product and Frobenius, the oracle of their Newton route and the route
+over F_q): the ops object they take is the RingSpec itself, or
+_PolyRingOps, which gives R[t] the same method names.
 """
 
 from __future__ import annotations

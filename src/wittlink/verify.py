@@ -41,6 +41,8 @@ from .rings import Polynomial, RingElement, RingSpec, euler_phi, primes_below
 from .witt import (
     GroupRingElement,
     WittVector,
+    _power_roots_resultant,
+    _star_polys_resultant,
     frobenius,
     galois_fixed_check,
     ghost,
@@ -109,6 +111,22 @@ def _random_witt(rng: random.Random, spec: RingSpec, max_deg: int = 4, bound: in
 # criterion 1: ring laws, direct and through the ghost oracle
 
 
+def _resultant_product(f: WittVector, g: WittVector) -> WittVector:
+    """f (x) g by the R[t][y] resultants, independent of the Newton route."""
+    star = _star_polys_resultant
+    return WittVector.from_polys(
+        star(f.num, g.num) * star(f.den, g.den),
+        star(f.num, g.den) * star(f.den, g.num),
+        normalize=False,
+    )
+
+
+def _resultant_frobenius(n: int, f: WittVector) -> WittVector:
+    return WittVector.from_polys(
+        _power_roots_resultant(f.num, n), _power_roots_resultant(f.den, n), normalize=False
+    )
+
+
 def criterion_witt_ring_laws(seed: int, samples: int = 200, precision: int = 12) -> SuiteResult:
     t0 = time.time()
     rng = random.Random(seed)
@@ -130,10 +148,18 @@ def criterion_witt_ring_laws(seed: int, samples: int = 200, precision: int = 12)
         expect(p == g * f)
         gs, gp = ghost(s, N), ghost(p, N)
         expect(gs.components == tuple(Z.add(a, b) for a, b in zip(gf.components[:N], gg.components[:N])))
-        expect(gp.components == tuple(Z.mul(a, b) for a, b in zip(gf.components[:N], gg.components[:N])))
+        # the product and Frobenius come from ghost components themselves, so
+        # each is also held against the resultant route: ghosts alone would be circular
+        expect(
+            p == _resultant_product(f, g)
+            and gp.components == tuple(Z.mul(a, b) for a, b in zip(gf.components[:N], gg.components[:N]))
+        )
         n = rng.choice((2, 3))
         Ff = frobenius(n, f)
-        expect(ghost(Ff, N).components == tuple(gf.components[n * k - 1] for k in range(1, N + 1)))
+        expect(
+            Ff == _resultant_frobenius(n, f)
+            and ghost(Ff, N).components == tuple(gf.components[n * k - 1] for k in range(1, N + 1))
+        )
         expect(frobenius(n, s) == Ff + frobenius(n, g))
         expect(frobenius(n, p) == Ff * frobenius(n, g))
     for i in range(0, samples - 2, 3):

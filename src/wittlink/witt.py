@@ -3,9 +3,23 @@
 A rational Witt vector is a rational function num/den over R with
 num(0) = den(0) = 1.  Addition is multiplication of rational functions
 (identity: the constant 1); the product extends (1-a*t) (x) (1-b*t) =
-(1-a*b*t) biadditively and is computed on polynomial parts through exact
-resultants, never by root extraction.  For parts p, q with inverse-root
-multisets {a_i}, {b_j}:
+(1-a*b*t) biadditively and is computed on polynomial parts, never by root
+extraction.
+
+Ghost components (power sums of inverse roots, numerator minus
+denominator) come from a division-free Newton recurrence; the ghost map
+turns Witt (+) and (x) into componentwise + and *.  The product and the
+Frobenius operators are computed on that side.  For parts p, q with
+inverse-root multisets {a_i}, {b_j}, the star product p x q =
+prod (1 - a_i b_j t) is the polynomial of degree deg p * deg q whose
+power sums are s_k(p) * s_k(q), and F_n(p) = prod (1 - a_i^n t) the one
+whose power sums are s_nk(p).  Newton's identities rebuild each from its
+power sums, dividing by k exactly in characteristic 0: over Z, Q and
+Z[zeta_n] directly, over F_p and Z/n on lifts to Z (the coefficients are
+universal integer polynomials in the inputs), reduced at the end.
+
+Exact resultants over R[t] are the independent oracle for both, and the
+route over F_q (the internal extension fields):
 
     (p x q)(t) = Res_y(p~(y), q(y)),   p~(y) = sum_i p_rev[i] t^(d-i) y^i
 
@@ -13,11 +27,8 @@ where p~ is monic in y with roots t*a_i, so the resultant equals
 prod q(t*a_i) without any sign correction.  The inverse-root n-th power
 map reduces rev(p) modulo y^n - u (a monic divisor, so plain division)
 and finishes with a small resultant; reversing the u-variable output
-recovers prod (1 - a_i^n t).
-
-Ghost components (power sums of inverse roots, numerator minus
-denominator) come from a division-free Newton recurrence and are the
-independent oracle: they turn Witt (+) and (x) into componentwise + and *.
+recovers prod (1 - a_i^n t).  Acceptance criterion 1 compares the two
+routes directly, so that its ghost comparisons are not circular.
 
 Equality never relies on normal forms: f == g iff
 f.num * g.den == g.num * f.den, valid because denominators with constant
@@ -27,10 +38,12 @@ Normalization divides num and den by their gcd, scaled to constant term
 1.  Over a field (Q, F_p, F_q) that gcd is taken directly.  Over Z and
 Z[zeta_n] one route serves both: a probe first maps the parts onto F_q
 (c -> c mod q, or zeta -> omega, a root of Phi_n mod a prime q = 1 mod n)
-and a constant gcd there proves them coprime; otherwise the gcd is taken
-over the fraction field (Q or Q(zeta_n)), and the reduced parts are kept
-only if they are integral, which over Z always holds.  Over Z/n the parts
-are left as given.
+and a constant gcd there proves them coprime.  Otherwise, over Z, the
+gcds modulo the probe primes are lifted (by CRT) and kept when they
+divide both parts exactly; failing that, the gcd is taken over the
+fraction field (Q or Q(zeta_n)), and the reduced parts are kept only if
+they are integral, which over Z always holds.  Over Z/n the parts are
+left as given.
 """
 
 from __future__ import annotations
@@ -50,6 +63,7 @@ from .rings import (
     _KIND_FQ,
     _KIND_Q,
     _KIND_Z,
+    _KIND_ZN,
     _PolyRingOps,
     _dl_divmod,
     _dl_gcd,
@@ -89,7 +103,7 @@ def _probe_primes(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def _probe_coprime(num: Polynomial, den: Polynomial) -> bool:
-    """Certify gcd(num, den) = 1 over Z or Z[zeta_n] by a gcd in F_q[t].
+    """Certify gcd(num, den) = 1 over Z[zeta_n] by a gcd in F_q[t].
 
     When both leading coefficients map to nonzero values under
     zeta -> omega, deg(gcd mod q) >= deg(gcd over the fraction field):
@@ -97,16 +111,10 @@ def _probe_coprime(num: Polynomial, den: Polynomial) -> bool:
     kernel reduce.  A constant gcd modulo one such q therefore proves
     coprimality.  Returns False when no probe certifies (unknown).
     """
-    spec = num.spec
-    cyclo = spec.kind == _KIND_C
-    for q, omega in _probe_primes(spec.n if cyclo else 1):
-        if cyclo:
-            powers = [pow(omega, i, q) for i in range(len(num.lc))]
-            a = [sum(v * w for v, w in zip(c, powers)) % q for c in num.coeffs]
-            b = [sum(v * w for v, w in zip(c, powers)) % q for c in den.coeffs]
-        else:
-            a = [c % q for c in num.coeffs]
-            b = [c % q for c in den.coeffs]
+    for q, omega in _probe_primes(num.spec.n):
+        powers = [pow(omega, i, q) for i in range(len(num.lc))]
+        a = [sum(v * w for v, w in zip(c, powers)) % q for c in num.coeffs]
+        b = [sum(v * w for v, w in zip(c, powers)) % q for c in den.coeffs]
         if a[-1] and b[-1] and len(_dl_gcd(a, b, q)) == 1:
             return True
     return False
@@ -138,12 +146,18 @@ def _normalize_field_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial
 def _normalize_domain_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Reduce over Z or Z[zeta_n]: probe, then the fraction-field gcd.
 
-    The reduced parts are kept only when they are integral, which over Z
-    always holds (Gauss's lemma).
+    Over Z the probe is the modular gcd, which also certifies coprime
+    parts (a gcd of degree 0 modulo a probe prime).  The reduced parts are
+    kept only when they are integral, which over Z always holds (Gauss's
+    lemma).
     """
-    if _probe_coprime(num, den):
-        return num, den
     spec = num.spec
+    if spec.kind == _KIND_Z:
+        reduced = _modular_gcd_parts(num, den)
+        if reduced is not None:
+            return reduced
+    elif _probe_coprime(num, den):
+        return num, den
     field = spec.fraction_field()
     qn, qd = _normalize_field_parts(
         Polynomial.from_payloads(field, num.coeffs), Polynomial.from_payloads(field, den.coeffs)
@@ -153,6 +167,62 @@ def _normalize_domain_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomia
     if None in cn or None in cd:
         return num, den  # the reduced form leaves Z[zeta]; keep the given parts
     return Polynomial(spec, cn), Polynomial(spec, cd)
+
+
+def _modular_gcd_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial] | None:
+    """Reduce over Z by gcds modulo the probe primes, or None when they do not lift.
+
+    With both leading coefficients nonzero mod q, deg(gcd mod q) >=
+    deg(gcd over Q).  The gcd mod q, scaled to constant term 1 (combined
+    by CRT over the primes whose gcds share the least degree) and lifted
+    to symmetric residues, is kept only if it divides both parts exactly
+    over Z; a common divisor of that degree is the gcd.  A constant gcd
+    mod q thus proves the parts coprime.
+    """
+    a, b = num.coeffs, den.coeffs
+    g, m = [], 1
+    for q, _ in _probe_primes(1):
+        if not (a[-1] % q and b[-1] % q):
+            continue
+        h = _dl_gcd(a, b, q)
+        inv = pow(h[0], -1, q)  # h divides num mod q and num(0) = 1
+        h = [c * inv % q for c in h]
+        if not g or len(h) < len(g):  # a larger degree marks an unlucky prime
+            g, m = h, q
+        elif len(h) == len(g):
+            u = pow(m, -1, q)
+            g = [x + m * ((y - x) * u % q) for x, y in zip(g, h)]
+            m *= q
+        else:
+            continue
+        if len(g) == 1:
+            return num, den
+        lift = [c - m if 2 * c > m else c for c in g]
+        qa, qb = _series_quotient(a, lift), _series_quotient(b, lift)
+        if qa is not None and qb is not None:
+            return Polynomial(num.spec, tuple(qa)), Polynomial(num.spec, tuple(qb))
+    return None
+
+
+def _series_quotient(a: tuple, g: list) -> list | None:
+    """a / g over Z when g (with g[0] = 1) divides a exactly, else None.
+
+    Power-series division: a = quo * g iff the series a/g vanishes from
+    degree deg a - deg g + 1 through deg a.
+    """
+    dg = len(g) - 1
+    m = len(a) - 1 - dg
+    if m < 0:
+        return None
+    quo = []
+    for k in range(len(a)):
+        v = a[k] - sum(g[i] * quo[k - i] for i in range(1, min(k, dg) + 1))
+        if k > m:
+            if v:
+                return None
+            v = 0
+        quo.append(v)
+    return quo[: m + 1]
 
 
 def _normalize_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -271,9 +341,83 @@ def witt_neg(f: WittVector) -> WittVector:
 def _star_polys(p: Polynomial, q: Polynomial) -> Polynomial:
     """Polynomial with inverse roots {a*b} for a over p, b over q.
 
-    Computed as Res_y(p~, q) with p~(y) = sum p_rev[i] t^(d-i) y^i, monic in
-    y with roots t*a_i; q keeps constant (t-degree 0) coefficients, which
-    keeps the remainder sequence cheap.
+    The ghost map is a ring homomorphism, so its power sums are
+    s_k(p) * s_k(q) for k = 1..deg p * deg q; Newton's identities rebuild it.
+    """
+    spec = p.spec
+    d, e = p.degree, q.degree
+    if d <= 0 or e <= 0:
+        return Polynomial.one(spec)
+    if spec.kind == _KIND_FQ:
+        return _star_polys_resultant(p, q)
+    R = _newton_ring(spec)
+    sp = _power_sums(Polynomial(R, p.coeffs), d * e)
+    sq = _power_sums(Polynomial(R, q.coeffs), d * e)
+    return _from_power_sums(spec, R, [R.mul(a, b) for a, b in zip(sp, sq)])
+
+
+def _power_roots(p: Polynomial, n: int) -> Polynomial:
+    """Polynomial with inverse roots {a^n} for a over p.
+
+    Its power sums are s_n(p), s_2n(p), ..., s_dn(p); Newton's identities
+    rebuild it.
+    """
+    spec = p.spec
+    d = p.degree
+    if d <= 0:
+        return Polynomial.one(spec)
+    if n == 1:
+        return p
+    if spec.kind == _KIND_FQ:
+        return _power_roots_resultant(p, n)
+    R = _newton_ring(spec)
+    s = _power_sums(Polynomial(R, p.coeffs), n * d)
+    return _from_power_sums(spec, R, s[n - 1 :: n])
+
+
+def _newton_ring(spec: RingSpec) -> RingSpec:
+    """Where the Newton route runs: Z for F_p and Z/n, else the ring itself.
+
+    The coefficients of the star product and of F_n are universal integer
+    polynomials in the input coefficients, so over F_p and Z/n they may be
+    computed on lifts to Z and reduced at the end; this also covers
+    divisions by k that have no inverse modulo n.
+    """
+    return RingSpec.integers() if spec.kind in (_KIND_FP, _KIND_ZN) else spec
+
+
+def _from_power_sums(spec: RingSpec, R: RingSpec, s: list) -> Polynomial:
+    """1 + c_1 t + ... + c_D t^D over spec with power sums s_1..s_D over R.
+
+    Newton's identities solved for c_k: c_k = -(s_k + sum_{i<k} c_i s_{k-i}) / k.
+    The division is exact in characteristic 0 (R is Z, Q or Z[zeta_n]; the
+    power basis of Z[zeta_n] is integral, so it divides entry by entry).
+    """
+    c = [R.one()]
+    for k in range(1, len(s) + 1):
+        acc = s[k - 1]
+        for i in range(1, k):
+            acc = R.add(acc, R.mul(c[i], s[k - i - 1]))
+        if R.kind == _KIND_Z:
+            c.append(-acc // k)
+        elif R.kind == _KIND_Q:
+            c.append(-acc / k)
+        else:
+            c.append(tuple(-v // k for v in acc))
+    if R != spec:
+        return Polynomial.from_payloads(spec, c)
+    while R.is_zero(c[-1]):
+        c.pop()
+    return Polynomial(spec, tuple(c))
+
+
+def _star_polys_resultant(p: Polynomial, q: Polynomial) -> Polynomial:
+    """The star product as Res_y(p~, q): the oracle, and the route over F_q.
+
+    p~(y) = sum p_rev[i] t^(d-i) y^i is monic in y with roots t*a_i, so the
+    resultant equals prod q(t*a_i) without any sign correction; q keeps
+    constant (t-degree 0) coefficients, which keeps the remainder sequence
+    cheap.
     """
     spec = p.spec
     d, e = p.degree, q.degree
@@ -288,8 +432,8 @@ def _star_polys(p: Polynomial, q: Polynomial) -> Polynomial:
     return _rescale_constant_to_one(res)
 
 
-def _power_roots(p: Polynomial, n: int) -> Polynomial:
-    """Polynomial with inverse roots {a^n} for a over p.
+def _power_roots_resultant(p: Polynomial, n: int) -> Polynomial:
+    """F_n on one part by a resultant: the oracle, and the route over F_q.
 
     rev(p) is reduced modulo the monic y^n - u (substituting y^n -> u), a
     small resultant in u finishes, and reversing u-coefficients with the
@@ -405,15 +549,18 @@ class GhostVector:
 def _power_sums(p: Polynomial, N: int) -> list:
     """s_1..s_N for the inverse roots of p, by Newton's identities.
 
-    With p = 1 + c_1 t + ... + c_d t^d:  s_k = -(k*c_k + sum c_i s_{k-i}),
-    division-free, valid over every coefficient ring.
+    With p = 1 + c_1 t + ... + c_d t^d and c_k = 0 for k > d:
+    s_k = -(k*c_k + sum_{i <= min(k-1, d)} c_i s_{k-i}), division-free,
+    valid over every coefficient ring, O(N*d) ring operations.
     """
     spec = p.spec
+    c = p.coeffs
+    d = len(c) - 1
     out = []
     for k in range(1, N + 1):
-        acc = spec.mul_int(p.coefficient(k), k)
-        for i in range(1, k):
-            acc = spec.add(acc, spec.mul(p.coefficient(i), out[k - i - 1]))
+        acc = spec.mul_int(c[k], k) if k <= d else spec.zero()
+        for i in range(1, min(k - 1, d) + 1):
+            acc = spec.add(acc, spec.mul(c[i], out[k - i - 1]))
         out.append(spec.neg(acc))
     return out
 

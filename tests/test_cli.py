@@ -1,10 +1,19 @@
 """Command-line surface: literals, formats, exit codes, reproducibility."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from wittlink.cli import main, parse_poly_literal, parse_ring, parse_witt_literal
+from wittlink.cli import (
+    MAX_FROBENIUS_INDEX,
+    MAX_GHOST_PRECISION,
+    MAX_LITERAL_DEGREE,
+    main,
+    parse_poly_literal,
+    parse_ring,
+    parse_witt_literal,
+)
 from wittlink.errors import ParseError
 from wittlink.rings import Polynomial, RingSpec
 
@@ -203,3 +212,55 @@ def test_jobs_flag_same_rows(capsys):
 def test_format_flag_after_subcommand(capsys):
     _, out, _ = run(capsys, "witt", "mul", "1-2t", "1-3t", "--format", "json")
     assert json.loads(out)["rows"][0]["result"] == "1-6t"
+
+
+# --------------------------------------------------------------------------
+# golden output: the JSON of a fixed set of witt commands, one mul and one
+# frob per CLI ring, as the resultant route printed them
+
+
+def _golden_cases():
+    with open(Path(__file__).with_name("witt_golden.json")) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("case", _golden_cases(), ids=lambda c: " ".join(c["argv"]))
+def test_witt_golden_json(capsys, case):
+    code, out, _ = run(capsys, "--format", "json", *case["argv"])
+    assert code == 0 and out == case["stdout"]
+
+
+# --------------------------------------------------------------------------
+# the CLI boundary: every bad input ends in its documented exit code
+
+
+BAD_INPUTS = [
+    # argv, exit code, stderr prefix
+    (["field", "split", "--cyclotomic", "0", "--prime", "3"], 2, "error: level must be >= 1"),
+    (["field", "conductor", "--cyclotomic", "0", "--subgroup", "1"], 2, "error: level must be >= 1"),
+    (["field", "ramified", "--cyclotomic", "0"], 2, "error: level must be >= 1"),
+    (["witt", "frob", "200000", "1-2t"], 2,
+     f"error: Frobenius index 200000 exceeds the limit {MAX_FROBENIUS_INDEX}"),
+    (["witt", "frob", "10000", "1-9t"], 2, "error: result too large to render"),
+    (["witt", "ghost", "1-9t", "-N", "5000"], 2, "error: result too large to render"),
+    (["witt", "ghost", "1-2t", "-N", "20000"], 2,
+     f"error: ghost precision 20000 exceeds the limit {MAX_GHOST_PRECISION}"),
+    (["witt", "mul", "1-t^100000000000", "1-2t"], 2,
+     f"error: exponent 100000000000 exceeds the literal degree limit {MAX_LITERAL_DEGREE}"),
+    (["witt", "mul", "1-" + "9" * 5000 + "t", "1-2t"], 1,
+     "error: integer literal of 5000 digits is too long"),
+    (["witt", "frob", "0", "1-2t"], 2, "error: Frobenius index must be >= 1"),
+    (["witt", "frob", "x", "1-2t"], 1, "error: witt frob needs an integer index"),
+    (["witt", "mul", "1-2x", "1-3t"], 1, "error: expected"),
+    (["witt", "add", "1-2t", "1-3t", "--ring", "Z1"], 2, "error: modulus must be >= 2"),
+    (["linking", "--prime", "3", "--level", "0"], 2, "error: 3 divides the level 0"),
+    (["bridge", "--prime", "7"], 1, "error: the following arguments are required"),
+]
+
+
+@pytest.mark.parametrize("argv, code, prefix", BAD_INPUTS, ids=[" ".join(a)[:40] for a, _, _ in BAD_INPUTS])
+def test_bad_input_exit_codes(capsys, argv, code, prefix):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert err.startswith(prefix), err
+    assert "Traceback" not in err and not out
