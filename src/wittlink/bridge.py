@@ -311,8 +311,8 @@ def bridge_compare(
     den = fibers[0]
 
     pres = at_conductor(F)
-    cc_mono = Coset.of(pres.level, pres.subgroup, artin_symbol(F, p).rep % pres.level)
-    den_mono = Coset.of(pres.level, pres.subgroup, T.monodromy % pres.level)
+    cc_mono = Coset.of(pres.level, pres.subgroup, p)
+    den_mono = Coset.of(pres.level, pres.subgroup, T.monodromy)
     monodromy_match = cc_mono == den_mono
 
     rng = random.Random(seed)

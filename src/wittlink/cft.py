@@ -4,8 +4,11 @@ An abelian field F is presented by a level n and a subgroup H of (Z/n)^*:
 F is the subfield of the n-th cyclotomic field fixed by H, and its Galois
 group over Q is the quotient (Z/n)^*/H.  Everything downstream (Artin
 symbols, splitting invariants, fibers) is finite quotient-group
-arithmetic; level 1 presents Q itself with the one-element unit group
-(0,), the canonical residue of 1 mod 1.
+arithmetic, and this module owns it: QuotientUnitGroup (cached by
+quotient_group) holds the canonical least coset representatives and the
+element orders, Coset delegates to it, and subgroup_generators decides
+closure from generators; level 1 presents Q itself with the one-element
+unit group (0,), the canonical residue of 1 mod 1.
 
 Two independent routes compute the splitting shape (f, r) of an
 unramified prime p: the order of the Artin coset in the quotient group,
@@ -85,6 +88,92 @@ def subgroup_generated(n: int, gens) -> frozenset:
                     nxt.append(v)
         frontier = nxt
     return frozenset(closure)
+
+
+def subgroup_generators(n: int, H) -> list[int]:
+    """Greedy generators of H <= (Z/n)^*: each member not yet generated, ascending.
+
+    Raises DomainViolation as soon as the generated subgroup leaves H, so
+    a subset of units that is not multiplicatively closed is rejected.
+    """
+    H = frozenset(H)
+    gens: list[int] = []
+    closure = frozenset({1 % n})
+    for u in sorted(H):
+        if u in closure:
+            continue
+        gens.append(u)
+        closure = subgroup_generated(n, gens)
+        if not closure <= H:
+            raise DomainViolation("subgroup is not multiplicatively closed")
+        if len(closure) == len(H):
+            break
+    return gens
+
+
+class QuotientUnitGroup:
+    """(Z/m)^* modulo a subgroup, with canonical (least) coset reps."""
+
+    __slots__ = ("modulus", "subgroup", "reps", "_canon")
+
+    def __init__(self, modulus: int, subgroup: frozenset):
+        self.modulus = modulus
+        self.subgroup = subgroup
+        canon: dict[int, int] = {}
+        reps = []
+        for u in unit_group(modulus):
+            if u in canon:
+                continue
+            coset = {u * h % modulus for h in subgroup}
+            rep = min(coset)
+            reps.append(rep)
+            for v in coset:
+                canon[v] = rep
+        self.reps = tuple(sorted(reps))
+        self._canon = canon
+
+    @property
+    def order(self) -> int:
+        return len(self.reps)
+
+    @property
+    def identity(self) -> int:
+        return self._canon[1 % self.modulus]
+
+    def canon(self, u: int) -> int:
+        u %= self.modulus
+        if u not in self._canon:
+            raise DomainViolation(f"{u} is not a unit mod {self.modulus}")
+        return self._canon[u]
+
+    def mul(self, a: int, b: int) -> int:
+        return self._canon[a * b % self.modulus]
+
+    def element_order(self, a: int) -> int:
+        a = self.canon(a)
+        k, cur = 1, a
+        while cur != self.identity:
+            cur = self.mul(cur, a)
+            k += 1
+        return k
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, QuotientUnitGroup)
+            and self.modulus == other.modulus
+            and self.subgroup == other.subgroup
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.modulus, self.subgroup))
+
+    def __repr__(self) -> str:
+        return f"QuotientUnitGroup(mod {self.modulus}, |G| = {self.order})"
+
+
+@functools.lru_cache(maxsize=None)
+def quotient_group(modulus: int, subgroup: frozenset) -> QuotientUnitGroup:
+    return QuotientUnitGroup(modulus, subgroup)
 
 
 def crt_combine(residues) -> tuple[int, int]:
@@ -167,13 +256,9 @@ class AbelianField:
         H = set(self.subgroup)
         if not H or not H.issubset(units):
             raise DomainViolation("subgroup members must be units at the level")
-        ident = 1 % self.level
-        if ident not in H:
+        if 1 % self.level not in H:
             raise DomainViolation("subgroup must contain the identity")
-        for a in H:
-            for b in H:
-                if a * b % self.level not in H:
-                    raise DomainViolation("subgroup is not multiplicatively closed")
+        subgroup_generators(self.level, self.subgroup)
 
     @property
     def degree(self) -> int:
@@ -216,14 +301,13 @@ def quadratic_field_subgroup(q: int) -> AbelianField:
     """
     if q == 2 or not is_prime(q):
         raise DomainViolation(f"{q} must be an odd prime")
+    half = (q - 1) // 2  # Euler's criterion: (u|q) = 1 iff u^half = 1 mod q
     if q % 4 == 1:
-        H = frozenset(u for u in unit_group(q) if legendre(u, q) == 1)
+        H = frozenset(u for u in unit_group(q) if pow(u, half, q) == 1)
         return AbelianField(q, H, label=f"Q(sqrt({q}))")
     level = 4 * q
     H = frozenset(
-        u
-        for u in unit_group(level)
-        if legendre(u % q, q) * (-1) ** ((u - 1) // 2) == 1
+        u for u in unit_group(level) if (pow(u, half, q) == 1) == (u % 4 == 1)
     )
     return AbelianField(level, H, label=f"Q(sqrt({q}))")
 
@@ -289,30 +373,17 @@ class Coset:
 
     @classmethod
     def of(cls, modulus: int, subgroup: frozenset, element: int) -> "Coset":
-        e = element % modulus
-        members = {e * h % modulus for h in subgroup} if modulus > 1 else {0}
-        return cls(modulus, subgroup, min(members))
-
-    @property
-    def members(self) -> frozenset:
-        if self.modulus == 1:
-            return frozenset({0})
-        return frozenset(self.rep * h % self.modulus for h in self.subgroup)
+        return cls(modulus, subgroup, quotient_group(modulus, subgroup).canon(element))
 
     @property
     def is_identity(self) -> bool:
-        return (1 % self.modulus) in self.members
+        G = quotient_group(self.modulus, self.subgroup)
+        return G.canon(self.rep) == G.identity
 
     @property
     def order(self) -> int:
         """Order of the coset in the quotient group."""
-        if self.modulus == 1:
-            return 1
-        f, cur = 1, self.rep
-        while cur not in self.subgroup:
-            cur = cur * self.rep % self.modulus
-            f += 1
-        return f
+        return quotient_group(self.modulus, self.subgroup).element_order(self.rep)
 
     def __str__(self) -> str:
         return f"{self.rep}*H mod {self.modulus}"
@@ -346,9 +417,8 @@ class SplitData:
 def split_invariants(F: AbelianField, p: int) -> SplitData:
     art = artin_symbol(F, p)
     f = art.order
-    degree = len(unit_group(F.level)) // len(F.subgroup)
-    assert degree % f == 0
-    return SplitData(p, art, f, degree // f, p**f)
+    assert F.degree % f == 0
+    return SplitData(p, art, f, F.degree // f, p**f)
 
 
 def cyclotomic_factor_degrees(n: int, p: int) -> tuple[int, int]:

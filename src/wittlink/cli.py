@@ -59,6 +59,10 @@ from .verify import VerifyConfig, run_all
 MAX_FROBENIUS_INDEX = 10_000
 MAX_GHOST_PRECISION = 10_000
 MAX_LITERAL_DEGREE = 1_000
+# Result-degree caps for witt mul and frob: the Newton rebuild of a product
+# part of degree D = deg f * deg g costs O(D^2), F_n reads n * deg power sums.
+MAX_PRODUCT_DEGREE = 2_500
+MAX_FROBENIUS_DEGREE = 10_000
 
 
 @dataclass(frozen=True)
@@ -66,9 +70,7 @@ class RunConfig:
     """Knobs shared by table and grid commands."""
 
     max_prime: int = 100
-    levels: tuple = ()
     cyclotomic_bound: int = 40
-    output_format: str = "text"
     seed: int = 20240901
 
 
@@ -278,6 +280,13 @@ def cmd_witt(ns: argparse.Namespace) -> tuple[int, Output]:
     if op in ("add", "mul"):
         f = parse_witt_literal(ns.args[0], spec)
         g = parse_witt_literal(ns.args[1], spec)
+        if op == "mul":
+            a, b, c, d = f.num.degree, f.den.degree, g.num.degree, g.den.degree
+            degree = max(a * c + b * d, a * d + b * c)
+            if degree > MAX_PRODUCT_DEGREE:
+                raise DomainViolation(
+                    f"product degree {degree} exceeds the limit {MAX_PRODUCT_DEGREE}"
+                )
         result = witt_add(f, g) if op == "add" else witt_mul(f, g)
         rendered = _render(result)
     elif op == "frob":
@@ -287,6 +296,11 @@ def cmd_witt(ns: argparse.Namespace) -> tuple[int, Output]:
         if n > MAX_FROBENIUS_INDEX:
             raise DomainViolation(f"Frobenius index {n} exceeds the limit {MAX_FROBENIUS_INDEX}")
         f = parse_witt_literal(ns.args[1], spec)
+        degree = n * max(f.num.degree, f.den.degree)
+        if degree > MAX_FROBENIUS_DEGREE:
+            raise DomainViolation(
+                f"Frobenius index times degree {degree} exceeds the limit {MAX_FROBENIUS_DEGREE}"
+            )
         result = frobenius(n, f)
         rendered = _render(result)
     elif op == "ghost":
@@ -644,7 +658,6 @@ def main(argv: list | None = None) -> int:
         cfg = RunConfig(
             max_prime=getattr(ns, "max_prime", 100),
             cyclotomic_bound=getattr(ns, "cyclotomic_bound", 40),
-            output_format=ns.format,
             seed=ns.seed,
         )
         if ns.command == "witt":

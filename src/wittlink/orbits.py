@@ -1,7 +1,9 @@
 """Finite-level models of closed orbits, packets, and mapping tori.
 
 A mapping torus here is a finite abelian group G (a quotient of a unit
-group (Z/m)^*) together with a monodromy element and a base prime p: it
+group (Z/m)^*, the cft.QuotientUnitGroup that every Galois-group
+computation shares; quotient_group is re-exported from here) together
+with a monodromy element and a base prime p: it
 models G x_{p^Z} R_+, the suspension whose flow crosses the base circle of
 length log p by multiplying the fiber coordinate with the monodromy.  Its
 connected components are the orbits of the cyclic group generated by the
@@ -27,95 +29,25 @@ exists to check.
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainViolation, EqualPrimes, NotCoprime, SpecMismatch
 from .cft import (
     AbelianField,
     ModUnit,
+    QuotientUnitGroup,
     artin_symbol,
     at_conductor,
     conductor,
     legendre,
     quadratic_field_subgroup,
+    quotient_group,
     split_invariants,
     subgroup_generated,
-    unit_group,
 )
 from .rings import is_prime
-
-# --------------------------------------------------------------------------
-# quotient unit groups
-
-
-class QuotientUnitGroup:
-    """(Z/m)^* modulo a subgroup, with canonical (least) coset reps."""
-
-    __slots__ = ("modulus", "subgroup", "reps", "_canon")
-
-    def __init__(self, modulus: int, subgroup: frozenset):
-        self.modulus = modulus
-        self.subgroup = subgroup
-        canon: dict[int, int] = {}
-        reps = []
-        for u in unit_group(modulus):
-            if u in canon:
-                continue
-            coset = {u * h % modulus for h in subgroup} if modulus > 1 else {0}
-            rep = min(coset)
-            reps.append(rep)
-            for v in coset:
-                canon[v] = rep
-        self.reps = tuple(sorted(reps))
-        self._canon = canon
-
-    @property
-    def order(self) -> int:
-        return len(self.reps)
-
-    @property
-    def identity(self) -> int:
-        return self._canon[1 % self.modulus]
-
-    def canon(self, u: int) -> int:
-        u %= self.modulus
-        if u not in self._canon:
-            raise DomainViolation(f"{u} is not a unit mod {self.modulus}")
-        return self._canon[u]
-
-    def mul(self, a: int, b: int) -> int:
-        if self.modulus == 1:
-            return 0
-        return self._canon[a * b % self.modulus]
-
-    def element_order(self, a: int) -> int:
-        a = self.canon(a)
-        k, cur = 1, a
-        while cur != self.identity:
-            cur = self.mul(cur, a)
-            k += 1
-        return k
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QuotientUnitGroup)
-            and self.modulus == other.modulus
-            and self.subgroup == other.subgroup
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.modulus, self.subgroup))
-
-    def __repr__(self) -> str:
-        return f"QuotientUnitGroup(mod {self.modulus}, |G| = {self.order})"
-
-
-@functools.lru_cache(maxsize=None)
-def quotient_group(modulus: int, subgroup: frozenset) -> QuotientUnitGroup:
-    return QuotientUnitGroup(modulus, subgroup)
-
 
 # --------------------------------------------------------------------------
 # mapping tori and decompositions
@@ -240,9 +172,8 @@ def deninger_packet(F: AbelianField, p: int, m: int) -> MappingTorus:
     if math.gcd(p, m) != 1:
         raise NotCoprime(f"{p} divides the level {m}")
     f = split_invariants(F, p).residue_degree  # raises on ramified p
-    S = subgroup_generated(m, [pow(p, f, m)] if m > 1 else [])
-    G = quotient_group(m, S)
-    return MappingTorus(G, G.canon(p % m) if m > 1 else 0, p, field=F)
+    G = quotient_group(m, subgroup_generated(m, [pow(p, f, m)]))
+    return MappingTorus(G, G.canon(p), p, field=F)
 
 
 @dataclass(frozen=True)
@@ -258,7 +189,7 @@ def closed_orbit_labels(p: int, m: int) -> list[ClosedOrbitLabel]:
     """All closed-orbit labels of the level-m base packet over p."""
     if math.gcd(p, m) != 1:
         raise NotCoprime(f"{p} divides the level {m}")
-    G = quotient_group(m, subgroup_generated(m, [p] if m > 1 else []))
+    G = quotient_group(m, subgroup_generated(m, [p]))
     return [ClosedOrbitLabel(r, p, m) for r in G.reps]
 
 
@@ -283,26 +214,18 @@ def packet_fiber_over_label(T: MappingTorus, label: ClosedOrbitLabel) -> FiberDe
             f"level {m} is not a multiple of the conductor {c}; the character is undefined"
         )
     # level-m points of this packet over the label
-    Glab = quotient_group(m, subgroup_generated(m, [p] if m > 1 else []))
+    Glab = quotient_group(m, subgroup_generated(m, [p]))
     want = Glab.canon(label.base_class)
     points = tuple(g for g in T.group.reps if Glab.canon(g) == want)
     # push through the restriction character onto the Galois quotient
     pres = at_conductor(F)
     Ggal = quotient_group(pres.level, pres.subgroup)
-    mono = Ggal.canon(T.monodromy % pres.level) if pres.level > 1 else 0
-    pushed = MappingTorus(Ggal, mono, p, field=pres)
+    pushed = MappingTorus(Ggal, Ggal.canon(T.monodromy), p, field=pres)
     dec = decompose(pushed)
     # the level-m points all land in a single component
-    images = {Ggal.canon(g % pres.level) if pres.level > 1 else 0 for g in points}
+    images = {Ggal.canon(g) for g in points}
     assert any(images <= set(comp) for comp in dec.components)
-    return FiberDecomposition(
-        components=dec.components,
-        covering_degree=dec.covering_degree,
-        count=dec.count,
-        base_prime=p,
-        closed=True,
-        label_points=points,
-    )
+    return dataclasses.replace(dec, label_points=points)
 
 
 # --------------------------------------------------------------------------

@@ -880,35 +880,6 @@ def _lp_prem(A: list, B: list, ops) -> list:
     return r
 
 
-def _lp_resultant_field(A: list, B: list, ops):
-    sign = 1
-    acc = ops.one()
-    if len(A) < len(B):
-        if ((len(A) - 1) * (len(B) - 1)) % 2:
-            sign = -sign
-        A, B = B, A
-    while len(B) - 1 >= 1:
-        dA, dB = len(A) - 1, len(B) - 1
-        # remainder of A by B over the field
-        r = list(A)
-        inv_lead = ops.inv(B[-1])
-        while r and len(r) - 1 >= dB:
-            coef = ops.mul(r[-1], inv_lead)
-            shift = len(r) - 1 - dB
-            for i, bc in enumerate(B):
-                r[i + shift] = ops.sub(r[i + shift], ops.mul(coef, bc))
-            _lp_trim(r, ops)
-        if not r:
-            return ops.zero()
-        dR = len(r) - 1
-        acc = ops.mul(acc, ops.pow_payload(B[-1], dA - dR))
-        if (dA * dB) % 2:
-            sign = -sign
-        A, B = B, r
-    res = ops.mul(acc, ops.pow_payload(B[0], len(A) - 1))
-    return ops.neg(res) if sign < 0 else res
-
-
 def _lp_resultant_prs(A: list, B: list, ops):
     """Resultant by a scalar-tracked subresultant remainder sequence.
 
@@ -1040,8 +1011,6 @@ def _lp_resultant(A: list, B: list, ops):
         return ops.zero()
     if len(A) == 1 and len(B) == 1:
         return ops.one()
-    if ops.is_field:
-        return _lp_resultant_field(A, B, ops)
     if ops.is_domain:
         return _lp_resultant_prs(A, B, ops)
     return _lp_resultant_det(A, B, ops)

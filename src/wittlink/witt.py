@@ -49,11 +49,10 @@ left as given.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 from .errors import DomainViolation, NotSplit, SpecMismatch, UnsupportedRing
-from .cft import subgroup_generated
+from .cft import subgroup_generators, unit_group
 from .rings import (
     Polynomial,
     RingElement,
@@ -735,23 +734,6 @@ def witt_to_groupring(f: WittVector, splitting_degree_bound: int = 1) -> GroupRi
 # Galois descent
 
 
-def _unit_generators(n: int) -> list[int]:
-    """Greedy generators of (Z/n)^*: each unit not yet generated, ascending."""
-    if n <= 2:
-        return []
-    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
-    gens: list[int] = []
-    closure = {1}
-    for u in units:
-        if u in closure:
-            continue
-        gens.append(u)
-        closure = subgroup_generated(n, gens)
-        if len(closure) == len(units):
-            break
-    return gens
-
-
 def galois_conjugate(f: WittVector, sigma: int) -> WittVector:
     """Apply the coefficient automorphism x -> x^sigma to both parts."""
     return WittVector(
@@ -767,7 +749,7 @@ def galois_fixed_check(f: WittVector) -> bool:
     """
     if f.spec.kind != _KIND_C:
         raise UnsupportedRing("the descent check runs over cyclotomic rings")
-    for sigma in _unit_generators(f.spec.n):
+    for sigma in subgroup_generators(f.spec.n, unit_group(f.spec.n)):
         if galois_conjugate(f, sigma) != f:
             return False
     return True

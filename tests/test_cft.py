@@ -24,6 +24,7 @@ from wittlink.cft import (
     rationals_field,
     split_invariants,
     subgroup_generated,
+    subgroup_generators,
     unit_group,
 )
 from wittlink.errors import DomainViolation, NotCoprime, RamifiedPrime
@@ -128,6 +129,52 @@ def test_subgroup_validation():
         AbelianField(5, frozenset({1, 2}))  # not closed
     with pytest.raises(DomainViolation):
         AbelianField(5, frozenset({2, 3}))  # missing identity
+
+
+def _pairwise_closed(n, H):
+    """The closure check AbelianField used to run: every product of two members."""
+    return all(a * b % n in H for a in H for b in H)
+
+
+@given(
+    st.integers(1, 30).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.sampled_from(unit_group(n))), st.booleans())
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_subgroup_check_matches_pairwise_closure(case):
+    n, drawn, close = case
+    H = frozenset(drawn | {1 % n})
+    if close:  # half the draws are subgroups, which must be accepted
+        H = subgroup_generated(n, H)
+    if _pairwise_closed(n, H):
+        assert AbelianField(n, H).subgroup == H
+    else:
+        with pytest.raises(DomainViolation, match="not multiplicatively closed"):
+            AbelianField(n, H)
+
+
+def _greedy_unit_generators(n):
+    """Each unit not yet generated, ascending, until the span is all of (Z/n)^*."""
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    gens, span = [], {1 % n}
+    for u in units:
+        if u in span:
+            continue
+        gens.append(u)
+        while True:
+            grown = span | {a * g % n for a in span for g in gens}
+            if grown == span:
+                break
+            span = grown
+        if len(span) == len(units):
+            break
+    return gens
+
+
+def test_subgroup_generators_of_unit_groups():
+    for n in range(1, 61):
+        assert subgroup_generators(n, unit_group(n)) == _greedy_unit_generators(n)
 
 
 def test_conductor_examples():

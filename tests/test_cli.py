@@ -6,9 +6,11 @@ from pathlib import Path
 import pytest
 
 from wittlink.cli import (
+    MAX_FROBENIUS_DEGREE,
     MAX_FROBENIUS_INDEX,
     MAX_GHOST_PRECISION,
     MAX_LITERAL_DEGREE,
+    MAX_PRODUCT_DEGREE,
     main,
     parse_poly_literal,
     parse_ring,
@@ -219,15 +221,26 @@ def test_format_flag_after_subcommand(capsys):
 # frob per CLI ring, as the resultant route printed them
 
 
-def _golden_cases():
-    with open(Path(__file__).with_name("witt_golden.json")) as fh:
+def _golden_cases(name):
+    with open(Path(__file__).with_name(name)) as fh:
         return json.load(fh)
 
 
-@pytest.mark.parametrize("case", _golden_cases(), ids=lambda c: " ".join(c["argv"]))
+@pytest.mark.parametrize("case", _golden_cases("witt_golden.json"), ids=lambda c: " ".join(c["argv"]))
 def test_witt_golden_json(capsys, case):
     code, out, _ = run(capsys, "--format", "json", *case["argv"])
     assert code == 0 and out == case["stdout"]
+
+
+# field, monodromy, bridge and reciprocity commands in all three formats; the
+# presentations include levels above the conductor and primes that divide
+# the level, where the Galois quotient is re-presented at the conductor
+
+
+@pytest.mark.parametrize("case", _golden_cases("cli_golden.json"), ids=lambda c: " ".join(c["argv"]))
+def test_cli_golden(capsys, case):
+    code, out, _ = run(capsys, *case["argv"])
+    assert (code, out) == (case["code"], case["stdout"])
 
 
 # --------------------------------------------------------------------------
@@ -245,6 +258,12 @@ BAD_INPUTS = [
     (["witt", "ghost", "1-9t", "-N", "5000"], 2, "error: result too large to render"),
     (["witt", "ghost", "1-2t", "-N", "20000"], 2,
      f"error: ghost precision 20000 exceeds the limit {MAX_GHOST_PRECISION}"),
+    (["witt", "mul", "1-t^60", "1-t^60"], 2,
+     f"error: product degree 3600 exceeds the limit {MAX_PRODUCT_DEGREE}"),
+    (["witt", "mul", "(1-2t^30)/(1-3t^60)", "1-t^50"], 2,
+     f"error: product degree 3000 exceeds the limit {MAX_PRODUCT_DEGREE}"),
+    (["witt", "frob", "101", "1-t^100"], 2,
+     f"error: Frobenius index times degree 10100 exceeds the limit {MAX_FROBENIUS_DEGREE}"),
     (["witt", "mul", "1-t^100000000000", "1-2t"], 2,
      f"error: exponent 100000000000 exceeds the literal degree limit {MAX_LITERAL_DEGREE}"),
     (["witt", "mul", "1-" + "9" * 5000 + "t", "1-2t"], 1,

@@ -27,6 +27,7 @@ Z = RingSpec.integers()
 Q = RingSpec.rationals()
 Z10 = RingSpec.mod_ring(10)
 F7 = RingSpec.prime_field(7)
+F8 = RingSpec.ext_field(2, 3)
 C5 = RingSpec.cyclotomic(5)
 
 
@@ -185,14 +186,23 @@ def test_resultant_multiplicative_in_second_argument(a, b, c):
     assert lhs == rhs
 
 
-@given(
-    st.lists(st.integers(-5, 5), min_size=1, max_size=5),
-    st.lists(st.integers(-5, 5), min_size=1, max_size=5),
-)
-@settings(max_examples=80, deadline=None)
-def test_resultant_routes_agree(a, b):
-    f = Polynomial.from_ints(Z, a)
-    g = Polynomial.from_ints(Z, b)
+def _resultant_inputs(spec):
+    if spec == F8:
+        coeff = st.lists(st.integers(0, 1), min_size=3, max_size=3).map(tuple)
+    elif spec == Q:
+        coeff = st.fractions(-5, 5, max_denominator=4)
+    else:
+        coeff = st.integers(-5, 5)
+    part = st.lists(coeff, min_size=1, max_size=5)
+    return st.tuples(st.just(spec), part, part)
+
+
+@given(st.sampled_from([Z, Q, F7, F8]).flatmap(_resultant_inputs))
+@settings(max_examples=240, deadline=None)
+def test_resultant_routes_agree(case):
+    spec, a, b = case
+    f = Polynomial.from_payloads(spec, a)
+    g = Polynomial.from_payloads(spec, b)
     if f.is_zero and g.is_zero:
         return
     assert poly_resultant(f, g).payload == poly_resultant_det(f, g).payload
