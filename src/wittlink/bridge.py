@@ -85,16 +85,6 @@ class FiniteAdeleFL:
     def prime_to_p_modulus(self) -> int:
         return self.modulus // self.zero_part
 
-    @property
-    def prime_to_p_residue(self) -> int:
-        return self.residue % self.prime_to_p_modulus
-
-    def reduce_prime_to_p(self, m_small: int) -> int:
-        """Residue at a divisor level of the prime-to-p part (compatibility checks)."""
-        if self.prime_to_p_modulus % m_small:
-            raise DomainViolation(f"{m_small} does not divide {self.prime_to_p_modulus}")
-        return self.residue % m_small
-
     def __str__(self) -> str:
         return f"{self.residue} mod {self.modulus} (p-part 0 mod {self.zero_part})"
 

@@ -29,7 +29,6 @@ exists to check.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -87,7 +86,6 @@ class FiberDecomposition:
     count: int
     base_prime: int
     closed: bool = True
-    label_points: tuple = ()
 
     @property
     def circle_length(self) -> tuple[int, int]:
@@ -225,7 +223,7 @@ def packet_fiber_over_label(T: MappingTorus, label: ClosedOrbitLabel) -> FiberDe
     # the level-m points all land in a single component
     images = {Ggal.canon(g) for g in points}
     assert any(images <= set(comp) for comp in dec.components)
-    return dataclasses.replace(dec, label_points=points)
+    return dec
 
 
 # --------------------------------------------------------------------------

@@ -16,6 +16,9 @@ Every ring element is a plain payload interpreted through a RingSpec:
               polynomial of degree k over F_p.  This is the internal
               extension point used by the group-ring decoder; the public
               surface needs only the first five.
+    Fq~(p, k) tuple of k ints: an element of Z[x]/(g~), g~ the F_q modulus
+              read over Z.  Internal: the Witt Newton route runs F_q on
+              this lift and reduces at the end.
 
 Polynomials are dense tuples of payloads, constant term first, with no
 trailing zero coefficients.  Underneath, every list-level polynomial
@@ -33,10 +36,10 @@ subresultant remainder sequence (exact over any integral domain, controls
 coefficient growth); a division-free Berkowitz determinant of the
 Sylvester matrix backs rings without exact division and serves as an
 independent oracle in the tests.  Both routes run over the base ring or
-over polynomial rings R[t] (needed by the resultant form of the Witt
-product and Frobenius, the oracle of their Newton route and the route
-over F_q): the ops object they take is the RingSpec itself, or
-_PolyRingOps, which gives R[t] the same method names.
+over polynomial rings R[t], which serve only the resultant form of the
+Witt product and Frobenius, the oracle of their Newton route: the ops
+object they take is the RingSpec itself, or _PolyRingOps, which gives
+R[t] the same method names.
 """
 
 from __future__ import annotations
@@ -251,6 +254,7 @@ _KIND_FP = "Fp"
 _KIND_C = "C"
 _KIND_K = "K"
 _KIND_FQ = "Fq"
+_KIND_LIFT = "Fq~"
 
 
 @dataclass(frozen=True)
@@ -330,9 +334,9 @@ class RingSpec:
 
     @property
     def _modulus(self) -> tuple[tuple[int, ...], int]:
-        """(monic modulus, prime or 0) behind the C, K and Fq payload vectors."""
-        if self.kind == _KIND_FQ:
-            return _ext_field_modulus(self.n, self.k), self.n
+        """(monic modulus, prime or 0) behind the C, K, Fq and Fq~ payload vectors."""
+        if self.kind in (_KIND_FQ, _KIND_LIFT):
+            return _ext_field_modulus(self.n, self.k), self.n if self.kind == _KIND_FQ else 0
         return cyclotomic_polynomial(self.n), 0
 
     def _reduce(self, c: list) -> tuple:
@@ -392,7 +396,7 @@ class RingSpec:
             return a + b
         if self.kind in (_KIND_ZN, _KIND_FP):
             return (a + b) % self.n
-        if self.kind in (_KIND_C, _KIND_K):
+        if self.kind in (_KIND_C, _KIND_K, _KIND_LIFT):
             return tuple(x + y for x, y in zip(a, b))
         return tuple((x + y) % self.n for x, y in zip(a, b))
 
@@ -401,7 +405,7 @@ class RingSpec:
             return a - b
         if self.kind in (_KIND_ZN, _KIND_FP):
             return (a - b) % self.n
-        if self.kind in (_KIND_C, _KIND_K):
+        if self.kind in (_KIND_C, _KIND_K, _KIND_LIFT):
             return tuple(x - y for x, y in zip(a, b))
         return tuple((x - y) % self.n for x, y in zip(a, b))
 
@@ -410,7 +414,7 @@ class RingSpec:
             return -a
         if self.kind in (_KIND_ZN, _KIND_FP):
             return (-a) % self.n
-        if self.kind in (_KIND_C, _KIND_K):
+        if self.kind in (_KIND_C, _KIND_K, _KIND_LIFT):
             return tuple(-x for x in a)
         return tuple((-x) % self.n for x in a)
 
@@ -479,7 +483,7 @@ class RingSpec:
         return result
 
     def is_zero(self, a) -> bool:
-        if self.kind in (_KIND_C, _KIND_K, _KIND_FQ):
+        if self.kind in (_KIND_C, _KIND_K, _KIND_FQ, _KIND_LIFT):
             return all(v == 0 for v in a)
         return a == 0
 
@@ -699,13 +703,6 @@ class Polynomial:
         if not self.coeffs:
             return self
         return Polynomial(self.spec, (self.spec.zero(),) * k + self.coeffs)
-
-    def derivative(self) -> "Polynomial":
-        s = self.spec
-        out = [s.mul_int(c, i) for i, c in enumerate(self.coeffs)][1:]
-        while out and s.is_zero(out[-1]):
-            out.pop()
-        return Polynomial(s, tuple(out))
 
     def reversed_coeffs(self) -> "Polynomial":
         """rev(p)(x) = x^deg(p) * p(1/x); requires nonzero constant term."""

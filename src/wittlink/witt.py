@@ -15,20 +15,11 @@ prod (1 - a_i b_j t) is the polynomial of degree deg p * deg q whose
 power sums are s_k(p) * s_k(q), and F_n(p) = prod (1 - a_i^n t) the one
 whose power sums are s_nk(p).  Newton's identities rebuild each from its
 power sums, dividing by k exactly in characteristic 0: over Z, Q and
-Z[zeta_n] directly, over F_p and Z/n on lifts to Z (the coefficients are
-universal integer polynomials in the inputs), reduced at the end.
+Z[zeta_n] directly, over F_p, Z/n and F_q on lifts to Z or Z[x]/(g~) (the
+coefficients are universal integer polynomials in the inputs), reduced at
+the end.
 
-Exact resultants over R[t] are the independent oracle for both, and the
-route over F_q (the internal extension fields):
-
-    (p x q)(t) = Res_y(p~(y), q(y)),   p~(y) = sum_i p_rev[i] t^(d-i) y^i
-
-where p~ is monic in y with roots t*a_i, so the resultant equals
-prod q(t*a_i) without any sign correction.  The inverse-root n-th power
-map reduces rev(p) modulo y^n - u (a monic divisor, so plain division)
-and finishes with a small resultant; reversing the u-variable output
-recovers prod (1 - a_i^n t).  Acceptance criterion 1 compares the two
-routes directly, so that its ghost comparisons are not circular.
+Criterion 1 holds both routes against the resultant forms in ``verify``.
 
 Equality never relies on normal forms: f == g iff
 f.num * g.den == g.num * f.den, valid because denominators with constant
@@ -59,20 +50,19 @@ from .rings import (
     RingSpec,
     _KIND_C,
     _KIND_FP,
-    _KIND_FQ,
+    _KIND_LIFT,
     _KIND_Q,
     _KIND_Z,
     _KIND_ZN,
-    _PolyRingOps,
     _dl_divmod,
     _dl_gcd,
     _dl_inv,
     _dl_trim,
-    _lp_resultant,
     conjugate_polynomial,
     cyclotomic_polynomial,
     is_prime,
     poly_divmod,
+    poly_gcd_monic,
 )
 
 # --------------------------------------------------------------------------
@@ -133,12 +123,10 @@ def _normalize_field_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial
             Polynomial.from_payloads(spec, _dl_divmod(num.coeffs, g, p)[0]),
             Polynomial.from_payloads(spec, _dl_divmod(den.coeffs, g, p)[0]),
         )
-    a, b = num, den
-    while not b.is_zero:
-        a, b = b, poly_divmod(a, b)[1]
-    if a.degree <= 0:
+    g = poly_gcd_monic(num, den)
+    if g.degree <= 0:
         return num, den
-    g = a.scale(spec.inv(a.constant_term))
+    g = g.scale(spec.inv(g.constant_term))
     return poly_divmod(num, g)[0], poly_divmod(den, g)[0]
 
 
@@ -309,10 +297,6 @@ class WittVector:
     def __mul__(self, other: "WittVector") -> "WittVector":
         return witt_mul(self, other)
 
-    @property
-    def is_additive_identity(self) -> bool:
-        return self.num == self.den
-
     def __str__(self) -> str:
         if self.den.is_one:
             return str(self.num)
@@ -347,8 +331,6 @@ def _star_polys(p: Polynomial, q: Polynomial) -> Polynomial:
     d, e = p.degree, q.degree
     if d <= 0 or e <= 0:
         return Polynomial.one(spec)
-    if spec.kind == _KIND_FQ:
-        return _star_polys_resultant(p, q)
     R = _newton_ring(spec)
     sp = _power_sums(Polynomial(R, p.coeffs), d * e)
     sq = _power_sums(Polynomial(R, q.coeffs), d * e)
@@ -367,30 +349,34 @@ def _power_roots(p: Polynomial, n: int) -> Polynomial:
         return Polynomial.one(spec)
     if n == 1:
         return p
-    if spec.kind == _KIND_FQ:
-        return _power_roots_resultant(p, n)
     R = _newton_ring(spec)
     s = _power_sums(Polynomial(R, p.coeffs), n * d)
     return _from_power_sums(spec, R, s[n - 1 :: n])
 
 
 def _newton_ring(spec: RingSpec) -> RingSpec:
-    """Where the Newton route runs: Z for F_p and Z/n, else the ring itself.
+    """Where the Newton route runs: Z for F_p and Z/n, Z[x]/(g~) for F_q, else spec.
 
     The coefficients of the star product and of F_n are universal integer
-    polynomials in the input coefficients, so over F_p and Z/n they may be
-    computed on lifts to Z and reduced at the end; this also covers
-    divisions by k that have no inverse modulo n.
+    polynomials in the input coefficients, so over F_p, Z/n and
+    F_q = F_p[x]/(g) they may be computed on lifts to Z or to Z[x]/(g~),
+    g~ the modulus g read over Z, and reduced at the end; this also covers
+    divisions by k that have no inverse modulo p or n.
     """
-    return RingSpec.integers() if spec.kind in (_KIND_FP, _KIND_ZN) else spec
+    if spec.kind in (_KIND_FP, _KIND_ZN):
+        return RingSpec.integers()
+    if spec.k:  # F_q is the one public kind with an extension degree
+        return RingSpec(_KIND_LIFT, spec.n, spec.k)
+    return spec
 
 
 def _from_power_sums(spec: RingSpec, R: RingSpec, s: list) -> Polynomial:
     """1 + c_1 t + ... + c_D t^D over spec with power sums s_1..s_D over R.
 
     Newton's identities solved for c_k: c_k = -(s_k + sum_{i<k} c_i s_{k-i}) / k.
-    The division is exact in characteristic 0 (R is Z, Q or Z[zeta_n]; the
-    power basis of Z[zeta_n] is integral, so it divides entry by entry).
+    The division is exact in characteristic 0 (R is Z, Q, Z[zeta_n] or the
+    lift Z[x]/(g~); the last two are free Z-modules on their power bases,
+    so they divide entry by entry).
     """
     c = [R.one()]
     for k in range(1, len(s) + 1):
@@ -408,70 +394,6 @@ def _from_power_sums(spec: RingSpec, R: RingSpec, s: list) -> Polynomial:
     while R.is_zero(c[-1]):
         c.pop()
     return Polynomial(spec, tuple(c))
-
-
-def _star_polys_resultant(p: Polynomial, q: Polynomial) -> Polynomial:
-    """The star product as Res_y(p~, q): the oracle, and the route over F_q.
-
-    p~(y) = sum p_rev[i] t^(d-i) y^i is monic in y with roots t*a_i, so the
-    resultant equals prod q(t*a_i) without any sign correction; q keeps
-    constant (t-degree 0) coefficients, which keeps the remainder sequence
-    cheap.
-    """
-    spec = p.spec
-    d, e = p.degree, q.degree
-    if d <= 0 or e <= 0:
-        return Polynomial.one(spec)
-    pops = _PolyRingOps(spec)
-    zero = spec.zero()
-    rev = list(reversed(p.coeffs))  # rev[i] = coefficient of y^i in rev(p)
-    A = [Polynomial.from_payloads(spec, [zero] * (d - i) + [rev[i]]) for i in range(d + 1)]
-    B = [Polynomial.constant(spec, c) for c in q.coeffs]
-    res = _lp_resultant(A, B, pops)
-    return _rescale_constant_to_one(res)
-
-
-def _power_roots_resultant(p: Polynomial, n: int) -> Polynomial:
-    """F_n on one part by a resultant: the oracle, and the route over F_q.
-
-    rev(p) is reduced modulo the monic y^n - u (substituting y^n -> u), a
-    small resultant in u finishes, and reversing u-coefficients with the
-    sign (-1)^d turns prod (a_i^n - u) into prod (1 - a_i^n t).
-    """
-    spec = p.spec
-    d = p.degree
-    if d <= 0:
-        return Polynomial.one(spec)
-    if n == 1:
-        return p
-    pops = _PolyRingOps(spec)
-    zero = spec.zero()
-    rev = list(reversed(p.coeffs))
-    # rev(p) mod (y^n - u): y^(q*n + r) contributes u^q to the y^r slot
-    width = d // n + 1
-    buckets = [[zero] * width for _ in range(min(n, d + 1))]
-    for i, c in enumerate(rev):
-        buckets[i % n][i // n] = spec.add(buckets[i % n][i // n], c)
-    R = [Polynomial.from_payloads(spec, b) for b in buckets]
-    B = [Polynomial.from_ints(spec, [0, -1])] + [Polynomial.zero(spec)] * (n - 1) + [
-        Polynomial.one(spec)
-    ]
-    res = _lp_resultant(B, R, pops)  # Res(y^n - u, rev(p) mod (y^n - u))
-    if (d * n) % 2:
-        res = -res
-    g = list(res.coeffs) + [zero] * (d + 1 - len(res.coeffs))
-    out = [g[d - m] for m in range(d + 1)]
-    if d % 2:
-        out = [spec.neg(c) for c in out]
-    return _rescale_constant_to_one(Polynomial.from_payloads(spec, out))
-
-
-def _rescale_constant_to_one(poly: Polynomial) -> Polynomial:
-    spec = poly.spec
-    c0 = poly.constant_term
-    if spec.is_one(c0):
-        return poly
-    return poly.scale(spec.inv(c0))
 
 
 def witt_mul(f: WittVector, g: WittVector) -> WittVector:
@@ -698,12 +620,12 @@ def witt_to_groupring(f: WittVector, splitting_degree_bound: int = 1) -> GroupRi
     otherwise.
     """
     spec = f.spec
-    if spec.kind not in (_KIND_FP, _KIND_FQ):
+    if spec.kind != _KIND_FP and not spec.k:  # F_p or F_q
         raise UnsupportedRing("group-ring decoding runs over prime fields")
     if splitting_degree_bound < 1:
         raise DomainViolation("splitting degree bound must be >= 1")
     p = spec.n
-    if spec.kind == _KIND_FQ:
+    if spec.k:
         # an extension-field vector only decodes in its own field: padding
         # coefficients is not a homomorphism between different degrees
         ks = [spec.k]

@@ -8,6 +8,7 @@ import pytest
 from wittlink.cli import (
     MAX_FROBENIUS_DEGREE,
     MAX_FROBENIUS_INDEX,
+    MAX_FROBENIUS_WORK,
     MAX_GHOST_PRECISION,
     MAX_LITERAL_DEGREE,
     MAX_PRODUCT_DEGREE,
@@ -252,6 +253,9 @@ BAD_INPUTS = [
     (["field", "split", "--cyclotomic", "0", "--prime", "3"], 2, "error: level must be >= 1"),
     (["field", "conductor", "--cyclotomic", "0", "--subgroup", "1"], 2, "error: level must be >= 1"),
     (["field", "ramified", "--cyclotomic", "0"], 2, "error: level must be >= 1"),
+    (["field", "split", "--cyclotomic", "9127", "--prime", "3"], 2, "error: result too large to render"),
+    (["--format", "json", "field", "split", "--cyclotomic", "9127", "--prime", "3"], 2,
+     "error: result too large to render"),
     (["witt", "frob", "200000", "1-2t"], 2,
      f"error: Frobenius index 200000 exceeds the limit {MAX_FROBENIUS_INDEX}"),
     (["witt", "frob", "10000", "1-9t"], 2, "error: result too large to render"),
@@ -264,6 +268,8 @@ BAD_INPUTS = [
      f"error: product degree 3000 exceeds the limit {MAX_PRODUCT_DEGREE}"),
     (["witt", "frob", "101", "1-t^100"], 2,
      f"error: Frobenius index times degree 10100 exceeds the limit {MAX_FROBENIUS_DEGREE}"),
+    (["witt", "frob", "10", "1-t^1000"], 2,
+     f"error: Frobenius index times degree squared 10000000 exceeds the limit {MAX_FROBENIUS_WORK}"),
     (["witt", "mul", "1-t^100000000000", "1-2t"], 2,
      f"error: exponent 100000000000 exceeds the literal degree limit {MAX_LITERAL_DEGREE}"),
     (["witt", "mul", "1-" + "9" * 5000 + "t", "1-2t"], 1,
@@ -275,6 +281,19 @@ BAD_INPUTS = [
     (["linking", "--prime", "3", "--level", "0"], 2, "error: 3 divides the level 0"),
     (["bridge", "--prime", "7"], 1, "error: the following arguments are required"),
 ]
+
+
+def test_emit_refuses_an_unrenderable_document(capsys):
+    # the whole document is built under the render guard before anything is written
+    from wittlink.cli import Output, _emit
+    from wittlink.errors import DomainViolation
+
+    big = 10**5000
+    out = Output("field", {}, "rows", [{"norm": big}], "ok", ["norm"], ["norm"], [[big]])
+    for fmt in ("json", "csv"):
+        with pytest.raises(DomainViolation, match="result too large to render"):
+            _emit(out, fmt)
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("argv, code, prefix", BAD_INPUTS, ids=[" ".join(a)[:40] for a, _, _ in BAD_INPUTS])

@@ -481,6 +481,8 @@ _ROUTE_RINGS = [
     RingSpec.cyclotomic(3),
     RingSpec.cyclotomic(8),
     RingSpec.ext_field(2, 3),
+    RingSpec.ext_field(3, 2),
+    RingSpec.ext_field(5, 2),
 ]
 
 
@@ -508,11 +510,35 @@ def _route_case(draw):
 @settings(max_examples=150, deadline=None)
 def test_newton_route_matches_resultant_route(case):
     # over F_2 and F_3 the product degree D = deg p * deg q often reaches p
-    from wittlink.witt import _power_roots, _power_roots_resultant, _star_polys, _star_polys_resultant
+    from wittlink.verify import _power_roots_resultant, _star_polys_resultant
+    from wittlink.witt import _power_roots, _star_polys
 
     _, p, q, n = case
     assert _star_polys(p, q) == _star_polys_resultant(p, q)
     assert _power_roots(p, n) == _power_roots_resultant(p, n)
+
+
+def test_extension_field_route_needs_no_resultant(monkeypatch):
+    # F_q runs on its integer lift Z[x]/(g~): no R[t] resultant is reached
+    from wittlink import rings
+
+    def unreachable(*args):
+        raise AssertionError("resultant called on the production route")
+
+    monkeypatch.setattr(rings, "_lp_resultant_prs", unreachable)
+    monkeypatch.setattr(rings, "_lp_resultant_det", unreachable)
+    F9 = RingSpec.ext_field(3, 2)
+    x = F9.canon((0, 1))
+    f = WittVector.from_polys(
+        Polynomial.from_payloads(F9, [F9.one(), x, F9.from_int(2)]),
+        Polynomial.from_payloads(F9, [F9.one(), F9.add(x, F9.one())]),
+    )
+    g = WittVector.from_polys(Polynomial.from_payloads(F9, [F9.one(), F9.from_int(2), F9.mul(x, x), x]))
+    N = 16
+    gf, gg = ghost(f, 4 * N), ghost(g, N)
+    assert ghost(witt_mul(f, g), N).components == (ghost(f, N) * gg).components
+    for n in (2, 3, 4):
+        assert ghost(frobenius(n, f), N).components == tuple(gf[n * k - 1] for k in range(1, N + 1))
 
 
 def test_power_sums_of_a_linear_part_reach_large_indices():
