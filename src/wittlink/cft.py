@@ -328,18 +328,26 @@ def conductor(F: AbelianField) -> int:
 
 
 def at_conductor(F: AbelianField) -> AbelianField:
-    """Re-present the same field at its conductor level."""
-    c = conductor(F)
-    if c == F.level:
+    """Re-present the same field at its conductor level; F itself when already there."""
+    if conductor(F) == F.level:
         return F
-    H = frozenset(u % c for u in F.subgroup)
-    return AbelianField(c, H, label=F.label)
+    return _re_presented(F)
+
+
+@functools.lru_cache(maxsize=None)
+def _re_presented(F: AbelianField) -> AbelianField:
+    c = conductor(F)
+    return AbelianField(c, frozenset(u % c for u in F.subgroup), label=F.label)
+
+
+@functools.lru_cache(maxsize=None)
+def _prime_divisors(n: int) -> frozenset:
+    return frozenset(p for p in range(2, n + 1) if n % p == 0 and is_prime(p))
 
 
 def ramified_set(F: AbelianField) -> frozenset:
     """Primes ramified in F: exactly the prime divisors of the conductor."""
-    c = conductor(F)
-    return frozenset(p for p in range(2, c + 1) if c % p == 0 and is_prime(p))
+    return _prime_divisors(conductor(F))
 
 
 def ramified_set_via_inertia(F: AbelianField) -> frozenset:

@@ -67,6 +67,16 @@ MAX_FROBENIUS_DEGREE = 10_000
 # digits 1-9, frob took about 0.3 s over Z and about a second over Q and
 # Z[zeta_8] (Python 3.11, one core of an Intel Xeon host).
 MAX_FROBENIUS_WORK = 200_000
+# witt ghost computes N power sums at O(deg) each on integers that grow with
+# N.  At N * deg = 200,000 with digits 1-9, ghost took 1.1-1.4 s over Z at
+# degree 20 and N = 10,000 (refused as too large to render), 2.6 s over Q
+# and 4 s over Z[zeta_35]; N = 10,000 alone costs about 1 s at degree 1.
+MAX_GHOST_WORK = 200_000
+# bridge checks label independence by computing the fiber over every
+# closed-orbit label, each a scan of the level-m packet: about phi(m)^2
+# steps when p = 1 mod m.  At a prime level 1999 with p = 19991 the report
+# took about 0.7 s, at 2477 about 1.4 s (same host).
+MAX_BRIDGE_LEVEL = 2_000
 
 
 @dataclass(frozen=True)
@@ -323,6 +333,11 @@ def cmd_witt(ns: argparse.Namespace) -> tuple[int, Output]:
                 f"ghost precision {ns.precision} exceeds the limit {MAX_GHOST_PRECISION}"
             )
         f = parse_witt_literal(ns.args[0], spec)
+        work = ns.precision * max(f.num.degree, f.den.degree)
+        if work > MAX_GHOST_WORK:
+            raise DomainViolation(
+                f"ghost precision times degree {work} exceeds the limit {MAX_GHOST_WORK}"
+            )
         rendered = _render(ghost(f, ns.precision))
     elif op == "teich":
         if not ns.args[0].lstrip("-").isdigit():
@@ -517,6 +532,8 @@ def cmd_reciprocity(ns: argparse.Namespace, cfg: RunConfig) -> tuple[int, Output
 
 
 def cmd_bridge(ns: argparse.Namespace, cfg: RunConfig) -> tuple[int, Output]:
+    if ns.level > MAX_BRIDGE_LEVEL:
+        raise DomainViolation(f"bridge level {ns.level} exceeds the limit {MAX_BRIDGE_LEVEL}")
     F = parse_field(ns)
     report = bridge_compare(F, ns.prime, ns.level, seed=cfg.seed)
     doc = report.to_dict()
@@ -653,7 +670,7 @@ def build_parser() -> _Parser:
     b = subs.add_parser("bridge", help="side-by-side fiber comparison report", parents=[common])
     _add_field_flags(b)
     b.add_argument("--prime", type=int, required=True)
-    b.add_argument("--level", type=int, required=True)
+    b.add_argument("--level", type=int, required=True, help=f"at most {MAX_BRIDGE_LEVEL}")
 
     v = subs.add_parser("verify-all", help="run every acceptance suite", parents=[common])
     v.add_argument("--cyclotomic-bound", type=int, default=40)

@@ -29,6 +29,7 @@ exists to check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -183,12 +184,17 @@ class ClosedOrbitLabel:
     level: int
 
 
+@functools.lru_cache(maxsize=None)
+def _label_group(m: int, p: int) -> QuotientUnitGroup:
+    """(Z/m)^*/<p>: the closed-orbit labels of the level-m base packet over p."""
+    return quotient_group(m, subgroup_generated(m, [p]))
+
+
 def closed_orbit_labels(p: int, m: int) -> list[ClosedOrbitLabel]:
     """All closed-orbit labels of the level-m base packet over p."""
     if math.gcd(p, m) != 1:
         raise NotCoprime(f"{p} divides the level {m}")
-    G = quotient_group(m, subgroup_generated(m, [p]))
-    return [ClosedOrbitLabel(r, p, m) for r in G.reps]
+    return [ClosedOrbitLabel(r, p, m) for r in _label_group(m, p).reps]
 
 
 def packet_fiber_over_label(T: MappingTorus, label: ClosedOrbitLabel) -> FiberDecomposition:
@@ -212,7 +218,7 @@ def packet_fiber_over_label(T: MappingTorus, label: ClosedOrbitLabel) -> FiberDe
             f"level {m} is not a multiple of the conductor {c}; the character is undefined"
         )
     # level-m points of this packet over the label
-    Glab = quotient_group(m, subgroup_generated(m, [p]))
+    Glab = _label_group(m, p)
     want = Glab.canon(label.base_class)
     points = tuple(g for g in T.group.reps if Glab.canon(g) == want)
     # push through the restriction character onto the Galois quotient

@@ -1,12 +1,17 @@
 """The comparison map: residues, equivariance, structural reports."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wittlink.bridge import (
+    _inverse_mod,
     bridge_compare,
     check_anti_equivariance,
     check_frobenius_equivariance,
@@ -15,14 +20,22 @@ from wittlink.bridge import (
     psi_level,
 )
 from wittlink.cft import (
+    AbelianField,
     ModUnit,
+    all_subgroups,
+    at_conductor,
+    conductor,
+    crt_combine,
     cyclotomic_field,
     quadratic_field_subgroup,
+    ramified_set,
     rationals_field,
     unit_group,
 )
 from wittlink.errors import DomainViolation, NotCoprime, RamifiedPrime
 from wittlink.orbits import DeningerPointFL, normalize_point
+from wittlink.rings import primes_below
+from wittlink.verify import second_level
 
 
 # --------------------------------------------------------------------------
@@ -36,6 +49,28 @@ def test_psi_examples():
     assert (r.residue, r.modulus) == (9, 45)
     r = psi_level(DeningerPointFL(3, ModUnit(1, 5), 1, 1))
     assert (r.residue, r.modulus) == (6, 15)
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7, 11]),
+    st.integers(1, 120),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_psi_closed_form_matches_crt(p, m2, e, data):
+    # the closed form P * (a*n * P^-1 mod m') against the generic CRT
+    m2 = m2 * p + 1 if m2 % p == 0 else m2
+    a = data.draw(st.sampled_from(unit_group(m2)))
+    n = data.draw(st.integers(1, 500).filter(lambda n: n % p))
+    r = psi_level(DeningerPointFL(p, ModUnit(a, m2), n, e))
+    assert (r.residue, r.modulus) == crt_combine([(0, p**e), (a * n % m2, m2)])
+
+
+def test_psi_crt_rejects_shared_factors():
+    with pytest.raises(NotCoprime):
+        psi_level(DeningerPointFL(3, ModUnit(2, 6), 1))
+    with pytest.raises(NotCoprime):
+        _inverse_mod(9, 6)
 
 
 def test_psi_rejects_unnormalized():
@@ -138,6 +173,19 @@ def test_bridge_base_field():
         assert r.cc_side.count == 1 and r.cc_side.covering_degree == 1
 
 
+def test_bridge_above_the_conductor():
+    # Q(sqrt(5)) presented at level 15: both sides are computed separately
+    F = AbelianField(15, frozenset({1, 4, 11, 14}), label="Q(sqrt(5))")
+    G = at_conductor(F)
+    assert (G.level, G.subgroup, G.label) == (5, frozenset({1, 4}), "Q(sqrt(5))")
+    assert at_conductor(G) is G
+    assert at_conductor(AbelianField(15, F.subgroup)).label == ""
+    for p, m in ((11, 5), (7, 15), (2, 15)):
+        r = bridge_compare(F, p, m)
+        assert r.cc_side is not r.deninger_side
+        assert r.cc_side == r.deninger_side and r.match
+
+
 def test_bridge_rejects_bad_levels():
     with pytest.raises(RamifiedPrime):
         bridge_compare(cyclotomic_field(5), 5, 45)
@@ -164,3 +212,29 @@ def test_level_reduction_compatibility():
     assert level_reduction_compatible(cyclotomic_field(8), 3, 8, 40)
     with pytest.raises(DomainViolation):
         level_reduction_compatible(cyclotomic_field(5), 7, 5, 12)
+
+
+# --------------------------------------------------------------------------
+# golden digests: one SHA-256 per level of every report over the subfield
+# grid (every subgroup, every unramified p < 30, levels {c, second_level}),
+# as the code without the bridge fast paths printed them
+
+BRIDGE_GOLDEN = json.loads(Path(__file__).with_name("bridge_golden.json").read_text())
+
+
+def bridge_level_digest(n: int) -> str:
+    reports = []
+    for H in all_subgroups(n):
+        F = AbelianField(n, H)
+        c = conductor(F)
+        for p in primes_below(30):
+            if p in ramified_set(F):
+                continue
+            for m in sorted({c, second_level(c, p)}):
+                reports.append(bridge_compare(F, p, m, seed=0, samples=4).to_dict())
+    return hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_bridge_golden_digest(n):
+    assert bridge_level_digest(n) == BRIDGE_GOLDEN[str(n)]

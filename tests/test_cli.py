@@ -6,10 +6,12 @@ from pathlib import Path
 import pytest
 
 from wittlink.cli import (
+    MAX_BRIDGE_LEVEL,
     MAX_FROBENIUS_DEGREE,
     MAX_FROBENIUS_INDEX,
     MAX_FROBENIUS_WORK,
     MAX_GHOST_PRECISION,
+    MAX_GHOST_WORK,
     MAX_LITERAL_DEGREE,
     MAX_PRODUCT_DEGREE,
     main,
@@ -262,6 +264,8 @@ BAD_INPUTS = [
     (["witt", "ghost", "1-9t", "-N", "5000"], 2, "error: result too large to render"),
     (["witt", "ghost", "1-2t", "-N", "20000"], 2,
      f"error: ghost precision 20000 exceeds the limit {MAX_GHOST_PRECISION}"),
+    (["witt", "ghost", "(1-2t)/(1-t^1000)", "-N", "10000"], 2,
+     f"error: ghost precision times degree 10000000 exceeds the limit {MAX_GHOST_WORK}"),
     (["witt", "mul", "1-t^60", "1-t^60"], 2,
      f"error: product degree 3600 exceeds the limit {MAX_PRODUCT_DEGREE}"),
     (["witt", "mul", "(1-2t^30)/(1-3t^60)", "1-t^50"], 2,
@@ -280,6 +284,8 @@ BAD_INPUTS = [
     (["witt", "add", "1-2t", "1-3t", "--ring", "Z1"], 2, "error: modulus must be >= 2"),
     (["linking", "--prime", "3", "--level", "0"], 2, "error: 3 divides the level 0"),
     (["bridge", "--prime", "7"], 1, "error: the following arguments are required"),
+    (["bridge", "--cyclotomic", "5", "--prime", "7", "--level", "5000005"], 2,
+     f"error: bridge level 5000005 exceeds the limit {MAX_BRIDGE_LEVEL}"),
 ]
 
 

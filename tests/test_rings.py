@@ -12,6 +12,8 @@ from wittlink.rings import (
     cyclotomic_polynomial,
     elem_arith,
     format_polynomial,
+    is_prime,
+    primes_below,
     _dl_divmod,
     _dl_gcd,
     _dl_invmod,
@@ -33,6 +35,22 @@ C5 = RingSpec.cyclotomic(5)
 
 def zpoly(*ints):
     return Polynomial.from_ints(Z, ints)
+
+
+# --------------------------------------------------------------------------
+# primality: trial division by the bases settles n < 41^2, Miller-Rabin the rest
+
+
+def test_is_prime_matches_sieve():
+    primes = set(primes_below(5000))
+    assert all(is_prime(n) == (n in primes) for n in range(-3, 5000))
+
+
+@pytest.mark.parametrize("n", [561, 1681, 1763, 1849, 2047, 41041, 3215031751])
+def test_is_prime_rejects_pseudoprimes_and_small_squares(n):
+    # 41^2, 41*43, 43^2 sit just past the trial-division shortcut; the rest
+    # are Carmichael numbers or strong pseudoprimes to small bases
+    assert not is_prime(n)
 
 
 # --------------------------------------------------------------------------
