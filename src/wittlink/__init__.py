@@ -83,6 +83,7 @@ from .orbits import (
     deninger_packet,
     normalize_point,
     packet_fiber_over_label,
+    packet_fibers,
     reciprocity_row,
 )
 from .bridge import (

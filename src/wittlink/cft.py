@@ -291,6 +291,7 @@ def abelian_field(level: int, subgroup_elements, label: str = "") -> AbelianFiel
     return AbelianField(level, frozenset(e % level for e in subgroup_elements), label)
 
 
+@functools.lru_cache(maxsize=None)
 def quadratic_field_subgroup(q: int) -> AbelianField:
     """Q(sqrt(q)) for an odd prime q, as a kernel-of-character subgroup.
 

@@ -47,7 +47,7 @@ from .orbits import (
     closed_orbit_labels,
     decompose,
     deninger_packet,
-    packet_fiber_over_label,
+    packet_fibers,
     reciprocity_row,
 )
 from .bridge import bridge_compare
@@ -72,11 +72,17 @@ MAX_FROBENIUS_WORK = 200_000
 # degree 20 and N = 10,000 (refused as too large to render), 2.6 s over Q
 # and 4 s over Z[zeta_35]; N = 10,000 alone costs about 1 s at degree 1.
 MAX_GHOST_WORK = 200_000
-# bridge checks label independence by computing the fiber over every
-# closed-orbit label, each a scan of the level-m packet: about phi(m)^2
-# steps when p = 1 mod m.  At a prime level 1999 with p = 19991 the report
-# took about 0.7 s, at 2477 about 1.4 s (same host).
-MAX_BRIDGE_LEVEL = 2_000
+# bridge and monodromy enumerate (Z/m)^* at the level m.  The bridge report
+# checks every closed-orbit label in one pass over the level-m packet, so
+# its cost grows with phi(m); the worst case is a prime level with
+# p = 1 mod m and the full cyclotomic field, where both sides have phi(m)
+# components.  At level 199999 with p = 5599973 and --cyclotomic 199999,
+# the text report took 1.0 s and the 3.4 MB JSON report 1.5-1.7 s;
+# --cyclotomic 5 --prime 7 --level 199995 took 0.2 s (timed through
+# cli.main, same host).  monodromy lists every component: at that level
+# and prime it took 1.3-2.0 s as text (1.7 MB) and 1.8-3.0 s as JSON
+# (24 MB); at --level 10000000 it took 13-15 s uncapped.
+MAX_BRIDGE_LEVEL = 200_000
 
 
 @dataclass(frozen=True)
@@ -425,6 +431,8 @@ def cmd_linking(ns: argparse.Namespace) -> tuple[int, Output]:
 
 
 def cmd_monodromy(ns: argparse.Namespace) -> tuple[int, Output]:
+    if ns.level > MAX_BRIDGE_LEVEL:
+        raise DomainViolation(f"monodromy level {ns.level} exceeds the limit {MAX_BRIDGE_LEVEL}")
     has_field = ns.quadratic is not None or ns.cyclotomic is not None
     if ns.side == "cc":
         if has_field:
@@ -440,7 +448,7 @@ def cmd_monodromy(ns: argparse.Namespace) -> tuple[int, Output]:
         labels = closed_orbit_labels(ns.prime, ns.level)
         label_info = {"labels": [lab.base_class for lab in labels]}
         if ns.level % conductor(F) == 0:  # label fibers need the character
-            fib = packet_fiber_over_label(T, labels[0])
+            fib = packet_fibers(T)
             label_info["fiber_per_label"] = {
                 "count": fib.count,
                 "covering_degree": fib.covering_degree,
@@ -661,7 +669,7 @@ def build_parser() -> _Parser:
     m = subs.add_parser("monodromy", help="decomposition tables for either side", parents=[common])
     m.add_argument("--side", choices=("cc", "deninger"), required=True)
     m.add_argument("--prime", type=int, required=True)
-    m.add_argument("--level", type=int, required=True)
+    m.add_argument("--level", type=int, required=True, help=f"at most {MAX_BRIDGE_LEVEL}")
     _add_field_flags(m)
 
     r = subs.add_parser("reciprocity", help="component-count table over odd prime pairs", parents=[common])

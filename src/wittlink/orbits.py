@@ -19,12 +19,12 @@ Two constructions produce tori:
     (Z/m)^*/<p^f> with monodromy the class of p, at any auxiliary level m
     coprime to p.
 
-The packet fiber over one closed-orbit label pushes the level-m data
+The packet fiber over the closed-orbit labels pushes the level-m data
 through the restriction character onto the Galois quotient and
-orbit-enumerates there; the covering side computes the same (r, f) shape
-by order arithmetic at the field's own level.  Their agreement over a
-grid of fields and primes is the structural consistency this package
-exists to check.
+orbit-enumerates there, once for every label; the covering side
+computes the same (r, f) shape by order arithmetic at the field's own
+level.  Their agreement over a grid of fields and primes is the
+structural consistency this package exists to check.
 """
 
 from __future__ import annotations
@@ -197,39 +197,52 @@ def closed_orbit_labels(p: int, m: int) -> list[ClosedOrbitLabel]:
     return [ClosedOrbitLabel(r, p, m) for r in _label_group(m, p).reps]
 
 
-def packet_fiber_over_label(T: MappingTorus, label: ClosedOrbitLabel) -> FiberDecomposition:
-    """Components of the full covering fiber over one closed-orbit label.
+def packet_fibers(T: MappingTorus) -> FiberDecomposition:
+    """Components of the full covering fiber, shared by every closed-orbit label.
 
-    The level-m points of the packet over the label form a single
+    The level-m points of the packet over one label form a single
     monodromy orbit per sheet; the sheets are indexed by the cosets of the
     Artin class in the Galois quotient.  Pushing the packet data through
     the restriction character (reduction mod the conductor) and
     orbit-enumerating there yields r components of size f, each a circle
-    of length f*log(p), carried exactly.
+    of length f*log(p), carried exactly.  The pushed torus is decomposed
+    once; one pass over the packet then checks that the points over each
+    label land in a single component and that every label is reached.
     """
     if T.field is None:
         raise DomainViolation("fiber labels apply to packets attached to a field")
-    if label.level != T.level or label.prime != T.base_prime:
-        raise SpecMismatch("label level/prime do not match the packet")
     F, p, m = T.field, T.base_prime, T.level
     c = conductor(F)
     if m % c:
         raise DomainViolation(
             f"level {m} is not a multiple of the conductor {c}; the character is undefined"
         )
-    # level-m points of this packet over the label
-    Glab = _label_group(m, p)
-    want = Glab.canon(label.base_class)
-    points = tuple(g for g in T.group.reps if Glab.canon(g) == want)
     # push through the restriction character onto the Galois quotient
     pres = at_conductor(F)
     Ggal = quotient_group(pres.level, pres.subgroup)
     pushed = MappingTorus(Ggal, Ggal.canon(T.monodromy), p, field=pres)
     dec = decompose(pushed)
-    # the level-m points all land in a single component
-    images = {Ggal.canon(g) for g in points}
-    assert any(images <= set(comp) for comp in dec.components)
+    component_of = {r: i for i, comp in enumerate(dec.components) for r in comp}
+    # the level-m points over each label all land in a single component
+    Glab = _label_group(m, p)
+    landed: dict[int, set] = {}  # label -> components its points land in
+    for g in T.group.reps:
+        landed.setdefault(Glab.canon(g), set()).add(component_of[Ggal.canon(g)])
+    assert landed.keys() == set(Glab.reps)
+    assert all(len(hit) == 1 for hit in landed.values())
     return dec
+
+
+def packet_fiber_over_label(T: MappingTorus, label: ClosedOrbitLabel) -> FiberDecomposition:
+    """Components of the full covering fiber over one closed-orbit label.
+
+    The fiber is the same over every label; see packet_fibers.
+    """
+    if T.field is None:
+        raise DomainViolation("fiber labels apply to packets attached to a field")
+    if label.level != T.level or label.prime != T.base_prime:
+        raise SpecMismatch("label level/prime do not match the packet")
+    return packet_fibers(T)
 
 
 # --------------------------------------------------------------------------
@@ -309,8 +322,7 @@ def reciprocity_row(p: int, q: int) -> ReciprocityRow:
     cc = decompose(cc_fiber(F, p))
     m = conductor(F)
     T = deninger_packet(F, p, m)
-    label = closed_orbit_labels(p, m)[0]
-    den = packet_fiber_over_label(T, label)
+    den = packet_fibers(T)
     expected = 2 if leg == 1 else 1
     agree = cc.count == den.count == expected
     return ReciprocityRow(p, q, leg, cc.count, den.count, agree)

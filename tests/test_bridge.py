@@ -146,8 +146,88 @@ def test_equivariance_random_suite():
         assert check_anti_equivariance(x, Fraction(rng.randint(1, 30), rng.randint(1, 30)))
 
 
+def _anti_equivariance_oracle(x: DeningerPointFL, t) -> bool:
+    """check_anti_equivariance as it was on Fractions, kept as the oracle."""
+    t = Fraction(t)
+    if t.numerator <= 0:
+        raise DomainViolation("flow increments are positive rationals")
+    x = normalize_point(x)
+    u = Fraction(1)
+    flowed = t * u
+    if 1 / flowed != (1 / t) * (1 / u):
+        return False
+    j = 0
+    num, den = t.numerator, t.denominator
+    while num % x.prime == 0:
+        num //= x.prime
+        j += 1
+    while den % x.prime == 0:
+        den //= x.prime
+        j -= 1
+    m2 = x.unit.modulus
+    base = psi_level(x)
+    if m2 == 1:
+        return True
+    transported_unit = x.unit.mul(pow(x.prime, -j, m2))
+    lhs = psi_level(DeningerPointFL(x.prime, transported_unit, x.scale, x.p_exponent_budget))
+    rhs = pow(x.prime, -j, m2) * base.residue % m2
+    return lhs.residue % m2 == rhs
+
+
+@st.composite
+def _points_and_flows(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    m = draw(st.integers(1, 60).filter(lambda m: math.gcd(m, p) == 1))
+    x = DeningerPointFL(
+        p,
+        ModUnit(draw(st.sampled_from(unit_group(m))), m),
+        draw(st.integers(1, 10**4)),
+        draw(st.integers(1, 3)),
+    )
+    k = draw(st.integers(0, 6))
+    a = draw(st.integers(1, 10**6))
+    b = draw(st.integers(1, 10**6))
+    t = draw(
+        st.sampled_from(
+            [p**k, Fraction(p**k), Fraction(a, b * p**k), Fraction(a * p**k, b), Fraction(a, b), a]
+        )
+    )
+    return x, t
+
+
+@given(_points_and_flows())
+def test_anti_equivariance_matches_fraction_oracle(case):
+    x, t = case
+    assert check_anti_equivariance(x, t) is _anti_equivariance_oracle(x, t) is True
+
+
+@given(st.sampled_from([0, -3, Fraction(-1, 2), Fraction(0, 7)]))
+def test_anti_equivariance_rejects_nonpositive_flows_like_the_oracle(t):
+    x = DeningerPointFL(3, ModUnit(2, 5), 1)
+    for check in (check_anti_equivariance, _anti_equivariance_oracle):
+        with pytest.raises(DomainViolation, match="positive rationals"):
+            check(x, t)
+
+
 # --------------------------------------------------------------------------
 # reports
+
+
+def test_bridge_decomposes_the_flow_side_once(monkeypatch):
+    # Q(mu_5) at level 15 over p = 11: four closed-orbit labels, one decomposition
+    from wittlink import orbits
+
+    assert len(orbits.closed_orbit_labels(11, 15)) >= 3
+    calls = []
+    original = orbits.decompose
+
+    def counted(T):
+        calls.append(T)
+        return original(T)
+
+    monkeypatch.setattr(orbits, "decompose", counted)
+    r = bridge_compare(cyclotomic_field(5), 11, 15)
+    assert len(calls) == 1 and r.match
 
 
 def test_bridge_quadratic_split():

@@ -286,6 +286,8 @@ BAD_INPUTS = [
     (["bridge", "--prime", "7"], 1, "error: the following arguments are required"),
     (["bridge", "--cyclotomic", "5", "--prime", "7", "--level", "5000005"], 2,
      f"error: bridge level 5000005 exceeds the limit {MAX_BRIDGE_LEVEL}"),
+    (["monodromy", "--side", "cc", "--prime", "3", "--level", "10000000"], 2,
+     f"error: monodromy level 10000000 exceeds the limit {MAX_BRIDGE_LEVEL}"),
 ]
 
 

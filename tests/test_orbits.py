@@ -30,6 +30,7 @@ from wittlink.orbits import (
     deninger_packet,
     normalize_point,
     packet_fiber_over_label,
+    packet_fibers,
     quotient_group,
     reciprocity_row,
 )
@@ -259,10 +260,36 @@ def test_label_fiber_base_field():
 def test_label_fiber_mismatch_rejected():
     F = quadratic_field_subgroup(5)
     T = deninger_packet(F, 11, 5)
-    with pytest.raises(SpecMismatch):
-        packet_fiber_over_label(T, ClosedOrbitLabel(1, 11, 15))
-    with pytest.raises(DomainViolation):
-        packet_fiber_over_label(cc_fiber_infinite_level(11, 5), closed_orbit_labels(11, 5)[0])
+    with pytest.raises(SpecMismatch, match="label level/prime do not match the packet"):
+        packet_fiber_over_label(T, ClosedOrbitLabel(1, 11, 15))  # level
+    with pytest.raises(SpecMismatch, match="label level/prime do not match the packet"):
+        packet_fiber_over_label(T, ClosedOrbitLabel(1, 19, 5))  # prime
+    bare = cc_fiber_infinite_level(11, 5)
+    with pytest.raises(DomainViolation, match="packets attached to a field"):
+        packet_fiber_over_label(bare, closed_orbit_labels(11, 5)[0])
+    with pytest.raises(DomainViolation, match="packets attached to a field"):
+        packet_fiber_over_label(bare, ClosedOrbitLabel(1, 3, 7))  # checked before the label
+    low = deninger_packet(F, 3, 7)  # conductor 5 does not divide 7
+    with pytest.raises(DomainViolation, match="not a multiple of the conductor 5"):
+        packet_fiber_over_label(low, closed_orbit_labels(3, 7)[0])
+    with pytest.raises(DomainViolation, match="not a multiple of the conductor 5"):
+        packet_fibers(low)
+
+
+def test_packet_fibers_is_every_label_fiber():
+    T = deninger_packet(cyclotomic_field(5), 11, 15)
+    fib = packet_fibers(T)
+    assert (fib.count, fib.covering_degree) == (4, 1)
+    for lab in closed_orbit_labels(11, 15):
+        assert packet_fiber_over_label(T, lab) == fib
+
+
+def test_packet_fibers_rejects_a_label_split_across_components():
+    # a wrong monodromy (1 in place of 19) makes the pushed components
+    # singletons, so the points 1 and 4 over one label land apart
+    T = MappingTorus(quotient_group(15, frozenset({1})), 1, 19, field=cyclotomic_field(5))
+    with pytest.raises(AssertionError):
+        packet_fibers(T)
 
 
 def test_label_fiber_matches_cc_routes():
