@@ -63,15 +63,23 @@ MAX_LITERAL_DEGREE = 1_000
 # part of degree D = deg f * deg g costs O(D^2), F_n reads n * deg power sums.
 MAX_PRODUCT_DEGREE = 2_500
 MAX_FROBENIUS_DEGREE = 10_000
-# Those n * deg power sums cost O(deg) each.  At n * deg^2 = 200,000, with
-# digits 1-9, frob took about 0.3 s over Z and about a second over Q and
-# Z[zeta_8] (Python 3.11, one core of an Intel Xeon host).
+# Those n * deg power sums cost O(deg) each.  At n * deg^2 = 200,000 (n =
+# 500, degree 20, digits 1-9), frob took 0.2-0.3 s over Z and Q, 0.3-0.6 s
+# over Z[zeta_8] and about 1 s over Z[zeta_35] (Python 3.11, one core of an
+# Intel Xeon host).
 MAX_FROBENIUS_WORK = 200_000
 # witt ghost computes N power sums at O(deg) each on integers that grow with
-# N.  At N * deg = 200,000 with digits 1-9, ghost took 1.1-1.4 s over Z at
-# degree 20 and N = 10,000 (refused as too large to render), 2.6 s over Q
-# and 4 s over Z[zeta_35]; N = 10,000 alone costs about 1 s at degree 1.
+# N.  At N * deg = 200,000 with digits 1-9, ghost took 1.0-1.2 s over Z at
+# degree 20 and N = 10,000 (refused as too large to render), 1.2-1.3 s over
+# Q and 1.6-2.2 s over Z[zeta_35]; N = 10,000 alone costs about 1 s at
+# degree 1.
 MAX_GHOST_WORK = 200_000
+# --ring C<n> computes on payload vectors of length phi(n), so every
+# coefficient product costs O(phi(n)^2); the level is checked before Phi_n
+# is built.  At n = 97 (phi = 96) a product of degree 2,500 took 26-32 s,
+# ghost at N * deg = 200,000 2.9-3.7 s and frob at n * deg^2 = 200,000
+# 2.1-2.6 s; over Z[zeta_35] the same product took 7 s.
+MAX_CYCLOTOMIC_RING_LEVEL = 100
 # bridge and monodromy enumerate (Z/m)^* at the level m.  The bridge report
 # checks every closed-orbit label in one pass over the level-m packet, so
 # its cost grows with phi(m); the worst case is a prime level with
@@ -106,12 +114,16 @@ def parse_ring(text: str) -> RingSpec:
         return RingSpec.rationals()
     head, rest = s[:1].upper(), s[1:]
     if rest.isdigit():
-        n = int(rest)
+        n = _parse_int(rest)
         if head == "F":
             return RingSpec.prime_field(n)
         if head == "Z":
             return RingSpec.mod_ring(n)
         if head == "C":
+            if n > MAX_CYCLOTOMIC_RING_LEVEL:
+                raise DomainViolation(
+                    f"cyclotomic ring level {n} exceeds the limit {MAX_CYCLOTOMIC_RING_LEVEL}"
+                )
             return RingSpec.cyclotomic(n)
     raise ParseError(f"unknown ring {text!r}; use Z, Q, F<p>, Z<n> or C<n>")
 

@@ -24,7 +24,10 @@ Polynomials are dense tuples of payloads, constant term first, with no
 trailing zero coefficients.  Underneath, every list-level polynomial
 operation (residues mod Phi_n or the F_q modulus, inverses, the gcds of
 the Witt normalization) runs on one dense-list kernel, the ``_dl_*``
-functions, over Q or over F_p.  No floating point appears anywhere.
+functions, over Q or over F_p.  ``Polynomial.__mul__`` calls ``_dl_mul``
+for the scalar kinds; for the vector kinds it sums each coefficient's
+products unreduced and reduces that sum once.  No floating point appears
+anywhere.
 
 Resultants use the convention
 
@@ -161,11 +164,21 @@ def _dl_mul(a: list, b: list, p: int = 0) -> list:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
+    _dl_addmul(out, a, b)
+    return _dl_trim(out, p)
+
+
+def _dl_addmul(acc: list, a, b) -> None:
+    """acc += a * b in place, unreduced; acc has at least len(a) + len(b) - 1 entries.
+
+    On payload vectors of width w (acc of length 2w - 1) this sums products
+    before their reduction, so a sum of them is reduced once by the vector
+    ring's ``_reduce`` instead of once a product.
+    """
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _dl_trim(out, p)
+            for j, bj in enumerate(b, i):
+                acc[j] += ai * bj
 
 
 def _dl_divmod(a: list, b: list, p: int = 0) -> tuple[list, list]:
@@ -250,6 +263,12 @@ def _ext_field_modulus(p: int, k: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+@functools.lru_cache(maxsize=None)
+def _fold_terms(m: tuple) -> tuple[tuple[int, int], ...]:
+    """(i, m_i) for the nonzero coefficients of a monic modulus m below its leading one."""
+    return tuple((i, mi) for i, mi in enumerate(m[:-1]) if mi)
+
+
 # --------------------------------------------------------------------------
 # RingSpec
 
@@ -261,6 +280,7 @@ _KIND_C = "C"
 _KIND_K = "K"
 _KIND_FQ = "Fq"
 _KIND_LIFT = "Fq~"
+_SCALAR_KINDS = (_KIND_Z, _KIND_Q, _KIND_FP, _KIND_ZN)  # the rest carry payload vectors
 
 
 @dataclass(frozen=True)
@@ -346,9 +366,34 @@ class RingSpec:
         return cyclotomic_polynomial(self.n), 0
 
     def _reduce(self, c: list) -> tuple:
+        """c modulo the monic modulus (and mod p when there is one), padded to the width.
+
+        The remainder of the division by the modulus, folded from the top
+        through the modulus's nonzero lower terms only (Phi_8 = x^4 + 1 has
+        one).
+        """
         m, p = self._modulus
-        r = _dl_divmod(c, m, p)[1]
-        return tuple(r + [0] * (len(m) - 1 - len(r)))
+        w = len(m) - 1
+        r = list(c)
+        terms = _fold_terms(m)
+        for top in range(len(r) - 1, w - 1, -1):
+            v = r.pop() % p if p else r.pop()
+            if v:
+                base = top - w
+                for i, mi in terms:
+                    r[base + i] -= v * mi
+        _dl_trim(r, p)
+        return tuple(r + [0] * (w - len(r)))
+
+    def _fused(self, acc: list, xs, ys) -> tuple:
+        """acc + the sum of x * y over paired payload vectors, reduced once.
+
+        acc holds the 2w - 1 unreduced entries of a product of width-w
+        vectors; a coefficient built from many products costs one reduction.
+        """
+        for a, b in zip(xs, ys):
+            _dl_addmul(acc, a, b)
+        return self._reduce(acc)
 
     def __str__(self) -> str:
         if self.kind == _KIND_Z:
@@ -683,16 +728,23 @@ class Polynomial:
         return Polynomial(s, tuple(s.neg(c) for c in self.coeffs))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        """Scalar kinds multiply on the list kernel; vector kinds reduce each coefficient once."""
         self._check(other)
         s = self.spec
+        if s.kind in _SCALAR_KINDS:
+            out = _dl_mul(self.coeffs, other.coeffs, s.n)  # n = 0 over Z and Q
+            if s.kind == _KIND_Q:  # a coefficient no product reached is still the int 0
+                out = [v if type(v) is Fraction else Fraction(v) for v in out]
+            return Polynomial(s, tuple(out))
         if not self.coeffs or not other.coeffs:
             return Polynomial.zero(s)
-        out = [s.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
+        w = len(s.zero())
+        acc = [[0] * (2 * w - 1) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
         for i, a in enumerate(self.coeffs):
-            if s.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = s.add(out[i + j], s.mul(a, b))
+            if not s.is_zero(a):
+                for j, b in enumerate(other.coeffs, i):
+                    _dl_addmul(acc[j], a, b)
+        out = [s._reduce(c) for c in acc]
         while out and s.is_zero(out[-1]):
             out.pop()
         return Polynomial(s, tuple(out))

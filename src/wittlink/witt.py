@@ -14,10 +14,21 @@ inverse-root multisets {a_i}, {b_j}, the star product p x q =
 prod (1 - a_i b_j t) is the polynomial of degree deg p * deg q whose
 power sums are s_k(p) * s_k(q), and F_n(p) = prod (1 - a_i^n t) the one
 whose power sums are s_nk(p).  Newton's identities rebuild each from its
-power sums, dividing by k exactly in characteristic 0: over Z, Q and
+power sums, dividing by k exactly in characteristic 0: over Z and
 Z[zeta_n] directly, over F_p, Z/n and F_q on lifts to Z or Z[x]/(g~) (the
 coefficients are universal integer polynomials in the inputs), reduced at
-the end.
+the end.  ``witt_mul`` computes each of the four parts' power sums once,
+to its degree times the larger degree of the other vector's parts, and
+the four star products read slices of them.
+
+The kernels run on plain ints or int vectors, never through the RingSpec
+ops.  Q enters scaled: p(Lt) is in Z[t] for L the lcm of p's
+denominators, and s_k(p) = s_k(p(Lt)) / L^k, so the star product divides
+its rebuilt c_k by (L_p L_q)^k and F_n by L^(nk); a Fraction is built only
+for the final coefficients.  The ghost map over F_p and Z/n reduces mod n
+inside the recurrence.  Over the vector rings (Z[zeta_n], F_q and its
+lift) each coefficient's products are summed unreduced and reduced once
+by the modulus.
 
 Criterion 1 holds both routes against the resultant forms in ``verify``.
 
@@ -26,7 +37,9 @@ f.num * g.den == g.num * f.den, valid because denominators with constant
 term 1 are power-series units.
 
 Normalization divides num and den by their gcd, scaled to constant term
-1.  Over a field (Q, F_p, F_q) that gcd is taken directly.  Over Z and
+1.  Over F_p and F_q that gcd is taken directly.  Over Q both parts are
+scaled by one L to Z[t] and take the Z route below, unscaled after; the
+Euclid over Q runs only when that route returns None.  Over Z and
 Z[zeta_n] one route serves both: a probe first maps the parts onto F_q
 (c -> c mod q, or zeta -> omega, a root of Phi_n mod a prime q = 1 mod n)
 and a constant gcd there proves them coprime.  Otherwise, over Z, the
@@ -40,7 +53,11 @@ left as given.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import DomainViolation, NotSplit, SpecMismatch, UnsupportedRing
 from .cft import subgroup_generators, unit_group
@@ -54,6 +71,7 @@ from .rings import (
     _KIND_Q,
     _KIND_Z,
     _KIND_ZN,
+    _SCALAR_KINDS,
     _dl_divmod,
     _dl_gcd,
     _dl_inv,
@@ -191,6 +209,27 @@ def _modular_gcd_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Po
     return None
 
 
+def _normalize_rational_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Reduce over Q through the Z route, falling back to the Euclid over Q.
+
+    With L the lcm of every denominator, t -> Lt makes both parts integral
+    with constant term 1 and commutes with taking gcds; the gcd of the
+    scaled parts, scaled to constant term 1, is integral (Gauss's lemma),
+    so the modular gcd reduces them over Z and the quotients are unscaled.
+    """
+    L = math.lcm(*[v.denominator for v in num.coeffs + den.coeffs])
+    Z = RingSpec.integers()
+    a = Polynomial(Z, tuple(_scale_up(num.coeffs, L)))
+    b = Polynomial(Z, tuple(_scale_up(den.coeffs, L)))
+    reduced = _modular_gcd_parts(a, b)
+    if reduced is None:
+        return _normalize_field_parts(num, den)
+    ra, rb = reduced
+    if ra.degree == a.degree:  # coprime
+        return num, den
+    return _settle(num.spec, ra.coeffs, L), _settle(num.spec, rb.coeffs, L)
+
+
 def _series_quotient(a: tuple, g: list) -> list | None:
     """a / g over Z when g (with g[0] = 1) divides a exactly, else None.
 
@@ -203,7 +242,8 @@ def _series_quotient(a: tuple, g: list) -> list | None:
         return None
     quo = []
     for k in range(len(a)):
-        v = a[k] - sum(g[i] * quo[k - i] for i in range(1, min(k, dg) + 1))
+        t = min(k, dg)
+        v = a[k] - sum(map(operator.mul, g[1 : t + 1], reversed(quo[k - t : k])))
         if k > m:
             if v:
                 return None
@@ -218,6 +258,8 @@ def _normalize_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Poly
         return Polynomial.one(spec), Polynomial.one(spec)
     if den.is_one or num.is_one:
         return num, den
+    if spec.kind == _KIND_Q:
+        return _normalize_rational_parts(num, den)
     if spec.is_field:
         return _normalize_field_parts(num, den)
     if spec.kind in (_KIND_Z, _KIND_C):
@@ -327,21 +369,17 @@ def _star_polys(p: Polynomial, q: Polynomial) -> Polynomial:
     The ghost map is a ring homomorphism, so its power sums are
     s_k(p) * s_k(q) for k = 1..deg p * deg q; Newton's identities rebuild it.
     """
-    spec = p.spec
-    d, e = p.degree, q.degree
-    if d <= 0 or e <= 0:
-        return Polynomial.one(spec)
-    R = _newton_ring(spec)
-    sp = _power_sums(Polynomial(R, p.coeffs), d * e)
-    sq = _power_sums(Polynomial(R, q.coeffs), d * e)
-    return _from_power_sums(spec, R, [R.mul(a, b) for a, b in zip(sp, sq)])
+    R = _newton_ring(p.spec)
+    D = p.degree * q.degree
+    return _star(p.spec, R, _part_sums(p, D, R), _part_sums(q, D, R))
 
 
 def _power_roots(p: Polynomial, n: int) -> Polynomial:
     """Polynomial with inverse roots {a^n} for a over p.
 
     Its power sums are s_n(p), s_2n(p), ..., s_dn(p); Newton's identities
-    rebuild it.
+    rebuild it.  Over Q, p(Lt) has inverse roots L*a, so the rebuilt
+    coefficient c_k is unscaled by L^(nk).
     """
     spec = p.spec
     d = p.degree
@@ -350,58 +388,158 @@ def _power_roots(p: Polynomial, n: int) -> Polynomial:
     if n == 1:
         return p
     R = _newton_ring(spec)
-    s = _power_sums(Polynomial(R, p.coeffs), n * d)
-    return _from_power_sums(spec, R, s[n - 1 :: n])
+    c, L = _lift(p)
+    return _settle(spec, _from_power_sums(_power_sums(c, n * d, R)[n - 1 :: n], R), L**n)
 
 
 def _newton_ring(spec: RingSpec) -> RingSpec:
-    """Where the Newton route runs: Z for F_p and Z/n, Z[x]/(g~) for F_q, else spec.
+    """Where the Newton route runs: Z for Q, F_p and Z/n, Z[x]/(g~) for F_q, else spec.
 
     The coefficients of the star product and of F_n are universal integer
     polynomials in the input coefficients, so over F_p, Z/n and
     F_q = F_p[x]/(g) they may be computed on lifts to Z or to Z[x]/(g~),
     g~ the modulus g read over Z, and reduced at the end; this also covers
-    divisions by k that have no inverse modulo p or n.
+    divisions by k that have no inverse modulo p or n.  Q enters scaled to
+    Z (see ``_lift``).
     """
-    if spec.kind in (_KIND_FP, _KIND_ZN):
+    if spec.kind in (_KIND_Q, _KIND_FP, _KIND_ZN):
         return RingSpec.integers()
     if spec.k:  # F_q is the one public kind with an extension degree
         return RingSpec(_KIND_LIFT, spec.n, spec.k)
     return spec
 
 
-def _from_power_sums(spec: RingSpec, R: RingSpec, s: list) -> Polynomial:
-    """1 + c_1 t + ... + c_D t^D over spec with power sums s_1..s_D over R.
+def _lift(p: Polynomial) -> tuple[list, int]:
+    """The coefficients of p as the kernels take them, and the scale L.
 
-    Newton's identities solved for c_k: c_k = -(s_k + sum_{i<k} c_i s_{k-i}) / k.
-    The division is exact in characteristic 0 (R is Z, Q, Z[zeta_n] or the
-    lift Z[x]/(g~); the last two are free Z-modules on their power bases,
-    so they divide entry by entry).
+    Over Q, p enters as p(Lt) in Z[t], L the lcm of its denominators: its
+    inverse roots are L times those of p, so s_k(p) = s_k(p(Lt)) / L^k.
+    Every other kind enters as its payloads (lifts in [0, n) over F_p and
+    Z/n), with L = 1.
     """
+    if p.spec.kind != _KIND_Q:
+        return list(p.coeffs), 1
+    L = math.lcm(*[v.denominator for v in p.coeffs])
+    return _scale_up(p.coeffs, L), L
+
+
+def _scale_up(coeffs, L: int) -> list:
+    """c_k * L^k for Fractions c_k whose denominators divide L (c_0 = 1): the ints of p(Lt)."""
+    out, Lk = [], 1
+    for v in coeffs:
+        out.append(v.numerator * Lk // v.denominator)
+        Lk *= L
+    return out
+
+
+def _settle(spec: RingSpec, c, scale: int) -> Polynomial:
+    """The polynomial over spec with kernel coefficients c.
+
+    Over Q, c_k is divided by scale^k (a Fraction is built only here); over
+    F_p, Z/n and F_q the lifts are reduced mod n or p.
+    """
+    if spec.kind == _KIND_Q:
+        out, sk = [], 1
+        for v in c:
+            out.append(Fraction(v, sk))
+            sk *= scale
+    elif spec.kind in (_KIND_FP, _KIND_ZN):
+        out = [v % spec.n for v in c]
+    elif spec.k:
+        out = [tuple([v % spec.n for v in x]) for x in c]
+    else:
+        out = list(c)
+    while spec.is_zero(out[-1]):
+        out.pop()
+    return Polynomial(spec, tuple(out))
+
+
+def _power_sums(c: list, N: int, R: RingSpec) -> list:
+    """s_1..s_N for the inverse roots of 1 + c_1 t + ... + c_d t^d over R.
+
+    Newton's identities, division-free: with c_k = 0 for k > d,
+    s_k = -(k*c_k + sum_{i <= min(k-1, d)} c_i s_{k-i}), O(N*d) products.
+    Over Z, F_p and Z/n the payloads are ints, reduced mod n at every step
+    over F_p and Z/n.  Over the vector rings (Z[zeta_n], F_q and the lift
+    Z[x]/(g~)) each s_k is accumulated unreduced and reduced once.
+    """
+    d = len(c) - 1
+    out = []
+    if R.kind in _SCALAR_KINDS:
+        m = R.n  # 0 over Z
+        crev = c[:0:-1]  # c_d, ..., c_1 against s_{k-d}, ..., s_{k-1}
+        for k in range(1, N + 1):
+            if k <= d:  # c_{k-1}, ..., c_1 against s_1, ..., s_{k-1}
+                acc = k * c[k] + sum(map(operator.mul, c[k - 1 : 0 : -1], out))
+            else:
+                acc = sum(map(operator.mul, crev, out[k - 1 - d :]))
+            out.append(-acc % m if m else -acc)
+        return out
+    w = len(R.zero())
+    nc = [[-v for v in x] for x in c]  # negated, so each s_k comes out reduced
+    for k in range(1, N + 1):
+        t = min(k - 1, d)
+        acc = [k * v for v in nc[k]] + [0] * (w - 1) if k <= d else [0] * (2 * w - 1)
+        out.append(R._fused(acc, nc[t:0:-1], out[k - 1 - t :]))
+    return out
+
+
+def _from_power_sums(s: list, R: RingSpec) -> list:
+    """Coefficients 1, c_1, ..., c_D over R with power sums s_1..s_D.
+
+    The one rebuild of the Newton route.  Newton's identities solved for
+    c_k: c_k = -(s_k + sum_{i<k} c_i s_{k-i}) / k.  The division is exact
+    in characteristic 0 (R is Z, Z[zeta_n] or the lift Z[x]/(g~); the last
+    two are free Z-modules on their power bases, so they divide entry by
+    entry, after one reduction of the accumulated sum).
+    """
+    if R.kind == _KIND_Z:
+        c = [1]
+        for k in range(1, len(s) + 1):
+            c.append(-(s[k - 1] + sum(map(operator.mul, c[k - 1 : 0 : -1], s))) // k)
+        return c
+    w = len(R.zero())
     c = [R.one()]
     for k in range(1, len(s) + 1):
-        acc = s[k - 1]
-        for i in range(1, k):
-            acc = R.add(acc, R.mul(c[i], s[k - i - 1]))
-        if R.kind == _KIND_Z:
-            c.append(-acc // k)
-        elif R.kind == _KIND_Q:
-            c.append(-acc / k)
-        else:
-            c.append(tuple(-v // k for v in acc))
-    if R != spec:
-        return Polynomial.from_payloads(spec, c)
-    while R.is_zero(c[-1]):
-        c.pop()
-    return Polynomial(spec, tuple(c))
+        acc = list(s[k - 1]) + [0] * (w - 1)
+        c.append(tuple([-v // k for v in R._fused(acc, c[k - 1 : 0 : -1], s)]))
+    return c
+
+
+def _part_sums(p: Polynomial, depth: int, R: RingSpec) -> tuple[int, list, int]:
+    """(deg p, s_1..s_depth of p over R, the scale L of p): what a star product reads of a part."""
+    c, L = _lift(p)
+    return p.degree, _power_sums(c, depth, R), L
+
+
+def _star(spec: RingSpec, R: RingSpec, a: tuple, b: tuple) -> Polynomial:
+    """The star product of two parts from their ``_part_sums``, each to depth >= deg p * deg q."""
+    (d, sp, Lp), (e, sq, Lq) = a, b
+    D = d * e
+    if D <= 0:
+        return Polynomial.one(spec)
+    if R.kind == _KIND_Z:
+        s = list(map(operator.mul, sp[:D], sq[:D]))
+    else:
+        s = [R.mul(x, y) for x, y in zip(sp[:D], sq[:D])]
+    return _settle(spec, _from_power_sums(s, R), Lp * Lq)
 
 
 def witt_mul(f: WittVector, g: WittVector) -> WittVector:
-    """f (x) g: the biadditive extension of (1-at)(x)(1-bt) = (1-abt)."""
+    """f (x) g: the biadditive extension of (1-at)(x)(1-bt) = (1-abt).
+
+    Each of the four parts has its power sums computed once, to its degree
+    times the larger degree of the other vector's parts; the four star
+    products read slices of them.
+    """
     f._check(g)
-    n1, d1, n2, d2 = f.num, f.den, g.num, g.den
-    num = _star_polys(n1, n2) * _star_polys(d1, d2)
-    den = _star_polys(n1, d2) * _star_polys(d1, n2)
+    spec = f.spec
+    R = _newton_ring(spec)
+    df, dg = max(f.num.degree, f.den.degree), max(g.num.degree, g.den.degree)
+    n1, d1 = [_part_sums(x, x.degree * dg, R) for x in (f.num, f.den)]
+    n2, d2 = [_part_sums(x, x.degree * df, R) for x in (g.num, g.den)]
+    num = _star(spec, R, n1, n2) * _star(spec, R, d1, d2)
+    den = _star(spec, R, n1, d2) * _star(spec, R, d1, n2)
     return WittVector.from_polys(num, den)
 
 
@@ -467,25 +605,6 @@ class GhostVector:
         return " ".join(self.spec.render(c) for c in self.components)
 
 
-def _power_sums(p: Polynomial, N: int) -> list:
-    """s_1..s_N for the inverse roots of p, by Newton's identities.
-
-    With p = 1 + c_1 t + ... + c_d t^d and c_k = 0 for k > d:
-    s_k = -(k*c_k + sum_{i <= min(k-1, d)} c_i s_{k-i}), division-free,
-    valid over every coefficient ring, O(N*d) ring operations.
-    """
-    spec = p.spec
-    c = p.coeffs
-    d = len(c) - 1
-    out = []
-    for k in range(1, N + 1):
-        acc = spec.mul_int(c[k], k) if k <= d else spec.zero()
-        for i in range(1, min(k - 1, d) + 1):
-            acc = spec.add(acc, spec.mul(c[i], out[k - i - 1]))
-        out.append(spec.neg(acc))
-    return out
-
-
 def default_ghost_precision(f: WittVector) -> int:
     """Enough components to separate Witt vectors of the given degrees."""
     return 2 * (f.num.degree + f.den.degree) + 4
@@ -498,13 +617,25 @@ def ghost(f: WittVector, N: int | None = None) -> GhostVector:
     if N < 1:
         raise DomainViolation("ghost precision must be >= 1")
     spec = f.spec
-    sn = _power_sums(f.num, N)
-    sd = _power_sums(f.den, N)
-    return GhostVector(spec, tuple(spec.sub(a, b) for a, b in zip(sn, sd)))
+    (cn, Ln), (cd, Ld) = _lift(f.num), _lift(f.den)
+    if spec.kind != _KIND_Q:  # F_p, Z/n and F_q reduce inside the recurrence
+        sn, sd = _power_sums(cn, N, spec), _power_sums(cd, N, spec)
+        return GhostVector(spec, tuple(map(spec.sub, sn, sd)))
+    Z = RingSpec.integers()
+    out, pn, pd = [], 1, 1
+    for a, b in zip(_power_sums(cn, N, Z), _power_sums(cd, N, Z)):
+        pn, pd = pn * Ln, pd * Ld
+        out.append(Fraction(a * pd - b * pn, pn * pd))  # s_k(num) - s_k(den), unscaled
+    return GhostVector(spec, tuple(out))
 
 
 # --------------------------------------------------------------------------
 # group-ring correspondence
+
+# The decoder tries every element of F_{p^k} as a root.  At this size, a
+# degree-8 part whose root comes last takes 0.6 s over F_2^12 and 0.01 s over
+# F_4093 (extension fields evaluate on payload vectors); F_2^16 took 16 s.
+MAX_DECODE_FIELD_SIZE = 2**12
 
 
 @dataclass(frozen=True)
@@ -581,21 +712,13 @@ def _roots_with_multiplicity(poly: Polynomial) -> list[tuple[object, int]] | Non
     spec = poly.spec
     if poly.degree <= 0:
         return []
-    rev = poly.reversed_coeffs()  # monic, roots = inverse roots of poly
-    found = []
-    remaining = rev
     if spec.kind == _KIND_FP:
-        candidates = (c for c in range(1, spec.n))
-    else:
-        import itertools as _it
-
-        candidates = (
-            tuple(v)
-            for v in _it.product(range(spec.n), repeat=spec.k)
-            if any(v)
-        )
+        return _prime_field_roots(list(reversed(poly.coeffs)), spec.n)
+    found = []
+    remaining = poly.reversed_coeffs()  # monic, roots = inverse roots of poly
+    candidates = (v for v in itertools.product(range(spec.n), repeat=spec.k) if any(v))
     for cand in candidates:
-        payload = spec.canon(cand) if not isinstance(cand, int) else cand
+        payload = spec.canon(cand)
         mult = 0
         while remaining.degree >= 1 and spec.is_zero(remaining.evaluate(payload)):
             divisor = Polynomial.from_payloads(spec, [spec.neg(payload), spec.one()])
@@ -610,14 +733,42 @@ def _roots_with_multiplicity(poly: Polynomial) -> list[tuple[object, int]] | Non
     return found
 
 
+def _prime_field_roots(rev: list, p: int) -> list[tuple[int, int]] | None:
+    """Roots with multiplicity of the monic rev (ascending ints mod p), or None.
+
+    One Horner pass per candidate a evaluates rev(a) mod p; when that is 0,
+    its partial sums are the quotient rev / (x - a) (synthetic division).
+    None when rev does not split into linear factors over F_p.
+    """
+    found = []
+    for a in range(1, p):  # rev(0) = lc of the part, a unit
+        mult = 0
+        while len(rev) > 1:
+            acc, quo = 0, []
+            for c in reversed(rev):
+                acc = (acc * a + c) % p
+                quo.append(acc)
+            if acc:
+                break
+            quo.pop()
+            rev = quo[::-1]
+            mult += 1
+        if mult:
+            found.append((a, mult))
+        if len(rev) == 1:
+            return found
+    return None
+
+
 def witt_to_groupring(f: WittVector, splitting_degree_bound: int = 1) -> GroupRingElement:
     """Decode a Witt vector over F_p into its inverse-root multiset.
 
     Roots are searched exhaustively in F_{p^k} for k = 1..bound (each k uses
     a fixed irreducible modulus found by sieve; decoding fixes a single k).
-    Raises NotSplit when the parts do not split by the bound.  The result
-    ring is PrimeField(p) when k = 1 and the internal extension field
-    otherwise.
+    Raises NotSplit when the parts do not split by the bound, and
+    DomainViolation, before any search, when the largest field searched has
+    more than MAX_DECODE_FIELD_SIZE elements.  The result ring is
+    PrimeField(p) when k = 1 and the internal extension field otherwise.
     """
     spec = f.spec
     if spec.kind != _KIND_FP and not spec.k:  # F_p or F_q
@@ -625,12 +776,16 @@ def witt_to_groupring(f: WittVector, splitting_degree_bound: int = 1) -> GroupRi
     if splitting_degree_bound < 1:
         raise DomainViolation("splitting degree bound must be >= 1")
     p = spec.n
-    if spec.k:
-        # an extension-field vector only decodes in its own field: padding
-        # coefficients is not a homomorphism between different degrees
-        ks = [spec.k]
-    else:
-        ks = list(range(1, splitting_degree_bound + 1))
+    # an extension-field vector only decodes in its own field: padding
+    # coefficients is not a homomorphism between different degrees
+    top = spec.k or splitting_degree_bound
+    # p >= 2, so a degree above the cap's bit length already exceeds it
+    if top > MAX_DECODE_FIELD_SIZE.bit_length() or p**top > MAX_DECODE_FIELD_SIZE:
+        raise DomainViolation(
+            f"decoding searches F_{p}^{top}, "
+            f"more than the limit of {MAX_DECODE_FIELD_SIZE} elements"
+        )
+    ks = [spec.k] if spec.k else range(1, top + 1)
     for k in ks:
         if k == 1:
             target = spec

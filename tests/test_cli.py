@@ -7,6 +7,7 @@ import pytest
 
 from wittlink.cli import (
     MAX_BRIDGE_LEVEL,
+    MAX_CYCLOTOMIC_RING_LEVEL,
     MAX_FROBENIUS_DEGREE,
     MAX_FROBENIUS_INDEX,
     MAX_FROBENIUS_WORK,
@@ -282,6 +283,10 @@ BAD_INPUTS = [
     (["witt", "frob", "x", "1-2t"], 1, "error: witt frob needs an integer index"),
     (["witt", "mul", "1-2x", "1-3t"], 1, "error: expected"),
     (["witt", "add", "1-2t", "1-3t", "--ring", "Z1"], 2, "error: modulus must be >= 2"),
+    (["witt", "mul", "1-t", "1-2t", "--ring", "C101"], 2,
+     f"error: cyclotomic ring level 101 exceeds the limit {MAX_CYCLOTOMIC_RING_LEVEL}"),
+    (["witt", "mul", "1-t", "1-2t", "--ring", "C" + "9" * 5000], 1,
+     "error: integer literal of 5000 digits is too long"),
     (["linking", "--prime", "3", "--level", "0"], 2, "error: 3 divides the level 0"),
     (["bridge", "--prime", "7"], 1, "error: the following arguments are required"),
     (["bridge", "--cyclotomic", "5", "--prime", "7", "--level", "5000005"], 2,

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -549,27 +550,54 @@ def test_power_sums_of_a_linear_part_reach_large_indices():
     assert frobenius(1000, WittVector.from_ints(F2, [1, 1, 1])).num.degree == 2
 
 
-def test_criterion_one_catches_a_wrong_newton_reconstruction(monkeypatch):
-    # Corrupt only the coefficients above the suite's ghost precision N = 12.
-    # The ghost comparisons cannot see it; the resultant comparison must.
+def _corrupt_newton_rebuild(monkeypatch, above: int) -> None:
+    """Add 1 to the leading coefficient of every rebuild of degree > ``above``.
+
+    ``_from_power_sums`` is the one rebuild of the Newton route, for the
+    scalar kernel (ints) and the vector kernel (payload vectors) alike.
+    """
     from wittlink import witt
-    from wittlink.verify import _resultant_product, criterion_witt_ring_laws
 
     real = witt._from_power_sums
 
-    def wrong(spec, R, s):
-        poly = real(spec, R, s)
-        if poly.degree <= 12:
-            return poly
-        return poly + Polynomial.from_payloads(spec, [spec.zero()] * poly.degree + [spec.one()])
+    def wrong(s, R):
+        c = real(s, R)
+        if len(c) - 1 > above:
+            top = c[-1]
+            c[-1] = top + 1 if isinstance(top, int) else (top[0] + 1,) + top[1:]
+        return c
 
     monkeypatch.setattr(witt, "_from_power_sums", wrong)
+
+
+def test_criterion_one_catches_a_wrong_newton_reconstruction(monkeypatch):
+    # Corrupt only the coefficients above the suite's ghost precision N = 12.
+    # The ghost comparisons cannot see it; the resultant comparison must.
+    from wittlink.verify import _resultant_product, criterion_witt_ring_laws
+
+    _corrupt_newton_rebuild(monkeypatch, 12)
     f, g = w([1, 2, -3, 4, 5]), w([1, -1, 2, 7, -2])
     p = witt_mul(f, g)
     assert ghost(p, 12).components == (ghost(f, 12) * ghost(g, 12)).components
     assert p != _resultant_product(f, g)
     result = criterion_witt_ring_laws(20240901, samples=40, precision=12)
     assert not result.passed and result.failures > 0
+
+
+@pytest.mark.parametrize("spec", [RingSpec.cyclotomic(5), RingSpec.ext_field(3, 2)], ids=str)
+def test_resultant_comparison_catches_a_wrong_vector_rebuild(monkeypatch, spec):
+    # the same corruption on the vector kernel (Z[zeta_5], and F_9 on its
+    # lift): criterion 1's resultant comparison sees it, ghosts to N = 12 do not
+    from wittlink.verify import _resultant_product
+
+    _corrupt_newton_rebuild(monkeypatch, 12)
+    z = spec.canon((0, 1))
+    one, two, minus_one = spec.one(), spec.from_int(2), spec.from_int(-1)
+    f = WittVector.from_polys(Polynomial.from_payloads(spec, [one, z, two, z, one]))
+    g = WittVector.from_polys(Polynomial.from_payloads(spec, [one, minus_one, z, z, z]))
+    p = witt_mul(f, g)
+    assert ghost(p, 12).components == (ghost(f, 12) * ghost(g, 12)).components
+    assert p != _resultant_product(f, g)
 
 
 # --------------------------------------------------------------------------
@@ -602,3 +630,167 @@ def test_modular_gcd_matches_field_euclid():
                 accepted += 1
                 assert got == want
     assert accepted >= 80
+
+
+# --------------------------------------------------------------------------
+# the integer kernels over the six public kinds: Z, Q, F_p, Z/n, Z[zeta_n], F_q
+
+
+_KERNEL_RINGS = [
+    RingSpec.integers(),
+    RingSpec.rationals(),
+    RingSpec.prime_field(2),
+    RingSpec.prime_field(7),
+    RingSpec.mod_ring(9),
+    RingSpec.mod_ring(12),
+    RingSpec.cyclotomic(3),
+    RingSpec.cyclotomic(8),
+    RingSpec.ext_field(2, 3),
+    RingSpec.ext_field(3, 2),
+]
+
+
+def _reference_power_sums(spec, p, N):
+    """s_1..s_N by Newton's identities on RingSpec ops, one coefficient at a time."""
+    c, out = p.coeffs, []
+    for k in range(1, N + 1):
+        acc = spec.mul_int(c[k], k) if k < len(c) else spec.zero()
+        for i in range(1, min(k, len(c))):
+            acc = spec.add(acc, spec.mul(c[i], out[k - i - 1]))
+        out.append(spec.neg(acc))
+    return out
+
+
+def _assert_payload_type(spec, payload):
+    if spec.kind == "Q":
+        assert type(payload) is Fraction
+    elif spec.kind in ("Fp", "Zn"):
+        assert type(payload) is int and 0 <= payload < spec.n
+    elif spec.kind == "Z":
+        assert type(payload) is int
+    else:
+        assert type(payload) is tuple and len(payload) == len(spec.zero())
+        assert all(type(v) is int for v in payload)
+        if spec.k:
+            assert all(0 <= v < spec.n for v in payload)
+
+
+@st.composite
+def _kernel_case(draw):
+    spec = draw(st.sampled_from(_KERNEL_RINGS))
+    f = WittVector.from_polys(draw(_part(spec, 3)), draw(_part(spec, 2)))
+    g = WittVector.from_polys(draw(_part(spec, 3)), draw(_part(spec, 2)))
+    return spec, f, g, draw(st.integers(2, 4)), draw(st.integers(1, 14))
+
+
+@given(_kernel_case())
+@settings(max_examples=120, deadline=None)
+def test_ghost_matches_reference_recurrence(case):
+    spec, f, _, _, N = case
+    sn, sd = _reference_power_sums(spec, f.num, N), _reference_power_sums(spec, f.den, N)
+    want = tuple(spec.sub(a, b) for a, b in zip(sn, sd))
+    assert ghost(f, N).components == want
+
+
+@given(_kernel_case())
+@settings(max_examples=120, deadline=None)
+def test_results_keep_their_payload_types(case):
+    spec, f, g, n, N = case
+    for h in (witt_mul(f, g), witt_add(f, g), frobenius(n, f), f * WittVector.one(spec)):
+        for payload in h.num.coeffs + h.den.coeffs:
+            _assert_payload_type(spec, payload)
+    for payload in ghost(f, N).components:
+        _assert_payload_type(spec, payload)
+    for payload in (f.num * g.den).coeffs:
+        _assert_payload_type(spec, payload)
+
+
+_Q = RingSpec.rationals()
+
+
+@given(_part(_Q, 3), _part(_Q, 3), _part(_Q, 3))
+@settings(max_examples=150, deadline=None)
+def test_rational_normalization_matches_field_euclid(common, a, b):
+    from wittlink.witt import _normalize_field_parts, _normalize_rational_parts
+
+    num, den = common * a, common * b
+    got = _normalize_rational_parts(num, den)
+    assert got == _normalize_field_parts(num, den)
+    for part in got:
+        assert all(type(c) is Fraction for c in part.coeffs)
+
+
+def test_rational_normalization_runs_on_the_integer_route(monkeypatch):
+    # the common factor 1 - t/2 is cancelled by the scaled modular gcd, not the Euclid over Q
+    from wittlink import witt
+
+    def unreachable(*args):
+        raise AssertionError("Euclid over Q reached")
+
+    monkeypatch.setattr(witt, "_normalize_field_parts", unreachable)
+    Q = RingSpec.rationals()
+    common = Polynomial.from_payloads(Q, [1, Fraction(-1, 2)])
+    num = common * Polynomial.from_payloads(Q, [1, Fraction(2, 3), Fraction(5, 7)])
+    den = common * Polynomial.from_payloads(Q, [1, Fraction(-3, 4)])
+    f = WittVector.from_polys(num, den)
+    assert f.num.coeffs == (1, Fraction(2, 3), Fraction(5, 7))
+    assert f.den.coeffs == (1, Fraction(-3, 4))
+    assert all(type(c) is Fraction for c in f.num.coeffs + f.den.coeffs)
+
+
+@pytest.mark.parametrize("spec", _KERNEL_RINGS, ids=str)
+def test_newton_kernels_make_no_per_coefficient_ring_calls(monkeypatch, spec):
+    # the power sums and the rebuild run on plain ints or int vectors
+    from wittlink import witt
+
+    f = WittVector.from_polys(
+        Polynomial.from_ints(spec, [1, 2, -1, 3]), Polynomial.from_ints(spec, [1, -2])
+    )
+    g = WittVector.from_polys(Polynomial.from_ints(spec, [1, 1, 5]))
+    want_mul, want_frob, want_ghost = witt_mul(f, g), frobenius(3, f), ghost(f, 9)
+    real_power_sums, real_rebuild = witt._power_sums, witt._from_power_sums
+
+    def forbid(*args):
+        raise AssertionError("RingSpec.add/mul called inside a Newton kernel")
+
+    def guarded(real):
+        def run(*args):
+            with monkeypatch.context() as m:
+                m.setattr(RingSpec, "add", forbid)
+                m.setattr(RingSpec, "mul", forbid)
+                return real(*args)
+
+        return run
+
+    monkeypatch.setattr(witt, "_power_sums", guarded(real_power_sums))
+    monkeypatch.setattr(witt, "_from_power_sums", guarded(real_rebuild))
+    assert witt_mul(f, g) == want_mul
+    assert frobenius(3, f) == want_frob
+    assert ghost(f, 9).components == want_ghost.components
+
+
+# --------------------------------------------------------------------------
+# the bound on the group-ring decoder's search
+
+
+def test_decoding_refuses_a_field_above_the_cap_before_searching(monkeypatch):
+    from wittlink import witt
+    from wittlink.witt import MAX_DECODE_FIELD_SIZE
+
+    def unreachable(poly):
+        raise AssertionError("a candidate was tried")
+
+    F = RingSpec.prime_field(4099)  # the least prime above 2^12
+    assert F.n > MAX_DECODE_FIELD_SIZE
+    f = WittVector.from_ints(F, [1, -5])
+    monkeypatch.setattr(witt, "_roots_with_multiplicity", unreachable)
+    with pytest.raises(DomainViolation, match="limit of 4096 elements"):
+        witt_to_groupring(f)
+    with pytest.raises(DomainViolation):  # 67^2 > 4096, although 67 alone is below the cap
+        witt_to_groupring(WittVector.from_ints(RingSpec.prime_field(67), [1, -5]), 2)
+    with pytest.raises(DomainViolation):  # a huge degree bound is refused without computing p^k
+        witt_to_groupring(WittVector.from_ints(F7, [1, -5]), 10**9)
+    monkeypatch.undo()
+    F4093 = RingSpec.prime_field(4093)  # the largest prime field at the cap still decodes
+    x = GroupRingElement.of(F4093, [(4092, 2), (17, -1)])
+    assert witt_to_groupring(groupring_to_witt(x)) == x
