@@ -19,6 +19,12 @@ multiplying the archimedean coordinate on the adele side by 1/t, with one
 full positive loop (t = p) transporting the fiber coordinate by the
 inverse monodromy on both sides.
 
+psi and the three checks run on plain integer pairs (a, n) at a level
+given once as (P, P^-1 mod m', m'), through one kernel, _psi_residue.
+psi_level and the public checks validate and normalize their point, then
+call the kernels; bridge_compare validates p, m and the p-part budget once
+per report and draws its sample pairs directly.
+
 bridge_compare assembles the structural report: component counts and
 covering degrees of the fiber over a prime computed on both sides, the
 monodromy coset pushed through the restriction character, the vanishing
@@ -105,10 +111,8 @@ def psi_level(x: DeningerPointFL, p_exponent: int | None = None) -> FiniteAdeleF
     if e < 1:
         raise DomainViolation("p-exponent must be >= 1")
     m2 = x.unit.modulus
-    exponent = x.unit.value * x.scale % m2 if m2 > 1 else 0
     P = x.prime**e
-    residue = P * (exponent * _inverse_mod(P, m2) % m2)
-    assert residue % P == 0
+    residue = _psi_residue(P, _inverse_mod(P, m2), m2, x.unit.value, x.scale)
     return FiniteAdeleFL(P * m2, residue, x.prime, e)
 
 
@@ -118,6 +122,52 @@ def _inverse_mod(P: int, m: int) -> int:
     if math.gcd(P, m) != 1:
         raise NotCoprime(f"moduli {P} and {m} share a factor")
     return pow(P, -1, m)
+
+
+# --------------------------------------------------------------------------
+# the integer kernels: psi and the three checks on (a, n) pairs at a level
+# given as P = p^e, inv = P^-1 mod m' and m'.  Callers validate once: p is
+# prime, gcd(p, m') = 1, e >= 1, and n is prime to p (a normalized scale).
+
+
+def _psi_residue(P: int, inv: int, m2: int, a: int, n: int) -> int:
+    """psi(p; a; n) = P * (a*n * P^-1 mod m'), which is 0 when m' = 1."""
+    return P * (a * n * inv % m2)
+
+
+def _frobenius_ok(P: int, inv: int, m2: int, a: int, n: int, k: int) -> bool:
+    """Scaling n by k multiplies the residue by k, compared mod P * m'."""
+    M = P * m2
+    return _psi_residue(P, inv, m2, a, n * k) % M == k * _psi_residue(P, inv, m2, a, n) % M
+
+
+def _galois_ok(P: int, inv: int, m2: int, a: int, n: int, sigma: int) -> bool:
+    """Moving a to a*sigma multiplies the residue by sigma, compared mod P * m'."""
+    M = P * m2
+    return _psi_residue(P, inv, m2, a * sigma % m2, n) % M == sigma * _psi_residue(P, inv, m2, a, n) % M
+
+
+def _anti_ok(p: int, P: int, inv: int, m2: int, a: int, n: int, num: int, den: int) -> bool:
+    """The anti-equivariance check for the flow t = num/den > 0 (need not be reduced)."""
+    # 1/(t*u) against (1/t)*(1/u) at u = 1, each side its own integer
+    # pair, compared by cross-multiplication
+    u_num, u_den = 1, 1
+    flowed_num, flowed_den = num * u_num, den * u_den
+    lhs_num, lhs_den = flowed_den, flowed_num
+    rhs_num, rhs_den = den * u_den, num * u_num
+    if lhs_num * rhs_den != rhs_num * lhs_den:
+        return False  # pragma: no cover - exact integer arithmetic
+    if m2 == 1:
+        return True
+    j = 0
+    while num % p == 0:
+        num //= p
+        j += 1
+    while den % p == 0:
+        den //= p
+        j -= 1
+    shift = pow(p, -j, m2)
+    return _psi_residue(P, inv, m2, a * shift % m2, n) % m2 == shift * _psi_residue(P, inv, m2, a, n) % m2
 
 
 # --------------------------------------------------------------------------
@@ -144,15 +194,19 @@ class CyclCharacter:
         return self.sigma.modulus
 
 
+def _level(x: DeningerPointFL) -> tuple[int, int, int]:
+    """(P, P^-1 mod m', m') of a validated point at its own p-part budget."""
+    P = x.prime**x.p_exponent_budget
+    m2 = x.unit.modulus
+    return P, _inverse_mod(P, m2), m2
+
+
 def check_frobenius_equivariance(x: DeningerPointFL, k: int) -> bool:
     """Scaling the point by k multiplies the residue by k (prime-to-p part)."""
     if k < 1 or math.gcd(k, x.prime) != 1:
         raise DomainViolation("the scaling index must be positive and prime to p")
     x = normalize_point(x)
-    base = psi_level(x)
-    scaled = DeningerPointFL(x.prime, x.unit, x.scale * k, x.p_exponent_budget)
-    lhs = psi_level(scaled)
-    return lhs.residue % lhs.modulus == (k * base.residue) % base.modulus
+    return _frobenius_ok(*_level(x), x.unit.value, x.scale, k)
 
 
 def check_galois_equivariance(x: DeningerPointFL, sigma) -> bool:
@@ -167,12 +221,7 @@ def check_galois_equivariance(x: DeningerPointFL, sigma) -> bool:
     if m2 > 1 and math.gcd(sigma, m2) != 1:
         raise DomainViolation(f"{sigma} is not a unit mod {m2}")
     x = normalize_point(x)
-    base = psi_level(x)
-    moved = DeningerPointFL(
-        x.prime, x.unit.mul(sigma % m2 if m2 > 1 else 0) if m2 > 1 else x.unit, x.scale, x.p_exponent_budget
-    )
-    lhs = psi_level(moved)
-    return lhs.residue % lhs.modulus == (sigma * base.residue) % base.modulus
+    return _galois_ok(*_level(x), x.unit.value, x.scale, sigma)
 
 
 def check_anti_equivariance(x: DeningerPointFL, t) -> bool:
@@ -185,33 +234,10 @@ def check_anti_equivariance(x: DeningerPointFL, t) -> bool:
     """
     if not isinstance(t, Fraction):
         t = Fraction(t)
-    num, den = t.numerator, t.denominator  # reduced, den > 0
-    if num <= 0:
+    if t.numerator <= 0:
         raise DomainViolation("flow increments are positive rationals")
     x = normalize_point(x)
-    # 1/(t*u) against (1/t)*(1/u) at u = 1, each side its own integer
-    # pair, compared by cross-multiplication
-    u_num, u_den = 1, 1
-    flowed_num, flowed_den = num * u_num, den * u_den
-    lhs_num, lhs_den = flowed_den, flowed_num
-    rhs_num, rhs_den = den * u_den, num * u_num
-    if lhs_num * rhs_den != rhs_num * lhs_den:
-        return False  # pragma: no cover - exact integer arithmetic
-    j = 0
-    while num % x.prime == 0:
-        num //= x.prime
-        j += 1
-    while den % x.prime == 0:
-        den //= x.prime
-        j -= 1
-    m2 = x.unit.modulus
-    base = psi_level(x)
-    if m2 == 1:
-        return True
-    transported_unit = x.unit.mul(pow(x.prime, -j, m2))
-    lhs = psi_level(DeningerPointFL(x.prime, transported_unit, x.scale, x.p_exponent_budget))
-    rhs = pow(x.prime, -j, m2) * base.residue % m2
-    return lhs.residue % m2 == rhs
+    return _anti_ok(x.prime, *_level(x), x.unit.value, x.scale, t.numerator, t.denominator)
 
 
 # --------------------------------------------------------------------------
@@ -309,6 +335,8 @@ def bridge_compare(
         raise DomainViolation(f"level {m} must be a multiple of the conductor {c}")
     if math.gcd(p, m) != 1:
         raise NotCoprime(f"level {m} must be coprime to {p}")
+    if p_exponent < 1:
+        raise DomainViolation("the p-part budget must be >= 1")
 
     cc = decompose(cc_fiber(F, p))
     T = deninger_packet(F, p, m)
@@ -319,37 +347,36 @@ def bridge_compare(
     den_mono = Coset.of(pres.level, pres.subgroup, T.monodromy)
     monodromy_match = cc_mono == den_mono
 
+    # psi and the checks run on (a, n) pairs at the one level P * m; the
+    # draw order (each point, then its k, sigma or flow t) fixes the report
+    # for a seed
+    P = p**p_exponent
+    M = P * m
+    inv = _inverse_mod(P, m)
     rng = random.Random(seed)
     units = unit_group(m)
     pool = list(units) if len(units) <= samples else rng.sample(list(units), samples)
     psi_samples = []
     psi_zero_ok = True
     for a in pool:
-        x = DeningerPointFL(p, ModUnit(a, m), 1, p_exponent)
-        r = psi_level(x)
-        psi_zero_ok &= r.residue % r.zero_part == 0
-        psi_samples.append((a, r.residue, r.modulus))
+        residue = _psi_residue(P, inv, m, a, 1)
+        psi_zero_ok &= residue % P == 0
+        psi_samples.append((a, residue, M))
 
-    def random_point() -> DeningerPointFL:
+    def random_point() -> tuple[int, int]:
         a = rng.choice(units)
         n = rng.randint(1, 60)
         while n % p == 0:
             n = rng.randint(1, 60)
-        return DeningerPointFL(p, ModUnit(a, m), n, p_exponent)
+        return a, n
 
     ks = [k for k in range(1, 30) if k % p]
-    frob_ok = all(
-        check_frobenius_equivariance(random_point(), rng.choice(ks)) for _ in range(samples)
-    )
-    galois_ok = all(
-        check_galois_equivariance(random_point(), rng.choice(units)) for _ in range(samples)
-    )
+    frob_ok = all(_frobenius_ok(P, inv, m, *random_point(), rng.choice(ks)) for _ in range(samples))
+    galois_ok = all(_galois_ok(P, inv, m, *random_point(), rng.choice(units)) for _ in range(samples))
     anti_ok = all(
-        check_anti_equivariance(
-            random_point(), Fraction(rng.randint(1, 40), rng.randint(1, 40))
-        )
+        _anti_ok(p, P, inv, m, *random_point(), rng.randint(1, 40), rng.randint(1, 40))
         for _ in range(samples)
-    ) and all(check_anti_equivariance(random_point(), p) for _ in range(3))
+    ) and all(_anti_ok(p, P, inv, m, *random_point(), p, 1) for _ in range(3))
 
     return BridgeReport(
         field_label=F.describe(),
@@ -391,12 +418,12 @@ def level_reduction_compatible(F: AbelianField, p: int, m_small: int, m_big: int
         return False
     if big.deninger_monodromy != small.deninger_monodromy:
         return False
-    e = 1
+    P = p  # p-part budget 1
+    inv_big, inv_small = _inverse_mod(P, m_big), _inverse_mod(P, m_small)
+    M_small = P * m_small
     for a in unit_group(m_big):
-        x_big = DeningerPointFL(p, ModUnit(a, m_big), 1, e)
-        x_small = DeningerPointFL(p, ModUnit(a % m_small, m_small), 1, e)
-        r_big = psi_level(x_big)
-        r_small = psi_level(x_small)
-        if r_big.residue % r_small.modulus != r_small.residue:
+        r_big = _psi_residue(P, inv_big, m_big, a, 1)
+        r_small = _psi_residue(P, inv_small, m_small, a % m_small, 1)
+        if r_big % M_small != r_small:
             return False
     return True

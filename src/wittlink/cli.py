@@ -63,33 +63,46 @@ MAX_LITERAL_DEGREE = 1_000
 # part of degree D = deg f * deg g costs O(D^2), F_n reads n * deg power sums.
 MAX_PRODUCT_DEGREE = 2_500
 MAX_FROBENIUS_DEGREE = 10_000
-# Those n * deg power sums cost O(deg) each.  At n * deg^2 = 200,000 (n =
+# Over a ring with payload vectors of width w (RingSpec.width: phi(n) over
+# --ring C<n>, 1 over every other ring) one coefficient product multiplies
+# two length-w vectors, so _check_work weights the caps by w: the product
+# degree by w (D * w <= 2,500 is D^2 * w^2 <= 2,500^2), the frob and ghost
+# work below by w^2.  The limits over Z stay the degree caps.  At D = 2,500
+# with digits 1-9 the product took 1.5-1.8 s over Z; the worst accepted
+# C<n> input is C1 or C2 (phi = 1) at the same D, 3.3-4.4 s, since their
+# length-1 vectors run at about half the speed of plain integers; C3 at
+# D = 1,250 took 1.1 s.  The first refused C97 product has degree 27
+# (degree 26 takes 0.01 s); the degree-2,500 one, 26-32 s, is refused.
+# F_n's n * deg power sums cost O(deg) each.  At n * deg^2 = 200,000 (n =
 # 500, degree 20, digits 1-9), frob took 0.2-0.3 s over Z and Q, 0.3-0.6 s
-# over Z[zeta_8] and about 1 s over Z[zeta_35] (Python 3.11, one core of an
-# Intel Xeon host).
+# over Z[zeta_8] and about 1 s over Z[zeta_35] before the phi(n)^2 weight;
+# with it the worst accepted C<n> input is C2 at that size, 0.5-0.65 s, and
+# C3 at n = 125 takes 0.1 s (Python 3.11, one core of an Intel Xeon host).
 MAX_FROBENIUS_WORK = 200_000
 # witt ghost computes N power sums at O(deg) each on integers that grow with
-# N.  At N * deg = 200,000 with digits 1-9, ghost took 1.0-1.2 s over Z at
+# N.  At N * deg = 200,000 with digits 1-9, ghost took 0.9-1.2 s over Z at
 # degree 20 and N = 10,000 (refused as too large to render), 1.2-1.3 s over
-# Q and 1.6-2.2 s over Z[zeta_35]; N = 10,000 alone costs about 1 s at
-# degree 1.
+# Q and 1.6-2.2 s over Z[zeta_35] before the phi(n)^2 weight; with it the
+# worst accepted C<n> input is C2 at that size, 1.2 s (also refused as too
+# large to render), and C3 at N = 2,500 takes 0.2 s.  N = 10,000 alone
+# costs about 1 s at degree 1.
 MAX_GHOST_WORK = 200_000
-# --ring C<n> computes on payload vectors of length phi(n), so every
-# coefficient product costs O(phi(n)^2); the level is checked before Phi_n
-# is built.  At n = 97 (phi = 96) a product of degree 2,500 took 26-32 s,
-# ghost at N * deg = 200,000 2.9-3.7 s and frob at n * deg^2 = 200,000
-# 2.1-2.6 s; over Z[zeta_35] the same product took 7 s.
+# --ring C<n> computes on payload vectors of length phi(n); the level is
+# checked before Phi_n is built.  Under the weighted work caps a C97 input
+# may have product degree 26, n * deg^2 21 for frob and N * deg 21 for
+# ghost.
 MAX_CYCLOTOMIC_RING_LEVEL = 100
 # bridge and monodromy enumerate (Z/m)^* at the level m.  The bridge report
 # checks every closed-orbit label in one pass over the level-m packet, so
 # its cost grows with phi(m); the worst case is a prime level with
 # p = 1 mod m and the full cyclotomic field, where both sides have phi(m)
 # components.  At level 199999 with p = 5599973 and --cyclotomic 199999,
-# the text report took 1.0 s and the 3.4 MB JSON report 1.5-1.7 s;
-# --cyclotomic 5 --prime 7 --level 199995 took 0.2 s (timed through
-# cli.main, same host).  monodromy lists every component: at that level
-# and prime it took 1.3-2.0 s as text (1.7 MB) and 1.8-3.0 s as JSON
-# (24 MB); at --level 10000000 it took 13-15 s uncapped.
+# the text report took 1.4-1.5 s and the 3.4 MB JSON report 1.6-1.65 s;
+# --cyclotomic 5 --prime 7 --level 199995 took 0.18-0.19 s (three fresh
+# processes each, timed through cli.main, same host).  monodromy lists
+# every component: at that level and prime it took 1.3-2.0 s as text
+# (1.7 MB) and 1.8-3.0 s as JSON (24 MB); at --level 10000000 it took
+# 13-15 s uncapped.
 MAX_BRIDGE_LEVEL = 200_000
 
 
@@ -309,6 +322,15 @@ def _render(value, to_str=str) -> str:
         ) from exc
 
 
+def _check_work(what: str, work: int, limit: int, spec: RingSpec, power: int) -> None:
+    """Refuse a witt operation whose work, weighted by spec.width**power, exceeds limit."""
+    if spec.width > 1:
+        work *= spec.width**power
+        what = f"{what} times payload width {spec.width}" + ("^2" if power == 2 else "")
+    if work > limit:
+        raise DomainViolation(f"{what} {work} exceeds the limit {limit}")
+
+
 def cmd_witt(ns: argparse.Namespace) -> tuple[int, Output]:
     spec = parse_ring(ns.ring)
     op = ns.witt_op
@@ -320,10 +342,7 @@ def cmd_witt(ns: argparse.Namespace) -> tuple[int, Output]:
         if op == "mul":
             a, b, c, d = f.num.degree, f.den.degree, g.num.degree, g.den.degree
             degree = max(a * c + b * d, a * d + b * c)
-            if degree > MAX_PRODUCT_DEGREE:
-                raise DomainViolation(
-                    f"product degree {degree} exceeds the limit {MAX_PRODUCT_DEGREE}"
-                )
+            _check_work("product degree", degree, MAX_PRODUCT_DEGREE, spec, 1)
         result = witt_add(f, g) if op == "add" else witt_mul(f, g)
         rendered = _render(result)
     elif op == "frob":
@@ -339,10 +358,7 @@ def cmd_witt(ns: argparse.Namespace) -> tuple[int, Output]:
                 f"Frobenius index times degree {degree} exceeds the limit {MAX_FROBENIUS_DEGREE}"
             )
         work = degree * max(f.num.degree, f.den.degree)
-        if work > MAX_FROBENIUS_WORK:
-            raise DomainViolation(
-                f"Frobenius index times degree squared {work} exceeds the limit {MAX_FROBENIUS_WORK}"
-            )
+        _check_work("Frobenius index times degree squared", work, MAX_FROBENIUS_WORK, spec, 2)
         result = frobenius(n, f)
         rendered = _render(result)
     elif op == "ghost":
@@ -352,10 +368,7 @@ def cmd_witt(ns: argparse.Namespace) -> tuple[int, Output]:
             )
         f = parse_witt_literal(ns.args[0], spec)
         work = ns.precision * max(f.num.degree, f.den.degree)
-        if work > MAX_GHOST_WORK:
-            raise DomainViolation(
-                f"ghost precision times degree {work} exceeds the limit {MAX_GHOST_WORK}"
-            )
+        _check_work("ghost precision times degree", work, MAX_GHOST_WORK, spec, 2)
         rendered = _render(ghost(f, ns.precision))
     elif op == "teich":
         if not ns.args[0].lstrip("-").isdigit():

@@ -342,6 +342,16 @@ class RingSpec:
         # the Zn contract promises no general division anyway.
         return self.kind != _KIND_ZN
 
+    @property
+    def width(self) -> int:
+        """Length of a payload vector: phi(n) over Z[zeta_n] and Q(zeta_n),
+        k over F_{p^k} and its lift, 1 over the scalar rings."""
+        if self.kind in (_KIND_C, _KIND_K):
+            return euler_phi(self.n)
+        if self.kind in (_KIND_FQ, _KIND_LIFT):
+            return self.k
+        return 1
+
     def fraction_field(self) -> "RingSpec":
         """Q for Z, Q(zeta_n) for Z[zeta_n]."""
         if self.kind == _KIND_Z:

@@ -286,6 +286,33 @@ def test_bridge_report_dict_is_exact():
         assert residue % 11 == 0 and modulus == 55
 
 
+def test_bridge_checks_catch_a_wrong_psi_kernel(monkeypatch):
+    # a psi that drops the scale n still passes the Galois and flow checks,
+    # which never change n, but scaling by k no longer multiplies by k
+    from wittlink import bridge
+
+    assert bridge_compare(cyclotomic_field(5), 7, 45).match
+    monkeypatch.setattr(bridge, "_psi_residue", lambda P, inv, m2, a, n: P * (a * inv % m2))
+    r = bridge_compare(cyclotomic_field(5), 7, 45)
+    assert dict(r.equivariance_checks) == {"frobenius": False, "galois": True}
+    assert not r.match and not r.to_dict()["match"]
+
+
+def test_bridge_rejects_a_zero_p_exponent_before_any_draw(monkeypatch):
+    from types import SimpleNamespace
+
+    from wittlink import bridge
+
+    def refuse(*args):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(bridge, "random", SimpleNamespace(Random=refuse))
+    monkeypatch.setattr(bridge, "deninger_packet", refuse)
+    for e in (0, -1):
+        with pytest.raises(DomainViolation, match="p-part budget"):
+            bridge_compare(cyclotomic_field(5), 7, 45, p_exponent=e)
+
+
 def test_level_reduction_compatibility():
     assert level_reduction_compatible(quadratic_field_subgroup(5), 11, 5, 15)
     assert level_reduction_compatible(cyclotomic_field(5), 7, 5, 45)
@@ -302,7 +329,7 @@ def test_level_reduction_compatibility():
 BRIDGE_GOLDEN = json.loads(Path(__file__).with_name("bridge_golden.json").read_text())
 
 
-def bridge_level_digest(n: int) -> str:
+def bridge_level_digest(n: int, samples: int = 4, p_exponent: int = 1) -> str:
     reports = []
     for H in all_subgroups(n):
         F = AbelianField(n, H)
@@ -311,10 +338,21 @@ def bridge_level_digest(n: int) -> str:
             if p in ramified_set(F):
                 continue
             for m in sorted({c, second_level(c, p)}):
-                reports.append(bridge_compare(F, p, m, seed=0, samples=4).to_dict())
+                report = bridge_compare(F, p, m, seed=0, samples=samples, p_exponent=p_exponent)
+                reports.append(report.to_dict())
     return hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_bridge_golden_digest(n):
     assert bridge_level_digest(n) == BRIDGE_GOLDEN[str(n)]
+
+
+# the same grid at the CLI's default sample count and at p-part budget 2,
+# captured before psi and the checks ran on integer pairs
+
+
+@pytest.mark.parametrize("key, samples, p_exponent", [("samples=20", 20, 1), ("p_exponent=2", 4, 2)])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_bridge_golden_digest_wider_grid(n, key, samples, p_exponent):
+    assert bridge_level_digest(n, samples, p_exponent) == BRIDGE_GOLDEN[f"{key}/{n}"]

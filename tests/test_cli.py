@@ -287,6 +287,13 @@ BAD_INPUTS = [
      f"error: cyclotomic ring level 101 exceeds the limit {MAX_CYCLOTOMIC_RING_LEVEL}"),
     (["witt", "mul", "1-t", "1-2t", "--ring", "C" + "9" * 5000], 1,
      "error: integer literal of 5000 digits is too long"),
+    (["witt", "mul", "1-t-t^2-t^3", "1" + "".join(f"+t^{k}" for k in range(1, 10)), "--ring", "C97"], 2,
+     f"error: product degree times payload width 96 2592 exceeds the limit {MAX_PRODUCT_DEGREE}"),
+    (["witt", "frob", "4", "1-t^10", "--ring", "C35"], 2,
+     "error: Frobenius index times degree squared times payload width 24^2 230400 exceeds the limit "
+     f"{MAX_FROBENIUS_WORK}"),
+    (["witt", "ghost", "1-2t", "-N", "22", "--ring", "C97"], 2,
+     f"error: ghost precision times degree times payload width 96^2 202752 exceeds the limit {MAX_GHOST_WORK}"),
     (["linking", "--prime", "3", "--level", "0"], 2, "error: 3 divides the level 0"),
     (["bridge", "--prime", "7"], 1, "error: the following arguments are required"),
     (["bridge", "--cyclotomic", "5", "--prime", "7", "--level", "5000005"], 2,
@@ -294,6 +301,30 @@ BAD_INPUTS = [
     (["monodromy", "--side", "cc", "--prime", "3", "--level", "10000000"], 2,
      f"error: monodromy level 10000000 exceeds the limit {MAX_BRIDGE_LEVEL}"),
 ]
+
+
+# the first input each width-weighted witt cap refuses, and the last it
+# accepts: the refusal comes before the kernel runs
+WEIGHTED_CAPS = [
+    ("witt_mul", ["witt", "mul", "1-t-t^2-t^3", "1-t^9"], ["witt", "mul", "1-t-t^2", "1-t^13"], "C97"),
+    ("frobenius", ["witt", "frob", "4", "1-t^10"], ["witt", "frob", "3", "1-t^10"], "C35"),
+    ("ghost", ["witt", "ghost", "1-2t", "-N", "22"], ["witt", "ghost", "1-2t", "-N", "21"], "C97"),
+]
+
+
+@pytest.mark.parametrize("kernel, refused, accepted, ring", WEIGHTED_CAPS, ids=[c[0] for c in WEIGHTED_CAPS])
+def test_weighted_witt_caps_refuse_before_work(capsys, monkeypatch, kernel, refused, accepted, ring):
+    from wittlink import cli
+
+    assert run(capsys, *accepted, "--ring", ring)[0] == 0
+    assert run(capsys, *refused, "--ring", "Z")[0] == 0  # the limits over Z are unchanged
+
+    def refuse(*args):
+        raise AssertionError(f"{kernel} ran before the cap refused")
+
+    monkeypatch.setattr(cli, kernel, refuse)
+    code, out, err = run(capsys, *refused, "--ring", ring)
+    assert (code, out) == (2, "") and "exceeds the limit" in err
 
 
 def test_emit_refuses_an_unrenderable_document(capsys):
