@@ -28,8 +28,6 @@ from .rings import (
     format_polynomial,
     is_prime,
     poly_mul,
-    poly_resultant,
-    poly_resultant_det,
     primes_below,
 )
 from .witt import (
@@ -59,8 +57,6 @@ from .cft import (
     artin_symbol,
     at_conductor,
     conductor,
-    crt_combine,
-    cyclotomic_factor_degrees,
     cyclotomic_field,
     legendre,
     linking_hom,
@@ -96,6 +92,12 @@ from .bridge import (
     check_galois_equivariance,
     level_reduction_compatible,
     psi_level,
+)
+from .oracles import (
+    crt_combine,
+    cyclotomic_factor_degrees,
+    poly_resultant,
+    poly_resultant_det,
 )
 
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ of unity.  At level p^e * m' this is the residue
     psi(p; a; n)  =  CRT(0 mod p^e,  a*n mod m').
 
 The two-modulus CRT has the closed form P * (a*n * P^-1 mod m') with
-P = p^e, one cached inverse per (P, m'); cft.crt_combine is its oracle.
+P = p^e, one cached inverse per (P, m'); oracles.crt_combine is its oracle.
 
 The map is checked to commute with inverse-root powering (exponent k
 multiplies the residue by k), with the Galois action (sigma multiplies
@@ -148,17 +148,18 @@ def _galois_ok(P: int, inv: int, m2: int, a: int, n: int, sigma: int) -> bool:
 
 
 def _anti_ok(p: int, P: int, inv: int, m2: int, a: int, n: int, num: int, den: int) -> bool:
-    """The anti-equivariance check for the flow t = num/den > 0 (need not be reduced)."""
-    # 1/(t*u) against (1/t)*(1/u) at u = 1, each side its own integer
-    # pair, compared by cross-multiplication
-    u_num, u_den = 1, 1
-    flowed_num, flowed_den = num * u_num, den * u_den
-    lhs_num, lhs_den = flowed_den, flowed_num
-    rhs_num, rhs_den = den * u_den, num * u_num
-    if lhs_num * rhs_den != rhs_num * lhs_den:
-        return False  # pragma: no cover - exact integer arithmetic
-    if m2 == 1:
-        return True
+    """The anti-equivariance check for the flow t = num/den > 0 (need not be reduced).
+
+    The two transports are computed apart, so a wrong one on either side
+    makes the sides disagree; at m' = 1 both sides are 0.
+    """
+    flowed = _psi_residue(P, inv, m2, a * _flow_transport(p, num, den, m2) % m2, n)
+    moved = _adele_transport(p, den, num, m2) * _psi_residue(P, inv, m2, a, n)
+    return flowed % m2 == moved % m2
+
+
+def _flow_transport(p: int, num: int, den: int, m2: int) -> int:
+    """p^-j mod m', j = v_p(num/den) the net p-power crossings of the flow by num/den."""
     j = 0
     while num % p == 0:
         num //= p
@@ -166,8 +167,17 @@ def _anti_ok(p: int, P: int, inv: int, m2: int, a: int, n: int, num: int, den: i
     while den % p == 0:
         den //= p
         j -= 1
-    shift = pow(p, -j, m2)
-    return _psi_residue(P, inv, m2, a * shift % m2, n) % m2 == shift * _psi_residue(P, inv, m2, a, n) % m2
+    return pow(p, -j, m2)
+
+
+def _adele_transport(p: int, num: int, den: int, m2: int) -> int:
+    """p^v mod m', v = v_p(num/den) the valuation of the archimedean coordinate num/den."""
+    v = 0
+    for x, step in ((num, 1), (den, -1)):
+        while x % p == 0:
+            x //= p
+            v += step
+    return pow(p, v, m2)
 
 
 # --------------------------------------------------------------------------
@@ -227,10 +237,10 @@ def check_galois_equivariance(x: DeningerPointFL, sigma) -> bool:
 def check_anti_equivariance(x: DeningerPointFL, t) -> bool:
     """Flow by t on one side matches flow by 1/t on the other, exactly.
 
-    The archimedean coordinates invert through the bridge; the net p-power
-    crossings j = v_p(t) transport the fiber coordinate by the inverse
-    monodromy on both sides: unit a -> a * p^-j against residue ->
-    p^-j * residue mod m'.
+    The archimedean coordinates invert through the bridge.  The flow side
+    transports the unit a -> a * p^-j by the net p-power crossings
+    j = v_p(t), the adele side the residue -> p^(v_p(1/t)) * residue mod m'
+    by the valuation of the inverted coordinate 1/t.
     """
     if not isinstance(t, Fraction):
         t = Fraction(t)

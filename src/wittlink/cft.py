@@ -10,10 +10,10 @@ element orders, Coset delegates to it, and subgroup_generators decides
 closure from generators; level 1 presents Q itself with the one-element
 unit group (0,), the canonical residue of 1 mod 1.
 
-Two independent routes compute the splitting shape (f, r) of an
-unramified prime p: the order of the Artin coset in the quotient group,
-and a distinct-degree factorization of the n-th cyclotomic polynomial
-over F_p.  Their agreement is one of the acceptance suites.
+The splitting shape (f, r) of an unramified prime p comes from the order
+of its Artin coset in the quotient group; this module holds no polynomial
+code.  Its oracle, a distinct-degree factorization of Phi_n over F_p,
+lives in ``oracles``.
 """
 
 from __future__ import annotations
@@ -27,16 +27,7 @@ from .errors import (
     NotCoprime,
     RamifiedPrime,
 )
-from .rings import (
-    Polynomial,
-    RingSpec,
-    cyclotomic_polynomial,
-    divisors,
-    is_prime,
-    poly_divmod,
-    poly_gcd_monic,
-    poly_pow_mod,
-)
+from .rings import divisors, is_prime
 
 # --------------------------------------------------------------------------
 # elementary pieces
@@ -174,24 +165,6 @@ class QuotientUnitGroup:
 @functools.lru_cache(maxsize=None)
 def quotient_group(modulus: int, subgroup: frozenset) -> QuotientUnitGroup:
     return QuotientUnitGroup(modulus, subgroup)
-
-
-def crt_combine(residues) -> tuple[int, int]:
-    """Combine (value, modulus) pairs with pairwise coprime moduli."""
-    residues = list(residues)
-    if not residues:
-        raise DomainViolation("nothing to combine")
-    value, modulus = residues[0]
-    value %= modulus
-    for v, m in residues[1:]:
-        if math.gcd(modulus, m) != 1:
-            raise NotCoprime(f"moduli {modulus} and {m} share a factor")
-        inv = pow(modulus, -1, m)
-        k = (v - value) * inv % m
-        value = value + modulus * k
-        modulus *= m
-        value %= modulus
-    return value, modulus
 
 
 @dataclass(frozen=True)
@@ -351,23 +324,6 @@ def ramified_set(F: AbelianField) -> frozenset:
     return _prime_divisors(conductor(F))
 
 
-def ramified_set_via_inertia(F: AbelianField) -> frozenset:
-    """Cross-check: p ramifies iff the level-p inertia units leave H."""
-    n = F.level
-    out = set()
-    for p in range(2, n + 1):
-        if n % p or not is_prime(p):
-            continue
-        pe = 1
-        while n % (pe * p) == 0:
-            pe *= p
-        cofactor = n // pe
-        inertia = [u for u in unit_group(n) if u % cofactor == 1 % cofactor]
-        if any(u not in F.subgroup for u in inertia):
-            out.add(p)
-    return frozenset(out)
-
-
 # --------------------------------------------------------------------------
 # cosets, Artin symbols, splitting invariants
 
@@ -428,45 +384,6 @@ def split_invariants(F: AbelianField, p: int) -> SplitData:
     f = art.order
     assert F.degree % f == 0
     return SplitData(p, art, f, F.degree // f, p**f)
-
-
-def cyclotomic_factor_degrees(n: int, p: int) -> tuple[int, int]:
-    """(f, r) from the distinct-degree factorization of Phi_n over F_p.
-
-    Repeated squaring of x^p modulo Phi_n with gcd extraction; no full
-    factorization is materialized.  Independent of the Artin-order route.
-    """
-    if not is_prime(p):
-        raise DomainViolation(f"{p} is not prime")
-    if math.gcd(n, p) != 1:
-        raise NotCoprime(f"{p} divides the level {n}")
-    spec = RingSpec.prime_field(p)
-    A = Polynomial.from_ints(spec, cyclotomic_polynomial(n))
-    x = Polynomial.from_ints(spec, [0, 1])
-    shapes: list[tuple[int, int]] = []
-    cur = poly_divmod(x, A)[1]
-    k = 0
-    while A.degree >= 1:
-        k += 1
-        if k > A.degree // 2 and A.degree > 0 and k > 1:
-            shapes.append((A.degree, 1))
-            break
-        cur = poly_pow_mod(cur, p, A)
-        g = poly_gcd_monic(A, cur - poly_divmod(x, A)[1])
-        if g.degree >= 1:
-            assert g.degree % k == 0
-            shapes.append((k, g.degree // k))
-            A = poly_divmod(A, g)[0]
-            cur = poly_divmod(cur, A)[1] if A.degree >= 1 else cur
-        if A.degree == 0:
-            break
-    if not shapes:
-        shapes.append((1, 1))
-    degrees = {f for f, _ in shapes}
-    assert len(degrees) == 1, f"mixed factor degrees {shapes} for Phi_{n} mod {p}"
-    f = degrees.pop()
-    r = sum(count for _, count in shapes)
-    return f, r
 
 
 # --------------------------------------------------------------------------

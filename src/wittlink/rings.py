@@ -29,20 +29,10 @@ for the scalar kinds; for the vector kinds it sums each coefficient's
 products unreduced and reduces that sum once.  No floating point appears
 anywhere.
 
-Resultants use the convention
-
-    Res(f, g) = lc(f)^deg(g) * prod of g(alpha) over the roots alpha of f
-
-which equals the determinant of the Sylvester matrix built from deg(g)
-rows of f over deg(f) rows of g.  The primary route is a scalar-tracked
-subresultant remainder sequence (exact over any integral domain, controls
-coefficient growth); a division-free Berkowitz determinant of the
-Sylvester matrix backs rings without exact division and serves as an
-independent oracle in the tests.  Both routes run over the base ring or
-over polynomial rings R[t], which serve only the resultant form of the
-Witt product and Frobenius, the oracle of their Newton route: the ops
-object they take is the RingSpec itself, or _PolyRingOps, which gives
-R[t] the same method names.
+``poly_divmod`` and ``poly_gcd_monic`` serve only the Witt normalization
+over F_q and Q(zeta_n) and the F_q decoder; Rabin's test for the F_q
+modulus runs on the ``_dl_*`` lists mod p.  Resultants and the other
+cross-checks live in ``oracles``, which this module never imports.
 """
 
 from __future__ import annotations
@@ -199,6 +189,17 @@ def _dl_divmod(a: list, b: list, p: int = 0) -> tuple[list, list]:
     return _dl_trim(q, p), _dl_trim(r, p)
 
 
+def _dl_powmod(a: list, e: int, m: list, p: int = 0) -> list:
+    """a^e modulo m (trimmed, nonzero) by repeated squaring."""
+    result, base = [1], _dl_divmod(a, m, p)[1]
+    while e:
+        if e & 1:
+            result = _dl_divmod(_dl_mul(result, base, p), m, p)[1]
+        base = _dl_divmod(_dl_mul(base, base, p), m, p)[1]
+        e >>= 1
+    return result
+
+
 def _dl_gcd(a: list, b: list, p: int = 0) -> list:
     """Monic gcd; [] when both arguments are zero."""
     a, b = _dl_trim(list(a), p), _dl_trim(list(b), p)
@@ -249,17 +250,16 @@ def _ext_field_modulus(p: int, k: int) -> tuple[int, ...]:
     """
     if k == 1:
         return (0, 1)
-    F = RingSpec.prime_field(p)
-    x = Polynomial.from_ints(F, [0, 1])
+    x = [0, 1]
     rs = [r for r in range(2, k + 1) if k % r == 0 and is_prime(r)]
     for tail in itertools.product(range(p), repeat=k):
         if tail[0] == 0:
             continue
-        h = Polynomial.from_ints(F, list(tail) + [1])
-        if poly_pow_mod(x, p**k, h) == x and all(
-            poly_gcd_monic(h, poly_pow_mod(x, p ** (k // r), h) - x).degree == 0 for r in rs
+        h = list(tail) + [1]
+        if _dl_powmod(x, p**k, h, p) == x and all(
+            len(_dl_gcd(h, _dl_sub(_dl_powmod(x, p ** (k // r), h, p), x, p), p)) == 1 for r in rs
         ):
-            return h.coeffs
+            return tuple(h)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
@@ -766,12 +766,6 @@ class Polynomial:
             out.pop()
         return Polynomial(s, tuple(out))
 
-    def shift(self, k: int) -> "Polynomial":
-        """Multiply by t^k."""
-        if not self.coeffs:
-            return self
-        return Polynomial(self.spec, (self.spec.zero(),) * k + self.coeffs)
-
     def reversed_coeffs(self) -> "Polynomial":
         """rev(p)(x) = x^deg(p) * p(1/x); requires nonzero constant term."""
         return Polynomial(self.spec, tuple(reversed(self.coeffs)))
@@ -813,296 +807,16 @@ def poly_divmod(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
     return Polynomial.from_payloads(s, q), Polynomial(s, tuple(r))
 
 
-def poly_mod(f: Polynomial, g: Polynomial) -> Polynomial:
-    return poly_divmod(f, g)[1]
-
-
-def poly_pow_mod(f: Polynomial, e: int, m: Polynomial) -> Polynomial:
-    result = Polynomial.one(f.spec)
-    base = poly_mod(f, m)
-    while e:
-        if e & 1:
-            result = poly_mod(result * base, m)
-        base = poly_mod(base * base, m)
-        e >>= 1
-    return result
-
-
 def poly_gcd_monic(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic gcd over a field coefficient ring."""
     if not f.spec.is_field:
         raise UnsupportedRing(f"gcd needs a field, got {f.spec}")
     a, b = f, g
     while not b.is_zero:
-        a, b = b, poly_mod(a, b)
+        a, b = b, poly_divmod(a, b)[1]
     if a.is_zero:
         return a
     return a.scale(a.spec.inv(a.lc))
-
-
-def poly_exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
-    """f / g when g divides f exactly; works over any domain spec."""
-    f._check(g)
-    s = f.spec
-    if g.is_zero:
-        raise DomainViolation("division by the zero polynomial")
-    r = list(f.coeffs)
-    dg = g.degree
-    q = [s.zero()] * max(len(r) - dg, 0)
-    while len(r) - 1 >= dg and r:
-        coef = s.exact_div(r[-1], g.lc)
-        shift = len(r) - 1 - dg
-        q[shift] = coef
-        for i, gc in enumerate(g.coeffs):
-            r[i + shift] = s.sub(r[i + shift], s.mul(coef, gc))
-        while r and s.is_zero(r[-1]):
-            r.pop()
-    if r:
-        raise DomainViolation("inexact polynomial division")
-    return Polynomial.from_payloads(s, q)
-
-
-# --------------------------------------------------------------------------
-# generic resultant machinery over a RingSpec or _PolyRingOps
-
-
-class _PolyRingOps:
-    """Polynomial-over-spec as the coefficient ring R[t], with RingSpec's op names."""
-
-    __slots__ = ("spec",)
-    is_field = False
-
-    def __init__(self, spec: RingSpec):
-        self.spec = spec
-
-    @property
-    def is_domain(self):
-        return self.spec.is_domain
-
-    def zero(self):
-        return Polynomial.zero(self.spec)
-
-    def one(self):
-        return Polynomial.one(self.spec)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def exact_div(self, a, b):
-        return poly_exact_div(a, b)
-
-    def pow_payload(self, a, e):
-        result = self.one()
-        base = a
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def is_zero(self, a):
-        return a.is_zero
-
-    def is_one(self, a):
-        return a.is_one
-
-
-def _lp_trim(c: list, ops) -> list:
-    while c and ops.is_zero(c[-1]):
-        c.pop()
-    return c
-
-
-def _lp_prem(A: list, B: list, ops) -> list:
-    """Pseudo-remainder: lc(B)^(degA-degB+1) * A mod B."""
-    dA, dB = len(A) - 1, len(B) - 1
-    lb = B[-1]
-    lb_is_one = ops.is_one(lb)
-    r = list(A)
-    e = dA - dB + 1
-    while r and len(r) - 1 >= dB:
-        lr = r[-1]
-        shift = len(r) - 1 - dB
-        if not lb_is_one:
-            r = [ops.mul(lb, c) for c in r]
-        for i, bc in enumerate(B):
-            r[i + shift] = ops.sub(r[i + shift], ops.mul(lr, bc))
-        _lp_trim(r, ops)
-        e -= 1
-    if e > 0 and not lb_is_one:
-        f = ops.pow_payload(lb, e)
-        r = [ops.mul(f, c) for c in r]
-    return r
-
-
-def _lp_resultant_prs(A: list, B: list, ops):
-    """Resultant by a scalar-tracked subresultant remainder sequence.
-
-    The recursion Res(A, B) = (-1)^(dA dB) lc(B)^(dA - dR - delta*dB)
-    Res(B, R) with R = prem(A, B), delta = dA - dB + 1, is tracked through
-    exact numerator/denominator scalars, so any exactly-dividing beta may
-    rescale the remainders without touching correctness; the classical
-    subresultant beta keeps coefficient growth polynomial.
-    """
-    sign = 1
-    if len(A) < len(B):
-        if ((len(A) - 1) * (len(B) - 1)) % 2:
-            sign = -sign
-        A, B = B, A
-    if len(B) - 1 == 0:
-        res = ops.pow_payload(B[0], len(A) - 1)
-        return ops.neg(res) if sign < 0 else res
-    num = ops.one()
-    den = ops.one()
-    psi = None
-    prev_gap = None
-    prev_lc = None
-    while True:
-        dA, dB = len(A) - 1, len(B) - 1
-        if dB == 0:
-            base = ops.pow_payload(B[0], dA)
-            break
-        lb = B[-1]
-        R = _lp_prem(A, B, ops)
-        if not R:
-            return ops.zero()
-        dR = len(R) - 1
-        delta = dA - dB + 1
-        if (dA * dB) % 2:
-            sign = -sign
-        e = dA - dR - delta * dB
-        if e >= 0:
-            num = ops.mul(num, ops.pow_payload(lb, e))
-        else:
-            den = ops.mul(den, ops.pow_payload(lb, -e))
-        # subresultant beta for size control
-        gap = dA - dB
-        if psi is None:
-            beta = ops.one() if (gap + 1) % 2 == 0 else ops.neg(ops.one())
-            psi = ops.neg(ops.one())
-        else:
-            if prev_gap == 0:
-                pass  # psi unchanged; only reachable while psi is a sign
-            else:
-                psi = ops.exact_div(ops.pow_payload(ops.neg(prev_lc), prev_gap), ops.pow_payload(psi, prev_gap - 1))
-            beta = ops.neg(ops.mul(prev_lc, ops.pow_payload(psi, gap)))
-        prev_gap = gap
-        prev_lc = lb
-        try:
-            R_small = [ops.exact_div(c, beta) for c in R]
-            num = ops.mul(num, ops.pow_payload(beta, dB))
-            R = R_small
-        except DomainViolation:  # pragma: no cover - beta always divides
-            pass
-        A, B = B, R
-    total = ops.mul(num, base)
-    res = ops.exact_div(total, den)
-    return ops.neg(res) if sign < 0 else res
-
-
-def _sylvester_matrix(A: list, B: list, ops) -> list[list]:
-    m, n = len(A) - 1, len(B) - 1
-    dim = m + n
-    rows = []
-    Ad = list(reversed(A))
-    Bd = list(reversed(B))
-    zero = ops.zero()
-    for i in range(n):
-        rows.append([zero] * i + Ad + [zero] * (dim - m - 1 - i))
-    for i in range(m):
-        rows.append([zero] * i + Bd + [zero] * (dim - n - 1 - i))
-    return rows
-
-
-def _berkowitz_det(M: list[list], ops):
-    """Division-free determinant (Berkowitz); works over any commutative ring."""
-    n = len(M)
-    if n == 0:
-        return ops.one()
-    V = [ops.one(), ops.neg(M[0][0])]
-    for r in range(1, n):
-        row = M[r][:r]
-        col = [M[i][r] for i in range(r)]
-        sums = []
-        vec = col
-        for j in range(r):
-            acc = ops.zero()
-            for x, y in zip(row, vec):
-                acc = ops.add(acc, ops.mul(x, y))
-            sums.append(acc)
-            if j < r - 1:
-                vec = [
-                    functools.reduce(
-                        ops.add,
-                        (ops.mul(M[i][t], vec[t]) for t in range(r)),
-                        ops.zero(),
-                    )
-                    for i in range(r)
-                ]
-        toep = [ops.one(), ops.neg(M[r][r])] + [ops.neg(s) for s in sums]
-        V_new = []
-        for i in range(r + 2):
-            acc = ops.zero()
-            for j in range(len(V)):
-                k = i - j
-                if 0 <= k < len(toep):
-                    acc = ops.add(acc, ops.mul(toep[k], V[j]))
-            V_new.append(acc)
-        V = V_new
-    det = V[n]
-    return det if n % 2 == 0 else ops.neg(det)
-
-
-def _lp_resultant_det(A: list, B: list, ops):
-    return _berkowitz_det(_sylvester_matrix(A, B, ops), ops)
-
-
-def _lp_resultant(A: list, B: list, ops):
-    A = _lp_trim(list(A), ops)
-    B = _lp_trim(list(B), ops)
-    if not A and not B:
-        raise DomainViolation("resultant of two zero polynomials")
-    if not A or not B:
-        return ops.zero()
-    if len(A) == 1 and len(B) == 1:
-        return ops.one()
-    if ops.is_domain:
-        return _lp_resultant_prs(A, B, ops)
-    return _lp_resultant_det(A, B, ops)
-
-
-def poly_resultant(f: Polynomial, g: Polynomial) -> RingElement:
-    """Res(f, g) over the shared coefficient ring.
-
-    Convention: Res(f, g) = lc(f)^deg(g) * product of g over the roots of
-    f, the Sylvester determinant with deg(g) rows of f on top.  Returns 0
-    when one argument is the zero polynomial; rejects two zeros.
-    """
-    f._check(g)
-    return RingElement(f.spec, _lp_resultant(list(f.coeffs), list(g.coeffs), f.spec))
-
-
-def poly_resultant_det(f: Polynomial, g: Polynomial) -> RingElement:
-    """Sylvester-determinant route; independent cross-check of poly_resultant."""
-    f._check(g)
-    s = f.spec
-    A = _lp_trim(list(f.coeffs), s)
-    B = _lp_trim(list(g.coeffs), s)
-    if not A and not B:
-        raise DomainViolation("resultant of two zero polynomials")
-    if not A or not B:
-        return RingElement(s, s.zero())
-    return RingElement(s, _lp_resultant_det(A, B, s))
 
 
 # --------------------------------------------------------------------------

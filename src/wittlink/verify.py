@@ -7,7 +7,9 @@ VerifyConfig; the command line and the test suite both call into here so
 they can never drift apart.
 
 All randomness flows from the seed through random.Random; all comparisons
-are exact (integers, tuples, cross-multiplied polynomial identities).
+are exact (integers, tuples, cross-multiplied polynomial identities).  The
+independent routes the suites compare against come from ``oracles``, which
+no other module of the package imports.
 """
 
 from __future__ import annotations
@@ -30,19 +32,17 @@ from .cft import (
     ModUnit,
     all_subgroups,
     conductor,
-    cyclotomic_factor_degrees,
     cyclotomic_field,
     ramified_set,
     split_invariants,
     unit_group,
 )
+from .oracles import _resultant_frobenius, _resultant_product, cyclotomic_factor_degrees
 from .orbits import DeningerPointFL, reciprocity_row
 from .rings import (
     Polynomial,
     RingElement,
     RingSpec,
-    _PolyRingOps,
-    _lp_resultant,
     euler_phi,
     primes_below,
 )
@@ -115,86 +115,6 @@ def _random_witt(rng: random.Random, spec: RingSpec, max_deg: int = 4, bound: in
 
 # --------------------------------------------------------------------------
 # criterion 1: ring laws, direct and through the ghost oracle
-
-
-def _star_polys_resultant(p: Polynomial, q: Polynomial) -> Polynomial:
-    """The star product as Res_y(p~, q): the oracle of the Newton route.
-
-    p~(y) = sum p_rev[i] t^(d-i) y^i is monic in y with roots t*a_i, so the
-    resultant equals prod q(t*a_i) without any sign correction; q keeps
-    constant (t-degree 0) coefficients, which keeps the remainder sequence
-    cheap.
-    """
-    spec = p.spec
-    d, e = p.degree, q.degree
-    if d <= 0 or e <= 0:
-        return Polynomial.one(spec)
-    pops = _PolyRingOps(spec)
-    zero = spec.zero()
-    rev = list(reversed(p.coeffs))  # rev[i] = coefficient of y^i in rev(p)
-    A = [Polynomial.from_payloads(spec, [zero] * (d - i) + [rev[i]]) for i in range(d + 1)]
-    B = [Polynomial.constant(spec, c) for c in q.coeffs]
-    res = _lp_resultant(A, B, pops)
-    return _rescale_constant_to_one(res)
-
-
-def _power_roots_resultant(p: Polynomial, n: int) -> Polynomial:
-    """F_n on one part by a resultant: the oracle of the Newton route.
-
-    rev(p) is reduced modulo the monic y^n - u (substituting y^n -> u), a
-    small resultant in u finishes, and reversing u-coefficients with the
-    sign (-1)^d turns prod (a_i^n - u) into prod (1 - a_i^n t).
-    """
-    spec = p.spec
-    d = p.degree
-    if d <= 0:
-        return Polynomial.one(spec)
-    if n == 1:
-        return p
-    pops = _PolyRingOps(spec)
-    zero = spec.zero()
-    rev = list(reversed(p.coeffs))
-    # rev(p) mod (y^n - u): y^(q*n + r) contributes u^q to the y^r slot
-    width = d // n + 1
-    buckets = [[zero] * width for _ in range(min(n, d + 1))]
-    for i, c in enumerate(rev):
-        buckets[i % n][i // n] = spec.add(buckets[i % n][i // n], c)
-    R = [Polynomial.from_payloads(spec, b) for b in buckets]
-    B = [Polynomial.from_ints(spec, [0, -1])] + [Polynomial.zero(spec)] * (n - 1) + [
-        Polynomial.one(spec)
-    ]
-    res = _lp_resultant(B, R, pops)  # Res(y^n - u, rev(p) mod (y^n - u))
-    if (d * n) % 2:
-        res = -res
-    g = list(res.coeffs) + [zero] * (d + 1 - len(res.coeffs))
-    out = [g[d - m] for m in range(d + 1)]
-    if d % 2:
-        out = [spec.neg(c) for c in out]
-    return _rescale_constant_to_one(Polynomial.from_payloads(spec, out))
-
-
-def _rescale_constant_to_one(poly: Polynomial) -> Polynomial:
-    spec = poly.spec
-    c0 = poly.constant_term
-    if spec.is_one(c0):
-        return poly
-    return poly.scale(spec.inv(c0))
-
-
-def _resultant_product(f: WittVector, g: WittVector) -> WittVector:
-    """f (x) g by the R[t][y] resultants, independent of the Newton route."""
-    star = _star_polys_resultant
-    return WittVector.from_polys(
-        star(f.num, g.num) * star(f.den, g.den),
-        star(f.num, g.den) * star(f.den, g.num),
-        normalize=False,
-    )
-
-
-def _resultant_frobenius(n: int, f: WittVector) -> WittVector:
-    return WittVector.from_polys(
-        _power_roots_resultant(f.num, n), _power_roots_resultant(f.den, n), normalize=False
-    )
 
 
 def criterion_witt_ring_laws(seed: int, samples: int = 200, precision: int = 12) -> SuiteResult:

@@ -30,7 +30,7 @@ inside the recurrence.  Over the vector rings (Z[zeta_n], F_q and its
 lift) each coefficient's products are summed unreduced and reduced once
 by the modulus.
 
-Criterion 1 holds both routes against the resultant forms in ``verify``.
+Criterion 1 holds both routes against the resultant forms in ``oracles``.
 
 Equality never relies on normal forms: f == g iff
 f.num * g.den == g.num * f.den, valid because denominators with constant
@@ -361,17 +361,6 @@ def witt_add(f: WittVector, g: WittVector) -> WittVector:
 def witt_neg(f: WittVector) -> WittVector:
     """Additive inverse: the reciprocal series, again rational."""
     return WittVector(f.spec, f.den, f.num)
-
-
-def _star_polys(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Polynomial with inverse roots {a*b} for a over p, b over q.
-
-    The ghost map is a ring homomorphism, so its power sums are
-    s_k(p) * s_k(q) for k = 1..deg p * deg q; Newton's identities rebuild it.
-    """
-    R = _newton_ring(p.spec)
-    D = p.degree * q.degree
-    return _star(p.spec, R, _part_sums(p, D, R), _part_sums(q, D, R))
 
 
 def _power_roots(p: Polynomial, n: int) -> Polynomial:

@@ -25,7 +25,6 @@ from wittlink.cft import (
     all_subgroups,
     at_conductor,
     conductor,
-    crt_combine,
     cyclotomic_field,
     quadratic_field_subgroup,
     ramified_set,
@@ -33,6 +32,7 @@ from wittlink.cft import (
     unit_group,
 )
 from wittlink.errors import DomainViolation, NotCoprime, RamifiedPrime
+from wittlink.oracles import crt_combine
 from wittlink.orbits import DeningerPointFL, normalize_point
 from wittlink.rings import primes_below
 from wittlink.verify import second_level
@@ -199,6 +199,19 @@ def _points_and_flows(draw):
 def test_anti_equivariance_matches_fraction_oracle(case):
     x, t = case
     assert check_anti_equivariance(x, t) is _anti_equivariance_oracle(x, t) is True
+
+
+@pytest.mark.parametrize("side", ["_flow_transport", "_adele_transport"])
+def test_anti_equivariance_catches_a_wrong_transport_on_one_side(monkeypatch, side):
+    # the two sides are computed apart: moving one transport by + 1 must fail
+    # the check for every flow, including t = 1 and one full loop t = p
+    from wittlink import bridge
+
+    right = getattr(bridge, side)
+    monkeypatch.setattr(bridge, side, lambda p, num, den, m2: right(p, num, den, m2) + 1)
+    x = DeningerPointFL(3, ModUnit(2, 5), 1)
+    for t in (1, 3, Fraction(9, 2), Fraction(2, 27)):
+        assert not check_anti_equivariance(x, t)
 
 
 @given(st.sampled_from([0, -3, Fraction(-1, 2), Fraction(0, 7)]))

@@ -13,14 +13,11 @@ from wittlink.cft import (
     artin_symbol,
     at_conductor,
     conductor,
-    crt_combine,
-    cyclotomic_factor_degrees,
     cyclotomic_field,
     legendre,
     linking_hom,
     quadratic_field_subgroup,
     ramified_set,
-    ramified_set_via_inertia,
     rationals_field,
     split_invariants,
     subgroup_generated,
@@ -28,6 +25,7 @@ from wittlink.cft import (
     unit_group,
 )
 from wittlink.errors import DomainViolation, NotCoprime, RamifiedPrime
+from wittlink.oracles import crt_combine, cyclotomic_factor_degrees, ramified_set_via_inertia
 from wittlink.rings import euler_phi, primes_below
 
 

@@ -17,13 +17,13 @@ from wittlink.rings import (
     _dl_divmod,
     _dl_gcd,
     _dl_invmod,
+    _ext_field_modulus,
     poly_divmod,
     poly_gcd_monic,
-    poly_mod,
     poly_mul,
-    poly_resultant,
-    poly_resultant_det,
 )
+from wittlink.oracles import poly_resultant, poly_resultant_det
+from wittlink.witt import MAX_DECODE_FIELD_SIZE
 
 Z = RingSpec.integers()
 Q = RingSpec.rationals()
@@ -164,9 +164,65 @@ def test_dense_list_kernel_matches_polynomial(p, a, b):
     if g.degree >= 1:
         inv = _dl_invmod(A, B, p)
         if gcd.degree == 0:
-            assert poly_mod(Polynomial.from_payloads(spec, inv) * f, g) == Polynomial.one(spec)
+            assert poly_divmod(Polynomial.from_payloads(spec, inv) * f, g)[1] == Polynomial.one(spec)
         else:
             assert inv is None
+
+
+# --------------------------------------------------------------------------
+# the F_q modulus: Rabin's test on the dense-list kernel
+
+
+# the lexicographically least monic irreducible of degree k over F_p, for
+# every field of the decoder (k >= 2, p^k <= MAX_DECODE_FIELD_SIZE = 4096)
+EXT_FIELD_MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 0, 1, 1),
+    (2, 4): (1, 0, 0, 1, 1),
+    (2, 5): (1, 0, 0, 1, 0, 1),
+    (2, 6): (1, 0, 0, 0, 0, 1, 1),
+    (2, 7): (1, 0, 0, 0, 0, 0, 1, 1),
+    (2, 8): (1, 0, 0, 0, 1, 1, 0, 1, 1),
+    (2, 9): (1, 0, 0, 0, 0, 0, 0, 0, 1, 1),
+    (2, 10): (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+    (2, 11): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1),
+    (2, 12): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 0, 2, 1),
+    (3, 4): (1, 0, 1, 1, 1),
+    (3, 5): (1, 0, 0, 0, 2, 1),
+    (3, 6): (1, 0, 0, 0, 1, 1, 1),
+    (3, 7): (1, 0, 0, 0, 0, 1, 2, 1),
+    (5, 2): (1, 1, 1),
+    (5, 3): (1, 0, 1, 1),
+    (5, 4): (1, 0, 1, 1, 1),
+    (5, 5): (1, 0, 0, 0, 4, 1),
+    (7, 2): (1, 0, 1),
+    (7, 3): (1, 0, 1, 1),
+    (7, 4): (1, 0, 0, 1, 1),
+    (11, 2): (1, 0, 1),
+    (11, 3): (1, 0, 4, 1),
+    (13, 2): (1, 3, 1),
+    (13, 3): (1, 0, 4, 1),
+    (17, 2): (1, 1, 1),
+    (19, 2): (1, 0, 1),
+    (23, 2): (1, 0, 1),
+    (29, 2): (1, 1, 1),
+    (31, 2): (1, 0, 1),
+    (37, 2): (1, 3, 1),
+    (41, 2): (1, 1, 1),
+    (43, 2): (1, 0, 1),
+    (47, 2): (1, 0, 1),
+    (53, 2): (1, 1, 1),
+    (59, 2): (1, 0, 1),
+    (61, 2): (1, 5, 1),
+}
+
+
+def test_ext_field_moduli_match_the_table():
+    fields = [(p, k) for p in primes_below(MAX_DECODE_FIELD_SIZE + 1) for k in range(2, 13)
+              if p**k <= MAX_DECODE_FIELD_SIZE]
+    assert {(p, k): _ext_field_modulus(p, k) for p, k in fields} == EXT_FIELD_MODULI
 
 
 # --------------------------------------------------------------------------
