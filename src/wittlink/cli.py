@@ -106,15 +106,6 @@ MAX_CYCLOTOMIC_RING_LEVEL = 100
 MAX_BRIDGE_LEVEL = 200_000
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs shared by table and grid commands."""
-
-    max_prime: int = 100
-    cyclotomic_bound: int = 40
-    seed: int = 20240901
-
-
 # --------------------------------------------------------------------------
 # literal parsing
 
@@ -529,10 +520,15 @@ def _reciprocity_pairs(bound: int) -> list[tuple[int, int]]:
     return [(p, q) for p in odd for q in odd if p != q]
 
 
-def cmd_reciprocity(ns: argparse.Namespace, cfg: RunConfig) -> tuple[int, Output]:
-    if cfg.max_prime < 5:
-        raise DomainViolation("--max-prime must be at least 5")
-    rows = [reciprocity_row(p, q) for p, q in _reciprocity_pairs(cfg.max_prime)]
+def _check_max_prime(ns: argparse.Namespace) -> None:
+    # 6 is the least bound below which two odd primes lie: the pair (3, 5)
+    if ns.max_prime < 6:
+        raise DomainViolation(f"--max-prime must be at least 6, got {ns.max_prime}")
+
+
+def cmd_reciprocity(ns: argparse.Namespace) -> tuple[int, Output]:
+    _check_max_prime(ns)
+    rows = [reciprocity_row(p, q) for p, q in _reciprocity_pairs(ns.max_prime)]
     disagreements = [r for r in rows if not r.agree]
     payload = [
         {
@@ -553,7 +549,7 @@ def cmd_reciprocity(ns: argparse.Namespace, cfg: RunConfig) -> tuple[int, Output
     text.append(f"{len(rows)} rows, {len(disagreements)} disagreements")
     out = Output(
         command="reciprocity",
-        config={"max_prime": cfg.max_prime},
+        config={"max_prime": ns.max_prime},
         payload_key="rows",
         payload=payload,
         verdict="pass" if not disagreements else "fail",
@@ -564,11 +560,11 @@ def cmd_reciprocity(ns: argparse.Namespace, cfg: RunConfig) -> tuple[int, Output
     return (0 if not disagreements else 3), out
 
 
-def cmd_bridge(ns: argparse.Namespace, cfg: RunConfig) -> tuple[int, Output]:
+def cmd_bridge(ns: argparse.Namespace) -> tuple[int, Output]:
     if ns.level > MAX_BRIDGE_LEVEL:
         raise DomainViolation(f"bridge level {ns.level} exceeds the limit {MAX_BRIDGE_LEVEL}")
     F = parse_field(ns)
-    report = bridge_compare(F, ns.prime, ns.level, seed=cfg.seed)
+    report = bridge_compare(F, ns.prime, ns.level, seed=ns.seed)
     doc = report.to_dict()
     text = [
         f"field {report.field_label}, prime {report.prime}, level {report.level} "
@@ -586,7 +582,7 @@ def cmd_bridge(ns: argparse.Namespace, cfg: RunConfig) -> tuple[int, Output]:
     ]
     out = Output(
         command="bridge",
-        config={"field": report.field_label, "prime": ns.prime, "level": ns.level, "seed": cfg.seed},
+        config={"field": report.field_label, "prime": ns.prime, "level": ns.level, "seed": ns.seed},
         payload_key="report",
         payload=doc,
         verdict="pass" if report.match else "fail",
@@ -602,20 +598,32 @@ def cmd_bridge(ns: argparse.Namespace, cfg: RunConfig) -> tuple[int, Output]:
     return (0 if report.match else 3), out
 
 
-def cmd_verify_all(ns: argparse.Namespace, cfg: RunConfig) -> tuple[int, Output]:
+_SAMPLE_FLAGS = ("witt_samples", "descent_samples", "equivariance_cases", "roundtrip_samples")
+
+
+def cmd_verify_all(ns: argparse.Namespace) -> tuple[int, Output]:
+    # every limit is checked before any suite runs: a grid that is empty
+    # would pass with 0 checks
+    if ns.cyclotomic_bound < 1:
+        raise DomainViolation(f"--cyclotomic-bound must be at least 1, got {ns.cyclotomic_bound}")
+    _check_max_prime(ns)
     # a reduced cyclotomic bound is quick mode: scale the randomized suites
     # down too unless they were set explicitly
-    quick = cfg.cyclotomic_bound < 40
-    defaults = VerifyConfig.quick() if quick else VerifyConfig()
+    defaults = VerifyConfig.quick() if ns.cyclotomic_bound < 40 else VerifyConfig()
+    counts = {}
+    for name in _SAMPLE_FLAGS:
+        value = getattr(ns, name)
+        if value is None:
+            value = getattr(defaults, name)
+        elif value < 1:
+            raise DomainViolation(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+        counts[name] = value
     vcfg = VerifyConfig(
-        seed=cfg.seed,
-        cyclotomic_bound=cfg.cyclotomic_bound,
-        max_prime=cfg.max_prime if cfg.max_prime <= 50 else 50,
-        reciprocity_prime_bound=cfg.max_prime,
-        witt_samples=ns.witt_samples or defaults.witt_samples,
-        descent_samples=ns.descent_samples or defaults.descent_samples,
-        equivariance_cases=ns.equivariance_cases or defaults.equivariance_cases,
-        roundtrip_samples=ns.roundtrip_samples or defaults.roundtrip_samples,
+        seed=ns.seed,
+        cyclotomic_bound=ns.cyclotomic_bound,
+        max_prime=min(ns.max_prime, 50),
+        reciprocity_prime_bound=ns.max_prime,
+        **counts,
     )
     results = run_all(vcfg)
     all_pass = all(r.passed for r in results)
@@ -720,11 +728,6 @@ def main(argv: list | None = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-        cfg = RunConfig(
-            max_prime=getattr(ns, "max_prime", 100),
-            cyclotomic_bound=getattr(ns, "cyclotomic_bound", 40),
-            seed=ns.seed,
-        )
         if ns.command == "witt":
             code, out = cmd_witt(ns)
         elif ns.command == "field":
@@ -734,11 +737,11 @@ def main(argv: list | None = None) -> int:
         elif ns.command == "monodromy":
             code, out = cmd_monodromy(ns)
         elif ns.command == "reciprocity":
-            code, out = cmd_reciprocity(ns, cfg)
+            code, out = cmd_reciprocity(ns)
         elif ns.command == "bridge":
-            code, out = cmd_bridge(ns, cfg)
+            code, out = cmd_bridge(ns)
         else:
-            code, out = cmd_verify_all(ns, cfg)
+            code, out = cmd_verify_all(ns)
         _emit(out, ns.format)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

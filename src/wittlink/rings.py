@@ -353,17 +353,13 @@ class RingSpec:
         return 1
 
     def fraction_field(self) -> "RingSpec":
-        """Q for Z, Q(zeta_n) for Z[zeta_n]."""
-        if self.kind == _KIND_Z:
-            return RingSpec.rationals()
+        """Q(zeta_n) for Z[zeta_n]."""
         if self.kind == _KIND_C:
             return RingSpec(_KIND_K, self.n)
         raise UnsupportedRing(f"no fraction field kept for {self}")
 
     def from_fraction_field(self, payload):
-        """The payload of Z or Z[zeta_n] equal to one of its fraction field, or None."""
-        if self.kind == _KIND_Z:
-            return int(payload) if payload.denominator == 1 else None
+        """The payload of Z[zeta_n] equal to one of Q(zeta_n), or None."""
         if any(v.denominator != 1 for v in payload):
             return None
         return tuple(int(v) for v in payload)

@@ -219,20 +219,12 @@ def _random_cyclotomic_witt(rng: random.Random, spec: RingSpec, rational: bool) 
 
 
 def _orbit_product(spec: RingSpec, seed_unit: int) -> WittVector:
+    """prod over the units k of (1 - zeta^(seed*k) t): a product over a Galois orbit."""
     n = spec.n
+    zeta = spec.canon(tuple(1 if i == 1 else 0 for i in range(len(spec.zero()))))
     num = Polynomial.one(spec)
     for k in unit_group(n):
-        zeta_k = spec.canon(tuple(1 if i == 1 else 0 for i in range(len(spec.zero()))))
-        # (1 - zeta^(seed*k) t): build zeta^(seed*k) by repeated multiplication
-        e = seed_unit * k % n
-        power = spec.one()
-        base = zeta_k
-        ee = e
-        while ee:
-            if ee & 1:
-                power = spec.mul(power, base)
-            base = spec.mul(base, base)
-            ee >>= 1
+        power = spec.pow_payload(zeta, seed_unit * k % n)
         num = num * Polynomial.from_payloads(spec, [spec.one(), spec.neg(power)])
     return WittVector.from_polys(num)
 

@@ -37,17 +37,17 @@ f.num * g.den == g.num * f.den, valid because denominators with constant
 term 1 are power-series units.
 
 Normalization divides num and den by their gcd, scaled to constant term
-1.  Over F_p and F_q that gcd is taken directly.  Over Q both parts are
-scaled by one L to Z[t] and take the Z route below, unscaled after; the
-Euclid over Q runs only when that route returns None.  Over Z and
-Z[zeta_n] one route serves both: a probe first maps the parts onto F_q
-(c -> c mod q, or zeta -> omega, a root of Phi_n mod a prime q = 1 mod n)
-and a constant gcd there proves them coprime.  Otherwise, over Z, the
-gcds modulo the probe primes are lifted (by CRT) and kept when they
-divide both parts exactly; failing that, the gcd is taken over the
-fraction field (Q or Q(zeta_n)), and the reduced parts are kept only if
-they are integral, which over Z always holds.  Over Z/n the parts are
-left as given.
+1.  Over Z, Q and F_p one routine does it on int lists, Q entering scaled
+by t -> Lt (unscaled after).  Over Z and Q the gcds modulo two probe
+primes are lifted (by CRT) and kept when they divide both parts exactly;
+failing that, the Euclid over Q runs on the same lists.  Over F_p the gcd
+is taken mod p.  The gcd, scaled to constant term 1, is integral (Gauss's
+lemma) and leads the reversed lists with 1, so dividing those keeps the
+quotients ints.  Over Z[zeta_n] a probe maps the parts onto F_q (zeta ->
+omega, a root of Phi_n mod a prime q = 1 mod n), where a constant gcd
+proves them coprime; otherwise the gcd over Q(zeta_n) reduces them, kept
+only when integral.  Over F_q the gcd is taken directly; over Z/n the
+parts are left as given.
 """
 
 from __future__ import annotations
@@ -128,40 +128,18 @@ def _probe_coprime(num: Polynomial, den: Polynomial) -> bool:
 
 
 def _normalize_field_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Divide both parts by their gcd, scaled to constant term 1."""
-    spec = num.spec
-    if spec.kind in (_KIND_Q, _KIND_FP):  # scalar payloads: the list kernel
-        p = spec.n
-        g = _dl_gcd(num.coeffs, den.coeffs, p)
-        if len(g) <= 1:
-            return num, den
-        inv = _dl_inv(g[0], p)
-        g = _dl_trim([c * inv for c in g], p)
-        return (
-            Polynomial.from_payloads(spec, _dl_divmod(num.coeffs, g, p)[0]),
-            Polynomial.from_payloads(spec, _dl_divmod(den.coeffs, g, p)[0]),
-        )
+    """Divide both parts by their gcd, scaled to constant term 1, over F_q or Q(zeta_n)."""
     g = poly_gcd_monic(num, den)
     if g.degree <= 0:
         return num, den
-    g = g.scale(spec.inv(g.constant_term))
+    g = g.scale(num.spec.inv(g.constant_term))
     return poly_divmod(num, g)[0], poly_divmod(den, g)[0]
 
 
-def _normalize_domain_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Reduce over Z or Z[zeta_n]: probe, then the fraction-field gcd.
-
-    Over Z the probe is the modular gcd, which also certifies coprime
-    parts (a gcd of degree 0 modulo a probe prime).  The reduced parts are
-    kept only when they are integral, which over Z always holds (Gauss's
-    lemma).
-    """
+def _normalize_cyclotomic_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Reduce over Z[zeta_n]: the probe, then the gcd over Q(zeta_n), kept when integral."""
     spec = num.spec
-    if spec.kind == _KIND_Z:
-        reduced = _modular_gcd_parts(num, den)
-        if reduced is not None:
-            return reduced
-    elif _probe_coprime(num, den):
+    if _probe_coprime(num, den):
         return num, den
     field = spec.fraction_field()
     qn, qd = _normalize_field_parts(
@@ -174,8 +152,28 @@ def _normalize_domain_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomia
     return Polynomial(spec, cn), Polynomial(spec, cd)
 
 
-def _modular_gcd_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial] | None:
-    """Reduce over Z by gcds modulo the probe primes, or None when they do not lift.
+def _constant_one(g: list, p: int) -> list:
+    """g (g(0) != 0) scaled to constant term 1, as ints mod p, or over Z when p = 0.
+
+    Over Z this needs the scaled g to be integral, as every gcd taken here
+    is: both parts have constant term 1 (Gauss's lemma).
+    """
+    inv = _dl_inv(g[0], p)
+    return _dl_trim([int(c * inv) for c in g], p)
+
+
+def _divide_out(a: list, g: list, p: int = 0) -> list | None:
+    """a / g for g with g(0) = 1 when g divides a exactly (mod p when p > 0), else None.
+
+    The reversed g leads with 1, so the division of the reversed lists
+    keeps ints as ints.
+    """
+    quo, rem = _dl_divmod(a[::-1], g[::-1], p)
+    return None if rem else quo[::-1]
+
+
+def _modular_gcd_parts(a: list, b: list) -> tuple[list, list] | None:
+    """Reduce int lists by gcds modulo the probe primes, or None when they do not lift.
 
     With both leading coefficients nonzero mod q, deg(gcd mod q) >=
     deg(gcd over Q).  The gcd mod q, scaled to constant term 1 (combined
@@ -184,14 +182,11 @@ def _modular_gcd_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Po
     over Z; a common divisor of that degree is the gcd.  A constant gcd
     mod q thus proves the parts coprime.
     """
-    a, b = num.coeffs, den.coeffs
     g, m = [], 1
     for q, _ in _probe_primes(1):
         if not (a[-1] % q and b[-1] % q):
             continue
-        h = _dl_gcd(a, b, q)
-        inv = pow(h[0], -1, q)  # h divides num mod q and num(0) = 1
-        h = [c * inv % q for c in h]
+        h = _constant_one(_dl_gcd(a, b, q), q)  # h divides a mod q and a(0) = 1
         if not g or len(h) < len(g):  # a larger degree marks an unlucky prime
             g, m = h, q
         elif len(h) == len(g):
@@ -201,55 +196,27 @@ def _modular_gcd_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Po
         else:
             continue
         if len(g) == 1:
-            return num, den
+            return a, b
         lift = [c - m if 2 * c > m else c for c in g]
-        qa, qb = _series_quotient(a, lift), _series_quotient(b, lift)
+        qa, qb = _divide_out(a, lift), _divide_out(b, lift)
         if qa is not None and qb is not None:
-            return Polynomial(num.spec, tuple(qa)), Polynomial(num.spec, tuple(qb))
+            return qa, qb
     return None
 
 
-def _normalize_rational_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Reduce over Q through the Z route, falling back to the Euclid over Q.
+def _normalize_lists(a: list, b: list, p: int) -> tuple[list, list]:
+    """a / g and b / g for g = gcd(a, b) scaled to constant term 1.
 
-    With L the lcm of every denominator, t -> Lt makes both parts integral
-    with constant term 1 and commutes with taking gcds; the gcd of the
-    scaled parts, scaled to constant term 1, is integral (Gauss's lemma),
-    so the modular gcd reduces them over Z and the quotients are unscaled.
+    a and b are int lists with constant term 1, over F_p when p > 0 and
+    over Z when p = 0.  Over Z the modular gcd runs first, and the Euclid
+    over Q only when it returns None.
     """
-    L = math.lcm(*[v.denominator for v in num.coeffs + den.coeffs])
-    Z = RingSpec.integers()
-    a = Polynomial(Z, tuple(_scale_up(num.coeffs, L)))
-    b = Polynomial(Z, tuple(_scale_up(den.coeffs, L)))
-    reduced = _modular_gcd_parts(a, b)
-    if reduced is None:
-        return _normalize_field_parts(num, den)
-    ra, rb = reduced
-    if ra.degree == a.degree:  # coprime
-        return num, den
-    return _settle(num.spec, ra.coeffs, L), _settle(num.spec, rb.coeffs, L)
-
-
-def _series_quotient(a: tuple, g: list) -> list | None:
-    """a / g over Z when g (with g[0] = 1) divides a exactly, else None.
-
-    Power-series division: a = quo * g iff the series a/g vanishes from
-    degree deg a - deg g + 1 through deg a.
-    """
-    dg = len(g) - 1
-    m = len(a) - 1 - dg
-    if m < 0:
-        return None
-    quo = []
-    for k in range(len(a)):
-        t = min(k, dg)
-        v = a[k] - sum(map(operator.mul, g[1 : t + 1], reversed(quo[k - t : k])))
-        if k > m:
-            if v:
-                return None
-            v = 0
-        quo.append(v)
-    return quo[: m + 1]
+    if not p:
+        reduced = _modular_gcd_parts(a, b)
+        if reduced is not None:
+            return reduced
+    g = _constant_one(_dl_gcd(a, b, p), p)
+    return _divide_out(a, g, p), _divide_out(b, g, p)
 
 
 def _normalize_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -258,12 +225,18 @@ def _normalize_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Poly
         return Polynomial.one(spec), Polynomial.one(spec)
     if den.is_one or num.is_one:
         return num, den
-    if spec.kind == _KIND_Q:
-        return _normalize_rational_parts(num, den)
+    if spec.kind in (_KIND_Z, _KIND_Q, _KIND_FP):
+        # Q enters scaled: t -> Lt, L the lcm of every denominator (1 over Z
+        # and F_p), makes both parts integral and commutes with taking gcds
+        L = math.lcm(*[v.denominator for v in num.coeffs + den.coeffs])
+        a, b = _normalize_lists(_scale_up(num.coeffs, L), _scale_up(den.coeffs, L), spec.n)
+        if len(a) == len(num.coeffs):  # coprime
+            return num, den
+        return _settle(spec, a, L), _settle(spec, b, L)
+    if spec.kind == _KIND_C:
+        return _normalize_cyclotomic_parts(num, den)
     if spec.is_field:
         return _normalize_field_parts(num, den)
-    if spec.kind in (_KIND_Z, _KIND_C):
-        return _normalize_domain_parts(num, den)
     return num, den  # Zn: no division available; equality is cross-multiplied
 
 

@@ -300,6 +300,17 @@ BAD_INPUTS = [
      f"error: bridge level 5000005 exceeds the limit {MAX_BRIDGE_LEVEL}"),
     (["monodromy", "--side", "cc", "--prime", "3", "--level", "10000000"], 2,
      f"error: monodromy level 10000000 exceeds the limit {MAX_BRIDGE_LEVEL}"),
+    # grids that would run 0 checks and still pass
+    (["verify-all", "--cyclotomic-bound", "-5", "--max-prime", "-3"], 2,
+     "error: --cyclotomic-bound must be at least 1, got -5"),
+    (["verify-all", "--max-prime", "5"], 2, "error: --max-prime must be at least 6, got 5"),
+    (["reciprocity", "--max-prime", "5"], 2, "error: --max-prime must be at least 6, got 5"),
+    (["verify-all", "--witt-samples", "0"], 2, "error: --witt-samples must be at least 1, got 0"),
+    (["verify-all", "--descent-samples", "0"], 2, "error: --descent-samples must be at least 1, got 0"),
+    (["verify-all", "--equivariance-cases", "0"], 2,
+     "error: --equivariance-cases must be at least 1, got 0"),
+    (["verify-all", "--cyclotomic-bound", "3", "--max-prime", "7", "--roundtrip-samples", "-4"], 2,
+     "error: --roundtrip-samples must be at least 1, got -4"),
 ]
 
 
@@ -325,6 +336,18 @@ def test_weighted_witt_caps_refuse_before_work(capsys, monkeypatch, kernel, refu
     monkeypatch.setattr(cli, kernel, refuse)
     code, out, err = run(capsys, *refused, "--ring", ring)
     assert (code, out) == (2, "") and "exceeds the limit" in err
+
+
+@pytest.mark.parametrize("argv", [a for a, _, p in BAD_INPUTS if "must be at least" in p], ids=" ".join)
+def test_vacuous_grids_are_refused_before_any_work(capsys, monkeypatch, argv):
+    from wittlink import cli
+
+    def refuse(*args):
+        raise AssertionError("a suite or a table row ran before the refusal")
+
+    monkeypatch.setattr(cli, "run_all", refuse)
+    monkeypatch.setattr(cli, "reciprocity_row", refuse)
+    assert run(capsys, *argv)[:2] == (2, "")
 
 
 def test_emit_refuses_an_unrenderable_document(capsys):

@@ -602,13 +602,27 @@ def test_resultant_comparison_catches_a_wrong_vector_rebuild(monkeypatch, spec):
 
 
 # --------------------------------------------------------------------------
-# the modular gcd of the Z normalization against the Euclid over Q
+# the Z, Q and F_p normalization against the payload-loop Euclid over Q
+
+
+def _euclid_reference(num, den):
+    """num/g and den/g over Q, g their gcd scaled to constant term 1.
+
+    Runs on ``poly_gcd_monic`` and ``poly_divmod``, which loop over
+    RingSpec payloads, not on the ``_dl_*`` lists of the production route.
+    """
+    from wittlink.rings import poly_divmod, poly_gcd_monic
+
+    Q = RingSpec.rationals()
+    a, b = (Polynomial.from_payloads(Q, [Fraction(c) for c in x.coeffs]) for x in (num, den))
+    g = poly_gcd_monic(a, b)
+    g = g.scale(1 / g.constant_term)
+    return poly_divmod(a, g)[0], poly_divmod(b, g)[0]
 
 
 def test_modular_gcd_matches_field_euclid():
-    from wittlink.witt import _modular_gcd_parts, _normalize_field_parts
+    from wittlink.witt import _modular_gcd_parts
 
-    Q = RingSpec.rationals()
     rng = random.Random(29)
 
     def part(deg, size):
@@ -622,15 +636,56 @@ def test_modular_gcd_matches_field_euclid():
         for _ in range(30):
             g = part(rng.randint(1, 4), size)
             num, den = g * part(rng.randint(0, 5), 9), g * part(rng.randint(0, 5), 9)
-            got = _modular_gcd_parts(num, den)
-            qn, qd = _normalize_field_parts(
-                Polynomial.from_payloads(Q, num.coeffs), Polynomial.from_payloads(Q, den.coeffs)
-            )
-            want = tuple(Polynomial.from_ints(Z, [int(c) for c in x.coeffs]) for x in (qn, qd))
+            got = _modular_gcd_parts(list(num.coeffs), list(den.coeffs))
+            want = tuple([int(c) for c in x.coeffs] for x in _euclid_reference(num, den))
             if got is not None:
                 accepted += 1
                 assert got == want
     assert accepted >= 80
+
+
+def _spy_euclid_over_q(monkeypatch):
+    """Count the gcds the normalization takes over Q (modulus 0), not modulo a prime."""
+    from wittlink import witt
+
+    calls, real = [], witt._dl_gcd
+
+    def spy(a, b, p=0):
+        if not p:
+            calls.append((a, b))
+        return real(a, b, p)
+
+    monkeypatch.setattr(witt, "_dl_gcd", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["Z", "Q"])
+def test_euclid_fallback_reduces_above_the_crt_modulus(monkeypatch, kind):
+    # the common factor's coefficients exceed the probe primes' CRT modulus
+    # (about 2^62), so the modular lift fails and the Euclid over Q reduces
+    calls = _spy_euclid_over_q(monkeypatch)
+    rng = random.Random(kind)
+    spec = RingSpec.integers() if kind == "Z" else RingSpec.rationals()
+    big = 2**70 + 3
+
+    def coeff(size):
+        v = rng.randint(-size, size) or 1
+        return v if kind == "Z" else Fraction(v, rng.randint(1, 9))
+
+    def part(deg, size):
+        return Polynomial.from_payloads(spec, [spec.one()] + [coeff(size) for _ in range(deg)])
+
+    for deg in (1, 2, 3):
+        common = part(deg, big)
+        num, den = common * part(2, 9), common * part(3, 9)
+        before = len(calls)
+        f = WittVector.from_polys(num, den)
+        assert len(calls) > before
+        want_num, want_den = _euclid_reference(num, den)
+        assert (f.num.coeffs, f.den.coeffs) == (want_num.coeffs, want_den.coeffs)
+        assert f.num.degree == 2 and f.den.degree == 3
+        payload = int if kind == "Z" else Fraction
+        assert all(type(c) is payload for c in f.num.coeffs + f.den.coeffs)
 
 
 # --------------------------------------------------------------------------
@@ -712,28 +767,25 @@ _Q = RingSpec.rationals()
 @given(_part(_Q, 3), _part(_Q, 3), _part(_Q, 3))
 @settings(max_examples=150, deadline=None)
 def test_rational_normalization_matches_field_euclid(common, a, b):
-    from wittlink.witt import _normalize_field_parts, _normalize_rational_parts
+    from wittlink.witt import _normalize_parts
 
     num, den = common * a, common * b
-    got = _normalize_rational_parts(num, den)
-    assert got == _normalize_field_parts(num, den)
+    got = _normalize_parts(num, den)
+    assert got == _euclid_reference(num, den)
     for part in got:
         assert all(type(c) is Fraction for c in part.coeffs)
 
 
 def test_rational_normalization_runs_on_the_integer_route(monkeypatch):
     # the common factor 1 - t/2 is cancelled by the scaled modular gcd, not the Euclid over Q
-    from wittlink import witt
-
-    def unreachable(*args):
-        raise AssertionError("Euclid over Q reached")
-
-    monkeypatch.setattr(witt, "_normalize_field_parts", unreachable)
+    calls = _spy_euclid_over_q(monkeypatch)
     Q = RingSpec.rationals()
     common = Polynomial.from_payloads(Q, [1, Fraction(-1, 2)])
     num = common * Polynomial.from_payloads(Q, [1, Fraction(2, 3), Fraction(5, 7)])
     den = common * Polynomial.from_payloads(Q, [1, Fraction(-3, 4)])
     f = WittVector.from_polys(num, den)
+    assert not calls, "Euclid over Q reached"
+    assert (f.num, f.den) == _euclid_reference(num, den)
     assert f.num.coeffs == (1, Fraction(2, 3), Fraction(5, 7))
     assert f.den.coeffs == (1, Fraction(-3, 4))
     assert all(type(c) is Fraction for c in f.num.coeffs + f.den.coeffs)
