@@ -7,11 +7,9 @@ Every ring element is a plain payload interpreted through a RingSpec:
     Zn        int in [0, n), n >= 2 (composite allowed, no general division)
     Fp        int in [0, p), p prime
     C(n)      tuple of deg(Phi_n) ints: a residue mod the n-th cyclotomic
-              polynomial Phi_n, i.e. an element of Z[x]/Phi_n(x)
-    K(n)      tuple of deg(Phi_n) rationals: an element of Q(zeta_n), the
-              fraction field of C(n).  Internal: C(n) inverts and divides
-              by computing in K(n) and checking integrality, and the Witt
-              normalization takes gcds over it.
+              polynomial Phi_n, i.e. an element of Z[x]/Phi_n(x).  It
+              inverts and divides by an inverse mod Phi_n over Q, kept
+              when integral.
     Fq(p, k)  tuple of k ints mod p: a residue mod a fixed irreducible
               polynomial of degree k over F_p.  This is the internal
               extension point used by the group-ring decoder; the public
@@ -29,10 +27,11 @@ for the scalar kinds; for the vector kinds it sums each coefficient's
 products unreduced and reduces that sum once.  No floating point appears
 anywhere.
 
-``poly_divmod`` and ``poly_gcd_monic`` serve only the Witt normalization
-over F_q and Q(zeta_n) and the F_q decoder; Rabin's test for the F_q
-modulus runs on the ``_dl_*`` lists mod p.  Resultants and the other
-cross-checks live in ``oracles``, which this module never imports.
+``poly_gcd_monic`` serves only the Witt normalization over F_q;
+``poly_divmod`` serves it, the F_q decoder and the exact-division test of
+the modular gcd over Z[zeta_n].  Rabin's test for the F_q modulus runs on
+the ``_dl_*`` lists mod p.  Resultants and the other cross-checks live in
+``oracles``, which this module never imports.
 """
 
 from __future__ import annotations
@@ -277,7 +276,6 @@ _KIND_Q = "Q"
 _KIND_ZN = "Zn"
 _KIND_FP = "Fp"
 _KIND_C = "C"
-_KIND_K = "K"
 _KIND_FQ = "Fq"
 _KIND_LIFT = "Fq~"
 _SCALAR_KINDS = (_KIND_Z, _KIND_Q, _KIND_FP, _KIND_ZN)  # the rest carry payload vectors
@@ -334,7 +332,7 @@ class RingSpec:
     # ---------------------------------------------------------- structure
     @property
     def is_field(self) -> bool:
-        return self.kind in (_KIND_Q, _KIND_FP, _KIND_FQ, _KIND_K)
+        return self.kind in (_KIND_Q, _KIND_FP, _KIND_FQ)
 
     @property
     def is_domain(self) -> bool:
@@ -344,29 +342,17 @@ class RingSpec:
 
     @property
     def width(self) -> int:
-        """Length of a payload vector: phi(n) over Z[zeta_n] and Q(zeta_n),
-        k over F_{p^k} and its lift, 1 over the scalar rings."""
-        if self.kind in (_KIND_C, _KIND_K):
+        """Length of a payload vector: phi(n) over Z[zeta_n], k over F_{p^k}
+        and its lift, 1 over the scalar rings."""
+        if self.kind == _KIND_C:
             return euler_phi(self.n)
         if self.kind in (_KIND_FQ, _KIND_LIFT):
             return self.k
         return 1
 
-    def fraction_field(self) -> "RingSpec":
-        """Q(zeta_n) for Z[zeta_n]."""
-        if self.kind == _KIND_C:
-            return RingSpec(_KIND_K, self.n)
-        raise UnsupportedRing(f"no fraction field kept for {self}")
-
-    def from_fraction_field(self, payload):
-        """The payload of Z[zeta_n] equal to one of Q(zeta_n), or None."""
-        if any(v.denominator != 1 for v in payload):
-            return None
-        return tuple(int(v) for v in payload)
-
     @property
     def _modulus(self) -> tuple[tuple[int, ...], int]:
-        """(monic modulus, prime or 0) behind the C, K, Fq and Fq~ payload vectors."""
+        """(monic modulus, prime or 0) behind the C, Fq and Fq~ payload vectors."""
         if self.kind in (_KIND_FQ, _KIND_LIFT):
             return _ext_field_modulus(self.n, self.k), self.n if self.kind == _KIND_FQ else 0
         return cyclotomic_polynomial(self.n), 0
@@ -412,8 +398,6 @@ class RingSpec:
             return f"F{self.n}"
         if self.kind == _KIND_C:
             return f"Z[zeta_{self.n}]"
-        if self.kind == _KIND_K:
-            return f"Q(zeta_{self.n})"
         return f"F{self.n}^{self.k}"
 
     # ------------------------------------------------------- payload ops
@@ -446,14 +430,14 @@ class RingSpec:
             return Fraction(payload)
         if self.kind in (_KIND_ZN, _KIND_FP):
             return int(payload) % self.n
-        return self._reduce([Fraction(v) if self.kind == _KIND_K else int(v) for v in payload])
+        return self._reduce([int(v) for v in payload])
 
     def add(self, a, b):
         if self.kind in (_KIND_Z, _KIND_Q):
             return a + b
         if self.kind in (_KIND_ZN, _KIND_FP):
             return (a + b) % self.n
-        if self.kind in (_KIND_C, _KIND_K, _KIND_LIFT):
+        if self.kind in (_KIND_C, _KIND_LIFT):
             return tuple(x + y for x, y in zip(a, b))
         return tuple((x + y) % self.n for x, y in zip(a, b))
 
@@ -462,7 +446,7 @@ class RingSpec:
             return a - b
         if self.kind in (_KIND_ZN, _KIND_FP):
             return (a - b) % self.n
-        if self.kind in (_KIND_C, _KIND_K, _KIND_LIFT):
+        if self.kind in (_KIND_C, _KIND_LIFT):
             return tuple(x - y for x, y in zip(a, b))
         return tuple((x - y) % self.n for x, y in zip(a, b))
 
@@ -471,7 +455,7 @@ class RingSpec:
             return -a
         if self.kind in (_KIND_ZN, _KIND_FP):
             return (-a) % self.n
-        if self.kind in (_KIND_C, _KIND_K, _KIND_LIFT):
+        if self.kind in (_KIND_C, _KIND_LIFT):
             return tuple(-x for x in a)
         return tuple((-x) % self.n for x in a)
 
@@ -494,18 +478,16 @@ class RingSpec:
             if math.gcd(a, self.n) != 1:
                 raise NotAUnit(f"{a} is not a unit mod {self.n}")
             return pow(a, -1, self.n)
-        if self.kind == _KIND_C:
-            inv = self.from_fraction_field(self.fraction_field().inv(a))
-            if inv is None:
-                raise NotAUnit(f"{self.render(a)} is not a unit in {self}")
-            return inv
         if self.is_zero(a):
             raise NotAUnit("0 is not a unit")
         if self.kind == _KIND_Q:
             return 1 / a
         m, p = self._modulus
-        inv = _dl_invmod(a, m, p)
-        assert inv is not None  # the modulus is irreducible
+        inv = _dl_invmod(a, m, p)  # never None: the moduli are irreducible
+        if self.kind == _KIND_C:  # the inverse in Q(zeta_n), a unit when integral
+            inv = _integral(inv)
+            if inv is None:
+                raise NotAUnit(f"{self.render(a)} is not a unit in {self}")
         return tuple(inv + [0] * (len(m) - 1 - len(inv)))
 
     def exact_div(self, a, b):
@@ -522,10 +504,11 @@ class RingSpec:
         if self.kind == _KIND_C:
             if self.is_zero(b):
                 raise DomainViolation("division by zero")
-            quot = self.from_fraction_field(self.fraction_field().exact_div(a, b))
+            m = self._modulus[0]  # the quotient in Q(zeta_n), kept when integral
+            quot = _integral(_dl_divmod(_dl_mul(a, _dl_invmod(b, m)), m)[1])
             if quot is None:
                 raise DomainViolation("inexact division in Z[zeta]")
-            return quot
+            return tuple(quot + [0] * (len(m) - 1 - len(quot)))
         raise UnsupportedRing(f"no exact division in {self}")
 
     def pow_payload(self, a, e: int):
@@ -540,7 +523,7 @@ class RingSpec:
         return result
 
     def is_zero(self, a) -> bool:
-        if self.kind in (_KIND_C, _KIND_K, _KIND_FQ, _KIND_LIFT):
+        if self.kind in (_KIND_C, _KIND_FQ, _KIND_LIFT):
             return all(v == 0 for v in a)
         return a == 0
 
@@ -554,6 +537,13 @@ class RingSpec:
         if self.kind in (_KIND_Z, _KIND_ZN, _KIND_FP, _KIND_Q):
             return str(a)
         return _render_int_vector(a, "w" if self.kind == _KIND_FQ else "z")
+
+
+def _integral(c: list) -> list | None:
+    """c as ints when every entry (an int or a Fraction) is integral, else None."""
+    if any(v.denominator != 1 for v in c):
+        return None
+    return [int(v) for v in c]
 
 
 def _render_int_vector(vec, var: str) -> str:

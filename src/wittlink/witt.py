@@ -36,18 +36,15 @@ Equality never relies on normal forms: f == g iff
 f.num * g.den == g.num * f.den, valid because denominators with constant
 term 1 are power-series units.
 
-Normalization divides num and den by their gcd, scaled to constant term
-1.  Over Z, Q and F_p one routine does it on int lists, Q entering scaled
-by t -> Lt (unscaled after).  Over Z and Q the gcds modulo two probe
-primes are lifted (by CRT) and kept when they divide both parts exactly;
-failing that, the Euclid over Q runs on the same lists.  Over F_p the gcd
-is taken mod p.  The gcd, scaled to constant term 1, is integral (Gauss's
-lemma) and leads the reversed lists with 1, so dividing those keeps the
-quotients ints.  Over Z[zeta_n] a probe maps the parts onto F_q (zeta ->
-omega, a root of Phi_n mod a prime q = 1 mod n), where a constant gcd
-proves them coprime; otherwise the gcd over Q(zeta_n) reduces them, kept
-only when integral.  Over F_q the gcd is taken directly; over Z/n the
-parts are left as given.
+Normalization checks both constant terms, then divides num and den by
+their gcd scaled to constant term 1.  Over Z, Q (scaled by t -> Lt) and
+Z[zeta_n] one modular gcd does it: gcds modulo primes q = 1 (mod n), at
+each root of Phi_n mod q, are interpolated, combined by CRT and lifted
+until the lift divides both parts; no gcd is taken over Q or Q(zeta_n).
+The gcd is integral (Gauss's lemma), so the quotients are.  Over F_p the
+gcd is taken on int lists mod p, over F_q by ``poly_gcd_monic`` and
+``poly_divmod`` (the latter also tests the Z[zeta_n] lift and serves the
+F_q decoder); over Z/n the parts are left as given.
 """
 
 from __future__ import annotations
@@ -74,8 +71,6 @@ from .rings import (
     _SCALAR_KINDS,
     _dl_divmod,
     _dl_gcd,
-    _dl_inv,
-    _dl_trim,
     conjugate_polynomial,
     cyclotomic_polynomial,
     is_prime,
@@ -87,48 +82,52 @@ from .rings import (
 # normalization helpers
 
 
-@functools.lru_cache(maxsize=None)
-def _probe_primes(n: int) -> tuple[tuple[int, int], ...]:
-    """Two primes q = 1 (mod n) above 2^31, each with a root omega of Phi_n mod q.
+_PROBES: dict[int, list] = {}  # n -> the pairs (q, omega) found so far, q ascending
+
+
+def _probe_primes(n: int):
+    """Primes q = 1 (mod n) above 2^31, ascending and without end, each with a root omega of Phi_n mod q.
 
     zeta -> omega is then a ring map Z[zeta_n] -> F_q; for n = 1 it is the
-    reduction Z -> F_q.
+    reduction Z -> F_q.  The pairs found are kept for later callers.
+    """
+    found = _PROBES.setdefault(n, [])
+    for i in itertools.count():
+        if i == len(found):
+            phi = cyclotomic_polynomial(n)
+            q = found[-1][0] + n if found else (2**31 // n + 1) * n + 1
+            while not is_prime(q):
+                q += n
+            for a in itertools.count(2):
+                # a^((q-1)/n) has order dividing n; a root of Phi_n iff exactly n
+                r = pow(a, (q - 1) // n, q)
+                if sum(c * pow(r, k, q) for k, c in enumerate(phi)) % q == 0:
+                    found.append((q, r))
+                    break
+        yield found[i]
+
+
+@functools.lru_cache(maxsize=None)
+def _root_maps(n: int, q: int, omega: int) -> tuple[list, list]:
+    """Evaluation at the roots r of Phi_n mod q (the omega^u, u prime to n), and its inverse.
+
+    Row k of the first matrix holds the powers of r_k: it maps a payload
+    vector to its image under zeta -> r_k.  Row i of the second holds
+    coefficient i of each Lagrange polynomial (Phi_n / (x - r_k)) / (its value at r_k).
     """
     phi = cyclotomic_polynomial(n)
-    out = []
-    q = (2**31 // n + 1) * n + 1
-    while len(out) < 2:
-        if is_prime(q):
-            # a^((q-1)/n) has order dividing n; it is a root of Phi_n iff exactly n
-            for a in range(2, q):
-                omega = pow(a, (q - 1) // n, q)
-                if sum(c * pow(omega, i, q) for i, c in enumerate(phi)) % q == 0:
-                    out.append((q, omega))
-                    break
-        q += n
-    return tuple(out)
-
-
-def _probe_coprime(num: Polynomial, den: Polynomial) -> bool:
-    """Certify gcd(num, den) = 1 over Z[zeta_n] by a gcd in F_q[t].
-
-    When both leading coefficients map to nonzero values under
-    zeta -> omega, deg(gcd mod q) >= deg(gcd over the fraction field):
-    monic factors over the integrally closed localization at the prime
-    kernel reduce.  A constant gcd modulo one such q therefore proves
-    coprimality.  Returns False when no probe certifies (unknown).
-    """
-    for q, omega in _probe_primes(num.spec.n):
-        powers = [pow(omega, i, q) for i in range(len(num.lc))]
-        a = [sum(v * w for v, w in zip(c, powers)) % q for c in num.coeffs]
-        b = [sum(v * w for v, w in zip(c, powers)) % q for c in den.coeffs]
-        if a[-1] and b[-1] and len(_dl_gcd(a, b, q)) == 1:
-            return True
-    return False
+    roots = [pow(omega, u, q) for u in range(1, n + 1) if math.gcd(u, n) == 1]
+    evaluate = [[pow(r, i, q) for i in range(len(phi) - 1)] for r in roots]
+    basis = []
+    for r, powers in zip(roots, evaluate):
+        L = _dl_divmod(phi, [-r, 1], q)[0]
+        scale = pow(sum(map(operator.mul, L, powers)), -1, q)
+        basis.append([v * scale % q for v in L])
+    return evaluate, [list(row) for row in zip(*basis)]
 
 
 def _normalize_field_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Divide both parts by their gcd, scaled to constant term 1, over F_q or Q(zeta_n)."""
+    """Divide both parts by their gcd, scaled to constant term 1, over F_q."""
     g = poly_gcd_monic(num, den)
     if g.degree <= 0:
         return num, den
@@ -136,87 +135,94 @@ def _normalize_field_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial
     return poly_divmod(num, g)[0], poly_divmod(den, g)[0]
 
 
-def _normalize_cyclotomic_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Reduce over Z[zeta_n]: the probe, then the gcd over Q(zeta_n), kept when integral."""
-    spec = num.spec
-    if _probe_coprime(num, den):
-        return num, den
-    field = spec.fraction_field()
-    qn, qd = _normalize_field_parts(
-        Polynomial.from_payloads(field, num.coeffs), Polynomial.from_payloads(field, den.coeffs)
-    )
-    cn = tuple(spec.from_fraction_field(c) for c in qn.coeffs)
-    cd = tuple(spec.from_fraction_field(c) for c in qd.coeffs)
-    if None in cn or None in cd:
-        return num, den  # the reduced form leaves Z[zeta]; keep the given parts
-    return Polynomial(spec, cn), Polynomial(spec, cd)
-
-
-def _constant_one(g: list, p: int) -> list:
-    """g (g(0) != 0) scaled to constant term 1, as ints mod p, or over Z when p = 0.
-
-    Over Z this needs the scaled g to be integral, as every gcd taken here
-    is: both parts have constant term 1 (Gauss's lemma).
-    """
-    inv = _dl_inv(g[0], p)
-    return _dl_trim([int(c * inv) for c in g], p)
+def _gcd_mod(a: list, b: list, p: int) -> list:
+    """gcd(a, b) mod the prime p, scaled to constant term 1 (nonzero, as a(0) = 1)."""
+    g = _dl_gcd(a, b, p)
+    inv = pow(g[0], -1, p)
+    return [c * inv % p for c in g]
 
 
 def _divide_out(a: list, g: list, p: int = 0) -> list | None:
-    """a / g for g with g(0) = 1 when g divides a exactly (mod p when p > 0), else None.
+    """a / g when g, with g(0) = 1, divides a exactly (mod p when p > 0), else None.
 
-    The reversed g leads with 1, so the division of the reversed lists
-    keeps ints as ints.
+    The reversed g leads with 1, so dividing the reversed lists keeps ints.
     """
     quo, rem = _dl_divmod(a[::-1], g[::-1], p)
     return None if rem else quo[::-1]
 
 
-def _modular_gcd_parts(a: list, b: list) -> tuple[list, list] | None:
-    """Reduce int lists by gcds modulo the probe primes, or None when they do not lift.
+def _modular_gcd(a, b, n: int, images, divide) -> tuple:
+    """a / g and b / g for g = gcd(a, b) over Z[zeta_n] (Z for n = 1), scaled to g(0) = 1.
 
-    With both leading coefficients nonzero mod q, deg(gcd mod q) >=
-    deg(gcd over Q).  The gcd mod q, scaled to constant term 1 (combined
-    by CRT over the primes whose gcds share the least degree) and lifted
-    to symmetric residues, is kept only if it divides both parts exactly
-    over Z; a common divisor of that degree is the gcd.  A constant gcd
-    mod q thus proves the parts coprime.
+    g is integral: the reversed parts are monic.  ``images(q, omega)``
+    gives g's image mod q as flattened coefficient vectors, or None for a
+    prime of no use; with both leading coefficients nonzero mod q its
+    degree is at least deg g, so a constant image proves a and b coprime
+    and a larger degree marks an unlucky prime.  The images of least degree
+    are combined by CRT and lifted to symmetric residues until ``divide``
+    divides both parts by the lift: a common divisor of that degree is g
+    (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 6).
     """
+    w = len(cyclotomic_polynomial(n)) - 1
     g, m = [], 1
-    for q, _ in _probe_primes(1):
-        if not (a[-1] % q and b[-1] % q):
+    for q, omega in _probe_primes(n):
+        h = images(q, omega)
+        if h is None or (g and len(h) > len(g)):
             continue
-        h = _constant_one(_dl_gcd(a, b, q), q)  # h divides a mod q and a(0) = 1
-        if not g or len(h) < len(g):  # a larger degree marks an unlucky prime
+        if len(h) == w:
+            return a, b
+        if not g or len(h) < len(g):
             g, m = h, q
-        elif len(h) == len(g):
+        else:
             u = pow(m, -1, q)
             g = [x + m * ((y - x) * u % q) for x, y in zip(g, h)]
             m *= q
-        else:
-            continue
-        if len(g) == 1:
-            return a, b
         lift = [c - m if 2 * c > m else c for c in g]
-        qa, qb = _divide_out(a, lift), _divide_out(b, lift)
-        if qa is not None and qb is not None:
+        qa = divide(a, lift)
+        qb = None if qa is None else divide(b, lift)
+        if qb is not None:
             return qa, qb
-    return None
 
 
 def _normalize_lists(a: list, b: list, p: int) -> tuple[list, list]:
-    """a / g and b / g for g = gcd(a, b) scaled to constant term 1.
+    """a / g, b / g for int lists with constant term 1, g = gcd(a, b) over F_p (p > 0) or Z (p = 0)."""
+    if p:
+        g = _gcd_mod(a, b, p)
+        return _divide_out(a, g, p), _divide_out(b, g, p)
 
-    a and b are int lists with constant term 1, over F_p when p > 0 and
-    over Z when p = 0.  Over Z the modular gcd runs first, and the Euclid
-    over Q only when it returns None.
-    """
-    if not p:
-        reduced = _modular_gcd_parts(a, b)
-        if reduced is not None:
-            return reduced
-    g = _constant_one(_dl_gcd(a, b, p), p)
-    return _divide_out(a, g, p), _divide_out(b, g, p)
+    def images(q, _):
+        if a[-1] % q and b[-1] % q:
+            return _gcd_mod(a, b, q)
+
+    return _modular_gcd(a, b, 1, images, _divide_out)
+
+
+def _cyclotomic_gcd_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """The modular gcd over Z[zeta_n]: images at each root of Phi_n mod q, interpolated."""
+    spec = num.spec
+    w = spec.width
+
+    def images(q, omega):
+        evaluate, interpolate = _root_maps(spec.n, q, omega)
+        hs = []
+        for row in evaluate:
+            a = [sum(map(operator.mul, row, c)) % q for c in num.coeffs]
+            b = [sum(map(operator.mul, row, c)) % q for c in den.coeffs]
+            if not (a[-1] and b[-1]):
+                return None
+            hs.append(_gcd_mod(a, b, q))
+            if len(hs[-1]) == 1:
+                return hs[-1] + [0] * (w - 1)
+        if any(len(h) != len(hs[0]) for h in hs):
+            return None  # unlucky at some root
+        return [sum(map(operator.mul, row, col)) % q for col in zip(*hs) for row in interpolate]
+
+    def divide(x, g):  # on the reversed parts, where the lift leads with 1
+        rev = Polynomial(spec, tuple(tuple(g[i - w : i]) for i in range(len(g), 0, -w)))
+        quo, rem = poly_divmod(x.reversed_coeffs(), rev)
+        return None if rem.coeffs else quo.reversed_coeffs()
+
+    return _modular_gcd(num, den, spec.n, images, divide)
 
 
 def _normalize_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -234,7 +240,7 @@ def _normalize_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Poly
             return num, den
         return _settle(spec, a, L), _settle(spec, b, L)
     if spec.kind == _KIND_C:
-        return _normalize_cyclotomic_parts(num, den)
+        return _cyclotomic_gcd_parts(num, den)
     if spec.is_field:
         return _normalize_field_parts(num, den)
     return num, den  # Zn: no division available; equality is cross-multiplied
@@ -242,6 +248,14 @@ def _normalize_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Poly
 
 # --------------------------------------------------------------------------
 # WittVector
+
+
+def _check_parts(spec: RingSpec, num: Polynomial, den: Polynomial) -> None:
+    """Refuse parts over another ring, or without constant term 1."""
+    if num.spec != spec or den.spec != spec:
+        raise SpecMismatch("polynomial parts disagree with the ring")
+    if not spec.is_one(num.constant_term) or not spec.is_one(den.constant_term):
+        raise DomainViolation("numerator and denominator need constant term 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,12 +267,7 @@ class WittVector:
     den: Polynomial
 
     def __post_init__(self):
-        if self.num.spec != self.spec or self.den.spec != self.spec:
-            raise SpecMismatch("polynomial parts disagree with the ring")
-        if not self.spec.is_one(self.num.constant_term) or not self.spec.is_one(
-            self.den.constant_term
-        ):
-            raise DomainViolation("numerator and denominator need constant term 1")
+        _check_parts(self.spec, self.num, self.den)
 
     # ---------------------------------------------------------- builders
     @classmethod
@@ -266,7 +275,8 @@ class WittVector:
         spec = num.spec
         if den is None:
             den = Polynomial.one(spec)
-        if normalize:
+        if normalize:  # the gcd routes assume both constant terms are 1
+            _check_parts(spec, num, den)
             num, den = _normalize_parts(num, den)
         return cls(spec, num, den)
 

@@ -1,9 +1,12 @@
 """Command-line surface: literals, formats, exit codes, reproducibility."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wittlink.cli import (
     MAX_BRIDGE_LEVEL,
@@ -20,8 +23,9 @@ from wittlink.cli import (
     parse_ring,
     parse_witt_literal,
 )
-from wittlink.errors import ParseError
+from wittlink.errors import DomainViolation, ParseError
 from wittlink.rings import Polynomial, RingSpec
+from wittlink.witt import WittVector
 
 Z = RingSpec.integers()
 
@@ -300,6 +304,22 @@ BAD_INPUTS = [
      f"error: bridge level 5000005 exceeds the limit {MAX_BRIDGE_LEVEL}"),
     (["monodromy", "--side", "cc", "--prime", "3", "--level", "10000000"], 2,
      f"error: monodromy level 10000000 exceeds the limit {MAX_BRIDGE_LEVEL}"),
+    # parts without constant term 1 are refused before the normalization;
+    # these ended in IndexError or ValueError tracebacks, or printed a wrong
+    # answer with exit 0 ("(1)/(1+6t)" over F7, "1" for (1-t)/(t-t^2))
+    *[
+        (["witt", "add", literal, "1", "--ring", ring], 2,
+         "error: numerator and denominator need constant term 1")
+        for literal, rings in [
+            ("(1-2t)/(0)", ("Z", "Q", "F7", "C5")),
+            ("(2t)/(t)", ("Z", "Q", "F7")),
+            ("(t+t^2)/(t)", ("Z", "Q", "F7")),
+            ("(t)/(1-t)", ("F7",)),
+            ("(1-t)/(t-t^2)", ("Z", "Q", "F7")),
+            ("(t)/(t)", ("Z",)),
+        ]
+        for ring in rings
+    ],
     # grids that would run 0 checks and still pass
     (["verify-all", "--cyclotomic-bound", "-5", "--max-prime", "-3"], 2,
      "error: --cyclotomic-bound must be at least 1, got -5"),
@@ -369,3 +389,50 @@ def test_bad_input_exit_codes(capsys, argv, code, prefix):
     assert got == code
     assert err.startswith(prefix), err
     assert "Traceback" not in err and not out
+
+
+# --------------------------------------------------------------------------
+# the literal boundary: small literals, zero constant terms and 0 included
+
+
+def _literal(coeffs) -> str:
+    """The integer polynomial literal in t with these coefficients, ascending; "0" for none."""
+    text = ""
+    for k, c in enumerate(coeffs):
+        if c:
+            power = "" if k == 0 else ("t" if k == 1 else f"t^{k}")
+            mag = "" if abs(c) == 1 and k else str(abs(c))
+            text += ("-" if c < 0 else "+") + mag + power
+    return text.removeprefix("+") or "0"
+
+
+_COEFFS = st.lists(st.integers(-3, 3), min_size=1, max_size=4)  # degree <= 3
+_FUZZ_RINGS = ["Z", "Q", "F7", "Z6", "C5"]
+_FUZZ_OPS = [["add"], ["mul"], ["frob", "2"], ["ghost"]]
+
+
+@given(st.sampled_from(_FUZZ_RINGS), st.sampled_from(_FUZZ_OPS), _COEFFS, _COEFFS, _COEFFS, _COEFFS)
+@settings(max_examples=300, deadline=None)
+def test_witt_literals_exit_0_or_2(ring, op, a, b, c, d):
+    f, g = f"({_literal(a)})/({_literal(b)})", f"({_literal(c)})/({_literal(d)})"
+    argv = ["witt", *op, f] + ([g] if op[0] in ("add", "mul") else []) + ["--ring", ring]
+    if op[0] == "ghost":
+        argv += ["-N", "4"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+
+
+@given(st.sampled_from(_FUZZ_RINGS), _COEFFS, _COEFFS)
+@settings(max_examples=300, deadline=None)
+def test_from_polys_refuses_or_keeps_the_quotient(ring, a, b):
+    spec = parse_ring(ring)
+    num, den = Polynomial.from_ints(spec, a), Polynomial.from_ints(spec, b)
+    try:
+        f = WittVector.from_polys(num, den)
+    except DomainViolation:
+        return
+    assert f.num * den == num * f.den

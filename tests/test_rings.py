@@ -55,7 +55,7 @@ def test_is_prime_rejects_pseudoprimes_and_small_squares(n):
 
 def test_width_is_the_payload_length():
     assert [s.width for s in (Z, Q, Z10, F7)] == [1, 1, 1, 1]
-    for spec in (F8, C5, RingSpec.cyclotomic(35), C5.fraction_field()):
+    for spec in (F8, C5, RingSpec.cyclotomic(35)):
         assert spec.width == len(spec.one()) == len(spec.from_int(3))
 
 

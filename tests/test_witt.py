@@ -1,8 +1,12 @@
 """Rational Witt vectors: ring operations, ghost oracle, group-ring maps, descent."""
 
+import hashlib
+import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -451,21 +455,20 @@ def test_mul_cyclotomic_with_cancellation_matches_ghost():
 
 def test_probe_primes_carry_roots_of_cyclotomic_polynomials():
     from wittlink.rings import cyclotomic_polynomial
-    from wittlink.witt import _probe_coprime, _probe_primes
+    from wittlink.witt import _normalize_parts, _probe_primes
 
     for n in range(1, 41):
         phi = cyclotomic_polynomial(n)
-        for q, omega in _probe_primes(n):
+        for q, omega in itertools.islice(_probe_primes(n), 3):
             assert (q - 1) % n == 0
             assert all(q % d for d in range(2, math.isqrt(q) + 1))  # trial division
             assert sum(c * pow(omega, i, q) for i, c in enumerate(phi)) % q == 0
-        # a shared factor is never certified coprime
+        # a shared factor is never certified coprime, and a coprime pair is kept
         spec = RingSpec.cyclotomic(n)
         common = Polynomial.from_ints(spec, [1, 1])
-        assert not _probe_coprime(
-            common * Polynomial.from_ints(spec, [1, -2]), common * Polynomial.from_ints(spec, [1, 3])
-        )
-        assert _probe_coprime(Polynomial.from_ints(spec, [1, -2]), Polynomial.from_ints(spec, [1, 3]))
+        x, y = Polynomial.from_ints(spec, [1, -2]), Polynomial.from_ints(spec, [1, 3])
+        assert _normalize_parts(common * x, common * y) == (x, y)
+        assert _normalize_parts(x, y) == (x, y)
 
 
 # --------------------------------------------------------------------------
@@ -621,7 +624,7 @@ def _euclid_reference(num, den):
 
 
 def test_modular_gcd_matches_field_euclid():
-    from wittlink.witt import _modular_gcd_parts
+    from wittlink.witt import _normalize_lists
 
     rng = random.Random(29)
 
@@ -630,18 +633,17 @@ def test_modular_gcd_matches_field_euclid():
         c[-1] = c[-1] or 1
         return Polynomial.from_ints(Z, c)
 
-    accepted = 0
-    # gcd coefficients up to ~2^45 need both probe primes (CRT)
+    cases = 0
+    # gcd coefficients up to ~2^45 need two probe primes (CRT)
     for size in (9, 2**20, 2**45):
         for _ in range(30):
             g = part(rng.randint(1, 4), size)
             num, den = g * part(rng.randint(0, 5), 9), g * part(rng.randint(0, 5), 9)
-            got = _modular_gcd_parts(list(num.coeffs), list(den.coeffs))
+            got = _normalize_lists(list(num.coeffs), list(den.coeffs), 0)
             want = tuple([int(c) for c in x.coeffs] for x in _euclid_reference(num, den))
-            if got is not None:
-                accepted += 1
-                assert got == want
-    assert accepted >= 80
+            assert got == want
+            cases += 1
+    assert cases == 90
 
 
 def _spy_euclid_over_q(monkeypatch):
@@ -661,8 +663,9 @@ def _spy_euclid_over_q(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["Z", "Q"])
 def test_euclid_fallback_reduces_above_the_crt_modulus(monkeypatch, kind):
-    # the common factor's coefficients exceed the probe primes' CRT modulus
-    # (about 2^62), so the modular lift fails and the Euclid over Q reduces
+    # the common factor's coefficients exceed the CRT modulus of two probe
+    # primes (about 2^62): the modular route takes more primes, and no gcd
+    # over Q runs
     calls = _spy_euclid_over_q(monkeypatch)
     rng = random.Random(kind)
     spec = RingSpec.integers() if kind == "Z" else RingSpec.rationals()
@@ -678,9 +681,8 @@ def test_euclid_fallback_reduces_above_the_crt_modulus(monkeypatch, kind):
     for deg in (1, 2, 3):
         common = part(deg, big)
         num, den = common * part(2, 9), common * part(3, 9)
-        before = len(calls)
         f = WittVector.from_polys(num, den)
-        assert len(calls) > before
+        assert not calls, "a gcd over Q ran"
         want_num, want_den = _euclid_reference(num, den)
         assert (f.num.coeffs, f.den.coeffs) == (want_num.coeffs, want_den.coeffs)
         assert f.num.degree == 2 and f.den.degree == 3
@@ -789,6 +791,143 @@ def test_rational_normalization_runs_on_the_integer_route(monkeypatch):
     assert f.num.coeffs == (1, Fraction(2, 3), Fraction(5, 7))
     assert f.den.coeffs == (1, Fraction(-3, 4))
     assert all(type(c) is Fraction for c in f.num.coeffs + f.den.coeffs)
+
+
+# --------------------------------------------------------------------------
+# the Z[zeta_n] normalization: pinned outputs, and the modular route on
+# inputs whose Euclid over Q or Q(zeta_n) took seconds to minutes
+
+
+CYCLOTOMIC_GOLDEN = json.loads(Path(__file__).with_name("cyclotomic_golden.json").read_text())
+
+
+def _vector_part(spec, rng, deg, size=3):
+    """1 + c_1 t + ... + c_deg t^deg with payload vectors of entries in -size..size."""
+    tail = [tuple(rng.randint(-size, size) for _ in range(spec.width)) for _ in range(deg)]
+    return Polynomial.from_payloads(spec, [spec.one()] + tail)
+
+
+def _root_of_unity_part(spec, rng, deg):
+    """The product of deg factors 1 -+ zeta^k t."""
+    out = Polynomial.one(spec)
+    for _ in range(deg):
+        k, sign = rng.randrange(spec.n), rng.choice((1, -1))
+        out = out * Polynomial.from_payloads(spec, [spec.one(), spec.canon([0] * k + [-sign])])
+    return out
+
+
+def _cyclotomic_shared_cases(n):
+    """Twelve seeded pairs common * a, common * b over Z[zeta_n].
+
+    The common factor and the cofactors are random vector parts or
+    products of 1 -+ zeta^k t, mixed, so that quotients with zero
+    coefficients and repeated roots of unity occur.
+    """
+    spec = RingSpec.cyclotomic(n)
+    rng = random.Random(f"shared factors over Z[zeta_{n}]")
+    kinds = (_vector_part, _root_of_unity_part)
+    for i in range(12):
+        common, cofactor = kinds[i % 2], kinds[i // 2 % 2]
+        g = common(spec, rng, rng.randint(1, 3))
+        yield g * cofactor(spec, rng, rng.randint(0, 3)), g * cofactor(spec, rng, rng.randint(0, 3))
+
+
+@pytest.mark.parametrize("n", sorted(CYCLOTOMIC_GOLDEN, key=int))
+def test_cyclotomic_normalization_golden_digest(n):
+    # one SHA-256 per level over the reduced parts, as the Euclid over
+    # Q(zeta_n) returned them
+    digest = hashlib.sha256()
+    for num, den in _cyclotomic_shared_cases(int(n)):
+        f = WittVector.from_polys(num, den)
+        digest.update(repr((f.num.coeffs, f.den.coeffs)).encode())
+    assert digest.hexdigest() == CYCLOTOMIC_GOLDEN[n]
+
+
+@st.composite
+def _cyclotomic_shared_case(draw):
+    spec = RingSpec.cyclotomic(draw(st.sampled_from((1, 2, 3, 4, 5, 7, 8, 12))))
+    common, a, b = (draw(_part(spec, 2)) for _ in range(3))
+    return common * a, common * b
+
+
+@given(_cyclotomic_shared_case())
+@settings(max_examples=80, deadline=None)
+def test_cyclotomic_normalization_is_equal_and_coprime(case):
+    from wittlink.oracles import poly_resultant_det
+
+    num, den = case
+    f = WittVector.from_polys(num, den)
+    assert f.num * den == num * f.den
+    assert f.spec.is_one(f.num.constant_term) and f.spec.is_one(f.den.constant_term)
+    if f.num.degree > 0 and f.den.degree > 0:
+        assert not poly_resultant_det(f.num, f.den).is_zero
+
+
+def _spy_field_gcd(monkeypatch):
+    """Count the calls of poly_gcd_monic, the payload Euclid over a field, from witt."""
+    from wittlink import witt
+
+    calls, real = [], witt.poly_gcd_monic
+
+    def spy(f, g):
+        calls.append(f.spec)
+        return real(f, g)
+
+    monkeypatch.setattr(witt, "poly_gcd_monic", spy)
+    return calls
+
+
+def _digits_part(spec, rng, deg):
+    """1 + c_1 t + ... + c_deg t^deg with digits c_k in 1..9."""
+    return Polynomial.from_ints(spec, [1] + [rng.randint(1, 9) for _ in range(deg)])
+
+
+def _assert_reduced_without_gcd_over_q(monkeypatch, num, den, want):
+    over_q, field = _spy_euclid_over_q(monkeypatch), _spy_field_gcd(monkeypatch)
+    f = WittVector.from_polys(num, den)
+    assert not over_q and not field, "a gcd over Q or Q(zeta_n) ran"
+    assert (f.num, f.den) == want
+
+
+def test_integer_common_factor_of_100_bits_takes_no_gcd_over_q(monkeypatch):
+    # degree-150 parts sharing a degree-30 factor with 100-bit coefficients:
+    # the lift needs four probe primes
+    rng = random.Random(30)
+    common = Polynomial.from_ints(Z, [1] + [rng.randint(-(2**100), 2**100) for _ in range(30)])
+    a, b = _digits_part(Z, rng, 120), _digits_part(Z, rng, 120)
+    _assert_reduced_without_gcd_over_q(monkeypatch, common * a, common * b, (a, b))
+
+
+def test_cyclotomic_common_factor_takes_no_gcd_over_q(monkeypatch):
+    # degree-36 parts sharing a degree-12 factor, zeta in every coefficient
+    C7 = RingSpec.cyclotomic(7)
+    rng = random.Random(12)
+    common = _vector_part(C7, rng, 12, 9)
+    a, b = _vector_part(C7, rng, 24, 9), _vector_part(C7, rng, 24, 9)
+    _assert_reduced_without_gcd_over_q(monkeypatch, common * a, common * b, (a, b))
+
+
+@pytest.mark.parametrize("n", [3, 5, 12])
+def test_cyclotomic_common_factor_above_one_prime(monkeypatch, n):
+    # payload entries near 2^70 need the CRT over three probe primes
+    spec = RingSpec.cyclotomic(n)
+    rng = random.Random(n)
+    common = _vector_part(spec, rng, 3, 2**70)
+    a, b = _vector_part(spec, rng, 2, 9), _vector_part(spec, rng, 3, 9)
+    _assert_reduced_without_gcd_over_q(monkeypatch, common * a, common * b, (a, b))
+
+
+def test_cli_cyclotomic_literal_with_common_factor_takes_no_gcd_over_q(monkeypatch, capsys):
+    # witt add "(P)/(Q)" 1 --ring C7, P and Q of degree 180 sharing a degree-60 factor
+    from wittlink.cli import main
+
+    rng = random.Random(7)
+    common = _digits_part(Z, rng, 60)
+    a, b = _digits_part(Z, rng, 120), _digits_part(Z, rng, 120)
+    over_q, field = _spy_euclid_over_q(monkeypatch), _spy_field_gcd(monkeypatch)
+    assert main(["witt", "add", f"({common * a})/({common * b})", "1", "--ring", "C7"]) == 0
+    assert not over_q and not field, "a gcd over Q or Q(zeta_n) ran"
+    assert capsys.readouterr().out == f"({a})/({b})\n"
 
 
 @pytest.mark.parametrize("spec", _KERNEL_RINGS, ids=str)
