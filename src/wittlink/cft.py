@@ -5,10 +5,11 @@ F is the subfield of the n-th cyclotomic field fixed by H, and its Galois
 group over Q is the quotient (Z/n)^*/H.  Everything downstream (Artin
 symbols, splitting invariants, fibers) is finite quotient-group
 arithmetic, and this module owns it: QuotientUnitGroup (cached by
-quotient_group) holds the canonical least coset representatives and the
-element orders, Coset delegates to it, and subgroup_generators decides
-closure from generators; level 1 presents Q itself with the one-element
-unit group (0,), the canonical residue of 1 mod 1.
+quotient_group, and by cyclic_quotient for (Z/m)^*/<g> on g mod m) holds
+the canonical least coset representatives and the element orders, Coset
+delegates to it, subgroup_generated closes by cosets (Dimino's method),
+and subgroup_generators decides closure from generators; level 1 presents
+Q itself with the one-element unit group (0,), the residue of 1 mod 1.
 
 The splitting shape (f, r) of an unramified prime p comes from the order
 of its Artin coset in the quotient group; this module holds no polynomial
@@ -37,6 +38,11 @@ def legendre(q: int, p: int) -> int:
     """Legendre symbol (q|p) by Euler's criterion; p an odd prime."""
     if p == 2 or not is_prime(p):
         raise DomainViolation(f"{p} is not an odd prime")
+    return euler_criterion(q, p)
+
+
+def euler_criterion(q: int, p: int) -> int:
+    """(q|p) for a p the caller has already checked to be an odd prime."""
     q %= p
     if q == 0:
         return 0
@@ -59,26 +65,28 @@ def unit_group(n: int) -> tuple[int, ...]:
 
 
 def subgroup_generated(n: int, gens) -> frozenset:
-    """Smallest multiplicatively closed subset of (Z/n)^* containing 1 and gens."""
+    """Smallest multiplicatively closed subset of (Z/n)^* containing 1 and gens.
+
+    With g^k the first power of g in the closure S, <S, g> is the union of
+    the cosets S*g^i, i < k: a plain power walk while S is trivial.
+    """
     _check_level(n)
     if n == 1:
         return frozenset({0})
-    closure = {1}
-    gens = [g % n for g in gens]
+    closure = frozenset({1})
     for g in gens:
+        g %= n
         if math.gcd(g, n) != 1:
             raise NotCoprime(f"{g} is not a unit mod {n}")
-    frontier = [1]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                v = a * g % n
-                if v not in closure:
-                    closure.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return frozenset(closure)
+        powers, x = [1], g
+        while x not in closure:
+            powers.append(x)
+            x = x * g % n
+        if len(closure) == 1:
+            closure = frozenset(powers)
+        elif len(powers) > 1:
+            closure = frozenset(s * h % n for h in powers for s in closure)
+    return closure
 
 
 def subgroup_generators(n: int, H) -> list[int]:
@@ -103,9 +111,14 @@ def subgroup_generators(n: int, H) -> list[int]:
 
 
 class QuotientUnitGroup:
-    """(Z/m)^* modulo a subgroup, with canonical (least) coset reps."""
+    """(Z/m)^* modulo a subgroup, with canonical (least) coset reps.
 
-    __slots__ = ("modulus", "subgroup", "reps", "_canon")
+    canon_table maps each unit residue mod m to its rep.  canon reduces
+    and checks its argument; a caller holding unit residues may index the
+    table directly.
+    """
+
+    __slots__ = ("modulus", "subgroup", "reps", "canon_table")
 
     def __init__(self, modulus: int, subgroup: frozenset):
         self.modulus = modulus
@@ -121,7 +134,7 @@ class QuotientUnitGroup:
             for v in coset:
                 canon[v] = rep
         self.reps = tuple(sorted(reps))
-        self._canon = canon
+        self.canon_table = canon
 
     @property
     def order(self) -> int:
@@ -129,16 +142,16 @@ class QuotientUnitGroup:
 
     @property
     def identity(self) -> int:
-        return self._canon[1 % self.modulus]
+        return self.canon_table[1 % self.modulus]
 
     def canon(self, u: int) -> int:
         u %= self.modulus
-        if u not in self._canon:
+        if u not in self.canon_table:
             raise DomainViolation(f"{u} is not a unit mod {self.modulus}")
-        return self._canon[u]
+        return self.canon_table[u]
 
     def mul(self, a: int, b: int) -> int:
-        return self._canon[a * b % self.modulus]
+        return self.canon_table[a * b % self.modulus]
 
     def element_order(self, a: int) -> int:
         a = self.canon(a)
@@ -165,6 +178,16 @@ class QuotientUnitGroup:
 @functools.lru_cache(maxsize=None)
 def quotient_group(modulus: int, subgroup: frozenset) -> QuotientUnitGroup:
     return QuotientUnitGroup(modulus, subgroup)
+
+
+def cyclic_quotient(m: int, g: int) -> QuotientUnitGroup:
+    """(Z/m)^*/<g>, cached on g mod m."""
+    return _cyclic_quotient(m, g % m)
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclic_quotient(m: int, g: int) -> QuotientUnitGroup:
+    return quotient_group(m, subgroup_generated(m, [g]))
 
 
 @dataclass(frozen=True)
@@ -382,7 +405,8 @@ class SplitData:
 def split_invariants(F: AbelianField, p: int) -> SplitData:
     art = artin_symbol(F, p)
     f = art.order
-    assert F.degree % f == 0
+    if F.degree % f:
+        raise AssertionError(f"an Artin order {f} that does not divide the degree {F.degree}")
     return SplitData(p, art, f, F.degree // f, p**f)
 
 

@@ -17,7 +17,8 @@ Two constructions produce tori:
     with monodromy the Artin coset of p;
   * the flow-side packet over a prime of residue degree f: group
     (Z/m)^*/<p^f> with monodromy the class of p, at any auxiliary level m
-    coprime to p.
+    coprime to p; it and the closed-orbit labels (Z/m)^*/<p> are the one
+    cached cft.cyclic_quotient.
 
 The packet fiber over the closed-orbit labels pushes the level-m data
 through the restriction character onto the Galois quotient and
@@ -29,7 +30,6 @@ structural consistency this package exists to check.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -41,11 +41,11 @@ from .cft import (
     artin_symbol,
     at_conductor,
     conductor,
-    legendre,
+    cyclic_quotient,
+    euler_criterion,
     quadratic_field_subgroup,
     quotient_group,
     split_invariants,
-    subgroup_generated,
 )
 from .rings import is_prime
 
@@ -120,7 +120,8 @@ def decompose(T: MappingTorus) -> FiberDecomposition:
         while cur != r:
             orbit.append(cur)
             cur = G.mul(cur, T.monodromy)
-        assert len(orbit) == f
+        if len(orbit) != f:
+            raise AssertionError(f"an orbit of size {len(orbit)} under a monodromy of order {f}")
         members = tuple(sorted(orbit))
         seen.update(orbit)
         comps.append(members)
@@ -171,7 +172,7 @@ def deninger_packet(F: AbelianField, p: int, m: int) -> MappingTorus:
     if math.gcd(p, m) != 1:
         raise NotCoprime(f"{p} divides the level {m}")
     f = split_invariants(F, p).residue_degree  # raises on ramified p
-    G = quotient_group(m, subgroup_generated(m, [pow(p, f, m)]))
+    G = cyclic_quotient(m, pow(p, f, m))
     return MappingTorus(G, G.canon(p), p, field=F)
 
 
@@ -184,17 +185,11 @@ class ClosedOrbitLabel:
     level: int
 
 
-@functools.lru_cache(maxsize=None)
-def _label_group(m: int, p: int) -> QuotientUnitGroup:
-    """(Z/m)^*/<p>: the closed-orbit labels of the level-m base packet over p."""
-    return quotient_group(m, subgroup_generated(m, [p]))
-
-
 def closed_orbit_labels(p: int, m: int) -> list[ClosedOrbitLabel]:
     """All closed-orbit labels of the level-m base packet over p."""
     if math.gcd(p, m) != 1:
         raise NotCoprime(f"{p} divides the level {m}")
-    return [ClosedOrbitLabel(r, p, m) for r in _label_group(m, p).reps]
+    return [ClosedOrbitLabel(r, p, m) for r in cyclic_quotient(m, p).reps]
 
 
 def packet_fibers(T: MappingTorus) -> FiberDecomposition:
@@ -224,12 +219,13 @@ def packet_fibers(T: MappingTorus) -> FiberDecomposition:
     dec = decompose(pushed)
     component_of = {r: i for i, comp in enumerate(dec.components) for r in comp}
     # the level-m points over each label all land in a single component
-    Glab = _label_group(m, p)
+    Glab = cyclic_quotient(m, p)
+    lab, gal = Glab.canon_table, Ggal.canon_table
     landed: dict[int, set] = {}  # label -> components its points land in
     for g in T.group.reps:
-        landed.setdefault(Glab.canon(g), set()).add(component_of[Ggal.canon(g)])
-    assert landed.keys() == set(Glab.reps)
-    assert all(len(hit) == 1 for hit in landed.values())
+        landed.setdefault(lab[g], set()).add(component_of[gal[g % c]])
+    if len(landed) != Glab.order or any(len(hit) != 1 for hit in landed.values()):
+        raise AssertionError("a closed-orbit label is missed or split across components")
     return dec
 
 
@@ -318,11 +314,9 @@ def reciprocity_row(p: int, q: int) -> ReciprocityRow:
     if p == q:
         raise EqualPrimes(f"need distinct primes, got {p} twice")
     F = quadratic_field_subgroup(q)
-    leg = legendre(q, p)
+    leg = euler_criterion(q, p)  # p is validated above
     cc = decompose(cc_fiber(F, p))
-    m = conductor(F)
-    T = deninger_packet(F, p, m)
-    den = packet_fibers(T)
+    den = packet_fibers(deninger_packet(F, p, conductor(F)))
     expected = 2 if leg == 1 else 1
     agree = cc.count == den.count == expected
     return ReciprocityRow(p, q, leg, cc.count, den.count, agree)

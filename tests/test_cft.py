@@ -13,10 +13,12 @@ from wittlink.cft import (
     artin_symbol,
     at_conductor,
     conductor,
+    cyclic_quotient,
     cyclotomic_field,
     legendre,
     linking_hom,
     quadratic_field_subgroup,
+    quotient_group,
     ramified_set,
     rationals_field,
     split_invariants,
@@ -80,6 +82,35 @@ def test_subgroup_generated():
     assert subgroup_generated(5, [2]) == frozenset({1, 2, 3, 4})
     with pytest.raises(NotCoprime):
         subgroup_generated(10, [5])
+
+
+def _bfs_closure(n, gens):
+    """Breadth-first closure of {1} under multiplication by each generator."""
+    closure, frontier = {1 % n}, {1 % n}
+    while frontier:
+        frontier = {a * g % n for a in frontier for g in gens} - closure
+        closure |= frontier
+    return frozenset(closure)
+
+
+@given(st.integers(1, 300), st.lists(st.integers(-10**6, 10**6), max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_coset_closure_matches_breadth_first_closure(n, gens):
+    if any(math.gcd(g, n) != 1 for g in gens):
+        with pytest.raises(NotCoprime):
+            subgroup_generated(n, gens)
+        return
+    assert subgroup_generated(n, gens) == _bfs_closure(n, [g % n for g in gens])
+
+
+@given(st.integers(1, 300), st.integers(-10**6, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_cyclic_quotient_is_the_quotient_by_the_generated_subgroup(m, g):
+    if math.gcd(g, m) != 1:
+        return
+    G = cyclic_quotient(m, g)
+    assert G is cyclic_quotient(m, g % m + m)  # cached on g mod m
+    assert G is quotient_group(m, subgroup_generated(m, [g]))
 
 
 def test_crt_combine():

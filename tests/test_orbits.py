@@ -1,7 +1,11 @@
 """Mapping tori, packets, fiber decompositions, flow-side points."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -290,6 +294,23 @@ def test_packet_fibers_rejects_a_label_split_across_components():
     T = MappingTorus(quotient_group(15, frozenset({1})), 1, 19, field=cyclotomic_field(5))
     with pytest.raises(AssertionError):
         packet_fibers(T)
+
+
+def test_packet_fibers_rejects_a_label_split_across_components_under_python_O():
+    # the check is the flow side's own, so it must survive python -O
+    code = (
+        "from wittlink.cft import cyclotomic_field\n"
+        "from wittlink.orbits import MappingTorus, packet_fibers, quotient_group\n"
+        "T = MappingTorus(quotient_group(15, frozenset({1})), 1, 19, field=cyclotomic_field(5))\n"
+        "try:\n"
+        "    packet_fibers(T)\n"
+        "except AssertionError:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "raised\n"), proc.stderr
 
 
 def test_label_fiber_matches_cc_routes():
