@@ -14,9 +14,14 @@ Every ring element is a plain payload interpreted through a RingSpec:
               polynomial of degree k over F_p.  This is the internal
               extension point used by the group-ring decoder; the public
               surface needs only the first five.
-    Fq~(p, k) tuple of k ints: an element of Z[x]/(g~), g~ the F_q modulus
-              read over Z.  Internal: the Witt Newton route runs F_q on
-              this lift and reduces at the end.
+
+``_context(spec)`` gives a ring's reduction context (m, p): the monic
+vector modulus m and the modulus p of the entries, 0 in characteristic 0.
+It is (Phi_n, 0) over Z[zeta_n], (g, p) over F_q and ((), n) over the
+scalar rings (n = 0 over Z and Q).  The vector reduction ``_reduce`` and
+the fused sum of products ``_fused`` take (m, p), never a RingSpec; so do
+the Witt kernels, which run the product on (m, 0), the characteristic-0
+lift.
 
 Polynomials are dense tuples of payloads, constant term first, with no
 trailing zero coefficients.  Underneath, every list-level polynomial
@@ -24,8 +29,8 @@ operation (residues mod Phi_n or the F_q modulus, inverses, the gcds of
 the Witt normalization) runs on one dense-list kernel, the ``_dl_*``
 functions, over Q or over F_p.  ``Polynomial.__mul__`` calls ``_dl_mul``
 for the scalar kinds; for the vector kinds it sums each coefficient's
-products unreduced and reduces that sum once.  No floating point appears
-anywhere.
+products unreduced and reduces that sum once by ``_reduce``.  No floating
+point appears anywhere.
 
 ``poly_gcd_monic`` serves only the Witt normalization over F_q;
 ``poly_divmod`` serves it, the F_q decoder and the exact-division test of
@@ -161,8 +166,8 @@ def _dl_addmul(acc: list, a, b) -> None:
     """acc += a * b in place, unreduced; acc has at least len(a) + len(b) - 1 entries.
 
     On payload vectors of width w (acc of length 2w - 1) this sums products
-    before their reduction, so a sum of them is reduced once by the vector
-    ring's ``_reduce`` instead of once a product.
+    before their reduction, so a sum of them is reduced once by ``_reduce``
+    instead of once a product.
     """
     for i, ai in enumerate(a):
         if ai:
@@ -268,6 +273,36 @@ def _fold_terms(m: tuple) -> tuple[tuple[int, int], ...]:
     return tuple((i, mi) for i, mi in enumerate(m[:-1]) if mi)
 
 
+def _reduce(c: list, m: tuple, p: int) -> tuple:
+    """c modulo the monic modulus m (and mod p when p > 0), padded to the width len(m) - 1.
+
+    The remainder of the division by m, folded from the top through m's
+    nonzero lower terms only (Phi_8 = x^4 + 1 has one).
+    """
+    w = len(m) - 1
+    r = list(c)
+    terms = _fold_terms(m)
+    for top in range(len(r) - 1, w - 1, -1):
+        v = r.pop() % p if p else r.pop()
+        if v:
+            base = top - w
+            for i, mi in terms:
+                r[base + i] -= v * mi
+    _dl_trim(r, p)
+    return tuple(r + [0] * (w - len(r)))
+
+
+def _fused(acc: list, xs, ys, m: tuple, p: int) -> tuple:
+    """acc + the sum of x * y over paired payload vectors, reduced once mod (m, p).
+
+    acc holds the 2w - 1 unreduced entries of a product of width-w
+    vectors; a coefficient built from many products costs one reduction.
+    """
+    for a, b in zip(xs, ys):
+        _dl_addmul(acc, a, b)
+    return _reduce(acc, m, p)
+
+
 # --------------------------------------------------------------------------
 # RingSpec
 
@@ -277,8 +312,15 @@ _KIND_ZN = "Zn"
 _KIND_FP = "Fp"
 _KIND_C = "C"
 _KIND_FQ = "Fq"
-_KIND_LIFT = "Fq~"
-_SCALAR_KINDS = (_KIND_Z, _KIND_Q, _KIND_FP, _KIND_ZN)  # the rest carry payload vectors
+
+
+def _context(spec: "RingSpec") -> tuple[tuple[int, ...], int]:
+    """(vector modulus, prime or 0) of a ring; the modulus is () on the scalar rings, which carry n."""
+    if spec.kind == _KIND_C:
+        return cyclotomic_polynomial(spec.n), 0
+    if spec.kind == _KIND_FQ:
+        return _ext_field_modulus(spec.n, spec.k), spec.n
+    return (), spec.n
 
 
 @dataclass(frozen=True)
@@ -342,50 +384,8 @@ class RingSpec:
 
     @property
     def width(self) -> int:
-        """Length of a payload vector: phi(n) over Z[zeta_n], k over F_{p^k}
-        and its lift, 1 over the scalar rings."""
-        if self.kind == _KIND_C:
-            return euler_phi(self.n)
-        if self.kind in (_KIND_FQ, _KIND_LIFT):
-            return self.k
-        return 1
-
-    @property
-    def _modulus(self) -> tuple[tuple[int, ...], int]:
-        """(monic modulus, prime or 0) behind the C, Fq and Fq~ payload vectors."""
-        if self.kind in (_KIND_FQ, _KIND_LIFT):
-            return _ext_field_modulus(self.n, self.k), self.n if self.kind == _KIND_FQ else 0
-        return cyclotomic_polynomial(self.n), 0
-
-    def _reduce(self, c: list) -> tuple:
-        """c modulo the monic modulus (and mod p when there is one), padded to the width.
-
-        The remainder of the division by the modulus, folded from the top
-        through the modulus's nonzero lower terms only (Phi_8 = x^4 + 1 has
-        one).
-        """
-        m, p = self._modulus
-        w = len(m) - 1
-        r = list(c)
-        terms = _fold_terms(m)
-        for top in range(len(r) - 1, w - 1, -1):
-            v = r.pop() % p if p else r.pop()
-            if v:
-                base = top - w
-                for i, mi in terms:
-                    r[base + i] -= v * mi
-        _dl_trim(r, p)
-        return tuple(r + [0] * (w - len(r)))
-
-    def _fused(self, acc: list, xs, ys) -> tuple:
-        """acc + the sum of x * y over paired payload vectors, reduced once.
-
-        acc holds the 2w - 1 unreduced entries of a product of width-w
-        vectors; a coefficient built from many products costs one reduction.
-        """
-        for a, b in zip(xs, ys):
-            _dl_addmul(acc, a, b)
-        return self._reduce(acc)
+        """Length of a payload vector: phi(n) over Z[zeta_n], k over F_{p^k}, 1 over the scalar rings."""
+        return max(len(_context(self)[0]) - 1, 1)
 
     def __str__(self) -> str:
         if self.kind == _KIND_Z:
@@ -406,7 +406,7 @@ class RingSpec:
             return 0
         if self.kind == _KIND_Q:
             return Fraction(0)
-        return (0,) * (len(self._modulus[0]) - 1)
+        return (0,) * self.width
 
     def one(self):
         return self.from_int(1)
@@ -430,14 +430,14 @@ class RingSpec:
             return Fraction(payload)
         if self.kind in (_KIND_ZN, _KIND_FP):
             return int(payload) % self.n
-        return self._reduce([int(v) for v in payload])
+        return _reduce([int(v) for v in payload], *_context(self))
 
     def add(self, a, b):
         if self.kind in (_KIND_Z, _KIND_Q):
             return a + b
         if self.kind in (_KIND_ZN, _KIND_FP):
             return (a + b) % self.n
-        if self.kind in (_KIND_C, _KIND_LIFT):
+        if self.kind == _KIND_C:
             return tuple(x + y for x, y in zip(a, b))
         return tuple((x + y) % self.n for x, y in zip(a, b))
 
@@ -446,7 +446,7 @@ class RingSpec:
             return a - b
         if self.kind in (_KIND_ZN, _KIND_FP):
             return (a - b) % self.n
-        if self.kind in (_KIND_C, _KIND_LIFT):
+        if self.kind == _KIND_C:
             return tuple(x - y for x, y in zip(a, b))
         return tuple((x - y) % self.n for x, y in zip(a, b))
 
@@ -455,7 +455,7 @@ class RingSpec:
             return -a
         if self.kind in (_KIND_ZN, _KIND_FP):
             return (-a) % self.n
-        if self.kind in (_KIND_C, _KIND_LIFT):
+        if self.kind == _KIND_C:
             return tuple(-x for x in a)
         return tuple((-x) % self.n for x in a)
 
@@ -464,7 +464,7 @@ class RingSpec:
             return a * b
         if self.kind in (_KIND_ZN, _KIND_FP):
             return a * b % self.n
-        return self._reduce(_dl_mul(a, b))
+        return _reduce(_dl_mul(a, b), *_context(self))
 
     def mul_int(self, a, m: int):
         return self.mul(a, self.from_int(m))
@@ -482,7 +482,7 @@ class RingSpec:
             raise NotAUnit("0 is not a unit")
         if self.kind == _KIND_Q:
             return 1 / a
-        m, p = self._modulus
+        m, p = _context(self)
         inv = _dl_invmod(a, m, p)  # never None: the moduli are irreducible
         if self.kind == _KIND_C:  # the inverse in Q(zeta_n), a unit when integral
             inv = _integral(inv)
@@ -504,7 +504,7 @@ class RingSpec:
         if self.kind == _KIND_C:
             if self.is_zero(b):
                 raise DomainViolation("division by zero")
-            m = self._modulus[0]  # the quotient in Q(zeta_n), kept when integral
+            m = _context(self)[0]  # the quotient in Q(zeta_n), kept when integral
             quot = _integral(_dl_divmod(_dl_mul(a, _dl_invmod(b, m)), m)[1])
             if quot is None:
                 raise DomainViolation("inexact division in Z[zeta]")
@@ -512,7 +512,8 @@ class RingSpec:
         raise UnsupportedRing(f"no exact division in {self}")
 
     def pow_payload(self, a, e: int):
-        assert e >= 0
+        if e < 0:
+            raise DomainViolation(f"negative exponent {e}")
         result = self.one()
         base = a
         while e:
@@ -523,15 +524,12 @@ class RingSpec:
         return result
 
     def is_zero(self, a) -> bool:
-        if self.kind in (_KIND_C, _KIND_FQ, _KIND_LIFT):
+        if self.kind in (_KIND_C, _KIND_FQ):
             return all(v == 0 for v in a)
         return a == 0
 
     def is_one(self, a) -> bool:
         return a == self.one()
-
-    def sort_key(self, a):
-        return a
 
     def render(self, a) -> str:
         if self.kind in (_KIND_Z, _KIND_ZN, _KIND_FP, _KIND_Q):
@@ -727,20 +725,21 @@ class Polynomial:
         """Scalar kinds multiply on the list kernel; vector kinds reduce each coefficient once."""
         self._check(other)
         s = self.spec
-        if s.kind in _SCALAR_KINDS:
-            out = _dl_mul(self.coeffs, other.coeffs, s.n)  # n = 0 over Z and Q
+        m, p = _context(s)
+        if not m:
+            out = _dl_mul(self.coeffs, other.coeffs, p)  # p = 0 over Z and Q
             if s.kind == _KIND_Q:  # a coefficient no product reached is still the int 0
                 out = [v if type(v) is Fraction else Fraction(v) for v in out]
             return Polynomial(s, tuple(out))
         if not self.coeffs or not other.coeffs:
             return Polynomial.zero(s)
-        w = len(s.zero())
+        w = len(m) - 1
         acc = [[0] * (2 * w - 1) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
         for i, a in enumerate(self.coeffs):
             if not s.is_zero(a):
                 for j, b in enumerate(other.coeffs, i):
                     _dl_addmul(acc[j], a, b)
-        out = [s._reduce(c) for c in acc]
+        out = [_reduce(c, m, p) for c in acc]
         while out and s.is_zero(out[-1]):
             out.pop()
         return Polynomial(s, tuple(out))

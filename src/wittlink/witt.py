@@ -15,20 +15,23 @@ prod (1 - a_i b_j t) is the polynomial of degree deg p * deg q whose
 power sums are s_k(p) * s_k(q), and F_n(p) = prod (1 - a_i^n t) the one
 whose power sums are s_nk(p).  Newton's identities rebuild each from its
 power sums, dividing by k exactly in characteristic 0: over Z and
-Z[zeta_n] directly, over F_p, Z/n and F_q on lifts to Z or Z[x]/(g~) (the
-coefficients are universal integer polynomials in the inputs), reduced at
-the end.  ``witt_mul`` computes each of the four parts' power sums once,
-to its degree times the larger degree of the other vector's parts, and
-the four star products read slices of them.
+Z[zeta_n] directly, over F_p, Z/n and F_q on lifts to Z or Z[x]/(g) with g
+read over Z (the coefficients are universal integer polynomials in the
+inputs, and no k need be invertible mod p or n), reduced at the end.  ``witt_mul`` computes each of the four
+parts' power sums once, to its degree times the larger degree of the
+other vector's parts, and the four star products read slices of them.
 
-The kernels run on plain ints or int vectors, never through the RingSpec
-ops.  Q enters scaled: p(Lt) is in Z[t] for L the lcm of p's
-denominators, and s_k(p) = s_k(p(Lt)) / L^k, so the star product divides
-its rebuilt c_k by (L_p L_q)^k and F_n by L^(nk); a Fraction is built only
-for the final coefficients.  The ghost map over F_p and Z/n reduces mod n
-inside the recurrence.  Over the vector rings (Z[zeta_n], F_q and its
-lift) each coefficient's products are summed unreduced and reduced once
-by the modulus.
+The kernels take a reduction context (m, p) from ``rings._context``, never
+a RingSpec: the vector modulus m (Phi_n over Z[zeta_n], g over
+F_q = F_p[x]/(g), () on the scalar rings) and the prime p, or n over Z/n,
+or 0.  The product and Frobenius run on (m, 0), the characteristic-0 lift;
+the ghost map runs on (m, p), reducing inside the recurrence.  Every part
+enters through ``_lift``: Q scaled, p(Lt) in Z[t] for L the lcm of the
+denominators of the parts lifted together, so s_k(p) = s_k(p(Lt)) / L^k;
+the star product divides its rebuilt c_k by (L_p L_q)^k and F_n by
+L^(nk).  Every result leaves through ``_settle``, which builds the only
+Fractions and reduces the lifts mod p.  With a vector modulus each
+coefficient's products are summed unreduced and reduced once.
 
 Criterion 1 holds both routes against the resultant forms in ``oracles``.
 
@@ -64,13 +67,14 @@ from .rings import (
     RingSpec,
     _KIND_C,
     _KIND_FP,
-    _KIND_LIFT,
     _KIND_Q,
     _KIND_Z,
-    _KIND_ZN,
-    _SCALAR_KINDS,
+    _context,
     _dl_divmod,
     _dl_gcd,
+    _dl_mul,
+    _fused,
+    _reduce,
     conjugate_polynomial,
     cyclotomic_polynomial,
     is_prime,
@@ -232,10 +236,9 @@ def _normalize_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Poly
     if den.is_one or num.is_one:
         return num, den
     if spec.kind in (_KIND_Z, _KIND_Q, _KIND_FP):
-        # Q enters scaled: t -> Lt, L the lcm of every denominator (1 over Z
-        # and F_p), makes both parts integral and commutes with taking gcds
-        L = math.lcm(*[v.denominator for v in num.coeffs + den.coeffs])
-        a, b = _normalize_lists(_scale_up(num.coeffs, L), _scale_up(den.coeffs, L), spec.n)
+        # Q enters scaled by one t -> Lt for both parts, which commutes with taking gcds
+        a, b, L = _lift(num, den)
+        a, b = _normalize_lists(a, b, spec.n)
         if len(a) == len(num.coeffs):  # coprime
             return num, den
         return _settle(spec, a, L), _settle(spec, b, L)
@@ -350,8 +353,8 @@ def _power_roots(p: Polynomial, n: int) -> Polynomial:
     """Polynomial with inverse roots {a^n} for a over p.
 
     Its power sums are s_n(p), s_2n(p), ..., s_dn(p); Newton's identities
-    rebuild it.  Over Q, p(Lt) has inverse roots L*a, so the rebuilt
-    coefficient c_k is unscaled by L^(nk).
+    rebuild it on the characteristic-0 lift.  Over Q, p(Lt) has inverse
+    roots L*a, so the rebuilt coefficient c_k is unscaled by L^(nk).
     """
     spec = p.spec
     d = p.degree
@@ -359,160 +362,147 @@ def _power_roots(p: Polynomial, n: int) -> Polynomial:
         return Polynomial.one(spec)
     if n == 1:
         return p
-    R = _newton_ring(spec)
+    ctx = (_context(spec)[0], 0)
     c, L = _lift(p)
-    return _settle(spec, _from_power_sums(_power_sums(c, n * d, R)[n - 1 :: n], R), L**n)
+    return _settle(spec, _from_power_sums(_power_sums(c, n * d, ctx)[n - 1 :: n], ctx), L**n)
 
 
-def _newton_ring(spec: RingSpec) -> RingSpec:
-    """Where the Newton route runs: Z for Q, F_p and Z/n, Z[x]/(g~) for F_q, else spec.
+def _lift(*parts: Polynomial) -> list:
+    """The coefficient lists of the parts as the kernels take them, then their common scale L.
 
-    The coefficients of the star product and of F_n are universal integer
-    polynomials in the input coefficients, so over F_p, Z/n and
-    F_q = F_p[x]/(g) they may be computed on lifts to Z or to Z[x]/(g~),
-    g~ the modulus g read over Z, and reduced at the end; this also covers
-    divisions by k that have no inverse modulo p or n.  Q enters scaled to
-    Z (see ``_lift``).
+    Over Q the parts enter as p(Lt) in Z[t], L the lcm of every denominator
+    of every part: the inverse roots of p(Lt) are L times those of p, so
+    s_k(p) = s_k(p(Lt)) / L^k.  Every other kind enters as its payloads
+    (lifts in [0, n) over F_p and Z/n), with L = 1.
     """
-    if spec.kind in (_KIND_Q, _KIND_FP, _KIND_ZN):
-        return RingSpec.integers()
-    if spec.k:  # F_q is the one public kind with an extension degree
-        return RingSpec(_KIND_LIFT, spec.n, spec.k)
-    return spec
-
-
-def _lift(p: Polynomial) -> tuple[list, int]:
-    """The coefficients of p as the kernels take them, and the scale L.
-
-    Over Q, p enters as p(Lt) in Z[t], L the lcm of its denominators: its
-    inverse roots are L times those of p, so s_k(p) = s_k(p(Lt)) / L^k.
-    Every other kind enters as its payloads (lifts in [0, n) over F_p and
-    Z/n), with L = 1.
-    """
-    if p.spec.kind != _KIND_Q:
-        return list(p.coeffs), 1
-    L = math.lcm(*[v.denominator for v in p.coeffs])
-    return _scale_up(p.coeffs, L), L
-
-
-def _scale_up(coeffs, L: int) -> list:
-    """c_k * L^k for Fractions c_k whose denominators divide L (c_0 = 1): the ints of p(Lt)."""
-    out, Lk = [], 1
-    for v in coeffs:
-        out.append(v.numerator * Lk // v.denominator)
-        Lk *= L
-    return out
+    if parts[0].spec.kind != _KIND_Q:
+        return [list(p.coeffs) for p in parts] + [1]
+    L = math.lcm(*[v.denominator for p in parts for v in p.coeffs])
+    out = []
+    for p in parts:
+        c, Lk = [], 1
+        for v in p.coeffs:
+            c.append(v.numerator * Lk // v.denominator)
+            Lk *= L
+        out.append(c)
+    return out + [L]
 
 
 def _settle(spec: RingSpec, c, scale: int) -> Polynomial:
-    """The polynomial over spec with kernel coefficients c.
+    """The polynomial over spec with kernel coefficients c: the one exit of the kernels.
 
     Over Q, c_k is divided by scale^k (a Fraction is built only here); over
     F_p, Z/n and F_q the lifts are reduced mod n or p.
     """
+    m, p = _context(spec)
     if spec.kind == _KIND_Q:
         out, sk = [], 1
         for v in c:
             out.append(Fraction(v, sk))
             sk *= scale
-    elif spec.kind in (_KIND_FP, _KIND_ZN):
-        out = [v % spec.n for v in c]
-    elif spec.k:
-        out = [tuple([v % spec.n for v in x]) for x in c]
-    else:
+    elif not p:
         out = list(c)
-    while spec.is_zero(out[-1]):
+    elif m:
+        out = [tuple([v % p for v in x]) for x in c]
+    else:
+        out = [v % p for v in c]
+    while out and spec.is_zero(out[-1]):
         out.pop()
     return Polynomial(spec, tuple(out))
 
 
-def _power_sums(c: list, N: int, R: RingSpec) -> list:
-    """s_1..s_N for the inverse roots of 1 + c_1 t + ... + c_d t^d over R.
+def _power_sums(c: list, N: int, ctx: tuple) -> list:
+    """s_1..s_N for the inverse roots of 1 + c_1 t + ... + c_d t^d in the context ctx = (m, p).
 
     Newton's identities, division-free: with c_k = 0 for k > d,
     s_k = -(k*c_k + sum_{i <= min(k-1, d)} c_i s_{k-i}), O(N*d) products.
-    Over Z, F_p and Z/n the payloads are ints, reduced mod n at every step
-    over F_p and Z/n.  Over the vector rings (Z[zeta_n], F_q and the lift
-    Z[x]/(g~)) each s_k is accumulated unreduced and reduced once.
+    With no vector modulus m the payloads are ints, reduced mod p at every
+    step when p > 0.  Otherwise they are int vectors, and each s_k is
+    accumulated unreduced and reduced once mod (m, p).
     """
+    m, p = ctx
     d = len(c) - 1
     out = []
-    if R.kind in _SCALAR_KINDS:
-        m = R.n  # 0 over Z
+    if not m:
         crev = c[:0:-1]  # c_d, ..., c_1 against s_{k-d}, ..., s_{k-1}
         for k in range(1, N + 1):
             if k <= d:  # c_{k-1}, ..., c_1 against s_1, ..., s_{k-1}
                 acc = k * c[k] + sum(map(operator.mul, c[k - 1 : 0 : -1], out))
             else:
                 acc = sum(map(operator.mul, crev, out[k - 1 - d :]))
-            out.append(-acc % m if m else -acc)
+            out.append(-acc % p if p else -acc)
         return out
-    w = len(R.zero())
+    w = len(m) - 1
     nc = [[-v for v in x] for x in c]  # negated, so each s_k comes out reduced
     for k in range(1, N + 1):
         t = min(k - 1, d)
         acc = [k * v for v in nc[k]] + [0] * (w - 1) if k <= d else [0] * (2 * w - 1)
-        out.append(R._fused(acc, nc[t:0:-1], out[k - 1 - t :]))
+        out.append(_fused(acc, nc[t:0:-1], out[k - 1 - t :], m, p))
     return out
 
 
-def _from_power_sums(s: list, R: RingSpec) -> list:
-    """Coefficients 1, c_1, ..., c_D over R with power sums s_1..s_D.
+def _from_power_sums(s: list, ctx: tuple) -> list:
+    """Coefficients 1, c_1, ..., c_D in the context ctx = (m, 0) with power sums s_1..s_D.
 
     The one rebuild of the Newton route.  Newton's identities solved for
     c_k: c_k = -(s_k + sum_{i<k} c_i s_{k-i}) / k.  The division is exact
-    in characteristic 0 (R is Z, Z[zeta_n] or the lift Z[x]/(g~); the last
-    two are free Z-modules on their power bases, so they divide entry by
-    entry, after one reduction of the accumulated sum).
+    in characteristic 0 (Z, or Z[x]/(m), a free Z-module on its power
+    basis, so it divides entry by entry, after one reduction of the
+    accumulated sum).
     """
-    if R.kind == _KIND_Z:
+    m = ctx[0]
+    if not m:
         c = [1]
         for k in range(1, len(s) + 1):
             c.append(-(s[k - 1] + sum(map(operator.mul, c[k - 1 : 0 : -1], s))) // k)
         return c
-    w = len(R.zero())
-    c = [R.one()]
+    w = len(m) - 1
+    c = [(1,) + (0,) * (w - 1)]
     for k in range(1, len(s) + 1):
         acc = list(s[k - 1]) + [0] * (w - 1)
-        c.append(tuple([-v // k for v in R._fused(acc, c[k - 1 : 0 : -1], s)]))
+        c.append(tuple([-v // k for v in _fused(acc, c[k - 1 : 0 : -1], s, m, 0)]))
     return c
 
 
-def _part_sums(p: Polynomial, depth: int, R: RingSpec) -> tuple[int, list, int]:
-    """(deg p, s_1..s_depth of p over R, the scale L of p): what a star product reads of a part."""
+def _part_sums(p: Polynomial, depth: int, ctx: tuple) -> tuple[int, list, int]:
+    """(deg p, s_1..s_depth of p in ctx, the scale L of p): what a star product reads of a part."""
     c, L = _lift(p)
-    return p.degree, _power_sums(c, depth, R), L
+    return p.degree, _power_sums(c, depth, ctx), L
 
 
-def _star(spec: RingSpec, R: RingSpec, a: tuple, b: tuple) -> Polynomial:
-    """The star product of two parts from their ``_part_sums``, each to depth >= deg p * deg q."""
+def _star(a: tuple, b: tuple, ctx: tuple) -> tuple[list, int]:
+    """The kernel coefficients of the star product of two parts from their ``_part_sums``, and their scale.
+
+    Each part's power sums reach depth >= deg p * deg q; a constant part
+    gives the constant 1.
+    """
     (d, sp, Lp), (e, sq, Lq) = a, b
     D = d * e
-    if D <= 0:
-        return Polynomial.one(spec)
-    if R.kind == _KIND_Z:
-        s = list(map(operator.mul, sp[:D], sq[:D]))
+    if ctx[0]:
+        s = [_reduce(_dl_mul(x, y), *ctx) for x, y in zip(sp[:D], sq[:D])]
     else:
-        s = [R.mul(x, y) for x, y in zip(sp[:D], sq[:D])]
-    return _settle(spec, _from_power_sums(s, R), Lp * Lq)
+        s = list(map(operator.mul, sp[:D], sq[:D]))
+    return _from_power_sums(s, ctx), Lp * Lq
 
 
 def witt_mul(f: WittVector, g: WittVector) -> WittVector:
     """f (x) g: the biadditive extension of (1-at)(x)(1-bt) = (1-abt).
 
     Each of the four parts has its power sums computed once, to its degree
-    times the larger degree of the other vector's parts; the four star
-    products read slices of them.
+    times the larger degree of the other vector's parts, on the
+    characteristic-0 lift; the four star products read slices of them.
     """
     f._check(g)
     spec = f.spec
-    R = _newton_ring(spec)
+    ctx = (_context(spec)[0], 0)
     df, dg = max(f.num.degree, f.den.degree), max(g.num.degree, g.den.degree)
-    n1, d1 = [_part_sums(x, x.degree * dg, R) for x in (f.num, f.den)]
-    n2, d2 = [_part_sums(x, x.degree * df, R) for x in (g.num, g.den)]
-    num = _star(spec, R, n1, n2) * _star(spec, R, d1, d2)
-    den = _star(spec, R, n1, d2) * _star(spec, R, d1, n2)
-    return WittVector.from_polys(num, den)
+    n1, d1 = [_part_sums(x, x.degree * dg, ctx) for x in (f.num, f.den)]
+    n2, d2 = [_part_sums(x, x.degree * df, ctx) for x in (g.num, g.den)]
+
+    def star(a, b):
+        return _settle(spec, *_star(a, b, ctx))
+
+    return WittVector.from_polys(star(n1, n2) * star(d1, d2), star(n1, d2) * star(d1, n2))
 
 
 def frobenius(n: int, f: WittVector) -> WittVector:
@@ -557,13 +547,19 @@ class GhostVector:
     def from_ints(cls, spec: RingSpec, ints) -> "GhostVector":
         return cls(spec, tuple(spec.from_int(v) for v in ints))
 
+    def _check(self, other: "GhostVector") -> None:
+        if self.spec != other.spec:
+            raise SpecMismatch(f"mixed rings {self.spec} and {other.spec}")
+        if len(self.components) != len(other.components):
+            raise DomainViolation(f"ghost vectors of lengths {len(self)} and {len(other)}")
+
     def __add__(self, other: "GhostVector") -> "GhostVector":
-        assert self.spec == other.spec and len(self.components) == len(other.components)
+        self._check(other)
         s = self.spec
         return GhostVector(s, tuple(s.add(a, b) for a, b in zip(self.components, other.components)))
 
     def __mul__(self, other: "GhostVector") -> "GhostVector":
-        assert self.spec == other.spec and len(self.components) == len(other.components)
+        self._check(other)
         s = self.spec
         return GhostVector(s, tuple(s.mul(a, b) for a, b in zip(self.components, other.components)))
 
@@ -589,16 +585,13 @@ def ghost(f: WittVector, N: int | None = None) -> GhostVector:
     if N < 1:
         raise DomainViolation("ghost precision must be >= 1")
     spec = f.spec
-    (cn, Ln), (cd, Ld) = _lift(f.num), _lift(f.den)
-    if spec.kind != _KIND_Q:  # F_p, Z/n and F_q reduce inside the recurrence
-        sn, sd = _power_sums(cn, N, spec), _power_sums(cd, N, spec)
-        return GhostVector(spec, tuple(map(spec.sub, sn, sd)))
-    Z = RingSpec.integers()
-    out, pn, pd = [], 1, 1
-    for a, b in zip(_power_sums(cn, N, Z), _power_sums(cd, N, Z)):
-        pn, pd = pn * Ln, pd * Ld
-        out.append(Fraction(a * pd - b * pn, pn * pd))  # s_k(num) - s_k(den), unscaled
-    return GhostVector(spec, tuple(out))
+    ctx = _context(spec)  # F_p, Z/n and F_q reduce mod p inside the recurrence
+    cn, cd, L = _lift(f.num, f.den)
+    sn, sd = _power_sums(cn, N, ctx), _power_sums(cd, N, ctx)
+    sub = (lambda x, y: tuple(map(operator.sub, x, y))) if ctx[0] else operator.sub
+    # s_k(num) - s_k(den) is the coefficient of t^k in -t f'/f, whose constant term is 0
+    series = _settle(spec, [spec.zero(), *map(sub, sn, sd)], L)
+    return GhostVector(spec, tuple(map(series.coefficient, range(1, N + 1))))
 
 
 # --------------------------------------------------------------------------
@@ -629,7 +622,7 @@ class GroupRingElement:
                 continue
             spec.inv(payload)  # raises NotAUnit for non-units
             terms.append((payload, mult))
-        terms.sort(key=lambda pm: spec.sort_key(pm[0]))
+        terms.sort(key=operator.itemgetter(0))  # by payload
         return cls(spec, tuple(terms))
 
     def __len__(self) -> int:

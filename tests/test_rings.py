@@ -1,5 +1,10 @@
 """Coefficient rings: element arithmetic, polynomials, resultants, conjugation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -80,6 +85,36 @@ def test_elem_inv_non_unit():
 def test_elem_spec_mismatch():
     with pytest.raises(SpecMismatch):
         elem_arith("add", RingElement.of(Z, 1), RingElement.of(F7, 1))
+
+
+def test_ring_kinds_are_the_six_public_ones():
+    from wittlink import rings
+
+    kinds = {v for k, v in vars(rings).items() if k.startswith("_KIND_")}
+    assert kinds == {"Z", "Q", "Zn", "Fp", "C", "Fq"}
+
+
+def test_pow_payload_refuses_a_negative_exponent():
+    assert Z.pow_payload(2, 10) == 1024
+    assert F7.pow_payload(3, 0) == 1
+    with pytest.raises(DomainViolation, match="negative exponent"):
+        Z.pow_payload(2, -1)
+
+
+def test_pow_payload_refuses_a_negative_exponent_under_python_O():
+    # a bare assert here once let -1 >> 1 == -1 loop forever under -O
+    code = (
+        "from wittlink.errors import DomainViolation\n"
+        "from wittlink.rings import RingSpec\n"
+        "try:\n"
+        "    RingSpec.integers().pow_payload(2, -1)\n"
+        "except DomainViolation:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "raised\n"), proc.stderr
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))

@@ -4,16 +4,21 @@ import hashlib
 import itertools
 import json
 import math
+import operator
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wittlink.errors import DomainViolation, NotSplit, UnsupportedRing
+from wittlink.errors import DomainViolation, NotSplit, SpecMismatch, UnsupportedRing
 from wittlink.rings import Polynomial, RingElement, RingSpec
 from wittlink.witt import (
+    GhostVector,
     GroupRingElement,
     WittVector,
     frobenius,
@@ -214,6 +219,38 @@ def test_ghost_additive(a, b):
     f, g = w([1] + a), w([1] + b)
     gf, gg = ghost(f, 10), ghost(g, 10)
     assert ghost(witt_add(f, g), 10).components == (gf + gg).components
+
+
+def test_ghost_vectors_refuse_mixed_rings_and_lengths():
+    a = GhostVector.from_ints(Z, [1, 2, 3])
+    assert (a + a).components == (2, 4, 6) and (a * a).components == (1, 4, 9)
+    for op in (operator.add, operator.mul):
+        with pytest.raises(SpecMismatch):
+            op(a, GhostVector.from_ints(F7, [1, 2]))
+        with pytest.raises(DomainViolation):
+            op(a, GhostVector.from_ints(Z, [1, 2]))
+
+
+def test_ghost_vectors_refuse_mixed_rings_and_lengths_under_python_O():
+    # bare asserts here once let a Z ghost 1 2 3 plus an F_7 ghost 1 2 return 2 4 under -O
+    code = (
+        "import operator\n"
+        "from wittlink.errors import DomainViolation, SpecMismatch\n"
+        "from wittlink.rings import RingSpec\n"
+        "from wittlink.witt import GhostVector\n"
+        "Z, F7 = RingSpec.integers(), RingSpec.prime_field(7)\n"
+        "a = GhostVector.from_ints(Z, [1, 2, 3])\n"
+        "for other, error in ((GhostVector.from_ints(F7, [1, 2]), SpecMismatch), (GhostVector.from_ints(Z, [1, 2]), DomainViolation)):\n"
+        "    for op in (operator.add, operator.mul):\n"
+        "        try:\n"
+        "            op(a, other)\n"
+        "        except error:\n"
+        "            print('raised')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "raised\n" * 4), proc.stderr
 
 
 # --------------------------------------------------------------------------
@@ -523,7 +560,7 @@ def test_newton_route_matches_resultant_route(case):
 
 
 def test_extension_field_route_needs_no_resultant(monkeypatch):
-    # F_q runs on its integer lift Z[x]/(g~): no R[t] resultant is reached
+    # F_q runs on its characteristic-0 lift (g, 0): no R[t] resultant is reached
     from wittlink import oracles
 
     def unreachable(*args):
@@ -940,13 +977,15 @@ def test_newton_kernels_make_no_per_coefficient_ring_calls(monkeypatch, spec):
     )
     g = WittVector.from_polys(Polynomial.from_ints(spec, [1, 1, 5]))
     want_mul, want_frob, want_ghost = witt_mul(f, g), frobenius(3, f), ghost(f, 9)
-    real_power_sums, real_rebuild = witt._power_sums, witt._from_power_sums
+    real_power_sums, real_rebuild, real_star = witt._power_sums, witt._from_power_sums, witt._star
 
     def forbid(*args):
         raise AssertionError("RingSpec.add/mul called inside a Newton kernel")
 
     def guarded(real):
         def run(*args):
+            # the kernels take a reduction context (modulus, p), never the ring
+            assert not any(isinstance(a, RingSpec) for a in args), f"a RingSpec reached {real.__name__}"
             with monkeypatch.context() as m:
                 m.setattr(RingSpec, "add", forbid)
                 m.setattr(RingSpec, "mul", forbid)
@@ -956,6 +995,7 @@ def test_newton_kernels_make_no_per_coefficient_ring_calls(monkeypatch, spec):
 
     monkeypatch.setattr(witt, "_power_sums", guarded(real_power_sums))
     monkeypatch.setattr(witt, "_from_power_sums", guarded(real_rebuild))
+    monkeypatch.setattr(witt, "_star", guarded(real_star))
     assert witt_mul(f, g) == want_mul
     assert frobenius(3, f) == want_frob
     assert ghost(f, 9).components == want_ghost.components
@@ -986,3 +1026,86 @@ def test_decoding_refuses_a_field_above_the_cap_before_searching(monkeypatch):
     F4093 = RingSpec.prime_field(4093)  # the largest prime field at the cap still decodes
     x = GroupRingElement.of(F4093, [(4092, 2), (17, -1)])
     assert witt_to_groupring(groupring_to_witt(x)) == x
+
+
+# --------------------------------------------------------------------------
+# the Witt outputs, pinned: one SHA-256 over seeded from_polys, add, mul,
+# frob and ghost results on every ring kind, taken before the Newton
+# kernels moved to a (modulus, p) reduction context
+
+
+WITT_DIGEST = json.loads(Path(__file__).with_name("witt_digest_golden.json").read_text())
+
+_DIGEST_RINGS = [
+    RingSpec.integers(),
+    RingSpec.rationals(),
+    RingSpec.prime_field(2),
+    RingSpec.prime_field(7),
+    RingSpec.prime_field(101),
+    RingSpec.mod_ring(12),
+    *(RingSpec.cyclotomic(n) for n in (1, 2, 3, 5, 7, 8, 12)),
+    RingSpec.ext_field(2, 3),
+    RingSpec.ext_field(3, 2),
+]
+
+
+def _digest_coefficient(spec, rng, dens):
+    """A random coefficient; over Q a Fraction whose denominator is drawn from dens."""
+    if spec.kind == "Q":
+        return Fraction(rng.randint(-9, 9), rng.choice(dens))
+    if spec.kind in ("C", "Fq"):
+        return spec.canon([rng.randint(-3, 3) for _ in range(spec.width)])
+    return spec.from_int(rng.randint(-9, 9))
+
+
+def _digest_part(spec, rng, deg, dens=(1,)):
+    """1 + c_1 t + ... + c_deg t^deg with random coefficients, c_deg nonzero."""
+    tail = [_digest_coefficient(spec, rng, dens) for _ in range(deg)]
+    while tail and spec.is_zero(tail[-1]):
+        tail[-1] = _digest_coefficient(spec, rng, dens)
+    return Polynomial.from_payloads(spec, [spec.one()] + tail)
+
+
+def _encode(value):
+    """A value with the type name of every entry, so an int where a Fraction was due shows."""
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return [type(value).__name__, str(value)]
+
+
+def _witt_digest_results():
+    """Seeded results over every digest ring: per round a shared-factor from_polys, add, mul, frob and ghost.
+
+    Over Q the numerators draw denominators from (1, 2, 3, 4) and the
+    denominators from (1, 5, 7), so the two parts carry different scales.
+    """
+    for spec in _DIGEST_RINGS:
+        rng = random.Random(f"witt digest over {spec}")
+        for _ in range(12):
+            common = _digest_part(spec, rng, rng.randint(0, 2), (1, 2, 3))
+            f = WittVector.from_polys(
+                common * _digest_part(spec, rng, rng.randint(0, 3), (1, 2, 3, 4)),
+                common * _digest_part(spec, rng, rng.randint(0, 2), (1, 5, 7)),
+            )
+            g = WittVector.from_polys(
+                _digest_part(spec, rng, rng.randint(1, 3), (1, 2, 3, 4)),
+                _digest_part(spec, rng, rng.randint(0, 1), (1, 5, 7)),
+            )
+            yield f
+            yield g
+            yield witt_add(f, g)
+            yield witt_mul(f, g)
+            yield frobenius(rng.choice((2, 3, 4, 6)), f)
+            yield ghost(g, rng.randint(1, 8))
+
+
+def test_witt_outputs_golden_digest():
+    digest, count = hashlib.sha256(), 0
+    for result in _witt_digest_results():
+        if isinstance(result, WittVector):
+            parts = ["witt", str(result.spec), _encode(result.num.coeffs), _encode(result.den.coeffs)]
+        else:
+            parts = ["ghost", str(result.spec), _encode(result.components)]
+        digest.update(json.dumps(parts).encode())
+        count += 1
+    assert (count, digest.hexdigest()) == (WITT_DIGEST["results"], WITT_DIGEST["sha256"])
