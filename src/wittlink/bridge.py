@@ -290,8 +290,7 @@ class BridgeReport:
                 "count": d.count,
                 "covering_degree": d.covering_degree,
                 "components": [list(c) for c in d.components],
-                "circle_length": {"prime": d.circle_length[0], "exponent": d.circle_length[1]},
-                "circle_length_display": round(d.circle_length_display(), 6),
+                **d.length_fields(),
             }
 
         return {

@@ -22,7 +22,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -288,13 +287,6 @@ def _emit(out: Output, fmt: str) -> None:
     sys.stdout.write(_render(out, lambda o: _document(o, fmt)))
 
 
-def _length_fields(p: int, f: int) -> dict:
-    return {
-        "circle_length": {"prime": p, "exponent": f},
-        "circle_length_display": round(f * math.log(p), 6),
-    }
-
-
 # --------------------------------------------------------------------------
 # commands
 
@@ -468,13 +460,13 @@ def cmd_monodromy(ns: argparse.Namespace) -> tuple[int, Output]:
             label_info["fiber_per_label"] = {
                 "count": fib.count,
                 "covering_degree": fib.covering_degree,
-                **_length_fields(ns.prime, fib.covering_degree),
+                **fib.length_fields(),
             }
     rows = [
         {
             "component": list(members),
             "size": dec.covering_degree,
-            **_length_fields(dec.base_prime, dec.covering_degree),
+            **dec.length_fields(),
         }
         for members in dec.components
     ]

@@ -97,6 +97,13 @@ class FiberDecomposition:
         """Float rendering, display only; never used in comparisons."""
         return self.covering_degree * math.log(self.base_prime)
 
+    def length_fields(self) -> dict:
+        """The component length as report fields: exact (p, f) and the display float to 6 places."""
+        return {
+            "circle_length": {"prime": self.base_prime, "exponent": self.covering_degree},
+            "circle_length_display": round(self.circle_length_display(), 6),
+        }
+
     @property
     def representatives(self) -> tuple:
         return tuple(c[0] for c in self.components)

@@ -15,13 +15,16 @@ Every ring element is a plain payload interpreted through a RingSpec:
               extension point used by the group-ring decoder; the public
               surface needs only the first five.
 
-``_context(spec)`` gives a ring's reduction context (m, p): the monic
-vector modulus m and the modulus p of the entries, 0 in characteristic 0.
-It is (Phi_n, 0) over Z[zeta_n], (g, p) over F_q and ((), n) over the
-scalar rings (n = 0 over Z and Q).  The vector reduction ``_reduce`` and
-the fused sum of products ``_fused`` take (m, p), never a RingSpec; so do
-the Witt kernels, which run the product on (m, 0), the characteristic-0
-lift.
+Each RingSpec carries its reduction context as ``spec.m`` and ``spec.p``:
+the monic vector modulus m and the modulus p of the entries, 0 in
+characteristic 0.  It is (Phi_n, 0) over Z[zeta_n], (g, p) over F_q and
+((), n) over the scalar rings (n = 0 over Z and Q).  The payload ops read
+only (m, p), with one branch for vectors (m nonempty) and one for scalars,
+each reducing mod p when p > 0; the kind itself is read where the rings
+really differ (naming, Q's Fractions, units and exact division over Z and
+Z[zeta_n]).  The vector reduction ``_reduce`` and the fused sum of
+products ``_fused`` take (m, p), never a RingSpec; so do the Witt kernels,
+which run the product on (m, 0), the characteristic-0 lift.
 
 Polynomials are dense tuples of payloads, constant term first, with no
 trailing zero coefficients.  Underneath, every list-level polynomial
@@ -44,7 +47,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainViolation, NotAUnit, SpecMismatch, UnsupportedRing
@@ -314,15 +318,6 @@ _KIND_C = "C"
 _KIND_FQ = "Fq"
 
 
-def _context(spec: "RingSpec") -> tuple[tuple[int, ...], int]:
-    """(vector modulus, prime or 0) of a ring; the modulus is () on the scalar rings, which carry n."""
-    if spec.kind == _KIND_C:
-        return cyclotomic_polynomial(spec.n), 0
-    if spec.kind == _KIND_FQ:
-        return _ext_field_modulus(spec.n, spec.k), spec.n
-    return (), spec.n
-
-
 @dataclass(frozen=True)
 class RingSpec:
     """Descriptor of an exact coefficient ring; all element ops live here.
@@ -330,11 +325,27 @@ class RingSpec:
     Payloads are plain Python values (see module docstring); RingSpec
     methods operate on payloads so the polynomial layer stays allocation
     light.  RingElement wraps a payload for the public element API.
+
+    ``m`` and ``p``, the reduction context, are derived from the kind and
+    its parameters at construction; they take no part in equality, hashing
+    or repr.
     """
 
     kind: str
     n: int = 0
     k: int = 0
+    m: tuple = field(init=False, repr=False, compare=False)
+    p: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.kind == _KIND_C:
+            m = cyclotomic_polynomial(self.n)
+        elif self.kind == _KIND_FQ:
+            m = _ext_field_modulus(self.n, self.k)
+        else:
+            m = ()
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "p", 0 if self.kind == _KIND_C else self.n)
 
     # ---------------------------------------------------------- factories
     @classmethod
@@ -385,7 +396,7 @@ class RingSpec:
     @property
     def width(self) -> int:
         """Length of a payload vector: phi(n) over Z[zeta_n], k over F_{p^k}, 1 over the scalar rings."""
-        return max(len(_context(self)[0]) - 1, 1)
+        return max(len(self.m) - 1, 1)
 
     def __str__(self) -> str:
         if self.kind == _KIND_Z:
@@ -401,70 +412,47 @@ class RingSpec:
         return f"F{self.n}^{self.k}"
 
     # ------------------------------------------------------- payload ops
+    def _vector(self, entries) -> tuple:
+        """The payload vector of the given entries, reduced mod p when p > 0."""
+        p = self.p
+        return tuple([v % p for v in entries]) if p else tuple(entries)
+
     def zero(self):
-        if self.kind in (_KIND_Z, _KIND_ZN, _KIND_FP):
-            return 0
-        if self.kind == _KIND_Q:
-            return Fraction(0)
-        return (0,) * self.width
+        return self.from_int(0)
 
     def one(self):
         return self.from_int(1)
 
     def from_int(self, v: int):
-        if self.kind == _KIND_Z:
-            return int(v)
-        if self.kind == _KIND_Q:
-            return Fraction(v)
-        if self.kind in (_KIND_ZN, _KIND_FP):
-            return v % self.n
-        if self.kind == _KIND_C:
-            return (int(v),) + (0,) * (len(cyclotomic_polynomial(self.n)) - 2)
-        return self.canon((v,))
+        return self.canon((v,) if self.m else v)
 
     def canon(self, payload):
         """Canonical form of a raw payload; validates shape."""
-        if self.kind == _KIND_Z:
-            return int(payload)
+        if self.m:
+            return _reduce([int(v) for v in payload], self.m, self.p)
         if self.kind == _KIND_Q:
             return Fraction(payload)
-        if self.kind in (_KIND_ZN, _KIND_FP):
-            return int(payload) % self.n
-        return _reduce([int(v) for v in payload], *_context(self))
+        return int(payload) % self.p if self.p else int(payload)
 
     def add(self, a, b):
-        if self.kind in (_KIND_Z, _KIND_Q):
-            return a + b
-        if self.kind in (_KIND_ZN, _KIND_FP):
-            return (a + b) % self.n
-        if self.kind == _KIND_C:
-            return tuple(x + y for x, y in zip(a, b))
-        return tuple((x + y) % self.n for x, y in zip(a, b))
+        if self.m:
+            return self._vector(map(operator.add, a, b))
+        return (a + b) % self.p if self.p else a + b
 
     def sub(self, a, b):
-        if self.kind in (_KIND_Z, _KIND_Q):
-            return a - b
-        if self.kind in (_KIND_ZN, _KIND_FP):
-            return (a - b) % self.n
-        if self.kind == _KIND_C:
-            return tuple(x - y for x, y in zip(a, b))
-        return tuple((x - y) % self.n for x, y in zip(a, b))
+        if self.m:
+            return self._vector(map(operator.sub, a, b))
+        return (a - b) % self.p if self.p else a - b
 
     def neg(self, a):
-        if self.kind in (_KIND_Z, _KIND_Q):
-            return -a
-        if self.kind in (_KIND_ZN, _KIND_FP):
-            return (-a) % self.n
-        if self.kind == _KIND_C:
-            return tuple(-x for x in a)
-        return tuple((-x) % self.n for x in a)
+        if self.m:
+            return self._vector(map(operator.neg, a))
+        return -a % self.p if self.p else -a
 
     def mul(self, a, b):
-        if self.kind in (_KIND_Z, _KIND_Q):
-            return a * b
-        if self.kind in (_KIND_ZN, _KIND_FP):
-            return a * b % self.n
-        return _reduce(_dl_mul(a, b), *_context(self))
+        if self.m:
+            return _reduce(_dl_mul(a, b), self.m, self.p)
+        return a * b % self.p if self.p else a * b
 
     def mul_int(self, a, m: int):
         return self.mul(a, self.from_int(m))
@@ -474,21 +462,20 @@ class RingSpec:
             if a in (1, -1):
                 return a
             raise NotAUnit(f"{a} is not a unit in Z")
-        if self.kind in (_KIND_ZN, _KIND_FP):
-            if math.gcd(a, self.n) != 1:
-                raise NotAUnit(f"{a} is not a unit mod {self.n}")
-            return pow(a, -1, self.n)
+        if self.p and not self.m:
+            if math.gcd(a, self.p) != 1:
+                raise NotAUnit(f"{a} is not a unit mod {self.p}")
+            return pow(a, -1, self.p)
         if self.is_zero(a):
             raise NotAUnit("0 is not a unit")
-        if self.kind == _KIND_Q:
+        if not self.m:
             return 1 / a
-        m, p = _context(self)
-        inv = _dl_invmod(a, m, p)  # never None: the moduli are irreducible
+        inv = _dl_invmod(a, self.m, self.p)  # never None: the moduli are irreducible
         if self.kind == _KIND_C:  # the inverse in Q(zeta_n), a unit when integral
             inv = _integral(inv)
             if inv is None:
                 raise NotAUnit(f"{self.render(a)} is not a unit in {self}")
-        return tuple(inv + [0] * (len(m) - 1 - len(inv)))
+        return tuple(inv + [0] * (self.width - len(inv)))
 
     def exact_div(self, a, b):
         """a / b when the quotient exists in the ring; raises otherwise."""
@@ -504,11 +491,11 @@ class RingSpec:
         if self.kind == _KIND_C:
             if self.is_zero(b):
                 raise DomainViolation("division by zero")
-            m = _context(self)[0]  # the quotient in Q(zeta_n), kept when integral
+            m = self.m  # the quotient in Q(zeta_n), kept when integral
             quot = _integral(_dl_divmod(_dl_mul(a, _dl_invmod(b, m)), m)[1])
             if quot is None:
                 raise DomainViolation("inexact division in Z[zeta]")
-            return tuple(quot + [0] * (len(m) - 1 - len(quot)))
+            return tuple(quot + [0] * (self.width - len(quot)))
         raise UnsupportedRing(f"no exact division in {self}")
 
     def pow_payload(self, a, e: int):
@@ -524,17 +511,15 @@ class RingSpec:
         return result
 
     def is_zero(self, a) -> bool:
-        if self.kind in (_KIND_C, _KIND_FQ):
-            return all(v == 0 for v in a)
-        return a == 0
+        return not any(a) if self.m else a == 0
 
     def is_one(self, a) -> bool:
         return a == self.one()
 
     def render(self, a) -> str:
-        if self.kind in (_KIND_Z, _KIND_ZN, _KIND_FP, _KIND_Q):
-            return str(a)
-        return _render_int_vector(a, "w" if self.kind == _KIND_FQ else "z")
+        if self.m:
+            return _render_int_vector(a, "w" if self.p else "z")
+        return str(a)
 
 
 def _integral(c: list) -> list | None:
@@ -580,10 +565,8 @@ class RingElement:
             if value.spec != spec:
                 raise SpecMismatch(f"element of {value.spec} used in {spec}")
             return value
-        if isinstance(value, int) and spec.kind not in (_KIND_Z,):
-            return cls(spec, spec.from_int(value))
         if isinstance(value, int):
-            return cls(spec, value)
+            return cls(spec, spec.from_int(value))
         return cls(spec, spec.canon(value))
 
     def _check(self, other: "RingElement") -> None:
@@ -725,7 +708,7 @@ class Polynomial:
         """Scalar kinds multiply on the list kernel; vector kinds reduce each coefficient once."""
         self._check(other)
         s = self.spec
-        m, p = _context(s)
+        m, p = s.m, s.p
         if not m:
             out = _dl_mul(self.coeffs, other.coeffs, p)  # p = 0 over Z and Q
             if s.kind == _KIND_Q:  # a coefficient no product reached is still the int 0
@@ -841,45 +824,29 @@ def conjugate_polynomial(f: Polynomial, sigma: int) -> Polynomial:
 
 
 def format_polynomial(f: Polynomial, var: str = "t") -> str:
-    """Render ascending, integer-style sign merging: ``1-5t+6t^2``."""
+    """Render ascending, integer-style sign merging: ``1-5t+6t^2``.
+
+    A vector coefficient with no terms in z (or w) prints as its constant
+    entry; any other is parenthesized, except as a constant term with no
+    inner sign.
+    """
     s = f.spec
-    if f.is_zero:
-        return "0"
-    simple = s.kind in (_KIND_Z, _KIND_ZN, _KIND_FP, _KIND_Q)
-    parts: list[str] = []
+    out = ""
     for i, c in enumerate(f.coeffs):
         if s.is_zero(c):
             continue
         power = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
-        body = c if simple else s.render(c)
-        as_int = None
-        if isinstance(body, (int, Fraction)):
-            as_int = body
-        elif isinstance(body, str):
-            try:
-                as_int = int(body)
-            except ValueError:
-                as_int = None
-        if as_int is not None:
-            sign = "-" if as_int < 0 else "+"
-            mag = -as_int if as_int < 0 else as_int
-            if i == 0:
-                coef = str(mag)
-            elif mag == 1:
-                coef = ""
-            else:
-                coef = str(mag)
-            parts.append((sign, f"{coef}{power}" if coef or power else str(mag)))
+        if s.m and any(c[1:]):
+            body = s.render(c)
+            if i or "+" in body or "-" in body[1:]:
+                body = f"({body})"
+            sign, term = "+", body + power
         else:
-            if i == 0:
-                parts.append(("+", body if "+" not in body and "-" not in body[1:] else f"({body})"))
-            else:
-                wrapped = "" if body == "1" else f"({body})"
-                parts.append(("+", f"{wrapped}{power}"))
-    out = ""
-    for sign, body in parts:
-        if not out:
-            out = body if sign == "+" else f"-{body}"
+            v = c[0] if s.m else c
+            sign, mag = ("-", -v) if v < 0 else ("+", v)
+            term = ("" if i and mag == 1 else str(mag)) + power
+        if out:
+            out += sign + term
         else:
-            out += f"{sign}{body}"
+            out = "-" + term if sign == "-" else term
     return out or "0"

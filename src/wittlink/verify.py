@@ -75,13 +75,29 @@ class SuiteResult:
         return f"{status} {self.name}: {self.checks} checks, {self.failures} failures, {self.seconds:.2f}s{extra}"
 
 
+class _Tally:
+    """Check and failure counts of one suite, timed from the tally's creation."""
+
+    def __init__(self):
+        self.t0 = time.time()
+        self.checks = self.failures = 0
+
+    def expect(self, cond: bool) -> None:
+        self.checks += 1
+        self.failures += not cond
+
+    def result(self, name: str, detail: str = "") -> SuiteResult:
+        return SuiteResult(
+            name, self.failures == 0, self.checks, self.failures, time.time() - self.t0, detail
+        )
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
     """Grid bounds for the acceptance run; the defaults are the full grids."""
 
     seed: int = 20240901
     witt_samples: int = 200
-    ghost_precision: int = 12
     descent_samples: int = 100
     cyclotomic_bound: int = 40
     max_prime: int = 50
@@ -118,56 +134,48 @@ def _random_witt(rng: random.Random, spec: RingSpec, max_deg: int = 4, bound: in
 
 
 def criterion_witt_ring_laws(seed: int, samples: int = 200, precision: int = 12) -> SuiteResult:
-    t0 = time.time()
+    tally = _Tally()
     rng = random.Random(seed)
     Z = RingSpec.integers()
     vectors = [_random_witt(rng, Z) for _ in range(samples)]
-    checks = failures = 0
-
-    def expect(cond: bool):
-        nonlocal checks, failures
-        checks += 1
-        failures += 0 if cond else 1
-
     N = precision
     for i in range(0, samples - 1, 2):
         f, g = vectors[i], vectors[i + 1]
         gf, gg = ghost(f, 3 * N), ghost(g, 3 * N)
         s, p = f + g, f * g
-        expect(s == g + f)
-        expect(p == g * f)
+        tally.expect(s == g + f)
+        tally.expect(p == g * f)
         gs, gp = ghost(s, N), ghost(p, N)
-        expect(gs.components == tuple(Z.add(a, b) for a, b in zip(gf.components[:N], gg.components[:N])))
+        tally.expect(
+            gs.components == tuple(Z.add(a, b) for a, b in zip(gf.components[:N], gg.components[:N]))
+        )
         # the product and Frobenius come from ghost components themselves, so
         # each is also held against the resultant route: ghosts alone would be circular
-        expect(
+        tally.expect(
             p == _resultant_product(f, g)
             and gp.components == tuple(Z.mul(a, b) for a, b in zip(gf.components[:N], gg.components[:N]))
         )
         n = rng.choice((2, 3))
         Ff = frobenius(n, f)
-        expect(
+        tally.expect(
             Ff == _resultant_frobenius(n, f)
             and ghost(Ff, N).components == tuple(gf.components[n * k - 1] for k in range(1, N + 1))
         )
-        expect(frobenius(n, s) == Ff + frobenius(n, g))
-        expect(frobenius(n, p) == Ff * frobenius(n, g))
+        tally.expect(frobenius(n, s) == Ff + frobenius(n, g))
+        tally.expect(frobenius(n, p) == Ff * frobenius(n, g))
     for i in range(0, samples - 2, 3):
         f, g, h = vectors[i], vectors[i + 1], vectors[i + 2]
-        expect((f + g) + h == f + (g + h))
+        tally.expect((f + g) + h == f + (g + h))
         lhs = (f * g) * h
         rhs = f * (g * h)
-        expect(lhs == rhs)
-        expect(f * (g + h) == (f * g) + (f * h))
+        tally.expect(lhs == rhs)
+        tally.expect(f * (g + h) == (f * g) + (f * h))
         gf, gg, gh = ghost(f, N), ghost(g, N), ghost(h, N)
-        expect(ghost(lhs, N).components == (gf * gg * gh).components)
-        expect(
+        tally.expect(ghost(lhs, N).components == (gf * gg * gh).components)
+        tally.expect(
             ghost(f * (g + h), N).components == (gf * (gg + gh)).components
         )
-    return SuiteResult(
-        "witt-ring-laws", failures == 0, checks, failures, time.time() - t0,
-        f"{samples} vectors, ghost N={N}",
-    )
+    return tally.result("witt-ring-laws", f"{samples} vectors, ghost N={N}")
 
 
 # --------------------------------------------------------------------------
@@ -175,27 +183,20 @@ def criterion_witt_ring_laws(seed: int, samples: int = 200, precision: int = 12)
 
 
 def criterion_teichmuller_split(seed: int, samples: int = 60) -> SuiteResult:
-    t0 = time.time()
+    tally = _Tally()
     rng = random.Random(seed)
     Z = RingSpec.integers()
-    checks = failures = 0
-
-    def expect(cond: bool):
-        nonlocal checks, failures
-        checks += 1
-        failures += 0 if cond else 1
-
     for a in range(-5, 6):
         ea = RingElement.of(Z, a)
-        expect(split_counit(teichmuller(ea)) == ea)
+        tally.expect(split_counit(teichmuller(ea)) == ea)
         for b in range(-5, 6):
             eb = RingElement.of(Z, b)
-            expect(teichmuller(ea) * teichmuller(eb) == teichmuller(ea * eb))
+            tally.expect(teichmuller(ea) * teichmuller(eb) == teichmuller(ea * eb))
     for _ in range(samples):
         f, g = _random_witt(rng, Z), _random_witt(rng, Z)
-        expect(split_counit(f + g) == split_counit(f) + split_counit(g))
-        expect(split_counit(f * g) == split_counit(f) * split_counit(g))
-    return SuiteResult("teichmuller-split", failures == 0, checks, failures, time.time() - t0)
+        tally.expect(split_counit(f + g) == split_counit(f) + split_counit(g))
+        tally.expect(split_counit(f * g) == split_counit(f) * split_counit(g))
+    return tally.result("teichmuller-split")
 
 
 # --------------------------------------------------------------------------
@@ -244,24 +245,17 @@ def _is_rational_series(f: WittVector) -> bool:
 
 
 def criterion_descent(seed: int, per_level: int = 100) -> SuiteResult:
-    t0 = time.time()
+    tally = _Tally()
     rng = random.Random(seed)
-    checks = failures = 0
-
-    def expect(cond: bool):
-        nonlocal checks, failures
-        checks += 1
-        failures += 0 if cond else 1
-
     for n in (3, 4, 5):
         spec = RingSpec.cyclotomic(n)
         for i in range(per_level):
             rational = i % 3 == 0
             f = _random_cyclotomic_witt(rng, spec, rational)
-            expect(galois_fixed_check(f) == _is_rational_series(f))
+            tally.expect(galois_fixed_check(f) == _is_rational_series(f))
         for u in unit_group(n):
-            expect(galois_fixed_check(_orbit_product(spec, u)))
-    return SuiteResult("cyclotomic-descent", failures == 0, checks, failures, time.time() - t0)
+            tally.expect(galois_fixed_check(_orbit_product(spec, u)))
+    return tally.result("cyclotomic-descent")
 
 
 # --------------------------------------------------------------------------
@@ -269,8 +263,7 @@ def criterion_descent(seed: int, per_level: int = 100) -> SuiteResult:
 
 
 def criterion_split_double_oracle(n_max: int = 40, p_max: int = 50) -> SuiteResult:
-    t0 = time.time()
-    checks = failures = 0
+    tally = _Tally()
     for n in range(1, n_max + 1):
         F = cyclotomic_field(n)
         for p in primes_below(p_max):
@@ -278,13 +271,10 @@ def criterion_split_double_oracle(n_max: int = 40, p_max: int = 50) -> SuiteResu
                 continue
             si = split_invariants(F, p)
             dd = cyclotomic_factor_degrees(n, p)
-            checks += 1
-            if (si.residue_degree, si.num_primes) != dd or si.residue_degree * si.num_primes != euler_phi(n):
-                failures += 1
-    return SuiteResult(
-        "split-double-oracle", failures == 0, checks, failures, time.time() - t0,
-        f"n <= {n_max}, p < {p_max}",
-    )
+            tally.expect(
+                (si.residue_degree, si.num_primes) == dd and si.residue_degree * si.num_primes == euler_phi(n)
+            )
+    return tally.result("split-double-oracle", f"n <= {n_max}, p < {p_max}")
 
 
 # --------------------------------------------------------------------------
@@ -292,21 +282,14 @@ def criterion_split_double_oracle(n_max: int = 40, p_max: int = 50) -> SuiteResu
 
 
 def criterion_reciprocity(prime_bound: int = 100) -> SuiteResult:
-    t0 = time.time()
+    tally = _Tally()
     odd_primes = [p for p in primes_below(prime_bound) if p > 2]
-    checks = failures = 0
     for p in odd_primes:
         for q in odd_primes:
             if p == q:
                 continue
-            row = reciprocity_row(p, q)
-            checks += 1
-            if not row.agree:
-                failures += 1
-    return SuiteResult(
-        "reciprocity-table", failures == 0, checks, failures, time.time() - t0,
-        f"{checks} ordered pairs of odd primes < {prime_bound}",
-    )
+            tally.expect(reciprocity_row(p, q).agree)
+    return tally.result("reciprocity-table", f"{tally.checks} ordered pairs of odd primes < {prime_bound}")
 
 
 # --------------------------------------------------------------------------
@@ -322,8 +305,7 @@ def second_level(c: int, p: int) -> int:
 
 
 def criterion_bridge_grid(n_max: int = 40, p_max: int = 50, seed: int = 0) -> SuiteResult:
-    t0 = time.time()
-    checks = failures = 0
+    tally = _Tally()
     for n in range(1, n_max + 1):
         for H in all_subgroups(n):
             F = AbelianField(n, H)
@@ -332,14 +314,8 @@ def criterion_bridge_grid(n_max: int = 40, p_max: int = 50, seed: int = 0) -> Su
                 if p in ramified_set(F):
                     continue
                 for m in {c, second_level(c, p)}:
-                    report = bridge_compare(F, p, m, seed=seed, samples=4)
-                    checks += 1
-                    if not report.match:
-                        failures += 1
-    return SuiteResult(
-        "bridge-grid", failures == 0, checks, failures, time.time() - t0,
-        f"subfields of cyclotomic levels <= {n_max}, p < {p_max}",
-    )
+                    tally.expect(bridge_compare(F, p, m, seed=seed, samples=4).match)
+    return tally.result("bridge-grid", f"subfields of cyclotomic levels <= {n_max}, p < {p_max}")
 
 
 # --------------------------------------------------------------------------
@@ -347,15 +323,8 @@ def criterion_bridge_grid(n_max: int = 40, p_max: int = 50, seed: int = 0) -> Su
 
 
 def criterion_equivariance(seed: int, cases: int = 500) -> SuiteResult:
-    t0 = time.time()
+    tally = _Tally()
     rng = random.Random(seed)
-    checks = failures = 0
-
-    def expect(cond: bool):
-        nonlocal checks, failures
-        checks += 1
-        failures += 0 if cond else 1
-
     small_primes = [2, 3, 5, 7, 11, 13]
 
     def random_point() -> DeningerPointFL:
@@ -373,15 +342,15 @@ def criterion_equivariance(seed: int, cases: int = 500) -> SuiteResult:
         k = rng.randint(1, 50)
         while k % x.prime == 0:
             k = rng.randint(1, 50)
-        expect(check_frobenius_equivariance(x, k))
+        tally.expect(check_frobenius_equivariance(x, k))
     for _ in range(cases):
         x = random_point()
-        expect(check_galois_equivariance(x, rng.choice(unit_group(x.unit.modulus))))
+        tally.expect(check_galois_equivariance(x, rng.choice(unit_group(x.unit.modulus))))
     for _ in range(cases):
         x = random_point()
         t = Fraction(rng.randint(1, 60), rng.randint(1, 60))
-        expect(check_anti_equivariance(x, t))
-        expect(check_anti_equivariance(x, Fraction(x.prime)))
+        tally.expect(check_anti_equivariance(x, t))
+        tally.expect(check_anti_equivariance(x, Fraction(x.prime)))
     # level-reduction compatibility on a small field grid
     grid = [
         (cyclotomic_field(5), 7, 5, 45),
@@ -393,8 +362,8 @@ def criterion_equivariance(seed: int, cases: int = 500) -> SuiteResult:
         (AbelianField(7, frozenset({1, 2, 4})), 3, 7, 14),
     ]
     for F, p, m_small, m_big in grid:
-        expect(level_reduction_compatible(F, p, m_small, m_big, seed=seed))
-    return SuiteResult("equivariance", failures == 0, checks, failures, time.time() - t0)
+        tally.expect(level_reduction_compatible(F, p, m_small, m_big, seed=seed))
+    return tally.result("equivariance")
 
 
 # --------------------------------------------------------------------------
@@ -402,9 +371,8 @@ def criterion_equivariance(seed: int, cases: int = 500) -> SuiteResult:
 
 
 def criterion_groupring_roundtrip(seed: int, per_prime: int = 50) -> SuiteResult:
-    t0 = time.time()
+    tally = _Tally()
     rng = random.Random(seed)
-    checks = failures = 0
     for p in (5, 7, 11):
         spec = RingSpec.prime_field(p)
         for _ in range(per_prime):
@@ -412,11 +380,8 @@ def criterion_groupring_roundtrip(seed: int, per_prime: int = 50) -> SuiteResult
             bases = rng.sample(range(1, p), size)
             pairs = [(b, rng.choice([-3, -2, -1, 1, 2, 3])) for b in bases]
             x = GroupRingElement.of(spec, pairs)
-            back = witt_to_groupring(groupring_to_witt(x), 1)
-            checks += 1
-            if back != x:
-                failures += 1
-    return SuiteResult("groupring-roundtrip", failures == 0, checks, failures, time.time() - t0)
+            tally.expect(witt_to_groupring(groupring_to_witt(x), 1) == x)
+    return tally.result("groupring-roundtrip")
 
 
 # --------------------------------------------------------------------------
@@ -426,7 +391,7 @@ def criterion_groupring_roundtrip(seed: int, per_prime: int = 50) -> SuiteResult
 def run_all(config: VerifyConfig | None = None) -> list[SuiteResult]:
     cfg = config or VerifyConfig()
     return [
-        criterion_witt_ring_laws(cfg.seed, cfg.witt_samples, cfg.ghost_precision),
+        criterion_witt_ring_laws(cfg.seed, cfg.witt_samples),
         criterion_teichmuller_split(cfg.seed + 1),
         criterion_descent(cfg.seed + 2, cfg.descent_samples),
         criterion_split_double_oracle(cfg.cyclotomic_bound, cfg.max_prime),

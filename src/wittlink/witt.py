@@ -21,17 +21,18 @@ inputs, and no k need be invertible mod p or n), reduced at the end.  ``witt_mul
 parts' power sums once, to its degree times the larger degree of the
 other vector's parts, and the four star products read slices of them.
 
-The kernels take a reduction context (m, p) from ``rings._context``, never
-a RingSpec: the vector modulus m (Phi_n over Z[zeta_n], g over
-F_q = F_p[x]/(g), () on the scalar rings) and the prime p, or n over Z/n,
-or 0.  The product and Frobenius run on (m, 0), the characteristic-0 lift;
-the ghost map runs on (m, p), reducing inside the recurrence.  Every part
-enters through ``_lift``: Q scaled, p(Lt) in Z[t] for L the lcm of the
-denominators of the parts lifted together, so s_k(p) = s_k(p(Lt)) / L^k;
-the star product divides its rebuilt c_k by (L_p L_q)^k and F_n by
-L^(nk).  Every result leaves through ``_settle``, which builds the only
-Fractions and reduces the lifts mod p.  With a vector modulus each
-coefficient's products are summed unreduced and reduced once.
+The kernels take the reduction context (m, p) that a RingSpec carries as
+``spec.m`` and ``spec.p``, never the RingSpec itself: the vector modulus m
+(Phi_n over Z[zeta_n], g over F_q = F_p[x]/(g), () on the scalar rings)
+and the prime p, or n over Z/n, or 0.  The product and Frobenius run on
+(m, 0), the characteristic-0 lift; the ghost map runs on (m, p), reducing
+inside the recurrence.  Every part enters through ``_lift``: Q scaled,
+p(Lt) in Z[t] for L the lcm of the denominators of the parts lifted
+together, so s_k(p) = s_k(p(Lt)) / L^k; the star product divides its
+rebuilt c_k by (L_p L_q)^k and F_n by L^(nk).  Every result leaves
+through ``_settle``, which builds the only Fractions and reduces the lifts
+mod p.  With a vector modulus each coefficient's products are summed
+unreduced and reduced once.
 
 Criterion 1 holds both routes against the resultant forms in ``oracles``.
 
@@ -69,7 +70,6 @@ from .rings import (
     _KIND_FP,
     _KIND_Q,
     _KIND_Z,
-    _context,
     _dl_divmod,
     _dl_gcd,
     _dl_mul,
@@ -238,7 +238,7 @@ def _normalize_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Poly
     if spec.kind in (_KIND_Z, _KIND_Q, _KIND_FP):
         # Q enters scaled by one t -> Lt for both parts, which commutes with taking gcds
         a, b, L = _lift(num, den)
-        a, b = _normalize_lists(a, b, spec.n)
+        a, b = _normalize_lists(a, b, spec.p)
         if len(a) == len(num.coeffs):  # coprime
             return num, den
         return _settle(spec, a, L), _settle(spec, b, L)
@@ -362,7 +362,7 @@ def _power_roots(p: Polynomial, n: int) -> Polynomial:
         return Polynomial.one(spec)
     if n == 1:
         return p
-    ctx = (_context(spec)[0], 0)
+    ctx = (spec.m, 0)
     c, L = _lift(p)
     return _settle(spec, _from_power_sums(_power_sums(c, n * d, ctx)[n - 1 :: n], ctx), L**n)
 
@@ -394,7 +394,7 @@ def _settle(spec: RingSpec, c, scale: int) -> Polynomial:
     Over Q, c_k is divided by scale^k (a Fraction is built only here); over
     F_p, Z/n and F_q the lifts are reduced mod n or p.
     """
-    m, p = _context(spec)
+    m, p = spec.m, spec.p
     if spec.kind == _KIND_Q:
         out, sk = [], 1
         for v in c:
@@ -494,7 +494,7 @@ def witt_mul(f: WittVector, g: WittVector) -> WittVector:
     """
     f._check(g)
     spec = f.spec
-    ctx = (_context(spec)[0], 0)
+    ctx = (spec.m, 0)
     df, dg = max(f.num.degree, f.den.degree), max(g.num.degree, g.den.degree)
     n1, d1 = [_part_sums(x, x.degree * dg, ctx) for x in (f.num, f.den)]
     n2, d2 = [_part_sums(x, x.degree * df, ctx) for x in (g.num, g.den)]
@@ -585,7 +585,7 @@ def ghost(f: WittVector, N: int | None = None) -> GhostVector:
     if N < 1:
         raise DomainViolation("ghost precision must be >= 1")
     spec = f.spec
-    ctx = _context(spec)  # F_p, Z/n and F_q reduce mod p inside the recurrence
+    ctx = (spec.m, spec.p)  # F_p, Z/n and F_q reduce mod p inside the recurrence
     cn, cd, L = _lift(f.num, f.den)
     sn, sd = _power_sums(cn, N, ctx), _power_sums(cd, N, ctx)
     sub = (lambda x, y: tuple(map(operator.sub, x, y))) if ctx[0] else operator.sub

@@ -3,11 +3,13 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wittlink.cli import parse_ring
 from wittlink.errors import DomainViolation, NotAUnit, SpecMismatch
 from wittlink.rings import (
     Polynomial,
@@ -176,6 +178,75 @@ def test_format_polynomial():
     assert format_polynomial(zpoly(1, -5, 6)) == "1-5t+6t^2"
     assert format_polynomial(zpoly(0)) == "0"
     assert format_polynomial(zpoly(0, 1)) == "t"
+
+
+C3, C8, F9 = RingSpec.cyclotomic(3), RingSpec.cyclotomic(8), RingSpec.ext_field(3, 2)
+
+
+@pytest.mark.parametrize(
+    "spec, coeffs, text",
+    [
+        (Z, [0, -1, 2, -1], "-t+2t^2-t^3"),
+        (Z10, [3, 9, 0, 1], "3+9t+t^3"),
+        (F7, [1, 1, 6], "1+t+6t^2"),
+        (Q, [1, Fraction(-1, 2), 0, Fraction(3, 4), 1], "1-1/2t+3/4t^3+t^4"),
+        (Q, [0, Fraction(5, 3), -1, Fraction(-7, 2)], "5/3t-t^2-7/2t^3"),
+        (C3, [(1, 0), (0, -1), (-3, 0), (1, 1), (1, 0)], "1+(-z)t-3t^2+(1+z)t^3+t^4"),
+        (C5, [(0, -1, 0, 0), (-1, 0, 0, 0), (2, 0, 0, 1)], "-z-t+(2+z^3)t^2"),
+        (C5, [(-1, 1, 0, 0), (0, 0, 0, 0), (0, 0, 2, 0)], "(-1+z)+(2z^2)t^2"),
+        (C5, [], "0"),
+        (C8, [(0, 0, 0, 0), (-1, 0, 0, 0), (0, 0, 0, -2), (5, 0, 0, 0)], "-t+(-2z^3)t^2+5t^3"),
+        (C8, [(2, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, -1, 1, 0)], "2+(z)t+t^2+(-z+z^2)t^3"),
+        (F9, [(1, 0), (0, 1), (2, 0), (1, 2)], "1+(w)t+2t^2+(1+2w)t^3"),
+        (F9, [(0, 0), (2, 0), (0, 0), (0, 2)], "2t+(2w)t^3"),
+        (F8, [(1, 0, 0), (1, 1, 1), (0, 0, 1), (1, 0, 0)], "1+(1+w+w^2)t+(w^2)t^2+t^3"),
+    ],
+)
+def test_format_polynomial_over_every_kind(spec, coeffs, text):
+    assert format_polynomial(Polynomial.from_payloads(spec, coeffs)) == text
+
+
+@pytest.mark.parametrize(
+    "spec, value, text",
+    [
+        (C5, (1, -1, 0, 2), "1-z+2z^3"),
+        (C8, (0, 0, -3, 1), "-3z^2+z^3"),
+        (F9, (2, 1), "2+w"),
+        (Q, Fraction(-3, 4), "-3/4"),
+        (Z10, -3, "7"),
+    ],
+)
+def test_element_rendering(spec, value, text):
+    assert str(RingElement.of(spec, value)) == text
+
+
+@pytest.mark.parametrize(
+    "specs, text, rep",
+    [
+        ([Z, RingSpec("Z"), RingSpec("Z", 0, 0), parse_ring("z")], "Z", "RingSpec(kind='Z', n=0, k=0)"),
+        ([Q, RingSpec("Q"), parse_ring("Q")], "Q", "RingSpec(kind='Q', n=0, k=0)"),
+        ([Z10, RingSpec("Zn", 10), parse_ring("Z10")], "Z/10", "RingSpec(kind='Zn', n=10, k=0)"),
+        ([F7, RingSpec("Fp", 7), RingSpec(kind="Fp", n=7), parse_ring("f7")], "F7", "RingSpec(kind='Fp', n=7, k=0)"),
+        ([C5, RingSpec("C", 5), parse_ring("C5")], "Z[zeta_5]", "RingSpec(kind='C', n=5, k=0)"),
+        ([F9, RingSpec("Fq", 3, 2), RingSpec(kind="Fq", n=3, k=2)], "F3^2", "RingSpec(kind='Fq', n=3, k=2)"),
+    ],
+)
+def test_ring_spec_identity_is_its_kind_and_parameters(specs, text, rep):
+    # every way to build a ring gives one spec: equal, with one hash, str and repr
+    assert {str(s) for s in specs} == {text}
+    assert {repr(s) for s in specs} == {rep}
+    assert all(s == specs[0] and hash(s) == hash(specs[0]) for s in specs)
+
+
+def test_ring_specs_of_different_kinds_differ():
+    pairs = [
+        (RingSpec.prime_field(3), RingSpec.ext_field(3, 1)),
+        (RingSpec.prime_field(7), RingSpec.mod_ring(7)),
+        (RingSpec.cyclotomic(1), Z),
+        (Z, Q),
+    ]
+    for a, b in pairs:
+        assert a != b and str(a) != str(b)
 
 
 @given(
