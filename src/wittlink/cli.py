@@ -14,6 +14,17 @@ rows|report, verdict} and contains exact integers only; every float is a
 display field suffixed _display.  Identical inputs produce byte-identical
 output for equal config (for that reason wall times appear in text output
 only).
+
+How a command runs: each subparser registers its runner cmd_<command>
+with set_defaults(run=...), and main calls ns.run(ns).  A runner refuses
+an argument past its size cap through _cap, and a grid flag below its
+floor through _at_least, before any work.  It returns an Output with what
+only it decides: config, payload (a list of rows or one report dict),
+text lines, a verdict ("ok" by default) and, when the rows' own keys and
+values do not make the CSV, a table.  _emit derives the rest (the
+command name, the JSON key "rows" or "report", the default CSV table),
+builds the whole document under the render guard and writes it once.  A
+"fail" verdict exits 3.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainViolation, ParseError
-from .rings import Polynomial, RingElement, RingSpec, primes_below
+from .rings import Polynomial, RingElement, RingSpec
 from .witt import WittVector, frobenius, ghost, split_counit, teichmuller, witt_add, witt_mul
 from .cft import (
     AbelianField,
@@ -46,6 +57,7 @@ from .orbits import (
     closed_orbit_labels,
     decompose,
     deninger_packet,
+    odd_prime_pairs,
     packet_fibers,
     reciprocity_row,
 )
@@ -103,6 +115,21 @@ MAX_CYCLOTOMIC_RING_LEVEL = 100
 # (1.7 MB) and 1.8-3.0 s as JSON (24 MB); at --level 10000000 it took
 # 13-15 s uncapped.
 MAX_BRIDGE_LEVEL = 200_000
+# 6 is the least --max-prime below which two odd primes lie: the pair (3, 5)
+_LEAST_PAIR_BOUND = 6
+
+
+def _cap(what: str, value: int, limit: int) -> None:
+    """Refuse an argument or a work measure past its size cap, before any work."""
+    if value > limit:
+        raise DomainViolation(f"{what} {value} exceeds the limit {limit}")
+
+
+def _at_least(ns: argparse.Namespace, name: str, least: int) -> None:
+    """Refuse a grid flag that is set below the least value that runs a check."""
+    value = getattr(ns, name)
+    if value is not None and value < least:
+        raise DomainViolation(f"--{name.replace('_', '-')} must be at least {least}, got {value}")
 
 
 # --------------------------------------------------------------------------
@@ -123,10 +150,7 @@ def parse_ring(text: str) -> RingSpec:
         if head == "Z":
             return RingSpec.mod_ring(n)
         if head == "C":
-            if n > MAX_CYCLOTOMIC_RING_LEVEL:
-                raise DomainViolation(
-                    f"cyclotomic ring level {n} exceeds the limit {MAX_CYCLOTOMIC_RING_LEVEL}"
-                )
+            _cap("cyclotomic ring level", n, MAX_CYCLOTOMIC_RING_LEVEL)
             return RingSpec.cyclotomic(n)
     raise ParseError(f"unknown ring {text!r}; use Z, Q, F<p>, Z<n> or C<n>")
 
@@ -251,47 +275,36 @@ def parse_field(ns: argparse.Namespace) -> AbelianField:
 
 @dataclass
 class Output:
-    command: str
+    """What a command decides; _emit derives the rest of its document."""
+
     config: dict
-    payload_key: str  # "rows" or "report"
-    payload: object
-    verdict: str
+    payload: object  # a list of rows (JSON key "rows") or one report dict ("report")
     text_lines: list
-    csv_header: list
-    csv_rows: list
+    verdict: str = "ok"
+    table: tuple | None = None  # (CSV header, CSV rows); default: the rows' keys and values
 
 
-def _document(out: Output, fmt: str) -> str:
+def _document(out: Output, command: str, fmt: str) -> str:
     if fmt == "json":
-        doc = {
-            "command": out.command,
-            "config": out.config,
-            out.payload_key: out.payload,
-            "verdict": out.verdict,
-        }
+        key = "rows" if isinstance(out.payload, list) else "report"
+        doc = {"command": command, "config": out.config, key: out.payload, "verdict": out.verdict}
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     if fmt == "csv":
+        header, rows = out.table or (list(out.payload[0]), [list(row.values()) for row in out.payload])
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(out.csv_header)
-        writer.writerows(out.csv_rows)
+        writer.writerow(header)
+        writer.writerows(rows)
         return buf.getvalue()
     return "".join(f"{line}\n" for line in out.text_lines)
 
 
-def _emit(out: Output, fmt: str) -> None:
+def _emit(out: Output, command: str, fmt: str) -> None:
     """Build the whole document under the render guard, then write it once.
 
     A value that cannot be rendered is a domain violation and leaves stdout empty.
     """
-    sys.stdout.write(_render(out, lambda o: _document(o, fmt)))
-
-
-# --------------------------------------------------------------------------
-# commands
-
-
-_WITT_ARITY = {"add": 2, "mul": 2, "frob": 2, "ghost": 1, "teich": 1, "split": 1}
+    sys.stdout.write(_render(out, lambda o: _document(o, command, fmt)))
 
 
 def _render(value, to_str=str) -> str:
@@ -305,156 +318,115 @@ def _render(value, to_str=str) -> str:
         ) from exc
 
 
+# --------------------------------------------------------------------------
+# commands
+
+
+_WITT_ARITY = {"add": 2, "mul": 2, "frob": 2, "ghost": 1, "teich": 1, "split": 1}
+
+
 def _check_work(what: str, work: int, limit: int, spec: RingSpec, power: int) -> None:
     """Refuse a witt operation whose work, weighted by spec.width**power, exceeds limit."""
     if spec.width > 1:
         work *= spec.width**power
         what = f"{what} times payload width {spec.width}" + ("^2" if power == 2 else "")
-    if work > limit:
-        raise DomainViolation(f"{what} {work} exceeds the limit {limit}")
+    _cap(what, work, limit)
 
 
-def cmd_witt(ns: argparse.Namespace) -> tuple[int, Output]:
+def _int_operand(op: str, text: str, what: str) -> int:
+    if not text.lstrip("-").isdigit():
+        raise ParseError(f"witt {op} needs {what}, got {text!r}")
+    return _parse_int(text)
+
+
+def _witt_result(op: str, args: list, precision: int, spec: RingSpec):
+    """The witt operation's result, each size cap checked before its work."""
+    if op == "teich":
+        return teichmuller(RingElement.of(spec, _int_operand(op, args[0], "an integer")))
+    if op == "frob":
+        n = _int_operand(op, args[0], "an integer index")
+        _cap("Frobenius index", n, MAX_FROBENIUS_INDEX)
+        args = args[1:]
+    elif op == "ghost":
+        _cap("ghost precision", precision, MAX_GHOST_PRECISION)
+    f, *rest = [parse_witt_literal(arg, spec) for arg in args]
+    degree = max(f.num.degree, f.den.degree)
+    if op == "add":
+        return witt_add(f, *rest)
+    if op == "mul":
+        g = rest[0]
+        a, b, c, d = f.num.degree, f.den.degree, g.num.degree, g.den.degree
+        _check_work("product degree", max(a * c + b * d, a * d + b * c), MAX_PRODUCT_DEGREE, spec, 1)
+        return witt_mul(f, g)
+    if op == "frob":
+        _cap("Frobenius index times degree", n * degree, MAX_FROBENIUS_DEGREE)
+        _check_work("Frobenius index times degree squared", n * degree * degree, MAX_FROBENIUS_WORK, spec, 2)
+        return frobenius(n, f)
+    if op == "ghost":
+        _check_work("ghost precision times degree", precision * degree, MAX_GHOST_WORK, spec, 2)
+        return ghost(f, precision)
+    return split_counit(f)
+
+
+def cmd_witt(ns: argparse.Namespace) -> Output:
     spec = parse_ring(ns.ring)
     op = ns.witt_op
     if len(ns.args) != _WITT_ARITY[op]:
         raise ParseError(f"witt {op} takes {_WITT_ARITY[op]} operand(s), got {len(ns.args)}")
-    if op in ("add", "mul"):
-        f = parse_witt_literal(ns.args[0], spec)
-        g = parse_witt_literal(ns.args[1], spec)
-        if op == "mul":
-            a, b, c, d = f.num.degree, f.den.degree, g.num.degree, g.den.degree
-            degree = max(a * c + b * d, a * d + b * c)
-            _check_work("product degree", degree, MAX_PRODUCT_DEGREE, spec, 1)
-        result = witt_add(f, g) if op == "add" else witt_mul(f, g)
-        rendered = _render(result)
-    elif op == "frob":
-        if not ns.args[0].lstrip("-").isdigit():
-            raise ParseError(f"witt frob needs an integer index, got {ns.args[0]!r}")
-        n = _parse_int(ns.args[0])
-        if n > MAX_FROBENIUS_INDEX:
-            raise DomainViolation(f"Frobenius index {n} exceeds the limit {MAX_FROBENIUS_INDEX}")
-        f = parse_witt_literal(ns.args[1], spec)
-        degree = n * max(f.num.degree, f.den.degree)
-        if degree > MAX_FROBENIUS_DEGREE:
-            raise DomainViolation(
-                f"Frobenius index times degree {degree} exceeds the limit {MAX_FROBENIUS_DEGREE}"
-            )
-        work = degree * max(f.num.degree, f.den.degree)
-        _check_work("Frobenius index times degree squared", work, MAX_FROBENIUS_WORK, spec, 2)
-        result = frobenius(n, f)
-        rendered = _render(result)
-    elif op == "ghost":
-        if ns.precision > MAX_GHOST_PRECISION:
-            raise DomainViolation(
-                f"ghost precision {ns.precision} exceeds the limit {MAX_GHOST_PRECISION}"
-            )
-        f = parse_witt_literal(ns.args[0], spec)
-        work = ns.precision * max(f.num.degree, f.den.degree)
-        _check_work("ghost precision times degree", work, MAX_GHOST_WORK, spec, 2)
-        rendered = _render(ghost(f, ns.precision))
-    elif op == "teich":
-        if not ns.args[0].lstrip("-").isdigit():
-            raise ParseError(f"witt teich needs an integer, got {ns.args[0]!r}")
-        a = RingElement.of(spec, _parse_int(ns.args[0]))
-        rendered = _render(teichmuller(a))
-    else:  # split
-        f = parse_witt_literal(ns.args[0], spec)
-        rendered = _render(split_counit(f))
+    rendered = _render(_witt_result(op, ns.args, ns.precision, spec))
     row = {"operation": op, "ring": str(spec), "inputs": list(ns.args), "result": rendered}
-    out = Output(
-        command="witt",
-        config={"ring": str(spec), "operation": op},
-        payload_key="rows",
-        payload=[row],
-        verdict="ok",
-        text_lines=[rendered],
-        csv_header=["operation", "ring", "result"],
-        csv_rows=[[op, str(spec), rendered]],
+    return Output(
+        {"ring": str(spec), "operation": op}, [row], [rendered],
+        table=(["operation", "ring", "result"], [[op, str(spec), rendered]]),
     )
-    return 0, out
 
 
-def cmd_field(ns: argparse.Namespace) -> tuple[int, Output]:
+def cmd_field(ns: argparse.Namespace) -> Output:
     F = parse_field(ns)
-    sub = ns.field_op
+    label, sub = F.describe(), ns.field_op
+    table = None
     if sub == "split":
         if ns.prime is None:
             raise ParseError("field split needs --prime")
         data = split_invariants(F, ns.prime)
-        row = {
-            "field": F.describe(),
-            "prime": ns.prime,
-            "f": data.residue_degree,
-            "r": data.num_primes,
-            "norm": data.norm,
-            "artin_rep": data.artin_class.rep,
-            "artin_modulus": data.artin_class.modulus,
-        }
-        norm = _render(data.norm)
-        text = [
-            f"f={data.residue_degree} r={data.num_primes} "
-            f"artin={data.artin_class.rep} mod {data.artin_class.modulus} norm={norm}"
-        ]
+        f, r, artin = data.residue_degree, data.num_primes, data.artin_class
+        row = {"field": label, "prime": ns.prime, "f": f, "r": r, "norm": data.norm, "artin_rep": artin.rep,
+               "artin_modulus": artin.modulus}
+        text = f"f={f} r={r} artin={artin.rep} mod {artin.modulus} norm={_render(data.norm)}"
         header = ["field", "prime", "f", "r", "norm", "artin_rep"]
-        rows = [[F.describe(), ns.prime, data.residue_degree, data.num_primes, data.norm, data.artin_class.rep]]
+        table = (header, [[label, ns.prime, f, r, data.norm, artin.rep]])
     elif sub == "conductor":
         c = conductor(F)
-        row = {"field": F.describe(), "conductor": c}
-        text = [str(c)]
-        header = ["field", "conductor"]
-        rows = [[F.describe(), c]]
+        row = {"field": label, "conductor": c}
+        text = str(c)
     else:  # ramified
         R = sorted(ramified_set(F))
-        row = {"field": F.describe(), "ramified": R}
-        text = [" ".join(str(p) for p in R) if R else "(none)"]
-        header = ["field", "ramified"]
-        rows = [[F.describe(), " ".join(map(str, R))]]
-    out = Output(
-        command="field",
-        config={"field": F.describe(), "operation": sub},
-        payload_key="rows",
-        payload=[row],
-        verdict="ok",
-        text_lines=text,
-        csv_header=header,
-        csv_rows=rows,
-    )
-    return 0, out
+        row = {"field": label, "ramified": R}
+        text = " ".join(map(str, R)) or "(none)"
+        table = (["field", "ramified"], [[label, " ".join(map(str, R))]])
+    return Output({"field": label, "operation": sub}, [row], [text], table=table)
 
 
-def cmd_linking(ns: argparse.Namespace) -> tuple[int, Output]:
+def cmd_linking(ns: argparse.Namespace) -> Output:
     u = linking_hom(ns.prime, ns.level)
-    out = Output(
-        command="linking",
-        config={"prime": ns.prime, "level": ns.level},
-        payload_key="rows",
-        payload=[{"prime": ns.prime, "level": ns.level, "value": u.value}],
-        verdict="ok",
-        text_lines=[str(u)],
-        csv_header=["prime", "level", "value"],
-        csv_rows=[[ns.prime, ns.level, u.value]],
-    )
-    return 0, out
+    row = {"prime": ns.prime, "level": ns.level, "value": u.value}
+    return Output({"prime": ns.prime, "level": ns.level}, [row], [str(u)])
 
 
-def cmd_monodromy(ns: argparse.Namespace) -> tuple[int, Output]:
-    if ns.level > MAX_BRIDGE_LEVEL:
-        raise DomainViolation(f"monodromy level {ns.level} exceeds the limit {MAX_BRIDGE_LEVEL}")
-    has_field = ns.quadratic is not None or ns.cyclotomic is not None
+def cmd_monodromy(ns: argparse.Namespace) -> Output:
+    _cap("monodromy level", ns.level, MAX_BRIDGE_LEVEL)
+    label_info = {}
     if ns.side == "cc":
-        if has_field:
+        if ns.quadratic is not None or ns.cyclotomic is not None:
             T = cc_fiber(parse_field(ns), ns.prime)
         else:
             T = cc_fiber_infinite_level(ns.prime, ns.level)
         dec = decompose(T)
-        label_info = {}
     else:
         F = parse_field(ns)
         T = deninger_packet(F, ns.prime, ns.level)
         dec = decompose(T)
-        labels = closed_orbit_labels(ns.prime, ns.level)
-        label_info = {"labels": [lab.base_class for lab in labels]}
+        label_info["labels"] = [lab.base_class for lab in closed_orbit_labels(ns.prime, ns.level)]
         if ns.level % conductor(F) == 0:  # label fibers need the character
             fib = packet_fibers(T)
             label_info["fiber_per_label"] = {
@@ -462,66 +434,43 @@ def cmd_monodromy(ns: argparse.Namespace) -> tuple[int, Output]:
                 "covering_degree": fib.covering_degree,
                 **fib.length_fields(),
             }
-    rows = [
-        {
-            "component": list(members),
-            "size": dec.covering_degree,
-            **dec.length_fields(),
-        }
-        for members in dec.components
-    ]
+    components = [" ".join(map(str, members)) for members in dec.components]
     text = [
         f"side={ns.side} prime={ns.prime} group order {T.group.order} "
         f"monodromy {T.monodromy} mod {T.level}",
         f"components: {dec.count} of size {dec.covering_degree} "
         f"(length {dec.covering_degree}*log({dec.base_prime}) "
         f"~ {dec.circle_length_display():.6f} display-only)",
+        *("  " + c for c in components),
     ]
-    for members in dec.components:
-        text.append("  " + " ".join(str(m) for m in members))
     if "fiber_per_label" in label_info:
         fpl = label_info["fiber_per_label"]
         text.append(
             f"fiber over each of {len(label_info['labels'])} closed-orbit labels: "
             f"{fpl['count']} components of size {fpl['covering_degree']}"
         )
-    payload = {
+    report = {
         "side": ns.side,
         "prime": ns.prime,
         "level": T.level,
         "monodromy": T.monodromy,
         "group_order": T.group.order,
-        "components": rows,
+        "components": [
+            {"component": list(members), "size": dec.covering_degree, **dec.length_fields()}
+            for members in dec.components
+        ],
         **label_info,
     }
-    out = Output(
-        command="monodromy",
-        config={"side": ns.side, "prime": ns.prime, "level": ns.level},
-        payload_key="report",
-        payload=payload,
-        verdict="ok",
-        text_lines=text,
-        csv_header=["component", "size"],
-        csv_rows=[[" ".join(map(str, m)), dec.covering_degree] for m in dec.components],
+    return Output(
+        {"side": ns.side, "prime": ns.prime, "level": ns.level}, report, text,
+        table=(["component", "size"], [[c, dec.covering_degree] for c in components]),
     )
-    return 0, out
 
 
-def _reciprocity_pairs(bound: int) -> list[tuple[int, int]]:
-    odd = [p for p in primes_below(bound) if p > 2]
-    return [(p, q) for p in odd for q in odd if p != q]
-
-
-def _check_max_prime(ns: argparse.Namespace) -> None:
-    # 6 is the least bound below which two odd primes lie: the pair (3, 5)
-    if ns.max_prime < 6:
-        raise DomainViolation(f"--max-prime must be at least 6, got {ns.max_prime}")
-
-
-def cmd_reciprocity(ns: argparse.Namespace) -> tuple[int, Output]:
-    _check_max_prime(ns)
-    rows = [reciprocity_row(p, q) for p, q in _reciprocity_pairs(ns.max_prime)]
-    disagreements = [r for r in rows if not r.agree]
+def cmd_reciprocity(ns: argparse.Namespace) -> Output:
+    _at_least(ns, "max_prime", _LEAST_PAIR_BOUND)
+    rows = [reciprocity_row(p, q) for p, q in odd_prime_pairs(ns.max_prime)]
+    disagreements = sum(not r.agree for r in rows)
     payload = [
         {
             "p": r.p,
@@ -538,32 +487,20 @@ def cmd_reciprocity(ns: argparse.Namespace) -> tuple[int, Output]:
         f"{r.p:>4} {r.q:>4} {r.legendre:>9} {r.cc_count:>3} {r.deninger_count:>4} {str(r.agree).lower()}"
         for r in rows
     ]
-    text.append(f"{len(rows)} rows, {len(disagreements)} disagreements")
-    out = Output(
-        command="reciprocity",
-        config={"max_prime": ns.max_prime},
-        payload_key="rows",
-        payload=payload,
-        verdict="pass" if not disagreements else "fail",
-        text_lines=text,
-        csv_header=["p", "q", "legendre", "cc_count", "deninger_count", "agree"],
-        csv_rows=[[r.p, r.q, r.legendre, r.cc_count, r.deninger_count, r.agree] for r in rows],
-    )
-    return (0 if not disagreements else 3), out
+    text.append(f"{len(rows)} rows, {disagreements} disagreements")
+    return Output({"max_prime": ns.max_prime}, payload, text, "fail" if disagreements else "pass")
 
 
-def cmd_bridge(ns: argparse.Namespace) -> tuple[int, Output]:
-    if ns.level > MAX_BRIDGE_LEVEL:
-        raise DomainViolation(f"bridge level {ns.level} exceeds the limit {MAX_BRIDGE_LEVEL}")
+def cmd_bridge(ns: argparse.Namespace) -> Output:
+    _cap("bridge level", ns.level, MAX_BRIDGE_LEVEL)
     F = parse_field(ns)
     report = bridge_compare(F, ns.prime, ns.level, seed=ns.seed)
-    doc = report.to_dict()
+    cc, den = report.cc_side, report.deninger_side
     text = [
         f"field {report.field_label}, prime {report.prime}, level {report.level} "
         f"(conductor {report.conductor})",
-        f"cc side:       {report.cc_side.count} components of size {report.cc_side.covering_degree}",
-        f"deninger side: {report.deninger_side.count} components of size "
-        f"{report.deninger_side.covering_degree}",
+        f"cc side:       {cc.count} components of size {cc.covering_degree}",
+        f"deninger side: {den.count} components of size {den.covering_degree}",
         f"monodromy: cc {report.cc_monodromy.rep} mod {report.cc_monodromy.modulus}, "
         f"deninger {report.deninger_monodromy.rep} mod {report.deninger_monodromy.modulus} "
         f"-> match={str(report.monodromy_match).lower()}",
@@ -572,75 +509,46 @@ def cmd_bridge(ns: argparse.Namespace) -> tuple[int, Output]:
         + f"; anti-equivariance: {str(report.anti_equivariance).lower()}",
         f"match={str(report.match).lower()}",
     ]
-    out = Output(
-        command="bridge",
-        config={"field": report.field_label, "prime": ns.prime, "level": ns.level, "seed": ns.seed},
-        payload_key="report",
-        payload=doc,
-        verdict="pass" if report.match else "fail",
-        text_lines=text,
-        csv_header=["field", "prime", "level", "cc_count", "den_count", "cc_f", "den_f", "match"],
-        csv_rows=[[
-            report.field_label, ns.prime, ns.level,
-            report.cc_side.count, report.deninger_side.count,
-            report.cc_side.covering_degree, report.deninger_side.covering_degree,
-            report.match,
-        ]],
+    return Output(
+        {"field": report.field_label, "prime": ns.prime, "level": ns.level, "seed": ns.seed},
+        report.to_dict(), text, "pass" if report.match else "fail",
+        table=(["field", "prime", "level", "cc_count", "den_count", "cc_f", "den_f", "match"], [[
+            report.field_label, ns.prime, ns.level, cc.count, den.count,
+            cc.covering_degree, den.covering_degree, report.match,
+        ]]),
     )
-    return (0 if report.match else 3), out
 
 
 _SAMPLE_FLAGS = ("witt_samples", "descent_samples", "equivariance_cases", "roundtrip_samples")
 
 
-def cmd_verify_all(ns: argparse.Namespace) -> tuple[int, Output]:
+def cmd_verify_all(ns: argparse.Namespace) -> Output:
     # every limit is checked before any suite runs: a grid that is empty
     # would pass with 0 checks
-    if ns.cyclotomic_bound < 1:
-        raise DomainViolation(f"--cyclotomic-bound must be at least 1, got {ns.cyclotomic_bound}")
-    _check_max_prime(ns)
+    _at_least(ns, "cyclotomic_bound", 1)
+    _at_least(ns, "max_prime", _LEAST_PAIR_BOUND)
+    for name in _SAMPLE_FLAGS:
+        _at_least(ns, name, 1)
     # a reduced cyclotomic bound is quick mode: scale the randomized suites
     # down too unless they were set explicitly
     defaults = VerifyConfig.quick() if ns.cyclotomic_bound < 40 else VerifyConfig()
-    counts = {}
-    for name in _SAMPLE_FLAGS:
-        value = getattr(ns, name)
-        if value is None:
-            value = getattr(defaults, name)
-        elif value < 1:
-            raise DomainViolation(f"--{name.replace('_', '-')} must be at least 1, got {value}")
-        counts[name] = value
     vcfg = VerifyConfig(
         seed=ns.seed,
         cyclotomic_bound=ns.cyclotomic_bound,
         max_prime=min(ns.max_prime, 50),
         reciprocity_prime_bound=ns.max_prime,
-        **counts,
+        **{name: getattr(ns, name) or getattr(defaults, name) for name in _SAMPLE_FLAGS},
     )
     results = run_all(vcfg)
-    all_pass = all(r.passed for r in results)
-    payload = [
-        {"suite": r.name, "passed": r.passed, "checks": r.checks, "failures": r.failures}
-        for r in results
-    ]
-    text = [r.line() for r in results]
-    text.append(f"verdict: {'pass' if all_pass else 'fail'}")
-    out = Output(
-        command="verify-all",
-        config={
-            "seed": vcfg.seed,
-            "cyclotomic_bound": vcfg.cyclotomic_bound,
-            "max_prime": vcfg.max_prime,
-            "reciprocity_prime_bound": vcfg.reciprocity_prime_bound,
-        },
-        payload_key="rows",
-        payload=payload,
-        verdict="pass" if all_pass else "fail",
-        text_lines=text,
-        csv_header=["suite", "passed", "checks", "failures"],
-        csv_rows=[[r.name, r.passed, r.checks, r.failures] for r in results],
-    )
-    return (0 if all_pass else 3), out
+    verdict = "pass" if all(r.passed for r in results) else "fail"
+    rows = [{"suite": r.name, "passed": r.passed, "checks": r.checks, "failures": r.failures} for r in results]
+    config = {
+        "seed": vcfg.seed,
+        "cyclotomic_bound": vcfg.cyclotomic_bound,
+        "max_prime": vcfg.max_prime,
+        "reciprocity_prime_bound": vcfg.reciprocity_prime_bound,
+    }
+    return Output(config, rows, [r.line() for r in results] + [f"verdict: {verdict}"], verdict)
 
 
 # --------------------------------------------------------------------------
@@ -662,7 +570,8 @@ def _add_field_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="wittlink", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    usage = __doc__.split("\nHow a command runs")[0]  # the rest describes the code
+    parser = _Parser(prog="wittlink", description=usage, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     parser.add_argument("--seed", type=int, default=20240901)
     parser.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
@@ -675,37 +584,42 @@ def build_parser() -> _Parser:
                         help="accepted for compatibility; has no effect")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    w = subs.add_parser("witt", help="rational Witt vector arithmetic", parents=[common])
-    w.add_argument("witt_op", choices=("add", "mul", "frob", "ghost", "teich", "split"))
+    def command(name: str, run, summary: str) -> _Parser:
+        sub = subs.add_parser(name, help=summary, parents=[common])
+        sub.set_defaults(run=run)
+        return sub
+
+    w = command("witt", cmd_witt, "rational Witt vector arithmetic")
+    w.add_argument("witt_op", choices=tuple(_WITT_ARITY))
     w.add_argument("args", nargs="+", help="operands (polynomial or P/Q literals)")
     w.add_argument("--ring", default="Z", help="Z, Q, F<p>, Z<n> or C<n>")
     w.add_argument("-N", "--precision", type=int, default=8,
                    help=f"ghost component count (at most {MAX_GHOST_PRECISION})")
 
-    f = subs.add_parser("field", help="abelian field invariants", parents=[common])
+    f = command("field", cmd_field, "abelian field invariants")
     f.add_argument("field_op", choices=("split", "conductor", "ramified"))
     _add_field_flags(f)
     f.add_argument("--prime", type=int, default=None)
 
-    l = subs.add_parser("linking", help="level truncation of the linking homomorphism", parents=[common])
+    l = command("linking", cmd_linking, "level truncation of the linking homomorphism")
     l.add_argument("--prime", type=int, required=True)
     l.add_argument("--level", type=int, required=True)
 
-    m = subs.add_parser("monodromy", help="decomposition tables for either side", parents=[common])
+    m = command("monodromy", cmd_monodromy, "decomposition tables for either side")
     m.add_argument("--side", choices=("cc", "deninger"), required=True)
     m.add_argument("--prime", type=int, required=True)
     m.add_argument("--level", type=int, required=True, help=f"at most {MAX_BRIDGE_LEVEL}")
     _add_field_flags(m)
 
-    r = subs.add_parser("reciprocity", help="component-count table over odd prime pairs", parents=[common])
+    r = command("reciprocity", cmd_reciprocity, "component-count table over odd prime pairs")
     r.add_argument("--max-prime", type=int, default=100)
 
-    b = subs.add_parser("bridge", help="side-by-side fiber comparison report", parents=[common])
+    b = command("bridge", cmd_bridge, "side-by-side fiber comparison report")
     _add_field_flags(b)
     b.add_argument("--prime", type=int, required=True)
     b.add_argument("--level", type=int, required=True, help=f"at most {MAX_BRIDGE_LEVEL}")
 
-    v = subs.add_parser("verify-all", help="run every acceptance suite", parents=[common])
+    v = command("verify-all", cmd_verify_all, "run every acceptance suite")
     v.add_argument("--cyclotomic-bound", type=int, default=40)
     v.add_argument("--max-prime", type=int, default=100)
     v.add_argument("--witt-samples", type=int, default=None,
@@ -717,31 +631,17 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        if ns.command == "witt":
-            code, out = cmd_witt(ns)
-        elif ns.command == "field":
-            code, out = cmd_field(ns)
-        elif ns.command == "linking":
-            code, out = cmd_linking(ns)
-        elif ns.command == "monodromy":
-            code, out = cmd_monodromy(ns)
-        elif ns.command == "reciprocity":
-            code, out = cmd_reciprocity(ns)
-        elif ns.command == "bridge":
-            code, out = cmd_bridge(ns)
-        else:
-            code, out = cmd_verify_all(ns)
-        _emit(out, ns.format)
+        ns = build_parser().parse_args(argv)
+        out = ns.run(ns)
+        _emit(out, ns.command, ns.format)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DomainViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return code
+    return 3 if out.verdict == "fail" else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

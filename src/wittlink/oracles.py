@@ -360,17 +360,11 @@ def _rescale_constant_to_one(poly: Polynomial) -> Polynomial:
 def _resultant_product(f: WittVector, g: WittVector) -> WittVector:
     """f (x) g by the R[t][y] resultants, independent of the Newton route."""
     star = _star_polys_resultant
-    return WittVector.from_polys(
-        star(f.num, g.num) * star(f.den, g.den),
-        star(f.num, g.den) * star(f.den, g.num),
-        normalize=False,
-    )
+    return WittVector(f.spec, star(f.num, g.num) * star(f.den, g.den), star(f.num, g.den) * star(f.den, g.num))
 
 
 def _resultant_frobenius(n: int, f: WittVector) -> WittVector:
-    return WittVector.from_polys(
-        _power_roots_resultant(f.num, n), _power_roots_resultant(f.den, n), normalize=False
-    )
+    return WittVector(f.spec, _power_roots_resultant(f.num, n), _power_roots_resultant(f.den, n))
 
 
 # --------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from .cft import (
     quotient_group,
     split_invariants,
 )
-from .rings import is_prime
+from .rings import is_prime, primes_below
 
 # --------------------------------------------------------------------------
 # mapping tori and decompositions
@@ -307,6 +307,12 @@ class ReciprocityRow:
     cc_count: int
     deninger_count: int
     agree: bool
+
+
+def odd_prime_pairs(bound: int) -> list[tuple[int, int]]:
+    """The ordered pairs (p, q) of distinct odd primes below bound, p-major."""
+    odd = [p for p in primes_below(bound) if p > 2]
+    return [(p, q) for p in odd for q in odd if p != q]
 
 
 def reciprocity_row(p: int, q: int) -> ReciprocityRow:

@@ -38,7 +38,7 @@ from .cft import (
     unit_group,
 )
 from .oracles import _resultant_frobenius, _resultant_product, cyclotomic_factor_degrees
-from .orbits import DeningerPointFL, reciprocity_row
+from .orbits import DeningerPointFL, odd_prime_pairs, reciprocity_row
 from .rings import (
     Polynomial,
     RingElement,
@@ -237,7 +237,6 @@ def _is_rational_series(f: WittVector) -> bool:
     conjugate, hence membership in the fixed subring.
     """
     K = f.num.degree + f.den.degree + 1
-    spec = f.spec
     for c in series_coefficients(f, K):
         if any(v != 0 for v in c[1:]):
             return False
@@ -283,12 +282,8 @@ def criterion_split_double_oracle(n_max: int = 40, p_max: int = 50) -> SuiteResu
 
 def criterion_reciprocity(prime_bound: int = 100) -> SuiteResult:
     tally = _Tally()
-    odd_primes = [p for p in primes_below(prime_bound) if p > 2]
-    for p in odd_primes:
-        for q in odd_primes:
-            if p == q:
-                continue
-            tally.expect(reciprocity_row(p, q).agree)
+    for p, q in odd_prime_pairs(prime_bound):
+        tally.expect(reciprocity_row(p, q).agree)
     return tally.result("reciprocity-table", f"{tally.checks} ordered pairs of odd primes < {prime_bound}")
 
 

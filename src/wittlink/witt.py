@@ -274,14 +274,13 @@ class WittVector:
 
     # ---------------------------------------------------------- builders
     @classmethod
-    def from_polys(cls, num: Polynomial, den: Polynomial | None = None, normalize: bool = True) -> "WittVector":
+    def from_polys(cls, num: Polynomial, den: Polynomial | None = None) -> "WittVector":
+        """num/den reduced by _normalize_parts; WittVector(spec, num, den) keeps the parts as given."""
         spec = num.spec
         if den is None:
             den = Polynomial.one(spec)
-        if normalize:  # the gcd routes assume both constant terms are 1
-            _check_parts(spec, num, den)
-            num, den = _normalize_parts(num, den)
-        return cls(spec, num, den)
+        _check_parts(spec, num, den)  # the gcd routes assume both constant terms are 1
+        return cls(spec, *_normalize_parts(num, den))
 
     @classmethod
     def from_ints(cls, spec: RingSpec, num_ints, den_ints=(1,)) -> "WittVector":

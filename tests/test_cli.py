@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -251,6 +252,26 @@ def test_cli_golden(capsys, case):
     assert (code, out) == (case["code"], case["stdout"])
 
 
+# the README's CLI examples: each line with a comment prints it, up to any "..."
+
+
+def _readme_examples():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("wittlink ") and " # " in line]
+
+
+def test_readme_lists_its_examples():
+    assert len(_readme_examples()) == 11
+
+
+@pytest.mark.parametrize("line", _readme_examples())
+def test_readme_cli_example(capsys, line):
+    command, expected = line.split(" # ", 1)
+    code, out, _ = run(capsys, *shlex.split(command)[1:])
+    assert code == 0 and out.splitlines()[0].startswith(expected.split("...")[0].strip())
+
+
 # --------------------------------------------------------------------------
 # the CLI boundary: every bad input ends in its documented exit code
 
@@ -376,10 +397,10 @@ def test_emit_refuses_an_unrenderable_document(capsys):
     from wittlink.errors import DomainViolation
 
     big = 10**5000
-    out = Output("field", {}, "rows", [{"norm": big}], "ok", ["norm"], ["norm"], [[big]])
+    out = Output({}, [{"norm": big}], ["norm"])
     for fmt in ("json", "csv"):
         with pytest.raises(DomainViolation, match="result too large to render"):
-            _emit(out, fmt)
+            _emit(out, "field", fmt)
     assert capsys.readouterr().out == ""
 
 

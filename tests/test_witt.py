@@ -73,9 +73,7 @@ def test_neg_is_reciprocal():
 
 def test_equality_ignores_representation():
     # cross-multiplied equality sees through unreduced parts
-    raw = WittVector.from_polys(
-        Polynomial.from_ints(Z, [1, -5, 6]), Polynomial.from_ints(Z, [1, -3]), normalize=False
-    )
+    raw = WittVector(Z, Polynomial.from_ints(Z, [1, -5, 6]), Polynomial.from_ints(Z, [1, -3]))
     assert raw == w([1, -2])
     assert raw != w([1, -3])
 
