@@ -2,6 +2,7 @@
 
     python3 scripts/bench.py                           # this checkout
     python3 scripts/bench.py --checkout ../other-tree  # another checkout
+    python3 scripts/bench.py --pairs 10 --against ../parent-tree  # change against parent
 
 For each workload named in BENCHMARK.json this runs the measured
 checkout's ``perfbench/run.py --workload W --trace 0`` once, for
@@ -17,6 +18,19 @@ length, so the entries of one file stay comparable.  Committing the files after 
 performance change lets ``git log -p BENCH_*.json`` show the trend.  The
 workloads, their inputs and their metrics all live in perfbench; this
 script defines none of its own.
+
+With ``--pairs K --against DIR`` nothing is recorded.  The checkout
+(the change) and DIR (the parent) each run every workload K times, in
+pairs that alternate which side runs first, after both ``src`` trees are
+byte-compiled so that they start from the same bytecode state.  For each
+end-to-end metric it prints each side's median and quartiles, how many
+pairs the change won (ties count for neither side), whether the change
+shows a gain (it wins at least nine tenths of the pairs and its median is
+better by more than the distance between the parent's quartiles) and
+how it stands to the metric's bound in BENCHMARK.json: ``worse`` when its
+median is worse than the parent's by more than the bound, ``unresolved``
+when the parent's quartiles lie further apart than the bound and not
+every run of the change beats every run of the parent, else ``ok``.
 """
 
 from __future__ import annotations
@@ -26,6 +40,7 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -56,11 +71,57 @@ def measure(checkout: Path, workload: str, seconds: float) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def quartiles(xs: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile)."""
+    return (xs[0],) * 3 if len(xs) == 1 else tuple(statistics.quantiles(xs, n=4, method="inclusive"))
+
+
+def compare(spec: dict, change: Path, parent: Path, pairs: int) -> None:
+    """Run alternating pairs of parent and change per workload; print each metric's verdict."""
+    for tree in (change, parent):
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree, check=True)
+    sides = {"parent": parent, "change": change}
+    for workload in (w["name"] for w in spec["workloads"]):
+        runs: dict[str, list[dict]] = {"parent": [], "change": []}
+        for i in range(pairs):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                runs[side].append(measure(sides[side], workload, spec["run_seconds"]))
+        print(f"{workload}: {pairs} pairs of {spec['run_seconds']} s runs")
+        for side, rs in runs.items():
+            print(f"  {side}: {sum(not r['correct'] for r in rs)} runs not correct, failed ops "
+                  f"{sum(r['failed'] for r in rs)}/{sum(r['attempted'] for r in rs)}")
+        print(f"  {'metric':<12} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30}  won  gain  bound")
+        for metric in spec["end_to_end"]:
+            name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+            vals = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in runs.items()}
+            won = sum(sign * (c - p) > 0 for p, c in zip(vals["parent"], vals["change"]))
+            pq, cq = quartiles(vals["parent"]), quartiles(vals["change"])
+            (pq1, pmed, pq3), cmed = pq, cq[1]
+            gain = won >= 0.9 * pairs and sign * (cmed - pmed) > pq3 - pq1
+            if -sign * (cmed - pmed) > metric["bound"] * pmed:
+                bound = "worse"
+            elif pq3 - pq1 > metric["bound"] * pmed and not all(
+                    sign * (c - p) > 0 for p in vals["parent"] for c in vals["change"]):
+                bound = "unresolved"  # the parent's own spread is wider than the bound
+            else:
+                bound = "ok"
+            cells = [f"{med:.4g} [{q1:.4g}, {q3:.4g}]" for q1, med, q3 in (pq, cq)]
+            print(f"  {name:<12} {cells[0]:>30} {cells[1]:>30}  {won:>2}/{pairs}  {'yes' if gain else 'no':<4}  {bound}")
+
+
 def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--checkout", type=Path, default=ROOT, help="the tree to measure (default: this one)")
-    checkout = ap.parse_args().checkout.resolve()
+    ap.add_argument("--pairs", type=int, default=0, help="with --against: alternating runs per side and workload")
+    ap.add_argument("--against", type=Path, help="the parent tree to compare the checkout with")
+    args = ap.parse_args()
+    checkout = args.checkout.resolve()
+    if (args.pairs > 0) != (args.against is not None):
+        ap.error("--pairs K (K >= 1) and --against DIR go together")
+    if args.pairs:
+        compare(spec, checkout, args.against.resolve(), args.pairs)
+        return 0
 
     # BENCH_*.json are this script's output, not a change to what is measured
     own = ("--", ".", ":(exclude)BENCH_*.json")

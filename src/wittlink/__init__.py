@@ -81,6 +81,7 @@ from .orbits import (
     packet_fiber_over_label,
     packet_fibers,
     reciprocity_row,
+    reciprocity_rows,
 )
 from .bridge import (
     BridgeReport,

@@ -347,6 +347,13 @@ def ramified_set(F: AbelianField) -> frozenset:
     return _prime_divisors(conductor(F))
 
 
+def check_unramified(F: AbelianField, p: int) -> None:
+    """Raise RamifiedPrime when p ramifies in F."""
+    R = ramified_set(F)
+    if p in R:
+        raise RamifiedPrime(f"{p} ramifies in {F.describe()} (ramified set {sorted(R)})")
+
+
 # --------------------------------------------------------------------------
 # cosets, Artin symbols, splitting invariants
 
@@ -385,8 +392,7 @@ def artin_symbol(F: AbelianField, p: int) -> Coset:
     """
     if not is_prime(p):
         raise DomainViolation(f"{p} is not prime")
-    if p in ramified_set(F):
-        raise RamifiedPrime(f"{p} ramifies in {F.describe()} (ramified set {sorted(ramified_set(F))})")
+    check_unramified(F, p)
     pres = F if math.gcd(p, F.level) == 1 else at_conductor(F)
     return Coset.of(pres.level, pres.subgroup, p)
 

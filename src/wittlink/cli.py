@@ -34,6 +34,7 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import DomainViolation, ParseError
@@ -59,7 +60,7 @@ from .orbits import (
     deninger_packet,
     odd_prime_pairs,
     packet_fibers,
-    reciprocity_row,
+    reciprocity_rows,
 )
 from .bridge import bridge_compare
 from .verify import VerifyConfig, run_all
@@ -279,7 +280,7 @@ class Output:
 
     config: dict
     payload: object  # a list of rows (JSON key "rows") or one report dict ("report")
-    text_lines: list
+    text_lines: Iterable[str]  # read once, and only under --format text
     verdict: str = "ok"
     table: tuple | None = None  # (CSV header, CSV rows); default: the rows' keys and values
 
@@ -469,7 +470,7 @@ def cmd_monodromy(ns: argparse.Namespace) -> Output:
 
 def cmd_reciprocity(ns: argparse.Namespace) -> Output:
     _at_least(ns, "max_prime", _LEAST_PAIR_BOUND)
-    rows = [reciprocity_row(p, q) for p, q in odd_prime_pairs(ns.max_prime)]
+    rows = reciprocity_rows(odd_prime_pairs(ns.max_prime))
     disagreements = sum(not r.agree for r in rows)
     payload = [
         {
@@ -482,13 +483,14 @@ def cmd_reciprocity(ns: argparse.Namespace) -> Output:
         }
         for r in rows
     ]
-    text = [f"{'p':>4} {'q':>4} {'legendre':>9} {'cc':>3} {'den':>4} agree"]
-    text += [
-        f"{r.p:>4} {r.q:>4} {r.legendre:>9} {r.cc_count:>3} {r.deninger_count:>4} {str(r.agree).lower()}"
-        for r in rows
-    ]
-    text.append(f"{len(rows)} rows, {disagreements} disagreements")
-    return Output({"max_prime": ns.max_prime}, payload, text, "fail" if disagreements else "pass")
+
+    def text():
+        yield f"{'p':>4} {'q':>4} {'legendre':>9} {'cc':>3} {'den':>4} agree"
+        for r in rows:
+            yield f"{r.p:>4} {r.q:>4} {r.legendre:>9} {r.cc_count:>3} {r.deninger_count:>4} {str(r.agree).lower()}"
+        yield f"{len(rows)} rows, {disagreements} disagreements"
+
+    return Output({"max_prime": ns.max_prime}, payload, text(), "fail" if disagreements else "pass")
 
 
 def cmd_bridge(ns: argparse.Namespace) -> Output:

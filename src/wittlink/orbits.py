@@ -40,6 +40,7 @@ from .cft import (
     QuotientUnitGroup,
     artin_symbol,
     at_conductor,
+    check_unramified,
     conductor,
     cyclic_quotient,
     euler_criterion,
@@ -208,8 +209,9 @@ def packet_fibers(T: MappingTorus) -> FiberDecomposition:
     the restriction character (reduction mod the conductor) and
     orbit-enumerating there yields r components of size f, each a circle
     of length f*log(p), carried exactly.  The pushed torus is decomposed
-    once; one pass over the packet then checks that the points over each
-    label land in a single component and that every label is reached.
+    once; one landing pass over the packet then checks that the points
+    over each label land in a single component and that every label is
+    reached.
     """
     if T.field is None:
         raise DomainViolation("fiber labels apply to packets attached to a field")
@@ -219,21 +221,40 @@ def packet_fibers(T: MappingTorus) -> FiberDecomposition:
         raise DomainViolation(
             f"level {m} is not a multiple of the conductor {c}; the character is undefined"
         )
-    # push through the restriction character onto the Galois quotient
     pres = at_conductor(F)
-    Ggal = quotient_group(pres.level, pres.subgroup)
-    pushed = MappingTorus(Ggal, Ggal.canon(T.monodromy), p, field=pres)
-    dec = decompose(pushed)
-    component_of = {r: i for i, comp in enumerate(dec.components) for r in comp}
-    # the level-m points over each label all land in a single component
-    Glab = cyclic_quotient(m, p)
-    lab, gal = Glab.canon_table, Ggal.canon_table
-    landed: dict[int, set] = {}  # label -> components its points land in
-    for g in T.group.reps:
-        landed.setdefault(lab[g], set()).add(component_of[gal[g % c]])
-    if len(landed) != Glab.order or any(len(hit) != 1 for hit in landed.values()):
-        raise AssertionError("a closed-orbit label is missed or split across components")
+    gal = quotient_group(pres.level, pres.subgroup)
+    dec, component_of = _pushed_fibers(gal, T.monodromy, p, pres)
+    _land(T.group, cyclic_quotient(m, p), gal, component_of)
     return dec
+
+
+def _pushed_fibers(gal: QuotientUnitGroup, monodromy: int, p: int, field: AbelianField):
+    """The packet's monodromy pushed through the restriction character onto gal, decomposed.
+
+    Returns the decomposition and the index of the component each Galois
+    element lies in.
+    """
+    dec = decompose(MappingTorus(gal, gal.canon(monodromy), p, field=field))
+    return dec, {r: i for i, comp in enumerate(dec.components) for r in comp}
+
+
+def _land(packet: QuotientUnitGroup, labels: QuotientUnitGroup, gal: QuotientUnitGroup,
+          component_of: dict) -> None:
+    """The landing pass: the level-m points over each label all land in one component.
+
+    Every packet point goes to its closed-orbit label and, reduced mod the
+    Galois level, to its pushed component; a label missed or split across
+    components raises AssertionError, under python -O too.
+    """
+    c = gal.modulus
+    lab, canon = labels.canon_table, gal.canon_table
+    landed: dict[int, int] = {}  # label -> the component its first point landed in
+    for g in packet.reps:
+        k = component_of[canon[g % c]]
+        if landed.setdefault(lab[g], k) != k:
+            raise AssertionError(f"the points over the closed-orbit label {lab[g]} land in two components")
+    if len(landed) != labels.order:
+        raise AssertionError("a closed-orbit label is missed")
 
 
 def packet_fiber_over_label(T: MappingTorus, label: ClosedOrbitLabel) -> FiberDecomposition:
@@ -315,21 +336,68 @@ def odd_prime_pairs(bound: int) -> list[tuple[int, int]]:
     return [(p, q) for p in odd for q in odd if p != q]
 
 
-def reciprocity_row(p: int, q: int) -> ReciprocityRow:
-    """Component counts over p for the quadratic field of q, both routes.
+def reciprocity_rows(pairs) -> list[ReciprocityRow]:
+    """Component counts over p for the quadratic field of q, both routes, for each pair (p, q).
 
     Contract: both counts equal 2 iff (q|p) = +1, and both equal 1
-    otherwise.
+    otherwise.  Each field's Galois data is built on its first row and
+    lives only as long as this call.
     """
-    for v in (p, q):
-        if v == 2 or not is_prime(v):
-            raise DomainViolation(f"{v} must be an odd prime")
-    if p == q:
-        raise EqualPrimes(f"need distinct primes, got {p} twice")
-    F = quadratic_field_subgroup(q)
-    leg = euler_criterion(q, p)  # p is validated above
-    cc = decompose(cc_fiber(F, p))
-    den = packet_fibers(deninger_packet(F, p, conductor(F)))
-    expected = 2 if leg == 1 else 1
-    agree = cc.count == den.count == expected
-    return ReciprocityRow(p, q, leg, cc.count, den.count, agree)
+    tables: dict[int, _FieldTable] = {}
+    rows = []
+    for p, q in pairs:
+        for v in (p, q):
+            if v == 2 or not is_prime(v):
+                raise DomainViolation(f"{v} must be an odd prime")
+        if p == q:
+            raise EqualPrimes(f"need distinct primes, got {p} twice")
+        table = tables.get(q)
+        if table is None:
+            table = tables[q] = _FieldTable(quadratic_field_subgroup(q))
+        leg = euler_criterion(q, p)  # p is validated above
+        cc, den = table.counts(p)
+        expected = 2 if leg == 1 else 1
+        rows.append(ReciprocityRow(p, q, leg, cc, den, cc == den == expected))
+    return rows
+
+
+def reciprocity_row(p: int, q: int) -> ReciprocityRow:
+    """One row of reciprocity_rows."""
+    return reciprocity_rows([(p, q)])[0]
+
+
+class _FieldTable:
+    """One field's Galois data and per-side decompositions, for the rows of one table.
+
+    The covering side decomposes Gal(F/Q) under the Artin coset; the flow
+    side builds the packet (Z/m)^*/<p^f>, pushes its monodromy onto the
+    Galois group and lands every packet point.  Each side keeps its own
+    memo of decompositions, keyed on the Galois element it decomposes
+    under; the flow side never reads the covering side's.
+    """
+
+    def __init__(self, F: AbelianField):
+        self.field = at_conductor(F)
+        self.gal = quotient_group(self.field.level, self.field.subgroup)
+        self.covering: dict[int, int] = {}  # Artin coset -> component count
+        self.flow: dict[int, tuple] = {}  # pushed monodromy -> (component count, component index)
+
+    def counts(self, p: int) -> tuple[int, int]:
+        """(covering-side, flow-side) component counts over the odd prime p."""
+        check_unramified(self.field, p)
+        gal, F, m = self.gal, self.field, self.field.level
+        art = gal.canon_table[p % m]
+        f = gal.element_order(art)
+        if gal.order % f:
+            raise AssertionError(f"an Artin order {f} that does not divide the degree {gal.order}")
+        if art not in self.covering:
+            self.covering[art] = decompose(MappingTorus(gal, art, p, field=F)).count
+        packet = cyclic_quotient(m, pow(p, f, m))
+        monodromy = packet.canon_table[p % m]
+        pushed = gal.canon_table[monodromy]
+        if pushed not in self.flow:
+            dec, component_of = _pushed_fibers(gal, monodromy, p, F)
+            self.flow[pushed] = (dec.count, component_of)
+        count, component_of = self.flow[pushed]
+        _land(packet, cyclic_quotient(m, p), gal, component_of)
+        return self.covering[art], count

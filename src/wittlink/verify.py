@@ -38,7 +38,7 @@ from .cft import (
     unit_group,
 )
 from .oracles import _resultant_frobenius, _resultant_product, cyclotomic_factor_degrees
-from .orbits import DeningerPointFL, odd_prime_pairs, reciprocity_row
+from .orbits import DeningerPointFL, odd_prime_pairs, reciprocity_rows
 from .rings import (
     Polynomial,
     RingElement,
@@ -282,8 +282,8 @@ def criterion_split_double_oracle(n_max: int = 40, p_max: int = 50) -> SuiteResu
 
 def criterion_reciprocity(prime_bound: int = 100) -> SuiteResult:
     tally = _Tally()
-    for p, q in odd_prime_pairs(prime_bound):
-        tally.expect(reciprocity_row(p, q).agree)
+    for row in reciprocity_rows(odd_prime_pairs(prime_bound)):
+        tally.expect(row.agree)
     return tally.result("reciprocity-table", f"{tally.checks} ordered pairs of odd primes < {prime_bound}")
 
 

@@ -387,7 +387,7 @@ def test_vacuous_grids_are_refused_before_any_work(capsys, monkeypatch, argv):
         raise AssertionError("a suite or a table row ran before the refusal")
 
     monkeypatch.setattr(cli, "run_all", refuse)
-    monkeypatch.setattr(cli, "reciprocity_row", refuse)
+    monkeypatch.setattr(cli, "reciprocity_rows", refuse)
     assert run(capsys, *argv)[:2] == (2, "")
 
 

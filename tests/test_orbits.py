@@ -1,5 +1,6 @@
 """Mapping tori, packets, fiber decompositions, flow-side points."""
 
+import dataclasses
 import math
 import os
 import random
@@ -9,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from wittlink import orbits
 from wittlink.cft import (
     AbelianField,
     ModUnit,
+    conductor,
     cyclotomic_field,
     quadratic_field_subgroup,
     rationals_field,
@@ -33,10 +36,12 @@ from wittlink.orbits import (
     decompose,
     deninger_packet,
     normalize_point,
+    odd_prime_pairs,
     packet_fiber_over_label,
     packet_fibers,
     quotient_group,
     reciprocity_row,
+    reciprocity_rows,
 )
 
 
@@ -353,3 +358,68 @@ def test_reciprocity_rejects():
         reciprocity_row(2, 5)
     with pytest.raises(DomainViolation):
         reciprocity_row(9, 5)
+    with pytest.raises(EqualPrimes):
+        reciprocity_rows([(3, 5), (5, 5)])
+    with pytest.raises(DomainViolation, match="9 must be an odd prime"):
+        reciprocity_rows([(3, 5), (9, 5)])
+
+
+def test_reciprocity_table_is_its_rows():
+    # one call over every pair below 100 shares each field's memos; the
+    # one-pair calls and the per-row routes of cc_fiber and packet_fibers
+    # build everything afresh
+    pairs = odd_prime_pairs(100)
+    table = reciprocity_rows(pairs)
+    assert table == [reciprocity_row(p, q) for p, q in pairs]
+    for (p, q), row in zip(pairs, table):
+        F = quadratic_field_subgroup(q)
+        cc = decompose(cc_fiber(F, p)).count
+        den = packet_fibers(deninger_packet(F, p, conductor(F))).count
+        assert (row.p, row.q, row.cc_count, row.deninger_count) == (p, q, cc, den)
+
+
+def test_reciprocity_table_decomposes_each_field_at_most_four_times(monkeypatch):
+    # two Artin cosets on the covering side and two pushed monodromies on
+    # the flow side per quadratic field; one pair per row would make two
+    calls = []
+    real = orbits.decompose
+
+    def counted(T):
+        calls.append(T.group.modulus)
+        return real(T)
+
+    monkeypatch.setattr(orbits, "decompose", counted)
+    pairs = odd_prime_pairs(150)
+    rows = reciprocity_rows(pairs)
+    fields = {q for _, q in pairs}
+    assert len(rows) == 1122 and len(fields) == 34
+    assert len(calls) <= 4 * len(fields)
+    assert all(calls.count(m) <= 4 for m in set(calls))
+
+
+def test_reciprocity_table_rejects_a_label_split_across_components(monkeypatch):
+    # decompose under the identity in place of the monodromy: the pushed
+    # components become singletons, so the points over one label of the
+    # row (3, 5), where 3 is not a square mod 5, land apart
+    real = orbits.decompose
+    monkeypatch.setattr(orbits, "decompose", lambda T: real(dataclasses.replace(T, monodromy=T.group.identity)))
+    with pytest.raises(AssertionError, match="land in two components"):
+        reciprocity_rows([(3, 5)])
+
+
+def test_reciprocity_table_rejects_a_label_split_across_components_under_python_O():
+    # the same broken decompose; the landing check must survive python -O
+    code = (
+        "import dataclasses\n"
+        "from wittlink import orbits\n"
+        "real = orbits.decompose\n"
+        "orbits.decompose = lambda T: real(dataclasses.replace(T, monodromy=T.group.identity))\n"
+        "try:\n"
+        "    orbits.reciprocity_rows([(3, 5)])\n"
+        "except AssertionError:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "raised\n"), proc.stderr
