@@ -19,18 +19,21 @@ performance change lets ``git log -p BENCH_*.json`` show the trend.  The
 workloads, their inputs and their metrics all live in perfbench; this
 script defines none of its own.
 
-With ``--pairs K --against DIR`` nothing is recorded.  The checkout
-(the change) and DIR (the parent) each run every workload K times, in
-pairs that alternate which side runs first, after both ``src`` trees are
-byte-compiled so that they start from the same bytecode state.  For each
-end-to-end metric it prints each side's median and quartiles, how many
-pairs the change won (ties count for neither side), whether the change
-shows a gain (it wins at least nine tenths of the pairs and its median is
-better by more than the distance between the parent's quartiles) and
-how it stands to the metric's bound in BENCHMARK.json: ``worse`` when its
-median is worse than the parent's by more than the bound, ``unresolved``
-when the parent's quartiles lie further apart than the bound and not
-every run of the change beats every run of the parent, else ``ok``.
+With ``--pairs K --against DIR`` the checkout (the change) and DIR (the
+parent) each run every workload K times, in pairs that alternate which
+side runs first, after both ``src`` trees are byte-compiled so that they
+start from the same bytecode state.  Every run is appended to
+``BENCH_<workload>.json`` as above, with its own tree's SHA and state,
+``series`` set to ``parent`` or ``change`` and ``pair`` to its pair's
+index.  For each end-to-end metric it prints each side's median and
+quartiles, how many pairs the change won (ties count for neither side),
+whether the change shows a gain (it wins at least nine tenths of the
+pairs and its median is better by more than the distance between the
+parent's quartiles) and how it stands to the metric's bound in
+BENCHMARK.json: ``worse`` when its median is worse than the parent's by
+more than the bound, ``unresolved`` when the parent's quartiles lie
+further apart than the bound and not every run of the change beats every
+run of the parent, else ``ok``.
 """
 
 from __future__ import annotations
@@ -71,22 +74,53 @@ def measure(checkout: Path, workload: str, seconds: float) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def context(checkout: Path, spec: dict) -> dict:
+    """The fields every entry of one tree carries: its commit and state, the host and the run settings."""
+    # BENCH_*.json are this script's output, not a change to what is measured
+    own = ("--", ".", ":(exclude)BENCH_*.json")
+    ctx = {
+        "git_sha": git(checkout, "rev-parse", "HEAD").decode().strip(),
+        "dirty": bool(git(checkout, "status", "--porcelain", *own).strip()),
+        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "python": platform.python_version(),
+        "seed": default_seed(checkout),
+        "seconds": spec["run_seconds"],
+        "trace": 0,
+    }
+    if ctx["dirty"]:
+        ctx["diff_sha256"] = hashlib.sha256(git(checkout, "diff", "--binary", "HEAD", *own)).hexdigest()
+    return ctx
+
+
+def record(workload: str, entries: list[dict]) -> Path:
+    """Append entries to BENCH_<workload>.json beside BENCHMARK.json."""
+    path = ROOT / f"BENCH_{workload}.json"
+    data = json.loads(path.read_text()) if path.exists() else {"workload": workload, "entries": []}
+    data["entries"].extend(entries)
+    path.write_text(json.dumps(data, indent=1) + "\n")
+    return path
+
+
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
     """(first quartile, median, third quartile)."""
     return (xs[0],) * 3 if len(xs) == 1 else tuple(statistics.quantiles(xs, n=4, method="inclusive"))
 
 
 def compare(spec: dict, change: Path, parent: Path, pairs: int) -> None:
-    """Run alternating pairs of parent and change per workload; print each metric's verdict."""
+    """Run alternating pairs of parent and change per workload; record every run and print each metric's verdict."""
+    sides = {"parent": parent, "change": change}
+    contexts = {side: context(tree, spec) for side, tree in sides.items()}
     for tree in (change, parent):
         subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree, check=True)
-    sides = {"parent": parent, "change": change}
     for workload in (w["name"] for w in spec["workloads"]):
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
+        entries = []
         for i in range(pairs):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                 runs[side].append(measure(sides[side], workload, spec["run_seconds"]))
-        print(f"{workload}: {pairs} pairs of {spec['run_seconds']} s runs")
+                entries.append({**contexts[side], "series": side, "pair": i, **runs[side][-1]})
+        path = record(workload, entries)
+        print(f"{workload}: {pairs} pairs of {spec['run_seconds']} s runs -> {path.name}")
         for side, rs in runs.items():
             print(f"  {side}: {sum(not r['correct'] for r in rs)} runs not correct, failed ops "
                   f"{sum(r['failed'] for r in rs)}/{sum(r['attempted'] for r in rs)}")
@@ -123,25 +157,10 @@ def main() -> int:
         compare(spec, checkout, args.against.resolve(), args.pairs)
         return 0
 
-    # BENCH_*.json are this script's output, not a change to what is measured
-    own = ("--", ".", ":(exclude)BENCH_*.json")
-    context = {
-        "git_sha": git(checkout, "rev-parse", "HEAD").decode().strip(),
-        "dirty": bool(git(checkout, "status", "--porcelain", *own).strip()),
-        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
-        "python": platform.python_version(),
-        "seed": default_seed(checkout),
-        "seconds": spec["run_seconds"],
-        "trace": 0,
-    }
-    if context["dirty"]:
-        context["diff_sha256"] = hashlib.sha256(git(checkout, "diff", "--binary", "HEAD", *own)).hexdigest()
+    ctx = context(checkout, spec)
     for workload in (w["name"] for w in spec["workloads"]):
         result = measure(checkout, workload, spec["run_seconds"])
-        path = ROOT / f"BENCH_{workload}.json"
-        record = json.loads(path.read_text()) if path.exists() else {"workload": workload, "entries": []}
-        record["entries"].append({**context, **result})
-        path.write_text(json.dumps(record, indent=1) + "\n")
+        path = record(workload, [{**ctx, **result}])
         print(f"{workload}: correct={result['correct']} failed={result['failed']} "
               f"ops_per_s={result['metrics']['ops_per_s']['value']:.1f} -> {path.name}")
     return 0

@@ -6,10 +6,13 @@ group over Q is the quotient (Z/n)^*/H.  Everything downstream (Artin
 symbols, splitting invariants, fibers) is finite quotient-group
 arithmetic, and this module owns it: QuotientUnitGroup (cached by
 quotient_group, and by cyclic_quotient for (Z/m)^*/<g> on g mod m) holds
-the canonical least coset representatives and the element orders, Coset
-delegates to it, subgroup_generated closes by cosets (Dimino's method),
-and subgroup_generators decides closure from generators; level 1 presents
-Q itself with the one-element unit group (0,), the residue of 1 mod 1.
+the canonical least coset representatives, built in one ascending pass,
+and the element orders, Coset delegates to it, subgroup_generated closes
+by cosets (Dimino's method), and subgroup_generators decides closure from
+generators; level 1 presents Q itself with the one-element unit group
+(0,), the residue of 1 mod 1.  cyclic_quotient finds <g> by its order,
+read off Carmichael's lambda(m), among the cyclic subgroups it has already
+built, and walks the powers of g only for a subgroup not seen before.
 
 The splitting shape (f, r) of an unramified prime p comes from the order
 of its Artin coset in the quotient group; this module holds no polynomial
@@ -48,6 +51,23 @@ def euler_criterion(q: int, p: int) -> int:
         return 0
     e = pow(q, (p - 1) // 2, p)
     return 1 if e == 1 else -1
+
+
+def _factor(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime factorization of n >= 1 by trial division: ((prime, exponent), ...), ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
 
 
 def _check_level(n: int) -> None:
@@ -123,17 +143,16 @@ class QuotientUnitGroup:
     def __init__(self, modulus: int, subgroup: frozenset):
         self.modulus = modulus
         self.subgroup = subgroup
+        # units ascend, so the first one not yet in the table is the least of its coset
         canon: dict[int, int] = {}
         reps = []
         for u in unit_group(modulus):
             if u in canon:
                 continue
-            coset = {u * h % modulus for h in subgroup}
-            rep = min(coset)
-            reps.append(rep)
-            for v in coset:
-                canon[v] = rep
-        self.reps = tuple(sorted(reps))
+            reps.append(u)
+            for h in subgroup:
+                canon[u * h % modulus] = u
+        self.reps = tuple(reps)
         self.canon_table = canon
 
     @property
@@ -185,9 +204,45 @@ def cyclic_quotient(m: int, g: int) -> QuotientUnitGroup:
     return _cyclic_quotient(m, g % m)
 
 
+# (m, d) -> the quotients of (Z/m)^* by the cyclic subgroups of order d built
+# so far; a short list, since (Z/m)^* need not be cyclic
+_cyclic_quotients: dict[tuple[int, int], list[QuotientUnitGroup]] = {}
+
+
 @functools.lru_cache(maxsize=None)
 def _cyclic_quotient(m: int, g: int) -> QuotientUnitGroup:
-    return quotient_group(m, subgroup_generated(m, [g]))
+    if math.gcd(g, m) != 1:
+        raise NotCoprime(f"{g} is not a unit mod {m}")
+    # a subgroup of order ord(g) that contains g is <g>
+    seen = _cyclic_quotients.setdefault((m, _unit_order(m, g)), [])
+    for G in seen:
+        if g in G.subgroup:
+            return G
+    G = quotient_group(m, subgroup_generated(m, [g]))
+    seen.append(G)
+    return G
+
+
+@functools.lru_cache(maxsize=None)
+def _carmichael(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Carmichael's lambda(m), the exponent of (Z/m)^*, and its factorization."""
+    lam = 1
+    for p, e in _factor(m):
+        lam = math.lcm(lam, 2 ** (e - 2) if p == 2 and e > 2 else p ** (e - 1) * (p - 1))
+    return lam, _factor(lam)
+
+
+def _unit_order(m: int, g: int) -> int:
+    """The order of the unit g mod m, from the factorization of lambda(m) (Cohen, GTM 138, Alg. 1.4.3)."""
+    one = 1 % m
+    e, primes = _carmichael(m)
+    for q, v in primes:
+        e //= q**v
+        x = pow(g, e, m)
+        while x != one:
+            x = pow(x, q, m)
+            e *= q
+    return e
 
 
 @dataclass(frozen=True)
@@ -339,7 +394,7 @@ def _re_presented(F: AbelianField) -> AbelianField:
 
 @functools.lru_cache(maxsize=None)
 def _prime_divisors(n: int) -> frozenset:
-    return frozenset(p for p in range(2, n + 1) if n % p == 0 and is_prime(p))
+    return frozenset(p for p, _ in _factor(n))
 
 
 def ramified_set(F: AbelianField) -> frozenset:

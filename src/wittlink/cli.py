@@ -116,6 +116,13 @@ MAX_CYCLOTOMIC_RING_LEVEL = 100
 # (1.7 MB) and 1.8-3.0 s as JSON (24 MB); at --level 10000000 it took
 # 13-15 s uncapped.
 MAX_BRIDGE_LEVEL = 200_000
+# reciprocity tabulates every ordered pair of odd primes below --max-prime,
+# about (B / log B)^2 rows over quadratic fields of level up to 4B, and
+# keeps every cyclic quotient it builds for the life of the process: at
+# 2,000 (90,902 rows) the cold JSON table took 3.3-4.1 s at a peak RSS of
+# 563 MB, at 1,000 0.9-1.2 s and 159 MB (three fresh processes each, timed
+# through cli.main on a 2-core host).
+MAX_RECIPROCITY_PRIME = 2_000
 # 6 is the least --max-prime below which two odd primes lie: the pair (3, 5)
 _LEAST_PAIR_BOUND = 6
 
@@ -470,6 +477,7 @@ def cmd_monodromy(ns: argparse.Namespace) -> Output:
 
 def cmd_reciprocity(ns: argparse.Namespace) -> Output:
     _at_least(ns, "max_prime", _LEAST_PAIR_BOUND)
+    _cap("reciprocity max prime", ns.max_prime, MAX_RECIPROCITY_PRIME)
     rows = reciprocity_rows(odd_prime_pairs(ns.max_prime))
     disagreements = sum(not r.agree for r in rows)
     payload = [
@@ -614,7 +622,7 @@ def build_parser() -> _Parser:
     _add_field_flags(m)
 
     r = command("reciprocity", cmd_reciprocity, "component-count table over odd prime pairs")
-    r.add_argument("--max-prime", type=int, default=100)
+    r.add_argument("--max-prime", type=int, default=100, help=f"at most {MAX_RECIPROCITY_PRIME}")
 
     b = command("bridge", cmd_bridge, "side-by-side fiber comparison report")
     _add_field_flags(b)

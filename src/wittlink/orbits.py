@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainViolation, EqualPrimes, NotCoprime, SpecMismatch
 from .cft import (
@@ -46,6 +47,7 @@ from .cft import (
     euler_criterion,
     quadratic_field_subgroup,
     quotient_group,
+    ramified_set,
     split_invariants,
 )
 from .rings import is_prime, primes_below
@@ -318,8 +320,7 @@ def normalize_point(x: DeningerPointFL) -> DeningerPointFL:
     return DeningerPointFL(x.prime, a, n, x.p_exponent_budget)
 
 
-@dataclass(frozen=True)
-class ReciprocityRow:
+class ReciprocityRow(NamedTuple):
     """One row of the quadratic-reciprocity component-count table."""
 
     p: int
@@ -340,15 +341,19 @@ def reciprocity_rows(pairs) -> list[ReciprocityRow]:
     """Component counts over p for the quadratic field of q, both routes, for each pair (p, q).
 
     Contract: both counts equal 2 iff (q|p) = +1, and both equal 1
-    otherwise.  Each field's Galois data is built on its first row and
-    lives only as long as this call.
+    otherwise.  Each distinct prime is checked on the first row it appears
+    in, and each field's Galois data is built on its first row; both live
+    only as long as this call.
     """
     tables: dict[int, _FieldTable] = {}
+    odd_primes: set[int] = set()
     rows = []
     for p, q in pairs:
-        for v in (p, q):
-            if v == 2 or not is_prime(v):
-                raise DomainViolation(f"{v} must be an odd prime")
+        if p not in odd_primes or q not in odd_primes:
+            for v in (p, q):
+                if v == 2 or not is_prime(v):
+                    raise DomainViolation(f"{v} must be an odd prime")
+                odd_primes.add(v)
         if p == q:
             raise EqualPrimes(f"need distinct primes, got {p} twice")
         table = tables.get(q)
@@ -369,29 +374,34 @@ def reciprocity_row(p: int, q: int) -> ReciprocityRow:
 class _FieldTable:
     """One field's Galois data and per-side decompositions, for the rows of one table.
 
-    The covering side decomposes Gal(F/Q) under the Artin coset; the flow
+    The covering side takes the order f of the Artin coset, checks that it
+    divides the degree and decomposes Gal(F/Q) under the coset; the flow
     side builds the packet (Z/m)^*/<p^f>, pushes its monodromy onto the
     Galois group and lands every packet point.  Each side keeps its own
-    memo of decompositions, keyed on the Galois element it decomposes
-    under; the flow side never reads the covering side's.
+    memo, keyed on the Galois element it decomposes under; the flow side
+    never reads the covering side's.
     """
 
     def __init__(self, F: AbelianField):
         self.field = at_conductor(F)
         self.gal = quotient_group(self.field.level, self.field.subgroup)
-        self.covering: dict[int, int] = {}  # Artin coset -> component count
+        self.ramified = ramified_set(self.field)
+        self.covering: dict[int, tuple[int, int]] = {}  # Artin coset -> (order f, component count)
         self.flow: dict[int, tuple] = {}  # pushed monodromy -> (component count, component index)
 
     def counts(self, p: int) -> tuple[int, int]:
         """(covering-side, flow-side) component counts over the odd prime p."""
-        check_unramified(self.field, p)
+        if p in self.ramified:
+            check_unramified(self.field, p)  # raises RamifiedPrime
         gal, F, m = self.gal, self.field, self.field.level
         art = gal.canon_table[p % m]
-        f = gal.element_order(art)
-        if gal.order % f:
-            raise AssertionError(f"an Artin order {f} that does not divide the degree {gal.order}")
-        if art not in self.covering:
-            self.covering[art] = decompose(MappingTorus(gal, art, p, field=F)).count
+        covering = self.covering.get(art)
+        if covering is None:
+            f = gal.element_order(art)
+            if gal.order % f:
+                raise AssertionError(f"an Artin order {f} that does not divide the degree {gal.order}")
+            covering = self.covering[art] = (f, decompose(MappingTorus(gal, art, p, field=F)).count)
+        f, cc = covering
         packet = cyclic_quotient(m, pow(p, f, m))
         monodromy = packet.canon_table[p % m]
         pushed = gal.canon_table[monodromy]
@@ -400,4 +410,4 @@ class _FieldTable:
             self.flow[pushed] = (dec.count, component_of)
         count, component_of = self.flow[pushed]
         _land(packet, cyclic_quotient(m, p), gal, component_of)
-        return self.covering[art], count
+        return cc, count

@@ -5,10 +5,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wittlink import cft
 from wittlink.cft import (
     AbelianField,
     Coset,
     ModUnit,
+    QuotientUnitGroup,
     all_subgroups,
     artin_symbol,
     at_conductor,
@@ -111,6 +113,43 @@ def test_cyclic_quotient_is_the_quotient_by_the_generated_subgroup(m, g):
     G = cyclic_quotient(m, g)
     assert G is cyclic_quotient(m, g % m + m)  # cached on g mod m
     assert G is quotient_group(m, subgroup_generated(m, [g]))
+
+
+def test_order_keyed_cyclic_quotient_is_the_generated_subgroup():
+    # with the lists cleared, each (m, d) walks its first subgroup and
+    # reuses it for every later unit that generates it
+    cft._cyclic_quotient.cache_clear()
+    cft._cyclic_quotients.clear()
+    for m in range(1, 301):
+        generated = set()
+        for g in unit_group(m):
+            S = subgroup_generated(m, [g])
+            assert cft._unit_order(m, g) == len(S)
+            assert cyclic_quotient(m, g).subgroup == S
+            generated.add(S)
+        walked = [G.subgroup for (n, _), seen in cft._cyclic_quotients.items() if n == m for G in seen]
+        assert sorted(walked, key=sorted) == sorted(generated, key=sorted)
+
+
+def _min_of_coset_table(m: int, H: frozenset) -> tuple[tuple, dict]:
+    """(reps, canon_table) of (Z/m)^*/H with each coset built as a set and labelled by its least member."""
+    canon, reps = {}, []
+    for u in unit_group(m):
+        if u in canon:
+            continue
+        coset = {u * h % m for h in H}
+        rep = min(coset)
+        reps.append(rep)
+        for v in coset:
+            canon[v] = rep
+    return tuple(sorted(reps)), canon
+
+
+def test_one_pass_quotient_table_matches_the_min_of_coset_build():
+    for m in range(1, 61):
+        for H in all_subgroups(m):
+            G = QuotientUnitGroup(m, H)
+            assert (G.reps, G.canon_table) == _min_of_coset_table(m, H)
 
 
 def test_crt_combine():

@@ -43,6 +43,7 @@ from wittlink.orbits import (
     reciprocity_row,
     reciprocity_rows,
 )
+from wittlink.rings import is_prime
 
 
 # --------------------------------------------------------------------------
@@ -362,6 +363,40 @@ def test_reciprocity_rejects():
         reciprocity_rows([(3, 5), (5, 5)])
     with pytest.raises(DomainViolation, match="9 must be an odd prime"):
         reciprocity_rows([(3, 5), (9, 5)])
+
+
+def _per_row_check(p: int, q: int) -> None:
+    """The checks every row made on both its primes before each prime was checked once per table."""
+    for v in (p, q):
+        if v == 2 or not is_prime(v):
+            raise DomainViolation(f"{v} must be an odd prime")
+    if p == q:
+        raise EqualPrimes(f"need distinct primes, got {p} twice")
+
+
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+@pytest.mark.parametrize("bad", [(9, 5), (5, 9), (2, 7), (7, 2), (7, 7), (2, 2), (15, 15)], ids=str)
+def test_checking_each_prime_once_changes_no_error(at, bad):
+    valid = odd_prime_pairs(30)
+    i = {"first": 0, "middle": len(valid) // 2, "last": len(valid)}[at]
+    with pytest.raises(DomainViolation) as expected:
+        _per_row_check(*bad)
+    with pytest.raises(DomainViolation) as got:
+        reciprocity_rows(valid[:i] + [bad] + valid[i:])
+    assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+
+
+def test_reciprocity_table_lands_once_per_row(monkeypatch):
+    calls = []
+    real = orbits._land
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(orbits, "_land", counted)
+    rows = reciprocity_rows(odd_prime_pairs(100))
+    assert len(calls) == len(rows) == 552
 
 
 def test_reciprocity_table_is_its_rows():
