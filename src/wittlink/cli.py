@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -579,7 +580,9 @@ def _add_field_flags(p: argparse.ArgumentParser) -> None:
                    help="the quadratic field of the odd prime Q")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built on the first ``main`` call and shared by the later ones (it keeps no per-call state)."""
     usage = __doc__.split("\nHow a command runs")[0]  # the rest describes the code
     parser = _Parser(prog="wittlink", description=usage, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")

@@ -30,16 +30,16 @@ Polynomials are dense tuples of payloads, constant term first, with no
 trailing zero coefficients.  Underneath, every list-level polynomial
 operation (residues mod Phi_n or the F_q modulus, inverses, the gcds of
 the Witt normalization) runs on one dense-list kernel, the ``_dl_*``
-functions, over Q or over F_p.  ``Polynomial.__mul__`` calls ``_dl_mul``
-for the scalar kinds; for the vector kinds it sums each coefficient's
-products unreduced and reduces that sum once by ``_reduce``.  No floating
-point appears anywhere.
+functions, over Q or over F_p.  ``_mul_lists`` is the one product of
+coefficient lists in a context (m, p), serving ``Polynomial.__mul__`` and
+the Witt ring operations alike: ``_dl_mul`` for scalars; for vectors it
+sums each coefficient's products unreduced and reduces that sum once by
+``_reduce``.  No floating point appears anywhere.
 
 ``poly_gcd_monic`` serves only the Witt normalization over F_q;
-``poly_divmod`` serves it, the F_q decoder and the exact-division test of
-the modular gcd over Z[zeta_n].  Rabin's test for the F_q modulus runs on
-the ``_dl_*`` lists mod p.  Resultants and the other cross-checks live in
-``oracles``, which this module never imports.
+``poly_divmod`` serves it and the F_q decoder.  Rabin's test for the F_q
+modulus runs on the ``_dl_*`` lists mod p.  Resultants and the other
+cross-checks live in ``oracles``, which this module never imports.
 """
 
 from __future__ import annotations
@@ -181,20 +181,26 @@ def _dl_addmul(acc: list, a, b) -> None:
 
 def _dl_divmod(a: list, b: list, p: int = 0) -> tuple[list, list]:
     """Quotient and remainder of a by b; b is trimmed and nonzero."""
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    r = _dl_rem(list(a), b, p, q)
+    return _dl_trim(q), r  # q's entries are reduced already
+
+
+def _dl_rem(r: list, b: list, p: int = 0, q: list | None = None) -> list:
+    """r mod b, computed in place on r (b trimmed and nonzero); the quotient goes into q when given."""
     inv = _dl_inv(b[-1], p)
     db = len(b) - 1
-    r = list(a)
-    q = [0] * max(len(r) - db, 0)
     while len(r) > db:
         coef = r.pop() * inv  # the leading term cancels exactly
         if p:
             coef %= p
         if coef:
             shift = len(r) - db
-            q[shift] = coef
+            if q is not None:
+                q[shift] = coef
             for i in range(db):
                 r[shift + i] -= coef * b[i]
-    return _dl_trim(q, p), _dl_trim(r, p)
+    return _dl_trim(r, p)
 
 
 def _dl_powmod(a: list, e: int, m: list, p: int = 0) -> list:
@@ -212,7 +218,7 @@ def _dl_gcd(a: list, b: list, p: int = 0) -> list:
     """Monic gcd; [] when both arguments are zero."""
     a, b = _dl_trim(list(a), p), _dl_trim(list(b), p)
     while b:
-        a, b = b, _dl_divmod(a, b, p)[1]
+        a, b = b, _dl_rem(a, b, p)  # a is this loop's own list
     if not a:
         return a
     inv = _dl_inv(a[-1], p)
@@ -292,7 +298,8 @@ def _reduce(c: list, m: tuple, p: int) -> tuple:
             base = top - w
             for i, mi in terms:
                 r[base + i] -= v * mi
-    _dl_trim(r, p)
+    if p:
+        r = [v % p for v in r]
     return tuple(r + [0] * (w - len(r)))
 
 
@@ -305,6 +312,26 @@ def _fused(acc: list, xs, ys, m: tuple, p: int) -> tuple:
     for a, b in zip(xs, ys):
         _dl_addmul(acc, a, b)
     return _reduce(acc, m, p)
+
+
+def _mul_lists(a, b, m: tuple, p: int) -> list:
+    """The product of two coefficient lists in the reduction context (m, p), trimmed.
+
+    Payload vectors sum each coefficient's products unreduced and reduce
+    that sum once.  ``Polynomial.__mul__`` and the Witt ring operations both multiply here.
+    """
+    if not m:
+        return _dl_mul(a, b, p)
+    w = len(m) - 1
+    acc = [[0] * (2 * w - 1) for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        if any(x):
+            for j, y in enumerate(b, i):
+                _dl_addmul(acc[j], x, y)
+    out = [_reduce(c, m, p) for c in acc]
+    while out and not any(out[-1]):
+        out.pop()
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -705,26 +732,12 @@ class Polynomial:
         return Polynomial(s, tuple(s.neg(c) for c in self.coeffs))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        """Scalar kinds multiply on the list kernel; vector kinds reduce each coefficient once."""
+        """The coefficient lists multiply on ``_mul_lists`` in the ring's context (m, p)."""
         self._check(other)
         s = self.spec
-        m, p = s.m, s.p
-        if not m:
-            out = _dl_mul(self.coeffs, other.coeffs, p)  # p = 0 over Z and Q
-            if s.kind == _KIND_Q:  # a coefficient no product reached is still the int 0
-                out = [v if type(v) is Fraction else Fraction(v) for v in out]
-            return Polynomial(s, tuple(out))
-        if not self.coeffs or not other.coeffs:
-            return Polynomial.zero(s)
-        w = len(m) - 1
-        acc = [[0] * (2 * w - 1) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            if not s.is_zero(a):
-                for j, b in enumerate(other.coeffs, i):
-                    _dl_addmul(acc[j], a, b)
-        out = [_reduce(c, m, p) for c in acc]
-        while out and s.is_zero(out[-1]):
-            out.pop()
+        out = _mul_lists(self.coeffs, other.coeffs, s.m, s.p)
+        if s.kind == _KIND_Q:  # a coefficient no product reached is still the int 0
+            out = [v if type(v) is Fraction else Fraction(v) for v in out]
         return Polynomial(s, tuple(out))
 
     def scale(self, payload) -> "Polynomial":

@@ -17,22 +17,23 @@ whose power sums are s_nk(p).  Newton's identities rebuild each from its
 power sums, dividing by k exactly in characteristic 0: over Z and
 Z[zeta_n] directly, over F_p, Z/n and F_q on lifts to Z or Z[x]/(g) with g
 read over Z (the coefficients are universal integer polynomials in the
-inputs, and no k need be invertible mod p or n), reduced at the end.  ``witt_mul`` computes each of the four
-parts' power sums once, to its degree times the larger degree of the
-other vector's parts, and the four star products read slices of them.
+inputs, and no k need be invertible mod p or n), reduced at the end.
+``witt_mul`` computes each of the four parts' power sums once, to its
+degree times the larger degree of the other vector's parts, and the four
+star products read slices of them.
 
-The kernels take the reduction context (m, p) that a RingSpec carries as
-``spec.m`` and ``spec.p``, never the RingSpec itself: the vector modulus m
-(Phi_n over Z[zeta_n], g over F_q = F_p[x]/(g), () on the scalar rings)
-and the prime p, or n over Z/n, or 0.  The product and Frobenius run on
-(m, 0), the characteristic-0 lift; the ghost map runs on (m, p), reducing
-inside the recurrence.  Every part enters through ``_lift``: Q scaled,
-p(Lt) in Z[t] for L the lcm of the denominators of the parts lifted
-together, so s_k(p) = s_k(p(Lt)) / L^k; the star product divides its
-rebuilt c_k by (L_p L_q)^k and F_n by L^(nk).  Every result leaves
-through ``_settle``, which builds the only Fractions and reduces the lifts
-mod p.  With a vector modulus each coefficient's products are summed
-unreduced and reduced once.
+The kernels take a reduction context (m, p), never a RingSpec: the vector
+modulus m (Phi_n over Z[zeta_n], g over F_q = F_p[x]/(g), () on the scalar
+rings and on C1, C2, whose width-1 payloads are ints) and the prime p, or n
+over Z/n, or 0.  Every ring operation runs on kernel lists from one
+``_lift`` to one ``_settle``.  ``_lift`` takes the two parts of an operand
+together (all four for a sum): Q as p(Lt) in Z[t], L the lcm of their
+denominators, so s_k(p) = s_k(p(Lt)) / L^k.  The star products and F_n
+rebuild on (m, 0), the characteristic-0 lift, and are reduced mod p; the
+ghost map runs on (m, p), reducing inside the recurrence.  Parts multiply
+on the lists by ``rings._mul_lists`` in (m, p), the kernel behind
+``Polynomial.__mul__``.  ``_from_kernel`` normalizes on the lists, and
+``_settle`` builds the only Fractions and the result's parts once.
 
 Criterion 1 holds both routes against the resultant forms in ``oracles``.
 
@@ -40,15 +41,14 @@ Equality never relies on normal forms: f == g iff
 f.num * g.den == g.num * f.den, valid because denominators with constant
 term 1 are power-series units.
 
-Normalization checks both constant terms, then divides num and den by
-their gcd scaled to constant term 1.  Over Z, Q (scaled by t -> Lt) and
-Z[zeta_n] one modular gcd does it: gcds modulo primes q = 1 (mod n), at
-each root of Phi_n mod q, are interpolated, combined by CRT and lifted
-until the lift divides both parts; no gcd is taken over Q or Q(zeta_n).
-The gcd is integral (Gauss's lemma), so the quotients are.  Over F_p the
-gcd is taken on int lists mod p, over F_q by ``poly_gcd_monic`` and
-``poly_divmod`` (the latter also tests the Z[zeta_n] lift and serves the
-F_q decoder); over Z/n the parts are left as given.
+Normalization divides num and den by their gcd scaled to constant term 1.
+Over Z, Q (scaled by t -> Lt) and Z[zeta_n] one modular gcd does it: gcds
+modulo primes q = 1 (mod n), at each root of Phi_n mod q, are
+interpolated, combined by CRT and lifted until the lift divides both
+parts; no gcd is taken over Q or Q(zeta_n).  The gcd is integral (Gauss's
+lemma), so the quotients are.  Over F_p the gcd is taken on int lists mod
+p, over F_q by ``poly_gcd_monic`` on the settled parts; over Z/n the parts
+are left as given.
 """
 
 from __future__ import annotations
@@ -69,11 +69,13 @@ from .rings import (
     _KIND_C,
     _KIND_FP,
     _KIND_Q,
-    _KIND_Z,
+    _KIND_ZN,
     _dl_divmod,
     _dl_gcd,
     _dl_mul,
+    _dl_trim,
     _fused,
+    _mul_lists,
     _reduce,
     conjugate_polynomial,
     cyclotomic_polynomial,
@@ -130,15 +132,6 @@ def _root_maps(n: int, q: int, omega: int) -> tuple[list, list]:
     return evaluate, [list(row) for row in zip(*basis)]
 
 
-def _normalize_field_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Divide both parts by their gcd, scaled to constant term 1, over F_q."""
-    g = poly_gcd_monic(num, den)
-    if g.degree <= 0:
-        return num, den
-    g = g.scale(num.spec.inv(g.constant_term))
-    return poly_divmod(num, g)[0], poly_divmod(den, g)[0]
-
-
 def _gcd_mod(a: list, b: list, p: int) -> list:
     """gcd(a, b) mod the prime p, scaled to constant term 1 (nonzero, as a(0) = 1)."""
     g = _dl_gcd(a, b, p)
@@ -146,13 +139,26 @@ def _gcd_mod(a: list, b: list, p: int) -> list:
     return [c * inv % p for c in g]
 
 
-def _divide_out(a: list, g: list, p: int = 0) -> list | None:
-    """a / g when g, with g(0) = 1, divides a exactly (mod p when p > 0), else None.
+def _divide_out(a: list, g: list, ctx: tuple = ((), 0)) -> list | None:
+    """a / g when g, with g(0) = 1, divides a exactly in the context ctx = (m, p), else None.
 
-    The reversed g leads with 1, so dividing the reversed lists keeps ints.
+    Series division, q_k = a_k - sum_{i >= 1} g_i q_(k-i); exact iff the terms past the quotient vanish.
     """
-    quo, rem = _dl_divmod(a[::-1], g[::-1], p)
-    return None if rem else quo[::-1]
+    m, p = ctx
+    dq, q = len(a) - len(g) + 1, []
+    ng = [[-v for v in x] for x in g] if m else None
+    for k, x in enumerate(a):
+        t = min(k, len(g) - 1)
+        if m:
+            r = _fused(list(x) + [0] * (len(x) - 1), ng[t:0:-1], q[k - t :], m, p)
+        else:
+            r = x - sum(map(operator.mul, g[t:0:-1], q[k - t :]))
+            r = r % p if p else r
+        if k < dq:
+            q.append(r)
+        elif any(r) if m else r:
+            return None
+    return q
 
 
 def _modular_gcd(a, b, n: int, images, divide) -> tuple:
@@ -192,7 +198,9 @@ def _normalize_lists(a: list, b: list, p: int) -> tuple[list, list]:
     """a / g, b / g for int lists with constant term 1, g = gcd(a, b) over F_p (p > 0) or Z (p = 0)."""
     if p:
         g = _gcd_mod(a, b, p)
-        return _divide_out(a, g, p), _divide_out(b, g, p)
+        if len(g) == 1:
+            return a, b
+        return _divide_out(a, g, ((), p)), _divide_out(b, g, ((), p))
 
     def images(q, _):
         if a[-1] % q and b[-1] % q:
@@ -201,52 +209,54 @@ def _normalize_lists(a: list, b: list, p: int) -> tuple[list, list]:
     return _modular_gcd(a, b, 1, images, _divide_out)
 
 
-def _cyclotomic_gcd_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """The modular gcd over Z[zeta_n]: images at each root of Phi_n mod q, interpolated."""
-    spec = num.spec
-    w = spec.width
+def _cyclotomic_gcd(a: list, b: list, n: int, m: tuple) -> tuple[list, list]:
+    """The modular gcd over Z[zeta_n] on payload-vector lists: images at each root of Phi_n mod q, interpolated."""
+    w = len(m) - 1
 
     def images(q, omega):
-        evaluate, interpolate = _root_maps(spec.n, q, omega)
+        evaluate, interpolate = _root_maps(n, q, omega)
         hs = []
         for row in evaluate:
-            a = [sum(map(operator.mul, row, c)) % q for c in num.coeffs]
-            b = [sum(map(operator.mul, row, c)) % q for c in den.coeffs]
-            if not (a[-1] and b[-1]):
+            x = [sum(map(operator.mul, row, c)) % q for c in a]
+            y = [sum(map(operator.mul, row, c)) % q for c in b]
+            if not (x[-1] and y[-1]):
                 return None
-            hs.append(_gcd_mod(a, b, q))
+            hs.append(_gcd_mod(x, y, q))
             if len(hs[-1]) == 1:
                 return hs[-1] + [0] * (w - 1)
         if any(len(h) != len(hs[0]) for h in hs):
             return None  # unlucky at some root
         return [sum(map(operator.mul, row, col)) % q for col in zip(*hs) for row in interpolate]
 
-    def divide(x, g):  # on the reversed parts, where the lift leads with 1
-        rev = Polynomial(spec, tuple(tuple(g[i - w : i]) for i in range(len(g), 0, -w)))
-        quo, rem = poly_divmod(x.reversed_coeffs(), rev)
-        return None if rem.coeffs else quo.reversed_coeffs()
+    def divide(x, g):
+        return _divide_out(x, [tuple(g[i : i + w]) for i in range(0, len(g), w)], (m, 0))
 
-    return _modular_gcd(num, den, spec.n, images, divide)
+    return _modular_gcd(a, b, n, images, divide)
 
 
-def _normalize_parts(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    spec = num.spec
-    if num == den:
-        return Polynomial.one(spec), Polynomial.one(spec)
-    if den.is_one or num.is_one:
-        return num, den
-    if spec.kind in (_KIND_Z, _KIND_Q, _KIND_FP):
+def _from_kernel(spec: RingSpec, a: list, b: list, L: int) -> "WittVector":
+    """The WittVector with kernel parts a/b at scale L, normalized on the lists and settled once.
+
+    Parts equal to each other or to 1 need no gcd; over Z/n the parts are
+    kept as given, and over F_q the field gcd runs on the settled parts.
+    Both parts keep constant term 1, so the result skips ``_check_parts``.
+    """
+    m, p = _ctx(spec)
+    field = bool(m and p)  # F_q
+    if a == b:
+        a = b = a[:1]
+    elif len(a) > 1 and len(b) > 1 and spec.kind != _KIND_ZN and not field:
         # Q enters scaled by one t -> Lt for both parts, which commutes with taking gcds
-        a, b, L = _lift(num, den)
-        a, b = _normalize_lists(a, b, spec.p)
-        if len(a) == len(num.coeffs):  # coprime
-            return num, den
-        return _settle(spec, a, L), _settle(spec, b, L)
-    if spec.kind == _KIND_C:
-        return _cyclotomic_gcd_parts(num, den)
-    if spec.is_field:
-        return _normalize_field_parts(num, den)
-    return num, den  # Zn: no division available; equality is cross-multiplied
+        a, b = _cyclotomic_gcd(a, b, spec.n, m) if m else _normalize_lists(a, b, p)
+    num, den = _settle(spec, a, L), _settle(spec, b, L)
+    if field:
+        g = poly_gcd_monic(num, den)
+        if g.degree > 0:
+            g = g.scale(spec.inv(g.constant_term))
+            num, den = poly_divmod(num, g)[0], poly_divmod(den, g)[0]
+    out = object.__new__(WittVector)
+    out.__dict__.update(spec=spec, num=num, den=den)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -275,12 +285,12 @@ class WittVector:
     # ---------------------------------------------------------- builders
     @classmethod
     def from_polys(cls, num: Polynomial, den: Polynomial | None = None) -> "WittVector":
-        """num/den reduced by _normalize_parts; WittVector(spec, num, den) keeps the parts as given."""
+        """num/den reduced by _from_kernel; WittVector(spec, num, den) keeps the parts as given."""
         spec = num.spec
         if den is None:
             den = Polynomial.one(spec)
         _check_parts(spec, num, den)  # the gcd routes assume both constant terms are 1
-        return cls(spec, *_normalize_parts(num, den))
+        return _from_kernel(spec, *_lift(spec, num.coeffs, den.coeffs))
 
     @classmethod
     def from_ints(cls, spec: RingSpec, num_ints, den_ints=(1,)) -> "WittVector":
@@ -338,9 +348,12 @@ class WittVector:
 
 
 def witt_add(f: WittVector, g: WittVector) -> WittVector:
-    """f (+) g: the product of the underlying power series."""
+    """f (+) g: the product of the underlying power series, on the four parts lifted together."""
     f._check(g)
-    return WittVector.from_polys(f.num * g.num, f.den * g.den)
+    spec = f.spec
+    m, p = _ctx(spec)
+    fn, fd, gn, gd, L = _lift(spec, f.num.coeffs, f.den.coeffs, g.num.coeffs, g.den.coeffs)
+    return _from_kernel(spec, _mul_lists(fn, gn, m, p), _mul_lists(fd, gd, m, p), L)
 
 
 def witt_neg(f: WittVector) -> WittVector:
@@ -348,66 +361,56 @@ def witt_neg(f: WittVector) -> WittVector:
     return WittVector(f.spec, f.den, f.num)
 
 
-def _power_roots(p: Polynomial, n: int) -> Polynomial:
-    """Polynomial with inverse roots {a^n} for a over p.
-
-    Its power sums are s_n(p), s_2n(p), ..., s_dn(p); Newton's identities
-    rebuild it on the characteristic-0 lift.  Over Q, p(Lt) has inverse
-    roots L*a, so the rebuilt coefficient c_k is unscaled by L^(nk).
-    """
-    spec = p.spec
-    d = p.degree
-    if d <= 0:
-        return Polynomial.one(spec)
-    if n == 1:
-        return p
-    ctx = (spec.m, 0)
-    c, L = _lift(p)
-    return _settle(spec, _from_power_sums(_power_sums(c, n * d, ctx)[n - 1 :: n], ctx), L**n)
+def _ctx(spec: RingSpec) -> tuple:
+    """spec's reduction context (m, p), without a width-1 modulus: Z[x]/(x -+ 1) is Z, so C1, C2 run on ints."""
+    m = spec.m
+    return (m if len(m) > 2 else (), spec.p)
 
 
-def _lift(*parts: Polynomial) -> list:
-    """The coefficient lists of the parts as the kernels take them, then their common scale L.
+def _lift(spec: RingSpec, *parts) -> list:
+    """The coefficient sequences of the parts as the kernels take them, then their common scale L.
 
     Over Q the parts enter as p(Lt) in Z[t], L the lcm of every denominator
     of every part: the inverse roots of p(Lt) are L times those of p, so
     s_k(p) = s_k(p(Lt)) / L^k.  Every other kind enters as its payloads
-    (lifts in [0, n) over F_p and Z/n), with L = 1.
+    (lifts in [0, n) over F_p and Z/n, width-1 vectors as their entry), with L = 1.
     """
-    if parts[0].spec.kind != _KIND_Q:
-        return [list(p.coeffs) for p in parts] + [1]
-    L = math.lcm(*[v.denominator for p in parts for v in p.coeffs])
-    out = []
-    for p in parts:
-        c, Lk = [], 1
-        for v in p.coeffs:
-            c.append(v.numerator * Lk // v.denominator)
-            Lk *= L
-        out.append(c)
-    return out + [L]
+    if spec.kind == _KIND_Q:
+        L = math.lcm(*[v.denominator for p in parts for v in p])
+        Lk = list(itertools.accumulate([L] * max(map(len, parts)), operator.mul, initial=1))  # L^k
+        return [[v.numerator * s // v.denominator for v, s in zip(p, Lk)] for p in parts] + [L]
+    if len(spec.m) == 2:
+        return [[v for (v,) in p] for p in parts] + [1]
+    return [list(p) for p in parts] + [1]
 
 
-def _settle(spec: RingSpec, c, scale: int) -> Polynomial:
+def _settle(spec: RingSpec, c: list, scale: int) -> Polynomial:
     """The polynomial over spec with kernel coefficients c: the one exit of the kernels.
 
     Over Q, c_k is divided by scale^k (a Fraction is built only here); over
-    F_p, Z/n and F_q the lifts are reduced mod n or p.
+    F_p, Z/n and F_q the lifts are reduced mod n or p, and over C1 and C2
+    each int becomes a width-1 vector again.
     """
-    m, p = spec.m, spec.p
     if spec.kind == _KIND_Q:
         out, sk = [], 1
         for v in c:
             out.append(Fraction(v, sk))
             sk *= scale
-    elif not p:
-        out = list(c)
-    elif m:
-        out = [tuple([v % p for v in x]) for x in c]
     else:
-        out = [v % p for v in c]
+        out = _reduce_list(list(c), _ctx(spec))
+        if len(spec.m) == 2:
+            out = [(v,) for v in out]
     while out and spec.is_zero(out[-1]):
         out.pop()
     return Polynomial(spec, tuple(out))
+
+
+def _reduce_list(c: list, ctx: tuple) -> list:
+    """The kernel list c reduced into ctx = (m, p) (in place for scalars), trailing zero scalars dropped."""
+    m, p = ctx
+    if m and p:
+        return [tuple([v % p for v in x]) for x in c]
+    return _dl_trim(c, p)
 
 
 def _power_sums(c: list, N: int, ctx: tuple) -> list:
@@ -463,45 +466,54 @@ def _from_power_sums(s: list, ctx: tuple) -> list:
     return c
 
 
-def _part_sums(p: Polynomial, depth: int, ctx: tuple) -> tuple[int, list, int]:
-    """(deg p, s_1..s_depth of p in ctx, the scale L of p): what a star product reads of a part."""
-    c, L = _lift(p)
-    return p.degree, _power_sums(c, depth, ctx), L
+def _power_roots(c: list, n: int, ctx: tuple) -> list:
+    """The kernel list with inverse roots {a^n} for a over c, in the context ctx = (m, p).
+
+    Its power sums are s_n(c), s_2n(c), ..., s_dn(c); Newton's identities
+    rebuild it on the characteristic-0 lift (m, 0), reduced mod p at the end.
+    """
+    d = len(c) - 1
+    if not d:
+        return c
+    lift = (ctx[0], 0)
+    return _reduce_list(_from_power_sums(_power_sums(c, n * d, lift)[n - 1 :: n], lift), ctx)
 
 
-def _star(a: tuple, b: tuple, ctx: tuple) -> tuple[list, int]:
-    """The kernel coefficients of the star product of two parts from their ``_part_sums``, and their scale.
+def _star(a: tuple, b: tuple, ctx: tuple) -> list:
+    """The kernel list of the star product of two parts, each given as (degree, power sums on the lift).
 
     Each part's power sums reach depth >= deg p * deg q; a constant part
-    gives the constant 1.
+    gives the constant 1.  The rebuild runs on (m, 0) and is reduced mod p.
     """
-    (d, sp, Lp), (e, sq, Lq) = a, b
+    (d, sp), (e, sq) = a, b
     D = d * e
-    if ctx[0]:
-        s = [_reduce(_dl_mul(x, y), *ctx) for x, y in zip(sp[:D], sq[:D])]
+    m = ctx[0]
+    if m:
+        s = [_reduce(_dl_mul(x, y), m, 0) for x, y in zip(sp[:D], sq[:D])]
     else:
         s = list(map(operator.mul, sp[:D], sq[:D]))
-    return _from_power_sums(s, ctx), Lp * Lq
+    return _reduce_list(_from_power_sums(s, (m, 0)), ctx)
 
 
 def witt_mul(f: WittVector, g: WittVector) -> WittVector:
     """f (x) g: the biadditive extension of (1-at)(x)(1-bt) = (1-abt).
 
-    Each of the four parts has its power sums computed once, to its degree
-    times the larger degree of the other vector's parts, on the
+    Each vector's two parts are lifted together, at one scale, and each of
+    the four parts has its power sums computed once, to its degree times
+    the larger degree of the other vector's parts, on the
     characteristic-0 lift; the four star products read slices of them.
     """
     f._check(g)
     spec = f.spec
-    ctx = (spec.m, 0)
+    m, p = ctx = _ctx(spec)
+    *fs, Lf = _lift(spec, f.num.coeffs, f.den.coeffs)
+    *gs, Lg = _lift(spec, g.num.coeffs, g.den.coeffs)
     df, dg = max(f.num.degree, f.den.degree), max(g.num.degree, g.den.degree)
-    n1, d1 = [_part_sums(x, x.degree * dg, ctx) for x in (f.num, f.den)]
-    n2, d2 = [_part_sums(x, x.degree * df, ctx) for x in (g.num, g.den)]
-
-    def star(a, b):
-        return _settle(spec, *_star(a, b, ctx))
-
-    return WittVector.from_polys(star(n1, n2) * star(d1, d2), star(n1, d2) * star(d1, n2))
+    n1, d1 = [(len(c) - 1, _power_sums(c, (len(c) - 1) * dg, (m, 0))) for c in fs]
+    n2, d2 = [(len(c) - 1, _power_sums(c, (len(c) - 1) * df, (m, 0))) for c in gs]
+    num = _mul_lists(_star(n1, n2, ctx), _star(d1, d2, ctx), m, p)
+    den = _mul_lists(_star(n1, d2, ctx), _star(d1, n2, ctx), m, p)
+    return _from_kernel(spec, num, den, Lf * Lg)
 
 
 def frobenius(n: int, f: WittVector) -> WittVector:
@@ -510,7 +522,10 @@ def frobenius(n: int, f: WittVector) -> WittVector:
         raise DomainViolation(f"Frobenius index must be >= 1, got {n}")
     if n == 1:
         return f
-    return WittVector.from_polys(_power_roots(f.num, n), _power_roots(f.den, n))
+    spec = f.spec
+    ctx = _ctx(spec)
+    a, b, L = _lift(spec, f.num.coeffs, f.den.coeffs)
+    return _from_kernel(spec, _power_roots(a, n, ctx), _power_roots(b, n, ctx), L**n)
 
 
 def teichmuller(a: RingElement) -> WittVector:
@@ -584,12 +599,12 @@ def ghost(f: WittVector, N: int | None = None) -> GhostVector:
     if N < 1:
         raise DomainViolation("ghost precision must be >= 1")
     spec = f.spec
-    ctx = (spec.m, spec.p)  # F_p, Z/n and F_q reduce mod p inside the recurrence
-    cn, cd, L = _lift(f.num, f.den)
+    m, _ = ctx = _ctx(spec)  # F_p, Z/n and F_q reduce mod p inside the recurrence
+    cn, cd, L = _lift(spec, f.num.coeffs, f.den.coeffs)
     sn, sd = _power_sums(cn, N, ctx), _power_sums(cd, N, ctx)
-    sub = (lambda x, y: tuple(map(operator.sub, x, y))) if ctx[0] else operator.sub
+    sub = (lambda x, y: tuple(map(operator.sub, x, y))) if m else operator.sub
     # s_k(num) - s_k(den) is the coefficient of t^k in -t f'/f, whose constant term is 0
-    series = _settle(spec, [spec.zero(), *map(sub, sn, sd)], L)
+    series = _settle(spec, [(0,) * (len(m) - 1) if m else 0, *map(sub, sn, sd)], L)
     return GhostVector(spec, tuple(map(series.coefficient, range(1, N + 1))))
 
 
@@ -655,16 +670,14 @@ class GroupRingElement:
 def groupring_to_witt(x: GroupRingElement) -> WittVector:
     """sum n_a * a  ->  prod (1 - a t)^(n_a), negative powers to the denominator."""
     spec = x.spec
-    num = Polynomial.one(spec)
-    den = Polynomial.one(spec)
-    for payload, mult in x.terms:
-        factor = Polynomial.from_payloads(spec, [spec.one(), spec.neg(payload)])
+    m, p = _ctx(spec)
+    one = spec.one()
+    *factors, L = _lift(spec, (one,), *[(one, spec.neg(payload)) for payload, _ in x.terms])
+    parts = [factors[0]] * 2  # num, den
+    for factor, (_, mult) in zip(factors[1:], x.terms):
         for _ in range(abs(mult)):
-            if mult > 0:
-                num = num * factor
-            else:
-                den = den * factor
-    return WittVector.from_polys(num, den)
+            parts[mult < 0] = _mul_lists(parts[mult < 0], factor, m, p)
+    return _from_kernel(spec, *parts, L)
 
 
 def _roots_with_multiplicity(poly: Polynomial) -> list[tuple[object, int]] | None:
@@ -700,20 +713,24 @@ def _roots_with_multiplicity(poly: Polynomial) -> list[tuple[object, int]] | Non
 def _prime_field_roots(rev: list, p: int) -> list[tuple[int, int]] | None:
     """Roots with multiplicity of the monic rev (ascending ints mod p), or None.
 
-    One Horner pass per candidate a evaluates rev(a) mod p; when that is 0,
-    its partial sums are the quotient rev / (x - a) (synthetic division).
-    None when rev does not split into linear factors over F_p.
+    One Horner pass per candidate a evaluates rev(a) mod p; only at a root
+    does a second pass keep its partial sums, the quotient rev / (x - a)
+    (synthetic division).  None when rev does not split into linear
+    factors over F_p.
     """
     found = []
     for a in range(1, p):  # rev(0) = lc of the part, a unit
         mult = 0
         while len(rev) > 1:
-            acc, quo = 0, []
+            acc = 0
+            for c in reversed(rev):
+                acc = (acc * a + c) % p
+            if acc:
+                break
+            quo = []
             for c in reversed(rev):
                 acc = (acc * a + c) % p
                 quo.append(acc)
-            if acc:
-                break
             quo.pop()
             rev = quo[::-1]
             mult += 1

@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -224,6 +227,36 @@ def test_jobs_flag_same_rows(capsys):
 def test_format_flag_after_subcommand(capsys):
     _, out, _ = run(capsys, "witt", "mul", "1-2t", "1-3t", "--format", "json")
     assert json.loads(out)["rows"][0]["result"] == "1-6t"
+
+
+def test_one_parser_per_process_prints_what_fresh_processes_print():
+    # main builds its parser once per process: a csv run, a usage error and
+    # a default-format run in one process each print what they print alone
+    calls = [
+        ["--format", "csv", "reciprocity", "--max-prime", "14"],
+        ["reciprocity", "--max-prime", "many"],
+        ["witt", "mul", "1-2t", "1-3t"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from wittlink.cli import main\n"
+        "results = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        results.append([main(argv), out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(results))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(calls)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    shared = json.loads(proc.stdout)
+    for argv, got in zip(calls, shared, strict=True):
+        # bytes, not text=True: its newline translation would hide the csv's \r\n
+        fresh = subprocess.run([sys.executable, "-m", "wittlink.cli", *argv], capture_output=True, env=env)
+        assert got == [fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode()], argv
+    assert [c for c, _, _ in shared] == [0, 1, 0]
 
 
 # --------------------------------------------------------------------------

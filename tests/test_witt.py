@@ -490,7 +490,11 @@ def test_mul_cyclotomic_with_cancellation_matches_ghost():
 
 def test_probe_primes_carry_roots_of_cyclotomic_polynomials():
     from wittlink.rings import cyclotomic_polynomial
-    from wittlink.witt import _normalize_parts, _probe_primes
+    from wittlink.witt import _probe_primes
+
+    def parts(num, den):
+        f = WittVector.from_polys(num, den)
+        return f.num, f.den
 
     for n in range(1, 41):
         phi = cyclotomic_polynomial(n)
@@ -502,8 +506,8 @@ def test_probe_primes_carry_roots_of_cyclotomic_polynomials():
         spec = RingSpec.cyclotomic(n)
         common = Polynomial.from_ints(spec, [1, 1])
         x, y = Polynomial.from_ints(spec, [1, -2]), Polynomial.from_ints(spec, [1, 3])
-        assert _normalize_parts(common * x, common * y) == (x, y)
-        assert _normalize_parts(x, y) == (x, y)
+        assert parts(common * x, common * y) == (x, y)
+        assert parts(x, y) == (x, y)
 
 
 # --------------------------------------------------------------------------
@@ -550,11 +554,10 @@ def _route_case(draw):
 def test_newton_route_matches_resultant_route(case):
     # over F_2 and F_3 the product degree D = deg p * deg q often reaches p
     from wittlink.oracles import _power_roots_resultant, _star_polys_resultant
-    from wittlink.witt import _power_roots
 
     _, p, q, n = case
     assert witt_mul(WittVector.from_polys(p), WittVector.from_polys(q)).num == _star_polys_resultant(p, q)
-    assert _power_roots(p, n) == _power_roots_resultant(p, n)
+    assert frobenius(n, WittVector.from_polys(p)).num == _power_roots_resultant(p, n)
 
 
 def test_extension_field_route_needs_no_resultant(monkeypatch):
@@ -804,10 +807,9 @@ _Q = RingSpec.rationals()
 @given(_part(_Q, 3), _part(_Q, 3), _part(_Q, 3))
 @settings(max_examples=150, deadline=None)
 def test_rational_normalization_matches_field_euclid(common, a, b):
-    from wittlink.witt import _normalize_parts
-
     num, den = common * a, common * b
-    got = _normalize_parts(num, den)
+    f = WittVector.from_polys(num, den)
+    got = (f.num, f.den)
     assert got == _euclid_reference(num, den)
     for part in got:
         assert all(type(c) is Fraction for c in part.coeffs)
@@ -967,15 +969,15 @@ def test_cli_cyclotomic_literal_with_common_factor_takes_no_gcd_over_q(monkeypat
 
 @pytest.mark.parametrize("spec", _KERNEL_RINGS, ids=str)
 def test_newton_kernels_make_no_per_coefficient_ring_calls(monkeypatch, spec):
-    # the power sums and the rebuild run on plain ints or int vectors
+    # the power sums, the rebuilds and the products of parts run on plain ints or int vectors
     from wittlink import witt
 
     f = WittVector.from_polys(
         Polynomial.from_ints(spec, [1, 2, -1, 3]), Polynomial.from_ints(spec, [1, -2])
     )
     g = WittVector.from_polys(Polynomial.from_ints(spec, [1, 1, 5]))
-    want_mul, want_frob, want_ghost = witt_mul(f, g), frobenius(3, f), ghost(f, 9)
-    real_power_sums, real_rebuild, real_star = witt._power_sums, witt._from_power_sums, witt._star
+    want_mul, want_frob, want_ghost, want_add = witt_mul(f, g), frobenius(3, f), ghost(f, 9), witt_add(f, g)
+    kernels = ("_power_sums", "_from_power_sums", "_star", "_power_roots", "_mul_lists")
 
     def forbid(*args):
         raise AssertionError("RingSpec.add/mul called inside a Newton kernel")
@@ -991,12 +993,217 @@ def test_newton_kernels_make_no_per_coefficient_ring_calls(monkeypatch, spec):
 
         return run
 
-    monkeypatch.setattr(witt, "_power_sums", guarded(real_power_sums))
-    monkeypatch.setattr(witt, "_from_power_sums", guarded(real_rebuild))
-    monkeypatch.setattr(witt, "_star", guarded(real_star))
+    for name in kernels:
+        monkeypatch.setattr(witt, name, guarded(getattr(witt, name)))
     assert witt_mul(f, g) == want_mul
     assert frobenius(3, f) == want_frob
     assert ghost(f, 9).components == want_ghost.components
+    assert witt_add(f, g) == want_add
+
+
+# --------------------------------------------------------------------------
+# the ring operations on kernel lists against the Polynomial route they
+# replaced: every star product and power-root part settled into a
+# Polynomial, the parts multiplied by Polynomial.__mul__, and the quotient
+# reduced by a gcd over the field of fractions (Q, F_p or F_q), by the
+# modular gcd with Polynomial division over Z[zeta_n], and not at all over Z/n
+
+
+def _oracle_lift(*parts):
+    """Kernel lists of Polynomial parts, each lifted on its own scale L, as the old route took them."""
+    spec = parts[0].spec
+    if spec.kind != "Q":
+        return [list(p.coeffs) for p in parts] + [1]
+    L = math.lcm(*[v.denominator for p in parts for v in p.coeffs])
+    return [[v.numerator * L**k // v.denominator for k, v in enumerate(p.coeffs)] for p in parts] + [L]
+
+
+def _oracle_settle(spec, c, scale):
+    if spec.kind == "Q":
+        out = [Fraction(v, scale**k) for k, v in enumerate(c)]
+    elif spec.p and spec.m:
+        out = [tuple(v % spec.p for v in x) for x in c]
+    elif spec.p:
+        out = [v % spec.p for v in c]
+    else:
+        out = list(c)
+    while out and spec.is_zero(out[-1]):
+        out.pop()
+    return Polynomial(spec, tuple(out))
+
+
+def _oracle_power_roots(p, n):
+    from wittlink.witt import _from_power_sums, _power_sums
+
+    spec, d = p.spec, p.degree
+    if d <= 0 or n == 1:
+        return p if d > 0 else Polynomial.one(spec)
+    ctx = (spec.m, 0)
+    c, L = _oracle_lift(p)
+    return _oracle_settle(spec, _from_power_sums(_power_sums(c, n * d, ctx)[n - 1 :: n], ctx), L**n)
+
+
+def _oracle_star(p, q):
+    from wittlink.rings import _dl_mul, _reduce
+    from wittlink.witt import _from_power_sums, _power_sums
+
+    spec, D = p.spec, p.degree * q.degree
+    ctx = (spec.m, 0)
+    (cp, Lp), (cq, Lq) = [_oracle_lift(x) for x in (p, q)]
+    sp, sq = _power_sums(cp, D, ctx), _power_sums(cq, D, ctx)
+    if spec.m:
+        s = [_reduce(_dl_mul(x, y), spec.m, 0) for x, y in zip(sp, sq)]
+    else:
+        s = list(map(operator.mul, sp, sq))
+    return _oracle_settle(spec, _from_power_sums(s, ctx), Lp * Lq)
+
+
+def _oracle_cyclotomic_gcd(num, den):
+    """The old modular gcd over Z[zeta_n]: images at the roots of Phi_n mod q, lifts tested by poly_divmod."""
+    from wittlink.rings import poly_divmod
+    from wittlink.witt import _gcd_mod, _modular_gcd, _root_maps
+
+    spec, w = num.spec, num.spec.width
+
+    def images(q, omega):
+        evaluate, interpolate = _root_maps(spec.n, q, omega)
+        hs = []
+        for row in evaluate:
+            a = [sum(map(operator.mul, row, c)) % q for c in num.coeffs]
+            b = [sum(map(operator.mul, row, c)) % q for c in den.coeffs]
+            if not (a[-1] and b[-1]):
+                return None
+            hs.append(_gcd_mod(a, b, q))
+            if len(hs[-1]) == 1:
+                return hs[-1] + [0] * (w - 1)
+        if any(len(h) != len(hs[0]) for h in hs):
+            return None
+        return [sum(map(operator.mul, row, col)) % q for col in zip(*hs) for row in interpolate]
+
+    def divide(x, g):
+        rev = Polynomial(spec, tuple(tuple(g[i - w : i]) for i in range(len(g), 0, -w)))
+        quo, rem = poly_divmod(x.reversed_coeffs(), rev)
+        return None if rem.coeffs else quo.reversed_coeffs()
+
+    return _modular_gcd(num, den, spec.n, images, divide)
+
+
+def _oracle_normalize(num, den):
+    from wittlink.rings import poly_divmod, poly_gcd_monic
+
+    spec = num.spec
+    if num == den:
+        return Polynomial.one(spec), Polynomial.one(spec)
+    if num.is_one or den.is_one or spec.kind == "Zn":
+        return num, den
+    if spec.kind == "C":
+        return _oracle_cyclotomic_gcd(num, den)
+    if spec.kind == "Z":  # over Q, where the gcd scaled to constant term 1 is integral
+        a, b = _euclid_reference(num, den)
+        return tuple(Polynomial(spec, tuple(int(c) for c in x.coeffs)) for x in (a, b))
+    g = poly_gcd_monic(num, den)
+    g = g.scale(spec.inv(g.constant_term))
+    return poly_divmod(num, g)[0], poly_divmod(den, g)[0]
+
+
+def _oracle_vector(num, den):
+    return WittVector(num.spec, *_oracle_normalize(num, den))
+
+
+def _oracle_op(op, f, g, n, terms):
+    spec = f.spec
+    if op == "from_polys":
+        return _oracle_vector(f.num, f.den)
+    if op == "add":
+        return _oracle_vector(f.num * g.num, f.den * g.den)
+    if op == "mul":
+        star = _oracle_star
+        return _oracle_vector(
+            star(f.num, g.num) * star(f.den, g.den), star(f.num, g.den) * star(f.den, g.num)
+        )
+    if op == "frob":
+        return f if n == 1 else _oracle_vector(_oracle_power_roots(f.num, n), _oracle_power_roots(f.den, n))
+    num = den = Polynomial.one(spec)
+    for payload, mult in terms:
+        factor = Polynomial.from_payloads(spec, [spec.one(), spec.neg(payload)])
+        for _ in range(abs(mult)):
+            if mult > 0:
+                num = num * factor
+            else:
+                den = den * factor
+    return _oracle_vector(num, den)
+
+
+_ORACLE_RINGS = [
+    RingSpec.integers(),
+    RingSpec.rationals(),
+    RingSpec.prime_field(5),
+    RingSpec.mod_ring(12),
+    RingSpec.cyclotomic(1),
+    RingSpec.cyclotomic(2),
+    RingSpec.cyclotomic(5),
+    RingSpec.cyclotomic(8),
+    RingSpec.ext_field(3, 2),
+]
+
+
+def _units(spec):
+    """A few units of spec, as payloads."""
+    if spec.kind == "Z":
+        return [1, -1]
+    if spec.kind == "Q":
+        return [Fraction(a, b) for a in (-3, -1, 1, 2) for b in (1, 2, 5)]
+    if spec.kind == "C":
+        return [spec.canon([0] * k + [s]) for k in range(spec.n) for s in (1, -1)]
+    if spec.kind == "Fq":
+        return [spec.canon(v) for v in itertools.product(range(spec.n), repeat=spec.k) if any(v)]
+    return [a for a in range(1, spec.n) if math.gcd(a, spec.n) == 1]
+
+
+@st.composite
+def _oracle_witt(draw, spec):
+    """A Witt vector whose parts share a drawn factor; kept as given or reduced by from_polys."""
+    common = draw(_part(spec, 2))
+    num, den = common * draw(_part(spec, 3)), common * draw(_part(spec, 2))
+    return WittVector(spec, num, den) if draw(st.booleans()) else WittVector.from_polys(num, den)
+
+
+@st.composite
+def _oracle_case(draw, spec):
+    op = draw(st.sampled_from(["from_polys", "add", "mul", "frob", "groupring"]))
+    terms = draw(st.lists(st.tuples(st.sampled_from(_units(spec)), st.integers(-2, 2)), max_size=4))
+    return op, draw(_oracle_witt(spec)), draw(_oracle_witt(spec)), draw(st.integers(1, 4)), terms
+
+
+def _production_op(op, f, g, n, terms):
+    if op == "from_polys":
+        return WittVector.from_polys(f.num, f.den)
+    if op == "add":
+        return witt_add(f, g)
+    if op == "mul":
+        return witt_mul(f, g)
+    if op == "frob":
+        return frobenius(n, f)
+    return groupring_to_witt(GroupRingElement.of(f.spec, terms))
+
+
+@pytest.mark.parametrize("spec", _ORACLE_RINGS, ids=str)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_ring_operations_match_the_polynomial_route(spec, data):
+    op, f, g, n, terms = data.draw(_oracle_case(spec))
+    x = GroupRingElement.of(f.spec, terms)
+    want = _oracle_op(op, f, g, n, x.terms)
+
+    def forbid(self, other):
+        raise AssertionError("Polynomial.__mul__ called between the kernels and normalization")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Polynomial, "__mul__", forbid)
+        got = _production_op(op, f, g, n, terms)
+    assert (got.spec, got.num, got.den) == (want.spec, want.num, want.den)
+    for payload in got.num.coeffs + got.den.coeffs:
+        _assert_payload_type(f.spec, payload)
 
 
 # --------------------------------------------------------------------------
