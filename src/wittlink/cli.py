@@ -81,24 +81,23 @@ MAX_FROBENIUS_DEGREE = 10_000
 # two length-w vectors, so _check_work weights the caps by w: the product
 # degree by w (D * w <= 2,500 is D^2 * w^2 <= 2,500^2), the frob and ghost
 # work below by w^2.  The limits over Z stay the degree caps.  At D = 2,500
-# with digits 1-9 the product took 1.5-1.8 s over Z; the worst accepted
-# C<n> input is C1 or C2 (phi = 1) at the same D, 3.3-4.4 s, since their
-# length-1 vectors run at about half the speed of plain integers; C3 at
-# D = 1,250 took 1.1 s.  The first refused C97 product has degree 27
-# (degree 26 takes 0.01 s); the degree-2,500 one, 26-32 s, is refused.
+# (two degree-50 literals, digits 1-9) the product took 5.0-6.2 s over Z;
+# the worst accepted C<n> input is C1 or C2 (phi = 1) at the same D,
+# 4.9-5.4 s, on the same integer kernels as Z.  C3 at D = 1,225 took 0.7 s
+# and C5 at D = 625 0.2 s.  The first refused C97 product has degree 27
+# (degree 25 takes under 0.01 s).
 # F_n's n * deg power sums cost O(deg) each.  At n * deg^2 = 200,000 (n =
-# 500, degree 20, digits 1-9), frob took 0.2-0.3 s over Z and Q, 0.3-0.6 s
-# over Z[zeta_8] and about 1 s over Z[zeta_35] before the phi(n)^2 weight;
-# with it the worst accepted C<n> input is C2 at that size, 0.5-0.65 s, and
-# C3 at n = 125 takes 0.1 s (Python 3.11, one core of an Intel Xeon host).
+# 500, degree 20, digits 1-9), frob took 0.13-0.14 s over Z; the worst
+# accepted C<n> input is C1 or C2 at that size, 0.12-0.14 s, and C3 at n =
+# 125 takes 0.03-0.04 s (timed through cli.main, Python 3.11, one core of a
+# shared 2-core Intel Xeon host).
 MAX_FROBENIUS_WORK = 200_000
 # witt ghost computes N power sums at O(deg) each on integers that grow with
-# N.  At N * deg = 200,000 with digits 1-9, ghost took 0.9-1.2 s over Z at
-# degree 20 and N = 10,000 (refused as too large to render), 1.2-1.3 s over
-# Q and 1.6-2.2 s over Z[zeta_35] before the phi(n)^2 weight; with it the
-# worst accepted C<n> input is C2 at that size, 1.2 s (also refused as too
-# large to render), and C3 at N = 2,500 takes 0.2 s.  N = 10,000 alone
-# costs about 1 s at degree 1.
+# N.  At N * deg = 200,000 with digits 1-9 (degree 20, N = 10,000) ghost
+# took 0.95-0.99 s over Z; the worst accepted C<n> input is C1 or C2 at that
+# size, 1.0-1.2 s.  All three are refused after the work as too large to
+# render.  C3 at N = 2,500 takes 0.06 s, and N = 10,000 alone costs about
+# 0.5 s at degree 1.
 MAX_GHOST_WORK = 200_000
 # --ring C<n> computes on payload vectors of length phi(n); the level is
 # checked before Phi_n is built.  Under the weighted work caps a C97 input

@@ -3,6 +3,10 @@
 Only ``verify`` and the tests import this module, never a production
 module, so an oracle cannot turn into a second production route.
 
+``poly_divmod`` and ``poly_gcd_monic`` divide ``Polynomial``s and take
+their gcds in loops over RingSpec payload ops, apart from the ``_dl_*``
+kernel and the Witt normalization on kernel lists that they check.
+
 Resultants use the convention
 
     Res(f, g) = lc(f)^deg(g) * prod of g(alpha) over the roots alpha of f
@@ -25,7 +29,7 @@ import functools
 import math
 
 from .cft import AbelianField, unit_group
-from .errors import DomainViolation, NotCoprime
+from .errors import DomainViolation, NotCoprime, UnsupportedRing
 from .rings import (
     Polynomial,
     RingElement,
@@ -41,11 +45,15 @@ from .rings import (
 from .witt import WittVector
 
 # --------------------------------------------------------------------------
-# generic resultant machinery over a RingSpec or _PolyRingOps
+# polynomial division and gcds on RingSpec payloads
 
 
-def poly_exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
-    """f / g when g divides f exactly; works over any domain spec."""
+def poly_divmod(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Division with remainder, each leading term divided exactly by lc(g).
+
+    Any g != 0 divides over a field; over a domain a leading term that
+    lc(g) does not divide raises DomainViolation.
+    """
     f._check(g)
     s = f.spec
     if g.is_zero:
@@ -54,16 +62,38 @@ def poly_exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     dg = g.degree
     q = [s.zero()] * max(len(r) - dg, 0)
     while len(r) - 1 >= dg and r:
-        coef = s.exact_div(r[-1], g.lc)
+        coef = s.exact_div(r[-1], g.coeffs[-1])
         shift = len(r) - 1 - dg
         q[shift] = coef
         for i, gc in enumerate(g.coeffs):
             r[i + shift] = s.sub(r[i + shift], s.mul(coef, gc))
         while r and s.is_zero(r[-1]):
             r.pop()
-    if r:
+    return Polynomial.from_payloads(s, q), Polynomial(s, tuple(r))
+
+
+def poly_exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
+    """f / g when g divides f exactly; works over any domain spec."""
+    q, r = poly_divmod(f, g)
+    if not r.is_zero:
         raise DomainViolation("inexact polynomial division")
-    return Polynomial.from_payloads(s, q)
+    return q
+
+
+def poly_gcd_monic(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Monic gcd over a field coefficient ring, by the payload-loop Euclid."""
+    if not f.spec.is_field:
+        raise UnsupportedRing(f"gcd needs a field, got {f.spec}")
+    a, b = f, g
+    while not b.is_zero:
+        a, b = b, poly_divmod(a, b)[1]
+    if a.is_zero:
+        return a
+    return a.scale(a.spec.inv(a.coeffs[-1]))
+
+
+# --------------------------------------------------------------------------
+# generic resultant machinery over a RingSpec or _PolyRingOps
 
 
 class _PolyRingOps:

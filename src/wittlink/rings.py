@@ -29,17 +29,15 @@ which run the product on (m, 0), the characteristic-0 lift.
 Polynomials are dense tuples of payloads, constant term first, with no
 trailing zero coefficients.  Underneath, every list-level polynomial
 operation (residues mod Phi_n or the F_q modulus, inverses, the gcds of
-the Witt normalization) runs on one dense-list kernel, the ``_dl_*``
-functions, over Q or over F_p.  ``_mul_lists`` is the one product of
-coefficient lists in a context (m, p), serving ``Polynomial.__mul__`` and
-the Witt ring operations alike: ``_dl_mul`` for scalars; for vectors it
-sums each coefficient's products unreduced and reduces that sum once by
-``_reduce``.  No floating point appears anywhere.
-
-``poly_gcd_monic`` serves only the Witt normalization over F_q;
-``poly_divmod`` serves it and the F_q decoder.  Rabin's test for the F_q
-modulus runs on the ``_dl_*`` lists mod p.  Resultants and the other
-cross-checks live in ``oracles``, which this module never imports.
+the Witt normalization, Rabin's test for the F_q modulus) runs on one
+dense-list kernel, the ``_dl_*`` functions, over Q or over F_p.
+``_mul_lists`` is the one product of coefficient lists in a context
+(m, p), serving ``Polynomial.__mul__`` and the Witt ring operations alike:
+``_dl_mul`` for scalars; for vectors it sums each coefficient's products
+unreduced and reduces that sum once by ``_reduce``.  No floating point
+appears anywhere.  Division and gcds of ``Polynomial``s, resultants and
+the other cross-checks live in ``oracles``, which this module never
+imports.
 """
 
 from __future__ import annotations
@@ -699,12 +697,6 @@ class Polynomial:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.spec.zero()
 
     @property
-    def lc(self):
-        if not self.coeffs:
-            return self.spec.zero()
-        return self.coeffs[-1]
-
-    @property
     def constant_term(self):
         return self.coefficient(0)
 
@@ -747,17 +739,6 @@ class Polynomial:
             out.pop()
         return Polynomial(s, tuple(out))
 
-    def reversed_coeffs(self) -> "Polynomial":
-        """rev(p)(x) = x^deg(p) * p(1/x); requires nonzero constant term."""
-        return Polynomial(self.spec, tuple(reversed(self.coeffs)))
-
-    def evaluate(self, payload):
-        s = self.spec
-        acc = s.zero()
-        for c in reversed(self.coeffs):
-            acc = s.add(s.mul(acc, payload), c)
-        return acc
-
     def __str__(self) -> str:
         return format_polynomial(self)
 
@@ -765,39 +746,6 @@ class Polynomial:
 def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
     """Exact polynomial product (spec op surface; same as f * g)."""
     return f * g
-
-
-def poly_divmod(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Division with remainder; needs an invertible leading coefficient."""
-    f._check(g)
-    s = f.spec
-    if g.is_zero:
-        raise DomainViolation("division by the zero polynomial")
-    inv_lead = s.inv(g.lc)
-    r = list(f.coeffs)
-    dg = g.degree
-    q = [s.zero()] * max(len(r) - dg, 0)
-    while len(r) - 1 >= dg and r:
-        coef = s.mul(r[-1], inv_lead)
-        shift = len(r) - 1 - dg
-        q[shift] = coef
-        for i, gc in enumerate(g.coeffs):
-            r[i + shift] = s.sub(r[i + shift], s.mul(coef, gc))
-        while r and s.is_zero(r[-1]):
-            r.pop()
-    return Polynomial.from_payloads(s, q), Polynomial(s, tuple(r))
-
-
-def poly_gcd_monic(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic gcd over a field coefficient ring."""
-    if not f.spec.is_field:
-        raise UnsupportedRing(f"gcd needs a field, got {f.spec}")
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, poly_divmod(a, b)[1]
-    if a.is_zero:
-        return a
-    return a.scale(a.spec.inv(a.lc))
 
 
 # --------------------------------------------------------------------------

@@ -47,8 +47,10 @@ modulo primes q = 1 (mod n), at each root of Phi_n mod q, are
 interpolated, combined by CRT and lifted until the lift divides both
 parts; no gcd is taken over Q or Q(zeta_n).  The gcd is integral (Gauss's
 lemma), so the quotients are.  Over F_p the gcd is taken on int lists mod
-p, over F_q by ``poly_gcd_monic`` on the settled parts; over Z/n the parts
-are left as given.
+p, over F_q on payload-vector lists mod (g, p), both before the one
+``_settle``; over Z/n the parts are left as given.  The group-ring decoder
+searches F_q on the same lists: a is an inverse root of a part when 1 - a*t
+divides it exactly.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ from .rings import (
     _KIND_ZN,
     _dl_divmod,
     _dl_gcd,
+    _dl_invmod,
     _dl_mul,
     _dl_trim,
     _fused,
@@ -80,8 +83,6 @@ from .rings import (
     conjugate_polynomial,
     cyclotomic_polynomial,
     is_prime,
-    poly_divmod,
-    poly_gcd_monic,
 )
 
 # --------------------------------------------------------------------------
@@ -171,9 +172,13 @@ def _modular_gcd(a, b, n: int, images, divide) -> tuple:
     and a larger degree marks an unlucky prime.  The images of least degree
     are combined by CRT and lifted to symmetric residues until ``divide``
     divides both parts by the lift: a common divisor of that degree is g
-    (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 6).
+    (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 6).  Both parts
+    need constant term 1: otherwise g scaled to g(0) = 1 need not be
+    integral, no lift would divide, and the search would never end.
     """
     w = len(cyclotomic_polynomial(n)) - 1
+    if any(c[0] not in (1, (1,) + (0,) * (w - 1)) for c in (a, b)):  # the int or the vector one
+        raise AssertionError("the modular gcd needs parts with constant term 1")
     g, m = [], 1
     for q, omega in _probe_primes(n):
         h = images(q, omega)
@@ -194,19 +199,47 @@ def _modular_gcd(a, b, n: int, images, divide) -> tuple:
             return qa, qb
 
 
-def _normalize_lists(a: list, b: list, p: int) -> tuple[list, list]:
-    """a / g, b / g for int lists with constant term 1, g = gcd(a, b) over F_p (p > 0) or Z (p = 0)."""
+def _normalize_lists(a: list, b: list, ctx: tuple) -> tuple[list, list]:
+    """a / g, b / g for kernel lists with constant term 1, g = gcd(a, b) in the context ctx = (m, p).
+
+    Over F_p and F_q (p > 0) the gcd is taken on the lists mod p, over Z
+    (ctx = ((), 0)) by the modular gcd.
+    """
+    m, p = ctx
     if p:
-        g = _gcd_mod(a, b, p)
+        g = _vector_gcd(a, b, m, p) if m else _gcd_mod(a, b, p)
         if len(g) == 1:
             return a, b
-        return _divide_out(a, g, ((), p)), _divide_out(b, g, ((), p))
+        return _divide_out(a, g, ctx), _divide_out(b, g, ctx)
 
     def images(q, _):
         if a[-1] % q and b[-1] % q:
             return _gcd_mod(a, b, q)
 
     return _modular_gcd(a, b, 1, images, _divide_out)
+
+
+def _vector_gcd(a: list, b: list, m: tuple, p: int) -> list:
+    """gcd(a, b) over F_q = F_p[x]/(m) on payload-vector lists, scaled to constant term 1 (nonzero, as a(0) = 1).
+
+    Euclid with each divisor made monic: each product of payloads is
+    reduced once mod (m, p), and inverses come from ``_dl_invmod``.
+    """
+
+    def scale(c, v):  # c / v for a nonzero payload v
+        u = _dl_invmod(list(v), m, p)
+        return [_reduce(_dl_mul(x, u), m, p) for x in c]
+
+    while b:
+        b, r = scale(b, b[-1]), list(a)
+        for top in range(len(a) - 1, len(b) - 2, -1):  # r -= r_top * t^(top - deg b) * b
+            lead = [-v for v in r.pop()]
+            for i, y in enumerate(b[:-1], top - len(b) + 1):
+                r[i] = _fused(list(r[i]) + [0] * (len(y) - 1), [lead], [y], m, p)
+        while r and not any(r[-1]):
+            r.pop()
+        a, b = b, r
+    return scale(a, a[0])
 
 
 def _cyclotomic_gcd(a: list, b: list, n: int, m: tuple) -> tuple[list, list]:
@@ -238,24 +271,17 @@ def _from_kernel(spec: RingSpec, a: list, b: list, L: int) -> "WittVector":
     """The WittVector with kernel parts a/b at scale L, normalized on the lists and settled once.
 
     Parts equal to each other or to 1 need no gcd; over Z/n the parts are
-    kept as given, and over F_q the field gcd runs on the settled parts.
-    Both parts keep constant term 1, so the result skips ``_check_parts``.
+    kept as given.  Both parts keep constant term 1, so the result skips
+    ``_check_parts``.
     """
-    m, p = _ctx(spec)
-    field = bool(m and p)  # F_q
+    m, p = ctx = _ctx(spec)
     if a == b:
         a = b = a[:1]
-    elif len(a) > 1 and len(b) > 1 and spec.kind != _KIND_ZN and not field:
+    elif len(a) > 1 and len(b) > 1 and spec.kind != _KIND_ZN:
         # Q enters scaled by one t -> Lt for both parts, which commutes with taking gcds
-        a, b = _cyclotomic_gcd(a, b, spec.n, m) if m else _normalize_lists(a, b, p)
-    num, den = _settle(spec, a, L), _settle(spec, b, L)
-    if field:
-        g = poly_gcd_monic(num, den)
-        if g.degree > 0:
-            g = g.scale(spec.inv(g.constant_term))
-            num, den = poly_divmod(num, g)[0], poly_divmod(den, g)[0]
+        a, b = _cyclotomic_gcd(a, b, spec.n, m) if m and not p else _normalize_lists(a, b, ctx)
     out = object.__new__(WittVector)
-    out.__dict__.update(spec=spec, num=num, den=den)
+    out.__dict__.update(spec=spec, num=_settle(spec, a, L), den=_settle(spec, b, L))
     return out
 
 
@@ -611,9 +637,11 @@ def ghost(f: WittVector, N: int | None = None) -> GhostVector:
 # --------------------------------------------------------------------------
 # group-ring correspondence
 
-# The decoder tries every element of F_{p^k} as a root.  At this size, a
-# degree-8 part whose root comes last takes 0.6 s over F_2^12 and 0.01 s over
-# F_4093 (extension fields evaluate on payload vectors); F_2^16 took 16 s.
+# The decoder tries every element of F_{p^k} as an inverse root.  At this
+# size a degree-8 part whose root comes last takes 0.33 s over F_2^12 and
+# 0.11-0.14 s over F_7^4 and F_61^2 (a division by 1 - a*t on payload vectors
+# per candidate), and 3 ms over F_4093 (best of three); F_2^16 took 8.7 s
+# in one run (Python 3.11, one core of a shared 2-core Intel Xeon host).
 MAX_DECODE_FIELD_SIZE = 2**12
 
 
@@ -680,34 +708,28 @@ def groupring_to_witt(x: GroupRingElement) -> WittVector:
     return _from_kernel(spec, *parts, L)
 
 
-def _roots_with_multiplicity(poly: Polynomial) -> list[tuple[object, int]] | None:
-    """All roots (with multiplicity) of a monic-reversed part over its field.
+def _roots_with_multiplicity(c, spec: RingSpec) -> list[tuple[object, int]] | None:
+    """The inverse roots, with multiplicity, of the part with coefficients c over the finite field spec.
 
-    Exhaustive search over the finite field; returns None when the polynomial
-    does not split into linear factors there.
+    Exhaustive search: over F_p on the reversed part by ``_prime_field_roots``,
+    over F_q on payload vectors, where a is an inverse root when 1 - a*t
+    divides the part exactly (``_divide_out``).  None when the part does not
+    split into linear factors there.
     """
-    spec = poly.spec
-    if poly.degree <= 0:
+    if len(c) <= 1:
         return []
     if spec.kind == _KIND_FP:
-        return _prime_field_roots(list(reversed(poly.coeffs)), spec.n)
-    found = []
-    remaining = poly.reversed_coeffs()  # monic, roots = inverse roots of poly
-    candidates = (v for v in itertools.product(range(spec.n), repeat=spec.k) if any(v))
-    for cand in candidates:
-        payload = spec.canon(cand)
-        mult = 0
-        while remaining.degree >= 1 and spec.is_zero(remaining.evaluate(payload)):
-            divisor = Polynomial.from_payloads(spec, [spec.neg(payload), spec.one()])
-            remaining = poly_divmod(remaining, divisor)[0]
-            mult += 1
+        return _prime_field_roots(c[::-1], spec.n)
+    found, one, ctx = [], spec.one(), (spec.m, spec.p)
+    for a in itertools.product(range(spec.n), repeat=spec.k):
+        factor, mult = [one, tuple([-v for v in a])], 0
+        while any(a) and (q := _divide_out(c, factor, ctx)) is not None:  # 1 - a*t divides no constant
+            c, mult = q, mult + 1
         if mult:
-            found.append((payload, mult))
-        if remaining.degree == 0:
-            break
-    if remaining.degree >= 1:
-        return None
-    return found
+            found.append((a, mult))
+            if len(c) == 1:
+                return found
+    return None
 
 
 def _prime_field_roots(rev: list, p: int) -> list[tuple[int, int]] | None:
@@ -768,17 +790,11 @@ def witt_to_groupring(f: WittVector, splitting_degree_bound: int = 1) -> GroupRi
         )
     ks = [spec.k] if spec.k else range(1, top + 1)
     for k in ks:
-        if k == 1:
-            target = spec
-            num, den = f.num, f.den
-        else:
+        target, parts = spec, (f.num.coeffs, f.den.coeffs)
+        if k > 1 and not spec.k:  # the F_p coefficients as payload vectors of F_{p^k}
             target = RingSpec.ext_field(p, k)
-            lift = lambda poly: Polynomial.from_payloads(
-                target, [target.canon((c,) if isinstance(c, int) else c) for c in poly.coeffs]
-            )
-            num, den = lift(f.num), lift(f.den)
-        rn = _roots_with_multiplicity(num)
-        rd = _roots_with_multiplicity(den)
+            parts = [[(c,) + (0,) * (k - 1) for c in x] for x in parts]
+        rn, rd = (_roots_with_multiplicity(x, target) for x in parts)
         if rn is None or rd is None:
             continue
         pairs = [(b, m) for b, m in rn] + [(b, -m) for b, m in rd]

@@ -25,11 +25,9 @@ from wittlink.rings import (
     _dl_gcd,
     _dl_invmod,
     _ext_field_modulus,
-    poly_divmod,
-    poly_gcd_monic,
     poly_mul,
 )
-from wittlink.oracles import poly_resultant, poly_resultant_det
+from wittlink.oracles import poly_divmod, poly_gcd_monic, poly_resultant, poly_resultant_det
 from wittlink.witt import MAX_DECODE_FIELD_SIZE
 
 Z = RingSpec.integers()

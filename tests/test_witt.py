@@ -646,19 +646,23 @@ def test_resultant_comparison_catches_a_wrong_vector_rebuild(monkeypatch, spec):
 # the Z, Q and F_p normalization against the payload-loop Euclid over Q
 
 
-def _euclid_reference(num, den):
-    """num/g and den/g over Q, g their gcd scaled to constant term 1.
+def _payload_euclid(num, den):
+    """num / g and den / g over a field, g their gcd scaled to constant term 1.
 
-    Runs on ``poly_gcd_monic`` and ``poly_divmod``, which loop over
-    RingSpec payloads, not on the ``_dl_*`` lists of the production route.
+    Runs on ``oracles.poly_gcd_monic`` and ``poly_divmod``, which loop over
+    RingSpec payloads, not on the kernel lists of the production route.
     """
-    from wittlink.rings import poly_divmod, poly_gcd_monic
+    from wittlink.oracles import poly_divmod, poly_gcd_monic
 
+    g = poly_gcd_monic(num, den)
+    g = g.scale(num.spec.inv(g.constant_term))
+    return poly_divmod(num, g)[0], poly_divmod(den, g)[0]
+
+
+def _euclid_reference(num, den):
+    """num/g and den/g over Q, g their gcd scaled to constant term 1."""
     Q = RingSpec.rationals()
-    a, b = (Polynomial.from_payloads(Q, [Fraction(c) for c in x.coeffs]) for x in (num, den))
-    g = poly_gcd_monic(a, b)
-    g = g.scale(1 / g.constant_term)
-    return poly_divmod(a, g)[0], poly_divmod(b, g)[0]
+    return _payload_euclid(*(Polynomial.from_payloads(Q, [Fraction(c) for c in x.coeffs]) for x in (num, den)))
 
 
 def test_modular_gcd_matches_field_euclid():
@@ -677,7 +681,7 @@ def test_modular_gcd_matches_field_euclid():
         for _ in range(30):
             g = part(rng.randint(1, 4), size)
             num, den = g * part(rng.randint(0, 5), 9), g * part(rng.randint(0, 5), 9)
-            got = _normalize_lists(list(num.coeffs), list(den.coeffs), 0)
+            got = _normalize_lists(list(num.coeffs), list(den.coeffs), ((), 0))
             want = tuple([int(c) for c in x.coeffs] for x in _euclid_reference(num, den))
             assert got == want
             cases += 1
@@ -697,6 +701,33 @@ def _spy_euclid_over_q(monkeypatch):
 
     monkeypatch.setattr(witt, "_dl_gcd", spy)
     return calls
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python -O"])
+def test_modular_gcd_refuses_a_constant_term_other_than_one(flags):
+    # 2 + t and (2 + t)(1 + t), over Z and over Z[zeta_5]: their gcd scaled to
+    # constant term 1, 1 + t/2, is not integral, so no lift ever divides and
+    # the search over probe primes once ran without end; a timeout fails it.
+    # 1 + t against (2 + t)(1 + t) has one part with constant term 2
+    code = (
+        "from wittlink.rings import cyclotomic_polynomial\n"
+        "from wittlink.witt import _cyclotomic_gcd, _divide_out, _gcd_mod, _modular_gcd\n"
+        "a, b = [2, 1], [2, 3, 1]\n"
+        "v = lambda c: [(x, 0, 0, 0) for x in c]\n"
+        "for run in (\n"
+        "    lambda: _modular_gcd(a, b, 1, lambda q, _: _gcd_mod(a, b, q), _divide_out),\n"
+        "    lambda: _modular_gcd([1, 1], b, 1, lambda q, _: _gcd_mod([1, 1], b, q), _divide_out),\n"
+        "    lambda: _cyclotomic_gcd(v(a), v(b), 5, cyclotomic_polynomial(5)),\n"
+        "):\n"
+        "    try:\n"
+        "        run()\n"
+        "    except AssertionError:\n"
+        "        print('raised')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, timeout=30)
+    assert (proc.returncode, proc.stdout) == (0, "raised\n" * 3), proc.stderr
 
 
 @pytest.mark.parametrize("kind", ["Z", "Q"])
@@ -901,16 +932,16 @@ def test_cyclotomic_normalization_is_equal_and_coprime(case):
 
 
 def _spy_field_gcd(monkeypatch):
-    """Count the calls of poly_gcd_monic, the payload Euclid over a field, from witt."""
+    """Count the calls of _vector_gcd, the Euclid over F_q on payload-vector lists, with their contexts (m, p)."""
     from wittlink import witt
 
-    calls, real = [], witt.poly_gcd_monic
+    calls, real = [], witt._vector_gcd
 
-    def spy(f, g):
-        calls.append(f.spec)
-        return real(f, g)
+    def spy(a, b, m, p):
+        calls.append((m, p))
+        return real(a, b, m, p)
 
-    monkeypatch.setattr(witt, "poly_gcd_monic", spy)
+    monkeypatch.setattr(witt, "_vector_gcd", spy)
     return calls
 
 
@@ -1060,7 +1091,7 @@ def _oracle_star(p, q):
 
 def _oracle_cyclotomic_gcd(num, den):
     """The old modular gcd over Z[zeta_n]: images at the roots of Phi_n mod q, lifts tested by poly_divmod."""
-    from wittlink.rings import poly_divmod
+    from wittlink.oracles import poly_divmod
     from wittlink.witt import _gcd_mod, _modular_gcd, _root_maps
 
     spec, w = num.spec, num.spec.width
@@ -1080,17 +1111,15 @@ def _oracle_cyclotomic_gcd(num, den):
             return None
         return [sum(map(operator.mul, row, col)) % q for col in zip(*hs) for row in interpolate]
 
-    def divide(x, g):
+    def divide(x, g):  # on reversed parts, with a quotient of constant term 1
         rev = Polynomial(spec, tuple(tuple(g[i - w : i]) for i in range(len(g), 0, -w)))
-        quo, rem = poly_divmod(x.reversed_coeffs(), rev)
-        return None if rem.coeffs else quo.reversed_coeffs()
+        quo, rem = poly_divmod(Polynomial(spec, tuple(x[::-1])), rev)
+        return None if rem.coeffs else quo.coeffs[::-1]
 
-    return _modular_gcd(num, den, spec.n, images, divide)
+    return tuple(Polynomial(spec, x) for x in _modular_gcd(num.coeffs, den.coeffs, spec.n, images, divide))
 
 
 def _oracle_normalize(num, den):
-    from wittlink.rings import poly_divmod, poly_gcd_monic
-
     spec = num.spec
     if num == den:
         return Polynomial.one(spec), Polynomial.one(spec)
@@ -1101,9 +1130,7 @@ def _oracle_normalize(num, den):
     if spec.kind == "Z":  # over Q, where the gcd scaled to constant term 1 is integral
         a, b = _euclid_reference(num, den)
         return tuple(Polynomial(spec, tuple(int(c) for c in x.coeffs)) for x in (a, b))
-    g = poly_gcd_monic(num, den)
-    g = g.scale(spec.inv(g.constant_term))
-    return poly_divmod(num, g)[0], poly_divmod(den, g)[0]
+    return _payload_euclid(num, den)
 
 
 def _oracle_vector(num, den):
@@ -1204,6 +1231,92 @@ def test_ring_operations_match_the_polynomial_route(spec, data):
     assert (got.spec, got.num, got.den) == (want.spec, want.num, want.den)
     for payload in got.num.coeffs + got.den.coeffs:
         _assert_payload_type(f.spec, payload)
+
+
+# --------------------------------------------------------------------------
+# F_q on the kernel lists: the normalization against the payload-loop Euclid
+# in oracles, and the decoder
+
+
+_EXT_FIELDS = [RingSpec.ext_field(p, k) for p, k in ((2, 2), (2, 3), (3, 2), (5, 2), (3, 3))]
+
+
+def _field_part(spec, rng, deg):
+    """1 + c_1 t + ... + c_deg t^deg over F_{p^k} with random payload vectors, c_deg nonzero."""
+    tail = [tuple(rng.randrange(spec.n) for _ in range(spec.k)) for _ in range(deg)]
+    while tail and not any(tail[-1]):
+        tail[-1] = tuple(rng.randrange(spec.n) for _ in range(spec.k))
+    return Polynomial.from_payloads(spec, [spec.one()] + tail)
+
+
+@pytest.mark.parametrize("spec", _EXT_FIELDS, ids=str)
+def test_extension_field_normalization_matches_the_payload_euclid(spec):
+    rng = random.Random(f"planted factors over {spec}")
+    for _ in range(15):
+        common = _field_part(spec, rng, rng.randint(1, 3))
+        num = common * _field_part(spec, rng, rng.randint(0, 4))
+        den = common * _field_part(spec, rng, rng.randint(0, 4))
+        f = WittVector.from_polys(num, den)
+        want = _payload_euclid(num, den)
+        assert (f.num, f.den) == want
+        assert f.num.degree <= num.degree - common.degree and f.den.degree <= den.degree - common.degree
+
+
+def test_extension_field_ops_normalize_on_the_lists(monkeypatch):
+    # witt_add and witt_mul over F_9 whose results share a planted factor:
+    # the gcd runs on the payload-vector lists, with no Polynomial product
+    # and no RingSpec payload op between the kernels and the settled result
+    F9 = RingSpec.ext_field(3, 2)
+    rng = random.Random(9)
+    common = _field_part(F9, rng, 2)
+    f = WittVector(F9, common * _field_part(F9, rng, 2), _field_part(F9, rng, 1))
+    g = WittVector(F9, _field_part(F9, rng, 1), common * _field_part(F9, rng, 1))
+    h = WittVector(F9, common * _field_part(F9, rng, 1), common * _field_part(F9, rng, 2))
+    calls = _spy_field_gcd(monkeypatch)
+
+    def forbid(*args):
+        raise AssertionError("a Polynomial product or a RingSpec payload op ran inside a ring operation")
+
+    for op, x, y in (("add", f, g), ("mul", h, g), ("mul", f, h)):
+        want = _oracle_op(op, x, y, 1, ())
+        with monkeypatch.context() as m:
+            for name in ("mul", "add", "sub", "inv", "exact_div"):
+                m.setattr(RingSpec, name, forbid)
+            m.setattr(Polynomial, "__mul__", forbid)
+            got = _production_op(op, x, y, 1, ())
+        assert (got.num, got.den) == (want.num, want.den)
+        a, b, c, d = x.num.degree, x.den.degree, y.num.degree, y.den.degree
+        unreduced = a + b + c + d if op == "add" else (a + b) * (c + d)
+        assert got.num.degree + got.den.degree < unreduced, "the planted factor was not cancelled"
+    assert calls and set(calls) == {(F9.m, 3)}
+
+
+def _splits_nowhere(spec):
+    """The first 1 + c_1 t + c_2 t^2, c_2 != 0, with no inverse root in spec, found by evaluating on RingSpec ops."""
+    field = [spec.canon(v) for v in itertools.product(range(spec.n), repeat=spec.k)]
+    for c1, c2 in itertools.product(field, field[1:]):
+        # a is an inverse root iff a^2 + c_1 a + c_2 = 0
+        if all(not spec.is_zero(spec.add(spec.mul(spec.add(a, c1), a), c2)) for a in field):
+            return Polynomial.from_payloads(spec, [spec.one(), c1, c2])
+    raise AssertionError(f"no quadratic without roots over {spec}")
+
+
+@pytest.mark.parametrize("spec", _EXT_FIELDS[:4], ids=str)
+def test_extension_field_decode_round_trip(spec):
+    # the last candidate tried, (p-1, ..., p-1), as a root of multiplicity 3
+    last = (spec.n - 1,) * spec.k
+    rng = random.Random(f"decode over {spec}")
+    units = [v for v in itertools.product(range(spec.n), repeat=spec.k) if any(v) and v != last]
+    for _ in range(5):
+        a, b = rng.sample(units, 2)
+        x = GroupRingElement.of(spec, [(last, 3), (a, rng.choice((-2, -1, 1, 2))), (b, -1)])
+        assert witt_to_groupring(groupring_to_witt(x)) == x
+    assert witt_to_groupring(groupring_to_witt(GroupRingElement.of(spec, [(last, -2)]))).terms == ((last, -2),)
+    q = _splits_nowhere(spec)
+    linear = Polynomial.from_payloads(spec, [spec.one(), spec.neg(last)])
+    for num, den in ((q, Polynomial.one(spec)), (linear * linear, q * linear)):
+        with pytest.raises(NotSplit):
+            witt_to_groupring(WittVector(spec, num, den))
 
 
 # --------------------------------------------------------------------------
