@@ -172,9 +172,9 @@ def _modular_gcd(a, b, n: int, images, divide) -> tuple:
     and a larger degree marks an unlucky prime.  The images of least degree
     are combined by CRT and lifted to symmetric residues until ``divide``
     divides both parts by the lift: a common divisor of that degree is g
-    (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 6).  Both parts
-    need constant term 1: otherwise g scaled to g(0) = 1 need not be
-    integral, no lift would divide, and the search would never end.
+    (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 6).  Parts whose
+    constant term is not 1 are refused: g scaled to g(0) = 1 need not be
+    integral for them, and then no lift would ever divide.
     """
     w = len(cyclotomic_polynomial(n)) - 1
     if any(c[0] not in (1, (1,) + (0,) * (w - 1)) for c in (a, b)):  # the int or the vector one
