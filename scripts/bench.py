@@ -106,6 +106,25 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return (xs[0],) * 3 if len(xs) == 1 else tuple(statistics.quantiles(xs, n=4, method="inclusive"))
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> tuple[int, bool, str]:
+    """One metric over paired runs: (pairs the change won, whether it shows a gain, its standing to the bound).
+
+    parent[i] and change[i] are the runs of pair i; ``better`` is "higher"
+    or "lower".  Ties count for neither side.  The standing is ``worse``,
+    ``unresolved`` or ``ok``, as the module docstring sets out.
+    """
+    sign = 1 if better == "higher" else -1
+    won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    pq1, pmed, pq3 = quartiles(parent)
+    cmed = quartiles(change)[1]
+    gain = won >= 0.9 * len(parent) and sign * (cmed - pmed) > pq3 - pq1
+    if -sign * (cmed - pmed) > bound * pmed:
+        return won, gain, "worse"
+    if pq3 - pq1 > bound * pmed and not all(sign * (c - p) > 0 for p in parent for c in change):
+        return won, gain, "unresolved"  # the parent's own spread is wider than the bound
+    return won, gain, "ok"
+
+
 def compare(spec: dict, change: Path, parent: Path, pairs: int) -> None:
     """Run alternating pairs of parent and change per workload; record every run and print each metric's verdict."""
     sides = {"parent": parent, "change": change}
@@ -126,19 +145,10 @@ def compare(spec: dict, change: Path, parent: Path, pairs: int) -> None:
                   f"{sum(r['failed'] for r in rs)}/{sum(r['attempted'] for r in rs)}")
         print(f"  {'metric':<12} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30}  won  gain  bound")
         for metric in spec["end_to_end"]:
-            name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+            name = metric["name"]
             vals = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in runs.items()}
-            won = sum(sign * (c - p) > 0 for p, c in zip(vals["parent"], vals["change"]))
+            won, gain, bound = verdict(vals["parent"], vals["change"], metric["better"], metric["bound"])
             pq, cq = quartiles(vals["parent"]), quartiles(vals["change"])
-            (pq1, pmed, pq3), cmed = pq, cq[1]
-            gain = won >= 0.9 * pairs and sign * (cmed - pmed) > pq3 - pq1
-            if -sign * (cmed - pmed) > metric["bound"] * pmed:
-                bound = "worse"
-            elif pq3 - pq1 > metric["bound"] * pmed and not all(
-                    sign * (c - p) > 0 for p in vals["parent"] for c in vals["change"]):
-                bound = "unresolved"  # the parent's own spread is wider than the bound
-            else:
-                bound = "ok"
             cells = [f"{med:.4g} [{q1:.4g}, {q3:.4g}]" for q1, med, q3 in (pq, cq)]
             print(f"  {name:<12} {cells[0]:>30} {cells[1]:>30}  {won:>2}/{pairs}  {'yes' if gain else 'no':<4}  {bound}")
 

@@ -46,10 +46,9 @@ from .cft import (
     AbelianField,
     Coset,
     ModUnit,
-    artin_symbol,
     at_conductor,
+    check_unramified,
     conductor,
-    ramified_set,
     unit_group,
 )
 from .orbits import (
@@ -338,8 +337,7 @@ def bridge_compare(
     if not is_prime(p):
         raise DomainViolation(f"{p} is not prime")
     c = conductor(F)
-    if p in ramified_set(F):
-        artin_symbol(F, p)  # raises RamifiedPrime with a helpful message
+    check_unramified(F, p)
     if m % c:
         raise DomainViolation(f"level {m} must be a multiple of the conductor {c}")
     if math.gcd(p, m) != 1:

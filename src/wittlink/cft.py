@@ -4,15 +4,18 @@ An abelian field F is presented by a level n and a subgroup H of (Z/n)^*:
 F is the subfield of the n-th cyclotomic field fixed by H, and its Galois
 group over Q is the quotient (Z/n)^*/H.  Everything downstream (Artin
 symbols, splitting invariants, fibers) is finite quotient-group
-arithmetic, and this module owns it: QuotientUnitGroup (cached by
-quotient_group, and by cyclic_quotient for (Z/m)^*/<g> on g mod m) holds
-the canonical least coset representatives, built in one ascending pass,
-and the element orders, Coset delegates to it, subgroup_generated closes
-by cosets (Dimino's method), and subgroup_generators decides closure from
-generators; level 1 presents Q itself with the one-element unit group
-(0,), the residue of 1 mod 1.  cyclic_quotient finds <g> by its order,
-read off Carmichael's lambda(m), among the cyclic subgroups it has already
-built, and walks the powers of g only for a subgroup not seen before.
+arithmetic, and this module owns it, each group fact in one routine:
+_order(m, g, H), the order of the unit g modulo H read off Carmichael's
+lambda(m) as factored by rings.factor; _adjoin, the coset step <S, g> of
+Dimino's method, which subgroup_generated folds over generators,
+subgroup_generators grows one closure with and all_subgroups applies to
+every subgroup found.  QuotientUnitGroup (cached by quotient_group, and by
+cyclic_quotient for (Z/m)^*/<g> on g mod m) holds the canonical least
+coset representatives, built in one ascending pass.  Level 1 presents Q
+itself with the one-element unit group (0,), the residue of 1 mod 1.
+cyclic_quotient finds <g> by its order among the cyclic subgroups it has
+already built, and walks the powers of g only for a subgroup not seen
+before.
 
 The splitting shape (f, r) of an unramified prime p comes from the order
 of its Artin coset in the quotient group; this module holds no polynomial
@@ -31,7 +34,7 @@ from .errors import (
     NotCoprime,
     RamifiedPrime,
 )
-from .rings import divisors, is_prime
+from .rings import divisors, euler_phi, factor, is_prime
 
 # --------------------------------------------------------------------------
 # elementary pieces
@@ -53,23 +56,6 @@ def euler_criterion(q: int, p: int) -> int:
     return 1 if e == 1 else -1
 
 
-def _factor(n: int) -> tuple[tuple[int, int], ...]:
-    """The prime factorization of n >= 1 by trial division: ((prime, exponent), ...), ascending."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return tuple(out)
-
-
 def _check_level(n: int) -> None:
     if n < 1:
         raise DomainViolation(f"level must be >= 1, got {n}")
@@ -84,29 +70,26 @@ def unit_group(n: int) -> tuple[int, ...]:
     return tuple(u for u in range(1, n) if math.gcd(u, n) == 1)
 
 
-def subgroup_generated(n: int, gens) -> frozenset:
-    """Smallest multiplicatively closed subset of (Z/n)^* containing 1 and gens.
+def _adjoin(n: int, S: frozenset, g: int) -> frozenset:
+    """<S, g> for a subgroup S of (Z/n)^* and a unit g.
 
-    With g^k the first power of g in the closure S, <S, g> is the union of
-    the cosets S*g^i, i < k: a plain power walk while S is trivial.
+    With g^k the first power of g in S, it is the union of the cosets
+    S*g^i, i < k: Dimino's step, a plain power walk while S is trivial.
     """
+    g %= n
+    if math.gcd(g, n) != 1:
+        raise NotCoprime(f"{g} is not a unit mod {n}")
+    powers, x = [1], g
+    while x not in S:
+        powers.append(x)
+        x = x * g % n
+    return frozenset(s * h % n for h in powers for s in S)
+
+
+def subgroup_generated(n: int, gens) -> frozenset:
+    """Smallest multiplicatively closed subset of (Z/n)^* containing 1 and gens."""
     _check_level(n)
-    if n == 1:
-        return frozenset({0})
-    closure = frozenset({1})
-    for g in gens:
-        g %= n
-        if math.gcd(g, n) != 1:
-            raise NotCoprime(f"{g} is not a unit mod {n}")
-        powers, x = [1], g
-        while x not in closure:
-            powers.append(x)
-            x = x * g % n
-        if len(closure) == 1:
-            closure = frozenset(powers)
-        elif len(powers) > 1:
-            closure = frozenset(s * h % n for h in powers for s in closure)
-    return closure
+    return functools.reduce(functools.partial(_adjoin, n), gens, frozenset({1 % n}))
 
 
 def subgroup_generators(n: int, H) -> list[int]:
@@ -122,7 +105,7 @@ def subgroup_generators(n: int, H) -> list[int]:
         if u in closure:
             continue
         gens.append(u)
-        closure = subgroup_generated(n, gens)
+        closure = _adjoin(n, closure, u)
         if not closure <= H:
             raise DomainViolation("subgroup is not multiplicatively closed")
         if len(closure) == len(H):
@@ -173,12 +156,7 @@ class QuotientUnitGroup:
         return self.canon_table[a * b % self.modulus]
 
     def element_order(self, a: int) -> int:
-        a = self.canon(a)
-        k, cur = 1, a
-        while cur != self.identity:
-            cur = self.mul(cur, a)
-            k += 1
-        return k
+        return _order(self.modulus, a, self.subgroup)
 
     def __eq__(self, other) -> bool:
         return (
@@ -211,10 +189,8 @@ _cyclic_quotients: dict[tuple[int, int], list[QuotientUnitGroup]] = {}
 
 @functools.lru_cache(maxsize=None)
 def _cyclic_quotient(m: int, g: int) -> QuotientUnitGroup:
-    if math.gcd(g, m) != 1:
-        raise NotCoprime(f"{g} is not a unit mod {m}")
     # a subgroup of order ord(g) that contains g is <g>
-    seen = _cyclic_quotients.setdefault((m, _unit_order(m, g)), [])
+    seen = _cyclic_quotients.setdefault((m, _order(m, g, frozenset({1 % m}))), [])
     for G in seen:
         if g in G.subgroup:
             return G
@@ -227,21 +203,32 @@ def _cyclic_quotient(m: int, g: int) -> QuotientUnitGroup:
 def _carmichael(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Carmichael's lambda(m), the exponent of (Z/m)^*, and its factorization."""
     lam = 1
-    for p, e in _factor(m):
+    for p, e in factor(m):
         lam = math.lcm(lam, 2 ** (e - 2) if p == 2 and e > 2 else p ** (e - 1) * (p - 1))
-    return lam, _factor(lam)
+    return lam, factor(lam)
 
 
-def _unit_order(m: int, g: int) -> int:
-    """The order of the unit g mod m, from the factorization of lambda(m) (Cohen, GTM 138, Alg. 1.4.3)."""
-    one = 1 % m
+def _order(m: int, g: int, H) -> int:
+    """The order of the unit g mod m modulo the subgroup H of (Z/m)^*.
+
+    Cohen, GTM 138, Alg. 1.4.3 against lambda(m), with x in H for x == 1:
+    each q^v exactly dividing lambda(m) is put back at most v times, so an
+    H that is not a subgroup raises AssertionError rather than looping.
+    """
+    g %= m
+    if math.gcd(g, m) != 1:
+        raise NotCoprime(f"{g} is not a unit mod {m}")
     e, primes = _carmichael(m)
     for q, v in primes:
         e //= q**v
         x = pow(g, e, m)
-        while x != one:
+        for _ in range(v):
+            if x in H:
+                break
             x = pow(x, q, m)
             e *= q
+        if x not in H:
+            raise AssertionError(f"no power of {g} with exponent dividing lambda({m}) lies in H: not a subgroup")
     return e
 
 
@@ -313,12 +300,12 @@ class AbelianField:
 
     @property
     def degree(self) -> int:
-        return len(unit_group(self.level)) // len(self.subgroup)
+        return euler_phi(self.level) // len(self.subgroup)
 
     def describe(self) -> str:
         if self.label:
             return self.label
-        if len(self.subgroup) == len(unit_group(self.level)):
+        if len(self.subgroup) == euler_phi(self.level):
             return "Q"
         if len(self.subgroup) == 1:
             return f"Q(mu_{self.level})"
@@ -394,7 +381,7 @@ def _re_presented(F: AbelianField) -> AbelianField:
 
 @functools.lru_cache(maxsize=None)
 def _prime_divisors(n: int) -> frozenset:
-    return frozenset(p for p, _ in _factor(n))
+    return frozenset(p for p, _ in factor(n))
 
 
 def ramified_set(F: AbelianField) -> frozenset:
@@ -427,13 +414,12 @@ class Coset:
 
     @property
     def is_identity(self) -> bool:
-        G = quotient_group(self.modulus, self.subgroup)
-        return G.canon(self.rep) == G.identity
+        return self.rep in self.subgroup
 
     @property
     def order(self) -> int:
         """Order of the coset in the quotient group."""
-        return quotient_group(self.modulus, self.subgroup).element_order(self.rep)
+        return _order(self.modulus, self.rep, self.subgroup)
 
     def __str__(self) -> str:
         return f"{self.rep}*H mod {self.modulus}"
@@ -477,20 +463,14 @@ def split_invariants(F: AbelianField, p: int) -> SplitData:
 
 @functools.lru_cache(maxsize=None)
 def all_subgroups(n: int) -> tuple[frozenset, ...]:
-    """Every subgroup of (Z/n)^*, as frozensets, by closing cyclic joins."""
-    units = unit_group(n)
-    if n == 1:
-        return (frozenset({0}),)
-    cyclics = {subgroup_generated(n, [u]) for u in units}
-    cyclics.add(frozenset({1}))
-    subs = set(cyclics)
-    changed = True
-    while changed:
-        changed = False
-        for s in list(subs):
-            for c in cyclics:
-                joined = subgroup_generated(n, list(s | c))
-                if joined not in subs:
-                    subs.add(joined)
-                    changed = True
+    """Every subgroup of (Z/n)^*, as frozensets: {1} and every unit adjoined to each subgroup found."""
+    subs = {frozenset({1 % n})}
+    todo = list(subs)
+    while todo:
+        S = todo.pop()
+        for u in unit_group(n):
+            joined = _adjoin(n, S, u)
+            if joined not in subs:
+                subs.add(joined)
+                todo.append(joined)
     return tuple(sorted(subs, key=lambda s: (len(s), sorted(s))))

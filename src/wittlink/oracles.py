@@ -461,12 +461,14 @@ def cyclotomic_factor_degrees(n: int, p: int) -> tuple[int, int]:
         cur = _dl_powmod(cur, p, A, p)
         g = _dl_gcd(A, _dl_sub(cur, _dl_divmod(x, A, p)[1], p), p)
         if len(g) > 1:
-            assert (len(g) - 1) % k == 0
+            if (len(g) - 1) % k:
+                raise AssertionError(f"a factor of degree {len(g) - 1} in the degree-{k} part of Phi_{n} mod {p}")
             shapes.append((k, (len(g) - 1) // k))
             A = _dl_divmod(A, g, p)[0]
             cur = _dl_divmod(cur, A, p)[1]
     degrees = {f for f, _ in shapes}
-    assert len(degrees) == 1, f"mixed factor degrees {shapes} for Phi_{n} mod {p}"
+    if len(degrees) != 1:
+        raise AssertionError(f"mixed factor degrees {shapes} for Phi_{n} mod {p}")
     f = degrees.pop()
     r = sum(count for _, count in shapes)
     return f, r

@@ -179,6 +179,8 @@ def deninger_packet(F: AbelianField, p: int, m: int) -> MappingTorus:
     monodromy the class of p: the norm subgroup is divided out, crossing
     the base circle multiplies by p.
     """
+    if not is_prime(p):
+        raise DomainViolation(f"{p} is not prime")
     if math.gcd(p, m) != 1:
         raise NotCoprime(f"{p} divides the level {m}")
     f = split_invariants(F, p).residue_degree  # raises on ramified p
@@ -197,6 +199,8 @@ class ClosedOrbitLabel:
 
 def closed_orbit_labels(p: int, m: int) -> list[ClosedOrbitLabel]:
     """All closed-orbit labels of the level-m base packet over p."""
+    if not is_prime(p):
+        raise DomainViolation(f"{p} is not prime")
     if math.gcd(p, m) != 1:
         raise NotCoprime(f"{p} divides the level {m}")
     return [ClosedOrbitLabel(r, p, m) for r in cyclic_quotient(m, p).reps]

@@ -99,32 +99,34 @@ def primes_below(bound: int) -> list[int]:
     return [i for i in range(bound) if sieve[i]]
 
 
+def factor(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime factorization of n >= 1 by trial division: ((prime, exponent), ...), ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
 def divisors(n: int) -> list[int]:
     """Positive divisors of n, ascending."""
-    small, large = [], []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
+    divs = [1]
+    for p, e in factor(n):
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
 
 
 @functools.lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    if n == 1:
-        return 1
-    phi, m = 1, n
-    for p in range(2, math.isqrt(n) + 1):
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            phi *= (p - 1) * p ** (e - 1)
-    if m > 1:
-        phi *= m - 1
-    return phi
+    return math.prod((p - 1) * p ** (e - 1) for p, e in factor(n))
 
 
 # --------------------------------------------------------------------------
@@ -249,7 +251,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (n - 1) + [1]
     for d in divisors(n)[:-1]:
         poly, rem = _dl_divmod(poly, cyclotomic_polynomial(d))
-        assert not rem
+        if rem:
+            raise AssertionError(f"Phi_{d} does not divide the quotient for Phi_{n}")
     return tuple(poly)
 
 

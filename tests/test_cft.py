@@ -124,11 +124,49 @@ def test_order_keyed_cyclic_quotient_is_the_generated_subgroup():
         generated = set()
         for g in unit_group(m):
             S = subgroup_generated(m, [g])
-            assert cft._unit_order(m, g) == len(S)
+            assert cft._order(m, g, frozenset({1 % m})) == len(S)
             assert cyclic_quotient(m, g).subgroup == S
             generated.add(S)
         walked = [G.subgroup for (n, _), seen in cft._cyclic_quotients.items() if n == m for G in seen]
         assert sorted(walked, key=sorted) == sorted(generated, key=sorted)
+
+
+def _walked_order(G: QuotientUnitGroup, a: int) -> int:
+    """The order of a's coset by walking its powers to the identity coset."""
+    a = G.canon(a)
+    k, cur = 1, a
+    while cur != G.identity:
+        cur = G.mul(cur, a)
+        k += 1
+    return k
+
+
+def test_order_is_the_walked_order_of_every_unit():
+    for m in range(1, 301):
+        trivial = frozenset({1 % m})
+        G = quotient_group(m, trivial)
+        for g in unit_group(m):
+            assert cft._order(m, g, trivial) == _walked_order(G, g)
+
+
+def test_order_modulo_every_subgroup_is_the_walked_order():
+    for m in range(1, 61):
+        for H in all_subgroups(m):
+            G = quotient_group(m, H)
+            for g in unit_group(m):
+                assert cft._order(m, g, H) == G.element_order(g) == _walked_order(G, g)
+                assert Coset.of(m, H, g).order == _walked_order(G, g)
+
+
+def test_order_refuses_a_non_unit_and_a_set_that_is_not_a_subgroup():
+    with pytest.raises(NotCoprime, match="^4 is not a unit mod 10$"):
+        cft._order(10, 14, frozenset({1}))
+    with pytest.raises(DomainViolation, match="^6 is not a unit mod 9$"):
+        quotient_group(9, frozenset({1})).element_order(6)
+    # neither set holds 1, so no power of 3 lands in it; the loop is bounded
+    for H in (frozenset(), frozenset({3})):
+        with pytest.raises(AssertionError, match="not a subgroup"):
+            cft._order(7, 3, H)
 
 
 def _min_of_coset_table(m: int, H: frozenset) -> tuple[tuple, dict]:
@@ -363,6 +401,30 @@ def test_all_subgroups():
     for s in all_subgroups(24):
         F = AbelianField(24, s)  # validates closure
         assert euler_phi(24) % len(s) == 0
+
+
+def _cyclic_join_closure(n: int) -> set:
+    """Every subgroup of (Z/n)^*: the cyclic subgroups, closed under joins."""
+    cyclics = {subgroup_generated(n, [u]) for u in unit_group(n)}
+    cyclics.add(frozenset({1 % n}))
+    subs = set(cyclics)
+    changed = True
+    while changed:
+        changed = False
+        for s in list(subs):
+            for c in cyclics:
+                joined = subgroup_generated(n, list(s | c))
+                if joined not in subs:
+                    subs.add(joined)
+                    changed = True
+    return subs
+
+
+def test_all_subgroups_is_the_closure_of_cyclic_joins():
+    for n in range(1, 61):
+        subs = all_subgroups(n)
+        assert len(set(subs)) == len(subs)
+        assert set(subs) == _cyclic_join_closure(n)
 
 
 def test_coset_order():

@@ -359,6 +359,9 @@ BAD_INPUTS = [
      f"error: bridge level 5000005 exceeds the limit {MAX_BRIDGE_LEVEL}"),
     (["monodromy", "--side", "cc", "--prime", "3", "--level", "10000000"], 2,
      f"error: monodromy level 10000000 exceeds the limit {MAX_BRIDGE_LEVEL}"),
+    # primality is checked before coprimality with the level
+    (["monodromy", "--side", "deninger", "--prime", "0", "--level", "5"], 2, "error: 0 is not prime"),
+    (["monodromy", "--side", "deninger", "--prime", "4", "--level", "6"], 2, "error: 4 is not prime"),
     # parts without constant term 1 are refused before the normalization;
     # these ended in IndexError or ValueError tracebacks, or printed a wrong
     # answer with exit 0 ("(1)/(1+6t)" over F7, "1" for (1-t)/(t-t^2))

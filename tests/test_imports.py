@@ -1,10 +1,12 @@
-"""Every name a wittlink module imports, or a function assigns, is read.
+"""Every name a wittlink module imports, or a function assigns, is read,
+and no wittlink module holds an ``assert`` statement.
 
 A stale import outlives the code that needed it (a helper that was folded
 away, a constant no branch reads any more) and keeps a dead dependency
 between modules.  The package ``__init__`` is exempt: re-exporting is what
 its imports are for.  A stale local is the same leftover inside one
-function.
+function.  ``python -O`` strips ``assert`` statements, so a check the
+package relies on raises AssertionError explicitly.
 """
 
 import ast
@@ -88,3 +90,18 @@ def test_the_check_sees_an_unused_local():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_local(path):
     assert unused_locals(path.read_text()) == []
+
+
+def asserts(source: str) -> list[int]:
+    """The lines of the assert statements in source."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
+
+
+def test_the_check_sees_an_assert():
+    source = "def f(x):\n    if x:\n        assert x > 0, 'negative'\n    return x\n"
+    assert asserts(source) == [3]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_has_no_assert_statement(path):
+    assert asserts(path.read_text()) == []

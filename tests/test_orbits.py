@@ -108,6 +108,14 @@ def test_deninger_packet_identity_monodromy():
 def test_deninger_packet_errors():
     with pytest.raises(NotCoprime):
         deninger_packet(rationals_field(), 3, 6)
+    # primality comes before coprimality: 4 divides 8 but is first not prime
+    for p, m in ((4, 8), (0, 5)):
+        with pytest.raises(DomainViolation, match=f"^{p} is not prime$"):
+            deninger_packet(rationals_field(), p, m)
+        with pytest.raises(DomainViolation, match=f"^{p} is not prime$"):
+            closed_orbit_labels(p, m)
+    with pytest.raises(DomainViolation, match="^4 is not prime$"):
+        closed_orbit_labels(4, 5)
     with pytest.raises(RamifiedPrime):
         deninger_packet(cyclotomic_field(5), 5, 7)
 
@@ -127,6 +135,34 @@ def test_decompose_identity_monodromy():
     T = deninger_packet(rationals_field(), 11, 5)
     dec = decompose(T)
     assert dec.count == 4 and dec.covering_degree == 1
+
+
+_WRONG_ORDER = (
+    "from wittlink import cft\n"
+    "from wittlink.cft import cyclotomic_field, rationals_field\n"
+    "from wittlink.orbits import cc_fiber, decompose, deninger_packet\n"
+    "tori = (cc_fiber(cyclotomic_field(5), 7), deninger_packet(rationals_field(), 11, 5))\n"
+    "real = cft._order\n"
+    "cft._order = lambda m, g, H: real(m, g, H) + 1\n"
+    "raised = 0\n"
+    "for T in tori:\n"
+    "    try:\n"
+    "        decompose(T)\n"
+    "    except AssertionError:\n"
+    "        raised += 1\n"
+    "print(raised)\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python -O"])
+def test_decompose_checks_every_orbit_against_the_order(flags):
+    # a wrong order is caught on the identity's orbit too: the order is not
+    # read off the walk that builds the orbits; the second torus has an
+    # identity monodromy, so each of its orbits is a single point
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, *flags, "-c", _WRONG_ORDER], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "2\n"), proc.stderr
 
 
 def test_decompose_swap():

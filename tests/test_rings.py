@@ -1,5 +1,6 @@
 """Coefficient rings: element arithmetic, polynomials, resultants, conjugation."""
 
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +18,10 @@ from wittlink.rings import (
     RingSpec,
     cyclotomic_conjugate,
     cyclotomic_polynomial,
+    divisors,
     elem_arith,
+    euler_phi,
+    factor,
     format_polynomial,
     is_prime,
     primes_below,
@@ -56,6 +60,51 @@ def test_is_prime_rejects_pseudoprimes_and_small_squares(n):
     # 41^2, 41*43, 43^2 sit just past the trial-division shortcut; the rest
     # are Carmichael numbers or strong pseudoprimes to small bases
     assert not is_prime(n)
+
+
+def _trial_factor(n: int) -> tuple:
+    """((prime, exponent), ...) of n by division by every d >= 2 in turn."""
+    out, d = [], 2
+    while n > 1:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    return tuple(out)
+
+
+def _trial_divisors(n: int) -> list:
+    small, large = [], []
+    for d in range(1, math.isqrt(n) + 1):
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+    return small + large[::-1]
+
+
+def _trial_phi(n: int) -> int:
+    phi, m = 1, n
+    for p in range(2, math.isqrt(n) + 1):
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            phi *= (p - 1) * p ** (e - 1)
+    if m > 1:
+        phi *= m - 1
+    return phi
+
+
+def test_factor_divisors_and_phi_match_trial_division():
+    for n in range(1, 5001):
+        assert factor(n) == _trial_factor(n)
+        assert divisors(n) == _trial_divisors(n)
+        assert euler_phi(n) == _trial_phi(n)
 
 
 def test_width_is_the_payload_length():
