@@ -108,14 +108,12 @@ def test_deninger_packet_identity_monodromy():
 def test_deninger_packet_errors():
     with pytest.raises(NotCoprime):
         deninger_packet(rationals_field(), 3, 6)
-    # primality comes before coprimality: 4 divides 8 but is first not prime
-    for p, m in ((4, 8), (0, 5)):
+    # primality comes before coprimality with the level
+    for p, m in ((4, 5), (4, 6), (0, 5)):
         with pytest.raises(DomainViolation, match=f"^{p} is not prime$"):
             deninger_packet(rationals_field(), p, m)
         with pytest.raises(DomainViolation, match=f"^{p} is not prime$"):
             closed_orbit_labels(p, m)
-    with pytest.raises(DomainViolation, match="^4 is not prime$"):
-        closed_orbit_labels(4, 5)
     with pytest.raises(RamifiedPrime):
         deninger_packet(cyclotomic_field(5), 5, 7)
 
