@@ -81,16 +81,17 @@ MAX_FROBENIUS_DEGREE = 10_000
 # two length-w vectors, so _check_work weights the caps by w: the product
 # degree by w (D * w <= 2,500 is D^2 * w^2 <= 2,500^2), the frob and ghost
 # work below by w^2.  The limits over Z stay the degree caps.  At D = 2,500
-# (two degree-50 literals, digits 1-9) the product took 5.0-6.2 s over Z;
+# (two degree-50 literals, digits 1-9) the product took 2.8-4.3 s over Z;
 # the worst accepted C<n> input is C1 or C2 (phi = 1) at the same D,
-# 4.9-5.4 s, on the same integer kernels as Z.  C3 at D = 1,225 took 0.7 s
-# and C5 at D = 625 0.2 s.  The first refused C97 product has degree 27
-# (degree 25 takes under 0.01 s).
+# 3.6-4.3 s, on the same integer kernels as Z.  C3 at D = 1,225 took
+# 0.33-0.48 s and C5 at D = 625 0.08-0.09 s.  The first refused C97 product
+# has degree 27; degrees 25 and 26 take 0.04-0.07 s, most of it generating
+# the width-96 payload kernel once.
 # F_n's n * deg power sums cost O(deg) each.  At n * deg^2 = 200,000 (n =
-# 500, degree 20, digits 1-9), frob took 0.13-0.14 s over Z; the worst
-# accepted C<n> input is C1 or C2 at that size, 0.12-0.14 s, and C3 at n =
-# 125 takes 0.03-0.04 s (timed through cli.main, Python 3.11, one core of a
-# shared 2-core Intel Xeon host).
+# 500, degree 20, digits 1-9), frob took 0.13-0.17 s over Z; the worst
+# accepted C<n> input is C1 or C2 at that size, 0.14-0.16 s, and C3 at n =
+# 125 takes 0.02 s (three runs each, timed through cli.main, Python 3.11,
+# one core of a shared 2-core Intel Xeon host).
 MAX_FROBENIUS_WORK = 200_000
 # witt ghost computes N power sums at O(deg) each on integers that grow with
 # N.  At N * deg = 200,000 with digits 1-9 (degree 20, N = 10,000) ghost

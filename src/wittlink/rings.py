@@ -22,9 +22,15 @@ characteristic 0.  It is (Phi_n, 0) over Z[zeta_n], (g, p) over F_q and
 only (m, p), with one branch for vectors (m nonempty) and one for scalars,
 each reducing mod p when p > 0; the kind itself is read where the rings
 really differ (naming, Q's Fractions, units and exact division over Z and
-Z[zeta_n]).  The vector reduction ``_reduce`` and the fused sum of
-products ``_fused`` take (m, p), never a RingSpec; so do the Witt kernels,
-which run the product on (m, 0), the characteristic-0 lift.
+Z[zeta_n]).  The fused sum of products ``_fused`` takes (m, p), never a
+RingSpec; so do the Witt kernels, which run the product on (m, 0), the
+characteristic-0 lift.  Every product of payload vectors goes through
+``_fused``, which runs the modulus's ``_kernel``: one straight-line
+function, generated once per modulus m of width up to MAX_KERNEL_WIDTH
+(96), that sums the products of its pairs of vectors and reduces the sum
+once mod m through a constant table of x^r mod m.  Wider moduli, which
+only library callers can build, take a loop over ``_dl_mul`` and the
+reduction ``_reduce``.
 
 Polynomials are dense tuples of payloads, constant term first, with no
 trailing zero coefficients.  Underneath, every list-level polynomial
@@ -33,11 +39,10 @@ the Witt normalization, Rabin's test for the F_q modulus) runs on one
 dense-list kernel, the ``_dl_*`` functions, over Q or over F_p.
 ``_mul_lists`` is the one product of coefficient lists in a context
 (m, p), serving ``Polynomial.__mul__`` and the Witt ring operations alike:
-``_dl_mul`` for scalars; for vectors it sums each coefficient's products
-unreduced and reduces that sum once by ``_reduce``.  No floating point
-appears anywhere.  Division and gcds of ``Polynomial``s, resultants and
-the other cross-checks live in ``oracles``, which this module never
-imports.
+``_dl_mul`` for scalars; for vectors one ``_fused`` call per output
+coefficient.  No floating point appears anywhere.  Division and gcds of
+``Polynomial``s, resultants and the other cross-checks live in
+``oracles``, which this module never imports.
 """
 
 from __future__ import annotations
@@ -162,21 +167,11 @@ def _dl_mul(a: list, b: list, p: int = 0) -> list:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
-    _dl_addmul(out, a, b)
-    return _dl_trim(out, p)
-
-
-def _dl_addmul(acc: list, a, b) -> None:
-    """acc += a * b in place, unreduced; acc has at least len(a) + len(b) - 1 entries.
-
-    On payload vectors of width w (acc of length 2w - 1) this sums products
-    before their reduction, so a sum of them is reduced once by ``_reduce``
-    instead of once a product.
-    """
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b, i):
-                acc[j] += ai * bj
+                out[j] += ai * bj
+    return _dl_trim(out, p)
 
 
 def _dl_divmod(a: list, b: list, p: int = 0) -> tuple[list, list]:
@@ -304,32 +299,106 @@ def _reduce(c: list, m: tuple, p: int) -> tuple:
     return tuple(r + [0] * (w - len(r)))
 
 
-def _fused(acc: list, xs, ys, m: tuple, p: int) -> tuple:
-    """acc + the sum of x * y over paired payload vectors, reduced once mod (m, p).
+# Widest modulus that gets a generated kernel.  The CLI's C<n> rings stop
+# at level 100, so at width phi(97) = 96, and the F_q decoder at width 12.
+# A generated kernel's source grows as w^2: w = 96 took 40-60 ms and 12 MB
+# of peak memory to compile, once (Python 3.11, shared Intel Xeon host).
+MAX_KERNEL_WIDTH = 96
 
-    acc holds the 2w - 1 unreduced entries of a product of width-w
-    vectors; a coefficient built from many products costs one reduction.
+
+@functools.lru_cache(maxsize=None)
+def _kernel(m: tuple):
+    """The sum of products of payload vectors modulo the monic m, as one function of (base, xs, ys).
+
+    It returns the w = len(m) - 1 entries of base + the sum of x * y over
+    the pairs of xs and ys, each of width w, reduced mod m over Z; the
+    caller reduces mod p.  Up to MAX_KERNEL_WIDTH the function is generated
+    once per modulus as straight-line code: each pair unpacks into locals
+    and adds into the 2w - 1 convolution sums (w products, not w^2, when
+    one side has no terms past its constant one), and the sums fold into
+    the result through the constant table x^r mod m.  Wider moduli take
+    the product loop of ``_dl_mul`` and ``_reduce``, whose memory does not
+    grow as w^2.  The generated source holds only names and integer
+    literals from m.
     """
+    if type(m) is not tuple or len(m) < 2 or m[-1] != 1 or any(type(v) is not int for v in m):
+        raise TypeError(f"a payload kernel needs a monic modulus given as a tuple of ints, not {m!r}")
+    w = len(m) - 1
+    if w > MAX_KERNEL_WIDTH:
+        return functools.partial(_loop_kernel, m)
+    table = {r: _reduce([0] * r + [1], m, 0) for r in range(w, 2 * w - 1)}  # x^r mod m
+    out = []
+    for i in range(w):  # entry i: b_i + c_i + the sum over r >= w of (x^r mod m)_i * c_r
+        expr = f"b{i} + c{i}"
+        for r, row in table.items():
+            if v := row[i]:
+                coef = "" if abs(v) == 1 else f"{abs(v)} * "
+                expr += f" {'-' if v < 0 else '+'} {coef}c{r}"
+        out.append(expr)
+    xs, ys = (", ".join(f"{v}{i}" for i in range(w)) for v in "xy")
+    conv = [
+        f"            c{k} += " + " + ".join(f"x{i} * y{k - i}" for i in range(max(0, k - w + 1), min(k, w - 1) + 1))
+        for k in range(2 * w - 1)
+    ]
+    # a side with no terms past its constant one (an int of the ring) takes w products
+    body = conv if w == 1 else [
+        f"        if not ({' or '.join(f'x{i}' for i in range(1, w))}):",
+        *[f"            c{k} += x0 * y{k}" for k in range(w)],
+        f"        elif not ({' or '.join(f'y{i}' for i in range(1, w))}):",
+        *[f"            c{k} += x{k} * y0" for k in range(w)],
+        "        else:",
+        *conv,
+    ]
+    source = "\n".join(
+        [
+            "def kernel(base, xs, ys):",
+            "    " + " = ".join(f"c{k}" for k in range(2 * w - 1)) + " = 0",
+            f"    for ({xs},), ({ys},) in zip(xs, ys):",
+            *body,
+            f"    {', '.join(f'b{i}' for i in range(w))}, = base",
+            f"    return ({', '.join(out)},)",
+        ]
+    )
+    namespace = {}
+    exec(compile(source, f"<payload kernel of width {w}>", "exec"), {"__builtins__": {"zip": zip}}, namespace)
+    return namespace["kernel"]
+
+
+def _loop_kernel(m: tuple, base, xs, ys) -> tuple:
+    """``_kernel``'s route past MAX_KERNEL_WIDTH: each product by ``_dl_mul``, the sum reduced once."""
+    acc = list(base) + [0] * (len(m) - 2)
     for a, b in zip(xs, ys):
-        _dl_addmul(acc, a, b)
-    return _reduce(acc, m, p)
+        for j, v in enumerate(_dl_mul(a, b)):
+            acc[j] += v
+    return _reduce(acc, m, 0)
+
+
+def _fused(base, xs, ys, m: tuple, p: int) -> tuple:
+    """base + the sum of x * y over paired payload vectors, reduced mod (m, p).
+
+    base and every x and y have the width w = len(m) - 1; the sum is
+    reduced mod m once, by the modulus's ``_kernel``, then mod p when p > 0.
+    """
+    out = _kernel(m)(base, xs, ys)
+    return tuple([v % p for v in out]) if p else out
 
 
 def _mul_lists(a, b, m: tuple, p: int) -> list:
     """The product of two coefficient lists in the reduction context (m, p), trimmed.
 
-    Payload vectors sum each coefficient's products unreduced and reduce
-    that sum once.  ``Polynomial.__mul__`` and the Witt ring operations both multiply here.
+    Over payload vectors, output coefficient j is one ``_fused`` call over
+    its window of pairs a_i, b_(j-i).  ``Polynomial.__mul__`` and the Witt
+    ring operations both multiply here.
     """
     if not m:
         return _dl_mul(a, b, p)
-    w = len(m) - 1
-    acc = [[0] * (2 * w - 1) for _ in range(len(a) + len(b) - 1)]
-    for i, x in enumerate(a):
-        if any(x):
-            for j, y in enumerate(b, i):
-                _dl_addmul(acc[j], x, y)
-    out = [_reduce(c, m, p) for c in acc]
+    if not a or not b:
+        return []
+    zero, rb, top = (0,) * (len(m) - 1), b[::-1], len(b) - 1
+    out = []
+    for j in range(len(a) + len(b) - 1):
+        lo, hi = max(0, j - top), min(j, len(a) - 1)
+        out.append(_fused(zero, a[lo : hi + 1], rb[top - j + lo : top - j + hi + 1], m, p))
     while out and not any(out[-1]):
         out.pop()
     return out
@@ -479,7 +548,7 @@ class RingSpec:
 
     def mul(self, a, b):
         if self.m:
-            return _reduce(_dl_mul(a, b), self.m, self.p)
+            return _fused((0,) * (len(self.m) - 1), (a,), (b,), self.m, self.p)
         return a * b % self.p if self.p else a * b
 
     def mul_int(self, a, m: int):

@@ -30,8 +30,11 @@ over Z/n, or 0.  Every ring operation runs on kernel lists from one
 together (all four for a sum): Q as p(Lt) in Z[t], L the lcm of their
 denominators, so s_k(p) = s_k(p(Lt)) / L^k.  The star products and F_n
 rebuild on (m, 0), the characteristic-0 lift, and are reduced mod p; the
-ghost map runs on (m, p), reducing inside the recurrence.  Parts multiply
-on the lists by ``rings._mul_lists`` in (m, p), the kernel behind
+ghost map runs on (m, p), reducing inside the recurrence.  Each sum of
+payload-vector products in them is one ``rings._fused`` call: the
+straight-line kernel generated once per modulus up to width 96, and a
+product loop past it.  Parts multiply on the lists by
+``rings._mul_lists`` in (m, p), the kernel behind
 ``Polynomial.__mul__``.  ``_from_kernel`` normalizes on the lists, and
 ``_settle`` builds the only Fractions and the result's parts once.
 
@@ -75,11 +78,9 @@ from .rings import (
     _dl_divmod,
     _dl_gcd,
     _dl_invmod,
-    _dl_mul,
     _dl_trim,
     _fused,
     _mul_lists,
-    _reduce,
     conjugate_polynomial,
     cyclotomic_polynomial,
     is_prime,
@@ -93,16 +94,18 @@ _PROBES: dict[int, list] = {}  # n -> the pairs (q, omega) found so far, q ascen
 
 
 def _probe_primes(n: int):
-    """Primes q = 1 (mod n) above 2^31, ascending and without end, each with a root omega of Phi_n mod q.
+    """Primes q = 1 (mod n) above 2^29, ascending and without end, each with a root omega of Phi_n mod q.
 
     zeta -> omega is then a ring map Z[zeta_n] -> F_q; for n = 1 it is the
-    reduction Z -> F_q.  The pairs found are kept for later callers.
+    reduction Z -> F_q.  The first primes lie below 2^30, so every residue
+    of the modular gcd and of its Euclid is one 30-bit digit of a Python
+    int.  The pairs found are kept for later callers.
     """
     found = _PROBES.setdefault(n, [])
     for i in itertools.count():
         if i == len(found):
             phi = cyclotomic_polynomial(n)
-            q = found[-1][0] + n if found else (2**31 // n + 1) * n + 1
+            q = found[-1][0] + n if found else (2**29 // n + 1) * n + 1
             while not is_prime(q):
                 q += n
             for a in itertools.count(2):
@@ -151,7 +154,7 @@ def _divide_out(a: list, g: list, ctx: tuple = ((), 0)) -> list | None:
     for k, x in enumerate(a):
         t = min(k, len(g) - 1)
         if m:
-            r = _fused(list(x) + [0] * (len(x) - 1), ng[t:0:-1], q[k - t :], m, p)
+            r = _fused(x, ng[t:0:-1], q[k - t :], m, p)
         else:
             r = x - sum(map(operator.mul, g[t:0:-1], q[k - t :]))
             r = r % p if p else r
@@ -225,17 +228,19 @@ def _vector_gcd(a: list, b: list, m: tuple, p: int) -> list:
     Euclid with each divisor made monic: each product of payloads is
     reduced once mod (m, p), and inverses come from ``_dl_invmod``.
     """
+    zero = (0,) * (len(m) - 1)
 
     def scale(c, v):  # c / v for a nonzero payload v
         u = _dl_invmod(list(v), m, p)
-        return [_reduce(_dl_mul(x, u), m, p) for x in c]
+        u = tuple(u + [0] * (len(zero) - len(u)))
+        return [_fused(zero, (x,), (u,), m, p) for x in c]
 
     while b:
         b, r = scale(b, b[-1]), list(a)
         for top in range(len(a) - 1, len(b) - 2, -1):  # r -= r_top * t^(top - deg b) * b
             lead = [-v for v in r.pop()]
             for i, y in enumerate(b[:-1], top - len(b) + 1):
-                r[i] = _fused(list(r[i]) + [0] * (len(y) - 1), [lead], [y], m, p)
+                r[i] = _fused(r[i], (lead,), (y,), m, p)
         while r and not any(r[-1]):
             r.pop()
         a, b = b, r
@@ -460,12 +465,12 @@ def _power_sums(c: list, N: int, ctx: tuple) -> list:
                 acc = sum(map(operator.mul, crev, out[k - 1 - d :]))
             out.append(-acc % p if p else -acc)
         return out
-    w = len(m) - 1
+    zero = (0,) * (len(m) - 1)
     nc = [[-v for v in x] for x in c]  # negated, so each s_k comes out reduced
     for k in range(1, N + 1):
         t = min(k - 1, d)
-        acc = [k * v for v in nc[k]] + [0] * (w - 1) if k <= d else [0] * (2 * w - 1)
-        out.append(_fused(acc, nc[t:0:-1], out[k - 1 - t :], m, p))
+        base = [k * v for v in nc[k]] if k <= d else zero
+        out.append(_fused(base, nc[t:0:-1], out[k - 1 - t :], m, p))
     return out
 
 
@@ -484,11 +489,9 @@ def _from_power_sums(s: list, ctx: tuple) -> list:
         for k in range(1, len(s) + 1):
             c.append(-(s[k - 1] + sum(map(operator.mul, c[k - 1 : 0 : -1], s))) // k)
         return c
-    w = len(m) - 1
-    c = [(1,) + (0,) * (w - 1)]
+    c = [(1,) + (0,) * (len(m) - 2)]
     for k in range(1, len(s) + 1):
-        acc = list(s[k - 1]) + [0] * (w - 1)
-        c.append(tuple([-v // k for v in _fused(acc, c[k - 1 : 0 : -1], s, m, 0)]))
+        c.append(tuple([-v // k for v in _fused(s[k - 1], c[k - 1 : 0 : -1], s, m, 0)]))
     return c
 
 
@@ -515,7 +518,8 @@ def _star(a: tuple, b: tuple, ctx: tuple) -> list:
     D = d * e
     m = ctx[0]
     if m:
-        s = [_reduce(_dl_mul(x, y), m, 0) for x, y in zip(sp[:D], sq[:D])]
+        zero = (0,) * (len(m) - 1)
+        s = [_fused(zero, (x,), (y,), m, 0) for x, y in zip(sp[:D], sq[:D])]
     else:
         s = list(map(operator.mul, sp[:D], sq[:D]))
     return _reduce_list(_from_power_sums(s, (m, 0)), ctx)

@@ -1,7 +1,9 @@
 """Coefficient rings: element arithmetic, polynomials, resultants, conjugation."""
 
+import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -25,10 +27,15 @@ from wittlink.rings import (
     format_polynomial,
     is_prime,
     primes_below,
+    MAX_KERNEL_WIDTH,
     _dl_divmod,
     _dl_gcd,
     _dl_invmod,
+    _dl_mul,
     _ext_field_modulus,
+    _fused,
+    _kernel,
+    _reduce,
     poly_mul,
 )
 from wittlink.oracles import poly_divmod, poly_gcd_monic, poly_resultant, poly_resultant_det
@@ -376,6 +383,55 @@ def test_ext_field_moduli_match_the_table():
     fields = [(p, k) for p in primes_below(MAX_DECODE_FIELD_SIZE + 1) for k in range(2, 13)
               if p**k <= MAX_DECODE_FIELD_SIZE]
     assert {(p, k): _ext_field_modulus(p, k) for p, k in fields} == EXT_FIELD_MODULI
+
+
+# --------------------------------------------------------------------------
+# the payload kernel against the product loop it replaced
+
+# every Z[zeta_n] of the CLI's C<n> rings past width 1, and every F_q of the decoder
+KERNEL_CONTEXTS = [(cyclotomic_polynomial(n), 0) for n in range(3, 101)] + [
+    (_ext_field_modulus(p, k), p)
+    for p in primes_below(MAX_DECODE_FIELD_SIZE + 1)
+    for k in range(1, 13)
+    if p**k <= MAX_DECODE_FIELD_SIZE
+]
+
+
+def _reference_fused(base, xs, ys, m, p):
+    """base + the sum of the _dl_mul products, reduced by _reduce and mod p."""
+    acc = list(base)
+    for x, y in zip(xs, ys):
+        acc = [u + v for u, v in itertools.zip_longest(acc, _dl_mul(x, y), fillvalue=0)]
+    return _reduce(acc, m, p)
+
+
+def _random_sum(rng, w, pairs, bits):
+    """A base and `pairs` pairs of width-w vectors with entries of random sign below 2^bits."""
+    vector = lambda: tuple(rng.randint(-(2**bits), 2**bits) for _ in range(w))  # noqa: E731
+    return vector(), [vector() for _ in range(pairs)], [vector() for _ in range(pairs)]
+
+
+@given(st.integers(0, 2**64), st.integers(0, 9), st.integers(0, 300))
+@settings(max_examples=6, deadline=None)
+def test_payload_kernel_matches_the_product_loop(seed, pairs, bits):
+    rng = random.Random(seed)
+    for m, p in KERNEL_CONTEXTS:
+        base, xs, ys = _random_sum(rng, len(m) - 1, pairs, bits)
+        assert _fused(base, xs, ys, m, p) == _reference_fused(base, xs, ys, m, p), (m, p)
+
+
+def test_payload_kernel_past_the_generated_width_takes_the_loop():
+    m = cyclotomic_polynomial(101)
+    assert len(m) - 1 > MAX_KERNEL_WIDTH
+    base, xs, ys = _random_sum(random.Random(101), len(m) - 1, 3, 300)
+    for p in (0, 7):
+        assert _fused(base, xs, ys, m, p) == _reference_fused(base, xs, ys, m, p)
+
+
+@pytest.mark.parametrize("m", [[0, 1], (0.5, 1), ("0", 1), (1, 2), (1,), ()])
+def test_payload_kernel_refuses_a_modulus_that_is_not_a_monic_int_tuple(m):
+    with pytest.raises(TypeError):
+        _kernel(m)
 
 
 # --------------------------------------------------------------------------

@@ -499,6 +499,7 @@ def test_probe_primes_carry_roots_of_cyclotomic_polynomials():
     for n in range(1, 41):
         phi = cyclotomic_polynomial(n)
         for q, omega in itertools.islice(_probe_primes(n), 3):
+            assert q < 2**30
             assert (q - 1) % n == 0
             assert all(q % d for d in range(2, math.isqrt(q) + 1))  # trial division
             assert sum(c * pow(omega, i, q) for i, c in enumerate(phi)) % q == 0
