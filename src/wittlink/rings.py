@@ -319,7 +319,9 @@ def _kernel(m: tuple):
     the result through the constant table x^r mod m.  Wider moduli take
     the product loop of ``_dl_mul`` and ``_reduce``, whose memory does not
     grow as w^2.  The generated source holds only names and integer
-    literals from m.
+    literals from m: a modulus that is not a monic tuple of ints is
+    refused when its kernel would be built (an equal modulus met later
+    finds the cached kernel, whatever the types of its entries).
     """
     if type(m) is not tuple or len(m) < 2 or m[-1] != 1 or any(type(v) is not int for v in m):
         raise TypeError(f"a payload kernel needs a monic modulus given as a tuple of ints, not {m!r}")
@@ -392,8 +394,6 @@ def _mul_lists(a, b, m: tuple, p: int) -> list:
     """
     if not m:
         return _dl_mul(a, b, p)
-    if not a or not b:
-        return []
     zero, rb, top = (0,) * (len(m) - 1), b[::-1], len(b) - 1
     out = []
     for j in range(len(a) + len(b) - 1):
@@ -548,7 +548,7 @@ class RingSpec:
 
     def mul(self, a, b):
         if self.m:
-            return _fused((0,) * (len(self.m) - 1), (a,), (b,), self.m, self.p)
+            return _fused((0,) * self.width, (a,), (b,), self.m, self.p)
         return a * b % self.p if self.p else a * b
 
     def mul_int(self, a, m: int):

@@ -642,9 +642,9 @@ def ghost(f: WittVector, N: int | None = None) -> GhostVector:
 # group-ring correspondence
 
 # The decoder tries every element of F_{p^k} as an inverse root.  At this
-# size a degree-8 part whose root comes last takes 0.33 s over F_2^12 and
-# 0.11-0.14 s over F_7^4 and F_61^2 (a division by 1 - a*t on payload vectors
-# per candidate), and 3 ms over F_4093 (best of three); F_2^16 took 8.7 s
+# size a degree-8 part whose root comes last takes 0.17 s over F_2^12 and
+# 0.05-0.06 s over F_7^4 and F_61^2 (a division by 1 - a*t on payload vectors
+# per candidate), and 3 ms over F_4093 (best of three); F_2^16 took 6.5 s
 # in one run (Python 3.11, one core of a shared 2-core Intel Xeon host).
 MAX_DECODE_FIELD_SIZE = 2**12
 

@@ -406,9 +406,16 @@ def _reference_fused(base, xs, ys, m, p):
 
 
 def _random_sum(rng, w, pairs, bits):
-    """A base and `pairs` pairs of width-w vectors with entries of random sign below 2^bits."""
-    vector = lambda: tuple(rng.randint(-(2**bits), 2**bits) for _ in range(w))  # noqa: E731
-    return vector(), [vector() for _ in range(pairs)], [vector() for _ in range(pairs)]
+    """A base and `pairs` pairs of width-w vectors, with entries of random sign up to 2^bits.
+
+    A third of the vectors are ints of the ring (no entry past the first),
+    which the kernel multiplies on a shortcut.
+    """
+    vectors = []
+    for _ in range(2 * pairs + 1):
+        v = [rng.randint(-(2**bits), 2**bits) for _ in range(w)]
+        vectors.append(tuple(v if rng.randrange(3) else v[:1] + [0] * (w - 1)))
+    return vectors[0], vectors[1 : pairs + 1], vectors[pairs + 1 :]
 
 
 @given(st.integers(0, 2**64), st.integers(0, 9), st.integers(0, 300))
