@@ -23,11 +23,9 @@ from .rings import (
     RingSpec,
     cyclotomic_conjugate,
     cyclotomic_polynomial,
-    elem_arith,
     euler_phi,
     format_polynomial,
     is_prime,
-    poly_mul,
     primes_below,
 )
 from .witt import (
@@ -78,14 +76,12 @@ from .orbits import (
     decompose,
     deninger_packet,
     normalize_point,
-    packet_fiber_over_label,
     packet_fibers,
     reciprocity_row,
     reciprocity_rows,
 )
 from .bridge import (
     BridgeReport,
-    CyclCharacter,
     FiniteAdeleFL,
     bridge_compare,
     check_anti_equivariance,
@@ -94,11 +90,4 @@ from .bridge import (
     level_reduction_compatible,
     psi_level,
 )
-from .oracles import (
-    crt_combine,
-    cyclotomic_factor_degrees,
-    poly_resultant,
-    poly_resultant_det,
-)
-
 __version__ = "0.1.0"

@@ -12,7 +12,8 @@ The two-modulus CRT has the closed form P * (a*n * P^-1 mod m') with
 P = p^e, one cached inverse per (P, m'); oracles.crt_combine is its oracle.
 
 The map is checked to commute with inverse-root powering (exponent k
-multiplies the residue by k), with the Galois action (sigma multiplies
+multiplies the residue by k), with the Galois action (sigma, passed as
+the unit the cyclotomic character gives zeta -> zeta^sigma, multiplies
 the residue by sigma), and to be flow-anti-equivariant: multiplying the
 flow coordinate by an exact positive rational t corresponds to
 multiplying the archimedean coordinate on the adele side by 1/t, with one
@@ -45,7 +46,6 @@ from .errors import DomainViolation, NotCoprime
 from .cft import (
     AbelianField,
     Coset,
-    ModUnit,
     at_conductor,
     check_unramified,
     conductor,
@@ -89,10 +89,6 @@ class FiniteAdeleFL:
     @property
     def zero_part(self) -> int:
         return self.prime**self.p_exponent
-
-    @property
-    def prime_to_p_modulus(self) -> int:
-        return self.modulus // self.zero_part
 
     def __str__(self) -> str:
         return f"{self.residue} mod {self.modulus} (p-part 0 mod {self.zero_part})"
@@ -183,26 +179,6 @@ def _adele_transport(p: int, num: int, den: int, m2: int) -> int:
 # equivariance checks (exact; False is a verification failure, not an error)
 
 
-@dataclass(frozen=True)
-class CyclCharacter:
-    """A finite-level Galois element seen through the cyclotomic character.
-
-    The identification sends the automorphism zeta -> zeta^sigma to the
-    unit sigma itself, so value is the identity on residues; the type
-    exists to mark where a unit is being used as a Galois action.
-    """
-
-    sigma: ModUnit
-
-    @property
-    def value(self) -> int:
-        return self.sigma.value
-
-    @property
-    def modulus(self) -> int:
-        return self.sigma.modulus
-
-
 def _level(x: DeningerPointFL) -> tuple[int, int, int]:
     """(P, P^-1 mod m', m') of a validated point at its own p-part budget."""
     P = x.prime**x.p_exponent_budget
@@ -218,14 +194,8 @@ def check_frobenius_equivariance(x: DeningerPointFL, k: int) -> bool:
     return _frobenius_ok(*_level(x), x.unit.value, x.scale, k)
 
 
-def check_galois_equivariance(x: DeningerPointFL, sigma) -> bool:
-    """Acting by sigma on the unit coordinate multiplies the residue by cycl(sigma).
-
-    Accepts a plain unit or a CyclCharacter; the identification is the
-    identity on residues either way.
-    """
-    if isinstance(sigma, CyclCharacter):
-        sigma = sigma.value
+def check_galois_equivariance(x: DeningerPointFL, sigma: int) -> bool:
+    """Acting by the unit sigma on the unit coordinate multiplies the residue by sigma."""
     m2 = x.unit.modulus
     if m2 > 1 and math.gcd(sigma, m2) != 1:
         raise DomainViolation(f"{sigma} is not a unit mod {m2}")

@@ -142,10 +142,6 @@ class QuotientUnitGroup:
     def order(self) -> int:
         return len(self.reps)
 
-    @property
-    def identity(self) -> int:
-        return self.canon_table[1 % self.modulus]
-
     def canon(self, u: int) -> int:
         u %= self.modulus
         if u not in self.canon_table:
@@ -268,12 +264,17 @@ class ModUnit:
         return f"{self.value} mod {self.modulus}"
 
 
-def linking_hom(p: int, m: int) -> ModUnit:
-    """Level-m truncation of the diagonal image of p in the prime-to-p units."""
+def _check_prime_to_level(p: int, m: int) -> None:
+    """Raise unless p is a prime not dividing the level m; primality is checked first."""
     if not is_prime(p):
         raise DomainViolation(f"{p} is not prime")
     if math.gcd(p, m) != 1:
         raise NotCoprime(f"{p} divides the level {m}")
+
+
+def linking_hom(p: int, m: int) -> ModUnit:
+    """Level-m truncation of the diagonal image of p in the prime-to-p units."""
+    _check_prime_to_level(p, m)
     return ModUnit(p % m, m)
 
 
@@ -411,10 +412,6 @@ class Coset:
     @classmethod
     def of(cls, modulus: int, subgroup: frozenset, element: int) -> "Coset":
         return cls(modulus, subgroup, quotient_group(modulus, subgroup).canon(element))
-
-    @property
-    def is_identity(self) -> bool:
-        return self.rep in self.subgroup
 
     @property
     def order(self) -> int:

@@ -263,11 +263,12 @@ def parse_witt_literal(text: str, spec: RingSpec) -> WittVector:
 
 
 def parse_field(ns: argparse.Namespace) -> AbelianField:
-    if getattr(ns, "quadratic", None) is not None:
+    if ns.subgroup is not None and ns.cyclotomic is None:
+        raise ParseError("--subgroup needs --cyclotomic")
+    if ns.quadratic is not None:
         return quadratic_field_subgroup(ns.quadratic)
-    if getattr(ns, "cyclotomic", None) is not None:
-        n = ns.cyclotomic
-        sub = getattr(ns, "subgroup", None)
+    if ns.cyclotomic is not None:
+        n, sub = ns.cyclotomic, ns.subgroup
         if not sub:
             return cyclotomic_field(n)
         try:
@@ -426,7 +427,7 @@ def cmd_monodromy(ns: argparse.Namespace) -> Output:
     _cap("monodromy level", ns.level, MAX_BRIDGE_LEVEL)
     label_info = {}
     if ns.side == "cc":
-        if ns.quadratic is not None or ns.cyclotomic is not None:
+        if ns.quadratic is not None or ns.cyclotomic is not None or ns.subgroup is not None:
             T = cc_fiber(parse_field(ns), ns.prime)
         else:
             T = cc_fiber_infinite_level(ns.prime, ns.level)
@@ -572,12 +573,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_field_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cyclotomic", type=int, default=None, metavar="N",
-                   help="field inside the level-N cyclotomic field")
+    field = p.add_mutually_exclusive_group()
+    field.add_argument("--cyclotomic", type=int, default=None, metavar="N",
+                       help="field inside the level-N cyclotomic field")
     p.add_argument("--subgroup", type=str, default=None, metavar="A,B,...",
                    help="generators of the fixing subgroup (with --cyclotomic)")
-    p.add_argument("--quadratic", type=int, default=None, metavar="Q",
-                   help="the quadratic field of the odd prime Q")
+    field.add_argument("--quadratic", type=int, default=None, metavar="Q",
+                       help="the quadratic field of the odd prime Q")
 
 
 @functools.cache

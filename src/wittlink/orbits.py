@@ -20,12 +20,15 @@ Two constructions produce tori:
     coprime to p; it and the closed-orbit labels (Z/m)^*/<p> are the one
     cached cft.cyclic_quotient.
 
-The packet fiber over the closed-orbit labels pushes the level-m data
-through the restriction character onto the Galois quotient and
-orbit-enumerates there, once for every label; the covering side
-computes the same (r, f) shape by order arithmetic at the field's own
-level.  Their agreement over a grid of fields and primes is the
-structural consistency this package exists to check.
+packet_fibers pushes the level-m packet data through the restriction
+character onto the Galois quotient, orbit-enumerates there once and
+checks every closed-orbit label against that one decomposition; the
+covering side computes the same (r, f) shape by order arithmetic at the
+field's own level.  Their agreement over a grid of fields and primes is
+the structural consistency this package exists to check.
+
+The packet, the closed-orbit labels and the infinite-level fiber take
+their check that p is a prime not dividing the level m from cft.
 """
 
 from __future__ import annotations
@@ -34,11 +37,12 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainViolation, EqualPrimes, NotCoprime, SpecMismatch
+from .errors import DomainViolation, EqualPrimes, NotCoprime
 from .cft import (
     AbelianField,
     ModUnit,
     QuotientUnitGroup,
+    _check_prime_to_level,
     artin_symbol,
     at_conductor,
     check_unramified,
@@ -64,16 +68,10 @@ class MappingTorus:
     monodromy: int
     base_prime: int
     field: AbelianField | None = None
-    closed_orbits: bool = True
 
     @property
     def level(self) -> int:
         return self.group.modulus
-
-    @property
-    def base_length(self) -> tuple[int, int]:
-        """The base circle length log(p), stored exactly as (p, 1)."""
-        return (self.base_prime, 1)
 
     def __str__(self) -> str:
         return (
@@ -89,12 +87,6 @@ class FiberDecomposition:
     covering_degree: int
     count: int
     base_prime: int
-    closed: bool = True
-
-    @property
-    def circle_length(self) -> tuple[int, int]:
-        """Exact component length f*log(p) as the pair (p, f)."""
-        return (self.base_prime, self.covering_degree)
 
     def circle_length_display(self) -> float:
         """Float rendering, display only; never used in comparisons."""
@@ -106,10 +98,6 @@ class FiberDecomposition:
             "circle_length": {"prime": self.base_prime, "exponent": self.covering_degree},
             "circle_length_display": round(self.circle_length_display(), 6),
         }
-
-    @property
-    def representatives(self) -> tuple:
-        return tuple(c[0] for c in self.components)
 
 
 def decompose(T: MappingTorus) -> FiberDecomposition:
@@ -141,7 +129,6 @@ def decompose(T: MappingTorus) -> FiberDecomposition:
         covering_degree=f,
         count=len(comps),
         base_prime=T.base_prime,
-        closed=T.closed_orbits,
     )
 
 
@@ -161,15 +148,11 @@ def cc_fiber_infinite_level(p: int, m: int) -> MappingTorus:
     """Level-m truncation of the fiber over every field unramified at p.
 
     Group (Z/m)^* with monodromy p mod m.  The flow orbits of the object
-    this truncates are lines rather than circles, recorded by the
-    closed_orbits flag.
+    this truncates are lines rather than circles.
     """
-    if not is_prime(p):
-        raise DomainViolation(f"{p} is not prime")
-    if math.gcd(p, m) != 1:
-        raise NotCoprime(f"{p} divides the level {m}")
+    _check_prime_to_level(p, m)
     G = quotient_group(m, frozenset({1 % m}))
-    return MappingTorus(G, G.canon(p), p, field=None, closed_orbits=False)
+    return MappingTorus(G, G.canon(p), p)
 
 
 def deninger_packet(F: AbelianField, p: int, m: int) -> MappingTorus:
@@ -179,10 +162,7 @@ def deninger_packet(F: AbelianField, p: int, m: int) -> MappingTorus:
     monodromy the class of p: the norm subgroup is divided out, crossing
     the base circle multiplies by p.
     """
-    if not is_prime(p):
-        raise DomainViolation(f"{p} is not prime")
-    if math.gcd(p, m) != 1:
-        raise NotCoprime(f"{p} divides the level {m}")
+    _check_prime_to_level(p, m)
     f = split_invariants(F, p).residue_degree  # raises on ramified p
     G = cyclic_quotient(m, pow(p, f, m))
     return MappingTorus(G, G.canon(p), p, field=F)
@@ -199,10 +179,7 @@ class ClosedOrbitLabel:
 
 def closed_orbit_labels(p: int, m: int) -> list[ClosedOrbitLabel]:
     """All closed-orbit labels of the level-m base packet over p."""
-    if not is_prime(p):
-        raise DomainViolation(f"{p} is not prime")
-    if math.gcd(p, m) != 1:
-        raise NotCoprime(f"{p} divides the level {m}")
+    _check_prime_to_level(p, m)
     return [ClosedOrbitLabel(r, p, m) for r in cyclic_quotient(m, p).reps]
 
 
@@ -261,18 +238,6 @@ def _land(packet: QuotientUnitGroup, labels: QuotientUnitGroup, gal: QuotientUni
             raise AssertionError(f"the points over the closed-orbit label {lab[g]} land in two components")
     if len(landed) != labels.order:
         raise AssertionError("a closed-orbit label is missed")
-
-
-def packet_fiber_over_label(T: MappingTorus, label: ClosedOrbitLabel) -> FiberDecomposition:
-    """Components of the full covering fiber over one closed-orbit label.
-
-    The fiber is the same over every label; see packet_fibers.
-    """
-    if T.field is None:
-        raise DomainViolation("fiber labels apply to packets attached to a field")
-    if label.level != T.level or label.prime != T.base_prime:
-        raise SpecMismatch("label level/prime do not match the packet")
-    return packet_fibers(T)
 
 
 # --------------------------------------------------------------------------

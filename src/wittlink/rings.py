@@ -551,9 +551,6 @@ class RingSpec:
             return _fused((0,) * self.width, (a,), (b,), self.m, self.p)
         return a * b % self.p if self.p else a * b
 
-    def mul_int(self, a, m: int):
-        return self.mul(a, self.from_int(m))
-
     def inv(self, a):
         if self.kind == _KIND_Z:
             if a in (1, -1):
@@ -666,10 +663,6 @@ class RingElement:
             return cls(spec, spec.from_int(value))
         return cls(spec, spec.canon(value))
 
-    def _check(self, other: "RingElement") -> None:
-        if self.spec != other.spec:
-            raise SpecMismatch(f"mixed rings {self.spec} and {other.spec}")
-
     def __add__(self, other):
         other = RingElement.of(self.spec, other)
         return RingElement(self.spec, self.spec.add(self.payload, other.payload))
@@ -701,20 +694,6 @@ class RingElement:
 
     def __str__(self) -> str:
         return self.spec.render(self.payload)
-
-
-def elem_arith(op: str, a: RingElement, b: RingElement | None = None) -> RingElement:
-    """Dispatch basic element arithmetic: add, sub, mul, neg, inv."""
-    if op in ("add", "sub", "mul"):
-        if b is None:
-            raise DomainViolation(f"{op} needs two operands")
-        a._check(b)
-        return {"add": a.__add__, "sub": a.__sub__, "mul": a.__mul__}[op](b)
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inv()
-    raise DomainViolation(f"unknown operation {op!r}")
 
 
 # --------------------------------------------------------------------------
@@ -813,11 +792,6 @@ class Polynomial:
 
     def __str__(self) -> str:
         return format_polynomial(self)
-
-
-def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Exact polynomial product (spec op surface; same as f * g)."""
-    return f * g
 
 
 # --------------------------------------------------------------------------

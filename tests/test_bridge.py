@@ -87,7 +87,7 @@ def test_psi_p_part_vanishes():
         x = normalize_point(DeningerPointFL(p, ModUnit(a, m), rng.randint(1, 99), rng.randint(1, 3)))
         r = psi_level(x)
         assert r.residue % r.zero_part == 0
-        assert r.residue % r.prime_to_p_modulus == (x.unit.value * x.scale) % m
+        assert r.residue % (r.modulus // r.zero_part) == (x.unit.value * x.scale) % m
 
 
 def test_psi_well_defined_on_classes():
@@ -114,15 +114,6 @@ def test_galois_equivariance_examples():
     assert check_galois_equivariance(x, 3)  # exponent 6 = 1 = 3*2 mod 5
     with pytest.raises(DomainViolation):
         check_galois_equivariance(x, 5)
-
-
-def test_galois_equivariance_accepts_character():
-    from wittlink.bridge import CyclCharacter
-
-    x = DeningerPointFL(3, ModUnit(2, 5), 1)
-    chi = CyclCharacter(ModUnit(3, 5))
-    assert chi.value == 3 and chi.modulus == 5  # identity on residues
-    assert check_galois_equivariance(x, chi)
 
 
 def test_anti_equivariance_examples():
@@ -247,7 +238,7 @@ def test_bridge_quadratic_split():
     r = bridge_compare(quadratic_field_subgroup(5), 11, 5)
     assert (r.cc_side.count, r.deninger_side.count) == (2, 2)
     assert (r.cc_side.covering_degree, r.deninger_side.covering_degree) == (1, 1)
-    assert r.cc_monodromy.is_identity and r.monodromy_match
+    assert r.cc_monodromy.rep in r.cc_monodromy.subgroup and r.monodromy_match
     assert r.match
 
 

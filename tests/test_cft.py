@@ -135,7 +135,7 @@ def _walked_order(G: QuotientUnitGroup, a: int) -> int:
     """The order of a's coset by walking its powers to the identity coset."""
     a = G.canon(a)
     k, cur = 1, a
-    while cur != G.identity:
+    while cur != G.canon(1):
         cur = G.mul(cur, a)
         k += 1
     return k
@@ -224,7 +224,8 @@ def test_quadratic_field_reciprocity_consistency():
         for p in primes_below(200):
             if p == 2 or p == q:
                 continue
-            assert artin_symbol(F, p).is_identity == (legendre(q, p) == 1)
+            art = artin_symbol(F, p)
+            assert (art.rep in art.subgroup) == (legendre(q, p) == 1)
             count += 1
             if count >= 20:
                 break
@@ -325,8 +326,9 @@ def test_ramified_two_routes_agree():
 def test_artin_symbol_examples():
     a = artin_symbol(cyclotomic_field(5), 7)
     assert a.rep == 2 and a.order == 4
-    assert artin_symbol(cyclotomic_field(5), 11).is_identity
-    assert artin_symbol(quadratic_field_subgroup(5), 11).is_identity
+    for F in (cyclotomic_field(5), quadratic_field_subgroup(5)):
+        a = artin_symbol(F, 11)
+        assert a.rep in a.subgroup
 
 
 def test_artin_symbol_ramified_rejected():

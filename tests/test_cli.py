@@ -362,6 +362,13 @@ BAD_INPUTS = [
     # primality is checked before coprimality with the level
     (["monodromy", "--side", "deninger", "--prime", "0", "--level", "5"], 2, "error: 0 is not prime"),
     (["monodromy", "--side", "deninger", "--prime", "4", "--level", "6"], 2, "error: 4 is not prime"),
+    # a field flag that would be ignored is refused: these exited 0 with Q, the quadratic field
+    # and the level-5 fiber
+    (["field", "conductor", "--subgroup", "1,2"], 1, "error: --subgroup needs --cyclotomic"),
+    (["field", "conductor", "--quadratic", "5", "--cyclotomic", "12"], 1,
+     "error: argument --cyclotomic: not allowed with argument --quadratic"),
+    (["monodromy", "--side", "cc", "--prime", "3", "--level", "5", "--subgroup", "4"], 1,
+     "error: --subgroup needs --cyclotomic"),
     # parts without constant term 1 are refused before the normalization;
     # these ended in IndexError or ValueError tracebacks, or printed a wrong
     # answer with exit 0 ("(1)/(1+6t)" over F7, "1" for (1-t)/(t-t^2))

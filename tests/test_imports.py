@@ -1,15 +1,20 @@
-"""Every name a wittlink module imports, or a function assigns, is read,
-and no wittlink module holds an ``assert`` statement.
+"""Every name a wittlink module imports, or a function assigns, is read;
+every function, class and method it defines has a reader; and no wittlink
+module holds an ``assert`` statement.
 
 A stale import outlives the code that needed it (a helper that was folded
 away, a constant no branch reads any more) and keeps a dead dependency
 between modules.  The package ``__init__`` is exempt: re-exporting is what
 its imports are for.  A stale local is the same leftover inside one
-function.  ``python -O`` strips ``assert`` statements, so a check the
-package relies on raises AssertionError explicitly.
+function.  A definition that no module of the package reads and README
+does not name is surface kept alive only by its own tests; ``oracles``
+holds the tests' references, so its definitions are exempt.  ``python -O``
+strips ``assert`` statements, so a check the package relies on raises
+AssertionError explicitly.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -90,6 +95,71 @@ def test_the_check_sees_an_unused_local():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_local(path):
     assert unused_locals(path.read_text()) == []
+
+
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def definitions(source: str) -> list[str]:
+    """The top-level functions and classes of source, and its classes' methods other than dunders."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (*_FUNCS, ast.ClassDef)):
+            found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found += [f"{node.name}.{m.name}" for m in node.body
+                      if isinstance(m, _FUNCS) and not (m.name.startswith("__") and m.name.endswith("__"))]
+    return found
+
+
+def reads(source: str) -> set[str]:
+    """The names source reads, bare or as an attribute."""
+    nodes = list(ast.walk(ast.parse(source)))
+    return ({n.id for n in nodes if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store)})
+
+
+def dead_definitions(defining: dict, reading, named=frozenset()) -> list[str]:
+    """The definitions of each module in defining that no reading source reads and named lacks."""
+    read = set().union(*map(reads, reading)) | set(named)
+    return sorted(f"{module}: {name}" for module, source in defining.items()
+                  for name in definitions(source) if name.rsplit(".", 1)[-1] not in read)
+
+
+def test_the_check_sees_a_dead_definition():
+    defining = {"a.py": (
+        "class A:\n"
+        "    def used(self):\n"
+        "        return self.size\n"
+        "    def unused(self):\n"
+        "        self.size = 0\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "def helper():\n"
+        "    pass\n"
+        "def documented():\n"
+        "    pass\n"
+    )}
+    reading = [*defining.values(), "from .a import A\nA().used()\n"]
+    assert dead_definitions(defining, reading, {"documented"}) == ["a.py: A.unused", "a.py: helper"]
+
+
+# definitions no module reads and README does not name, kept on purpose
+KEPT = {
+    "psi_level": "the level map psi on one point, which the bridge docstring and the roadmap name",
+    "cyclotomic_conjugate": "the conjugation of one element, which README's rings row lists",
+    "_Parser.error": "argparse calls it on a usage error; the override turns exit 2 into ParseError",
+}
+
+
+def test_every_definition_has_a_reader():
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    named = {word for span in re.findall(r"`([^`\n]+)`", readme) for word in re.findall(r"\w+", span)}
+    sources = {p.name: p.read_text() for p in MODULES}
+    defining = {name: source for name, source in sources.items() if name != "oracles.py"}
+    assert set(KEPT) <= {d for source in defining.values() for d in definitions(source)}
+    dead = dead_definitions(defining, sources.values(), named)
+    assert [d for d in dead if d.split(": ", 1)[1] not in KEPT] == []
 
 
 def asserts(source: str) -> list[int]:

@@ -7,7 +7,7 @@ import pytest
 
 import wittlink
 
-PRODUCTION = ("rings", "witt", "cft", "orbits", "bridge", "cli")
+PRODUCTION = ("__init__", "rings", "witt", "cft", "orbits", "bridge", "cli")
 
 
 def _imports_oracles(source: str) -> bool:

@@ -16,6 +16,7 @@ from wittlink.cft import (
     ModUnit,
     conductor,
     cyclotomic_field,
+    linking_hom,
     quadratic_field_subgroup,
     rationals_field,
 )
@@ -24,10 +25,8 @@ from wittlink.errors import (
     EqualPrimes,
     NotCoprime,
     RamifiedPrime,
-    SpecMismatch,
 )
 from wittlink.orbits import (
-    ClosedOrbitLabel,
     DeningerPointFL,
     MappingTorus,
     cc_fiber,
@@ -37,7 +36,6 @@ from wittlink.orbits import (
     deninger_packet,
     normalize_point,
     odd_prime_pairs,
-    packet_fiber_over_label,
     packet_fibers,
     quotient_group,
     reciprocity_row,
@@ -54,19 +52,19 @@ def test_cc_fiber_cyclotomic():
     T = cc_fiber(cyclotomic_field(5), 7)
     assert T.group.order == 4
     assert T.monodromy == 2
-    assert T.base_length == (7, 1)
+    assert T.base_prime == 7
 
 
 def test_cc_fiber_base_field():
     T = cc_fiber(rationals_field(), 7)
     assert T.group.order == 1
-    assert T.monodromy == T.group.identity
+    assert T.monodromy == T.group.canon(1)
 
 
 def test_cc_fiber_quadratic_split_prime():
     T = cc_fiber(quadratic_field_subgroup(5), 11)
     assert T.group.order == 2
-    assert T.monodromy == T.group.identity
+    assert T.monodromy == T.group.canon(1)
 
 
 def test_cc_fiber_ramified_rejected():
@@ -76,7 +74,7 @@ def test_cc_fiber_ramified_rejected():
 
 def test_cc_fiber_infinite_level():
     T = cc_fiber_infinite_level(3, 5)
-    assert T.group.order == 4 and T.monodromy == 3 and not T.closed_orbits
+    assert T.group.order == 4 and T.monodromy == 3 and T.field is None
     T = cc_fiber_infinite_level(7, 5)
     assert T.monodromy == 2
     with pytest.raises(NotCoprime):
@@ -102,18 +100,19 @@ def test_deninger_packet_cyclotomic_level9():
 def test_deninger_packet_identity_monodromy():
     T = deninger_packet(rationals_field(), 11, 5)
     assert T.group.order == 4
-    assert T.monodromy == T.group.identity
+    assert T.monodromy == T.group.canon(1)
 
 
 def test_deninger_packet_errors():
-    with pytest.raises(NotCoprime):
-        deninger_packet(rationals_field(), 3, 6)
-    # primality comes before coprimality with the level
-    for p, m in ((4, 5), (4, 6), (0, 5)):
-        with pytest.raises(DomainViolation, match=f"^{p} is not prime$"):
-            deninger_packet(rationals_field(), p, m)
-        with pytest.raises(DomainViolation, match=f"^{p} is not prime$"):
-            closed_orbit_labels(p, m)
+    # every route to a prime-to-level datum checks primality before coprimality with the level
+    routes = (lambda p, m: deninger_packet(rationals_field(), p, m), closed_orbit_labels,
+              cc_fiber_infinite_level, linking_hom)
+    for route in routes:
+        with pytest.raises(NotCoprime, match="^3 divides the level 6$"):
+            route(3, 6)
+        for p, m in ((4, 5), (4, 6), (0, 5)):
+            with pytest.raises(DomainViolation, match=f"^{p} is not prime$"):
+                route(p, m)
     with pytest.raises(RamifiedPrime):
         deninger_packet(cyclotomic_field(5), 5, 7)
 
@@ -126,7 +125,7 @@ def test_decompose_transitive():
     dec = decompose(cc_fiber_infinite_level(2, 5))
     assert dec.count == 1 and dec.covering_degree == 4
     assert dec.components == ((1, 2, 3, 4),)
-    assert dec.circle_length == (2, 4)
+    assert dec.length_fields()["circle_length"] == {"prime": 2, "exponent": 4}
 
 
 def test_decompose_identity_monodromy():
@@ -280,52 +279,35 @@ def test_point_validation():
 
 def test_label_fiber_split_prime():
     F = quadratic_field_subgroup(5)
-    T = deninger_packet(F, 11, 5)
-    lab = closed_orbit_labels(11, 5)[0]
-    fib = packet_fiber_over_label(T, lab)
+    fib = packet_fibers(deninger_packet(F, 11, 5))
     assert fib.count == 2 and fib.covering_degree == 1
 
 
 def test_label_fiber_inert_prime():
     F = quadratic_field_subgroup(5)
-    T = deninger_packet(F, 7, 5)
-    fib = packet_fiber_over_label(T, closed_orbit_labels(7, 5)[0])
+    fib = packet_fibers(deninger_packet(F, 7, 5))
     assert fib.count == 1 and fib.covering_degree == 2
-    assert fib.circle_length == (7, 2)
+    assert fib.length_fields()["circle_length"] == {"prime": 7, "exponent": 2}
 
 
 def test_label_fiber_base_field():
-    T = deninger_packet(rationals_field(), 7, 5)
-    for lab in closed_orbit_labels(7, 5):
-        fib = packet_fiber_over_label(T, lab)
-        assert fib.count == 1 and fib.covering_degree == 1
+    fib = packet_fibers(deninger_packet(rationals_field(), 7, 5))
+    assert fib.count == 1 and fib.covering_degree == 1
 
 
 def test_label_fiber_mismatch_rejected():
-    F = quadratic_field_subgroup(5)
-    T = deninger_packet(F, 11, 5)
-    with pytest.raises(SpecMismatch, match="label level/prime do not match the packet"):
-        packet_fiber_over_label(T, ClosedOrbitLabel(1, 11, 15))  # level
-    with pytest.raises(SpecMismatch, match="label level/prime do not match the packet"):
-        packet_fiber_over_label(T, ClosedOrbitLabel(1, 19, 5))  # prime
-    bare = cc_fiber_infinite_level(11, 5)
     with pytest.raises(DomainViolation, match="packets attached to a field"):
-        packet_fiber_over_label(bare, closed_orbit_labels(11, 5)[0])
-    with pytest.raises(DomainViolation, match="packets attached to a field"):
-        packet_fiber_over_label(bare, ClosedOrbitLabel(1, 3, 7))  # checked before the label
-    low = deninger_packet(F, 3, 7)  # conductor 5 does not divide 7
-    with pytest.raises(DomainViolation, match="not a multiple of the conductor 5"):
-        packet_fiber_over_label(low, closed_orbit_labels(3, 7)[0])
+        packet_fibers(cc_fiber_infinite_level(11, 5))
+    low = deninger_packet(quadratic_field_subgroup(5), 3, 7)  # conductor 5 does not divide 7
     with pytest.raises(DomainViolation, match="not a multiple of the conductor 5"):
         packet_fibers(low)
 
 
 def test_packet_fibers_is_every_label_fiber():
-    T = deninger_packet(cyclotomic_field(5), 11, 15)
-    fib = packet_fibers(T)
+    # the one fiber over the labels at level 15 is the fiber at the conductor level 5
+    fib = packet_fibers(deninger_packet(cyclotomic_field(5), 11, 15))
     assert (fib.count, fib.covering_degree) == (4, 1)
-    for lab in closed_orbit_labels(11, 15):
-        assert packet_fiber_over_label(T, lab) == fib
+    assert packet_fibers(deninger_packet(cyclotomic_field(5), 11, 5)) == fib
 
 
 def test_packet_fibers_rejects_a_label_split_across_components():
@@ -368,11 +350,9 @@ def test_label_fiber_matches_cc_routes():
                 for m in (c, 3 * c if math.gcd(p, 3 * c) == 1 else 2 * c):
                     if math.gcd(p, m) != 1:
                         continue
-                    T = deninger_packet(F, p, m)
+                    fib = packet_fibers(deninger_packet(F, p, m))
                     cc = decompose(cc_fiber(F, p))
-                    for lab in closed_orbit_labels(p, m):
-                        fib = packet_fiber_over_label(T, lab)
-                        assert (fib.count, fib.covering_degree) == (cc.count, cc.covering_degree)
+                    assert (fib.count, fib.covering_degree) == (cc.count, cc.covering_degree)
 
 
 # --------------------------------------------------------------------------
@@ -471,7 +451,7 @@ def test_reciprocity_table_rejects_a_label_split_across_components(monkeypatch):
     # components become singletons, so the points over one label of the
     # row (3, 5), where 3 is not a square mod 5, land apart
     real = orbits.decompose
-    monkeypatch.setattr(orbits, "decompose", lambda T: real(dataclasses.replace(T, monodromy=T.group.identity)))
+    monkeypatch.setattr(orbits, "decompose", lambda T: real(dataclasses.replace(T, monodromy=T.group.canon(1))))
     with pytest.raises(AssertionError, match="land in two components"):
         reciprocity_rows([(3, 5)])
 
@@ -482,7 +462,7 @@ def test_reciprocity_table_rejects_a_label_split_across_components_under_python_
         "import dataclasses\n"
         "from wittlink import orbits\n"
         "real = orbits.decompose\n"
-        "orbits.decompose = lambda T: real(dataclasses.replace(T, monodromy=T.group.identity))\n"
+        "orbits.decompose = lambda T: real(dataclasses.replace(T, monodromy=T.group.canon(1)))\n"
         "try:\n"
         "    orbits.reciprocity_rows([(3, 5)])\n"
         "except AssertionError:\n"

@@ -21,7 +21,6 @@ from wittlink.rings import (
     cyclotomic_conjugate,
     cyclotomic_polynomial,
     divisors,
-    elem_arith,
     euler_phi,
     factor,
     format_polynomial,
@@ -36,7 +35,6 @@ from wittlink.rings import (
     _fused,
     _kernel,
     _reduce,
-    poly_mul,
 )
 from wittlink.oracles import poly_divmod, poly_gcd_monic, poly_resultant, poly_resultant_det
 from wittlink.witt import MAX_DECODE_FIELD_SIZE
@@ -125,22 +123,24 @@ def test_width_is_the_payload_length():
 
 
 def test_elem_mul_integers():
-    assert elem_arith("mul", RingElement.of(Z, 2), RingElement.of(Z, 3)).payload == 6
+    assert (RingElement.of(Z, 2) * RingElement.of(Z, 3)).payload == 6
 
 
 def test_elem_inv_mod_ring():
     # extended-Euclid oracle: 3 * 7 = 21 = 2*10 + 1
-    assert elem_arith("inv", RingElement.of(Z10, 3)).payload == 7
+    assert RingElement.of(Z10, 3).inv().payload == 7
 
 
 def test_elem_inv_non_unit():
     with pytest.raises(NotAUnit):
-        elem_arith("inv", RingElement.of(Z10, 2))
+        RingElement.of(Z10, 2).inv()
 
 
 def test_elem_spec_mismatch():
-    with pytest.raises(SpecMismatch):
-        elem_arith("add", RingElement.of(Z, 1), RingElement.of(F7, 1))
+    # each operator takes its other operand through RingElement.of, which refuses another ring
+    for op in ("__add__", "__sub__", "__mul__"):
+        with pytest.raises(SpecMismatch):
+            getattr(RingElement.of(Z, 1), op)(RingElement.of(F7, 1))
 
 
 def test_ring_kinds_are_the_six_public_ones():
@@ -208,19 +208,19 @@ def test_ring_axioms_cyclotomic(a, b, c):
 
 
 def test_poly_mul_example():
-    assert poly_mul(zpoly(1, -2), zpoly(1, -3)) == zpoly(1, -5, 6)
+    assert zpoly(1, -2) * zpoly(1, -3) == zpoly(1, -5, 6)
 
 
 def test_poly_mul_identity():
     f = zpoly(1, 4, -2, 7)
-    assert poly_mul(f, Polynomial.one(Z)) == f
+    assert f * Polynomial.one(Z) == f
 
 
 def test_poly_mul_mod2():
     Z2 = RingSpec.mod_ring(2)
     f = Polynomial.from_ints(Z2, [1, 1])
     g = Polynomial.from_ints(Z2, [1, -1])
-    assert poly_mul(f, g) == Polynomial.from_ints(Z2, [1, 0, 1])
+    assert f * g == Polynomial.from_ints(Z2, [1, 0, 1])
 
 
 def test_poly_canonical_degree():
@@ -477,7 +477,7 @@ def test_resultant_multiplicative_in_second_argument(a, b, c):
     f = Polynomial.from_ints(Z, a + [1])
     g = Polynomial.from_ints(Z, b + [1])
     h = Polynomial.from_ints(Z, c + [1])
-    lhs = poly_resultant(f, poly_mul(g, h)).payload
+    lhs = poly_resultant(f, g * h).payload
     rhs = poly_resultant(f, g).payload * poly_resultant(f, h).payload
     assert lhs == rhs
 

@@ -782,7 +782,7 @@ def _reference_power_sums(spec, p, N):
     """s_1..s_N by Newton's identities on RingSpec ops, one coefficient at a time."""
     c, out = p.coeffs, []
     for k in range(1, N + 1):
-        acc = spec.mul_int(c[k], k) if k < len(c) else spec.zero()
+        acc = spec.mul(c[k], spec.from_int(k)) if k < len(c) else spec.zero()
         for i in range(1, min(k, len(c))):
             acc = spec.add(acc, spec.mul(c[i], out[k - i - 1]))
         out.append(spec.neg(acc))
