@@ -240,7 +240,6 @@ class BridgeReport:
     psi_samples: tuple  # ((unit, residue, modulus), ...)
     equivariance_checks: tuple  # ((name, bool), ...)
     anti_equivariance: bool
-    character_unit: int = 1  # chosen normalization of the reference character
 
     @property
     def match(self) -> bool:
@@ -282,7 +281,7 @@ class BridgeReport:
             "psi_samples": [list(s) for s in self.psi_samples],
             "equivariance": {name: ok for name, ok in self.equivariance_checks},
             "anti_equivariance": self.anti_equivariance,
-            "character_unit": self.character_unit,
+            "character_unit": 1,  # chosen normalization of the reference character
             "match": self.match,
         }
 

@@ -246,12 +246,6 @@ class ModUnit:
         v = other.value if isinstance(other, ModUnit) else other
         return ModUnit(self.value * v % self.modulus, self.modulus)
 
-    def pow(self, k: int) -> "ModUnit":
-        return ModUnit(pow(self.value, k, self.modulus), self.modulus)
-
-    def inv(self) -> "ModUnit":
-        return self.pow(-1)
-
     def reduce(self, m: int) -> "ModUnit":
         if self.modulus % m:
             raise DomainViolation(f"{m} does not divide the level {self.modulus}")

@@ -428,7 +428,9 @@ def cmd_monodromy(ns: argparse.Namespace) -> Output:
     label_info = {}
     if ns.side == "cc":
         if ns.quadratic is not None or ns.cyclotomic is not None or ns.subgroup is not None:
-            T = cc_fiber(parse_field(ns), ns.prime)
+            F = parse_field(ns)
+            linking_hom(ns.prime, ns.level)  # only checked: the table is Gal(F/Q) at F's own level
+            T = cc_fiber(F, ns.prime)
         else:
             T = cc_fiber_infinite_level(ns.prime, ns.level)
         dec = decompose(T)
@@ -623,7 +625,9 @@ def build_parser() -> _Parser:
     m = command("monodromy", cmd_monodromy, "decomposition tables for either side")
     m.add_argument("--side", choices=("cc", "deninger"), required=True)
     m.add_argument("--prime", type=int, required=True)
-    m.add_argument("--level", type=int, required=True, help=f"at most {MAX_BRIDGE_LEVEL}")
+    m.add_argument("--level", type=int, required=True,
+                   help=f"at most {MAX_BRIDGE_LEVEL}; with --side cc and a field flag it is only checked: "
+                        "the table is Gal(F/Q) at the field's own level")
     _add_field_flags(m)
 
     r = command("reciprocity", cmd_reciprocity, "component-count table over odd prime pairs")

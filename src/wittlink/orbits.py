@@ -2,11 +2,11 @@
 
 A mapping torus here is a finite abelian group G (a quotient of a unit
 group (Z/m)^*, the cft.QuotientUnitGroup that every Galois-group
-computation shares; quotient_group is re-exported from here) together
-with a monodromy element and a base prime p: it
-models G x_{p^Z} R_+, the suspension whose flow crosses the base circle of
-length log p by multiplying the fiber coordinate with the monodromy.  Its
-connected components are the orbits of the cyclic group generated by the
+computation shares, built by cft.quotient_group) together with a
+monodromy element and a base prime p: it models G x_{p^Z} R_+, the
+suspension whose flow crosses the base circle of length log p by
+multiplying the fiber coordinate with the monodromy.  Its connected
+components are the orbits of the cyclic group generated by the
 monodromy, each a circle of length f*log(p) where f is the monodromy
 order.  Circle lengths are carried exactly as the pair (p, f); a float
 rendering exists only for display.

@@ -799,6 +799,7 @@ class Polynomial:
 
 
 def cyclotomic_conjugate_payload(spec: RingSpec, payload, sigma: int):
+    """Image of a payload under the coefficient automorphism x -> x^sigma mod Phi_n."""
     if spec.kind != _KIND_C:
         raise UnsupportedRing(f"conjugation lives on cyclotomic rings, not {spec}")
     n = spec.n
@@ -812,11 +813,6 @@ def cyclotomic_conjugate_payload(spec: RingSpec, payload, sigma: int):
         if c:
             out[i * sigma] += c
     return spec.canon(out)
-
-
-def cyclotomic_conjugate(a: RingElement, sigma: int) -> RingElement:
-    """Image of a under the coefficient automorphism x -> x^sigma mod Phi_n."""
-    return RingElement(a.spec, cyclotomic_conjugate_payload(a.spec, a.payload, sigma))
 
 
 def conjugate_polynomial(f: Polynomial, sigma: int) -> Polynomial:

@@ -324,12 +324,6 @@ class WittVector:
         return _from_kernel(spec, *_lift(spec, num.coeffs, den.coeffs))
 
     @classmethod
-    def from_ints(cls, spec: RingSpec, num_ints, den_ints=(1,)) -> "WittVector":
-        return cls.from_polys(
-            Polynomial.from_ints(spec, num_ints), Polynomial.from_ints(spec, den_ints)
-        )
-
-    @classmethod
     def zero(cls, spec: RingSpec) -> "WittVector":
         """Additive identity: the constant power series 1."""
         return cls(spec, Polynomial.one(spec), Polynomial.one(spec))
@@ -586,10 +580,6 @@ class GhostVector:
 
     spec: RingSpec
     components: tuple
-
-    @classmethod
-    def from_ints(cls, spec: RingSpec, ints) -> "GhostVector":
-        return cls(spec, tuple(spec.from_int(v) for v in ints))
 
     def _check(self, other: "GhostVector") -> None:
         if self.spec != other.spec:

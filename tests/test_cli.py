@@ -362,6 +362,11 @@ BAD_INPUTS = [
     # primality is checked before coprimality with the level
     (["monodromy", "--side", "deninger", "--prime", "0", "--level", "5"], 2, "error: 0 is not prime"),
     (["monodromy", "--side", "deninger", "--prime", "4", "--level", "6"], 2, "error: 4 is not prime"),
+    # with a field flag the cc table sits at the field's own level, but --level is still checked;
+    # the first of these exited 0
+    (["monodromy", "--side", "cc", "--prime", "3", "--level", "6", "--cyclotomic", "7"], 2,
+     "error: 3 divides the level 6"),
+    (["monodromy", "--side", "cc", "--prime", "4", "--level", "6", "--cyclotomic", "7"], 2, "error: 4 is not prime"),
     # a field flag that would be ignored is refused: these exited 0 with Q, the quadratic field
     # and the level-5 fiber
     (["field", "conductor", "--subgroup", "1,2"], 1, "error: --subgroup needs --cyclotomic"),

@@ -37,7 +37,7 @@ def random_witt(rng, dmax=3, bound=6):
         deg = rng.randint(0, dmax)
         return [1] + [rng.randint(-bound, bound) for _ in range(deg)]
 
-    return WittVector.from_ints(Z, part(), part())
+    return WittVector.from_polys(Polynomial.from_ints(Z, part()), Polynomial.from_ints(Z, part()))
 
 
 def test_reduction_commutes_with_operations():

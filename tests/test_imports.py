@@ -1,26 +1,32 @@
 """Every name a wittlink module imports, or a function assigns, is read;
-every function, class and method it defines has a reader; and no wittlink
-module holds an ``assert`` statement.
+every function, class and method it defines has a reader; every module
+imports on its own; and no wittlink module holds an ``assert`` statement.
 
 A stale import outlives the code that needed it (a helper that was folded
 away, a constant no branch reads any more) and keeps a dead dependency
-between modules.  The package ``__init__`` is exempt: re-exporting is what
-its imports are for.  A stale local is the same leftover inside one
-function.  A definition that no module of the package reads and README
-does not name is surface kept alive only by its own tests; ``oracles``
-holds the tests' references, so its definitions are exempt.  ``python -O``
-strips ``assert`` statements, so a check the package relies on raises
-AssertionError explicitly.
+between modules.  The package ``__init__`` is held to the same check, so it
+cannot bind a second import path for a name: each name is imported from
+its own module.  A stale local is the same leftover inside one function.
+A definition that no module of the package reads and README does not name
+is surface kept alive only by its own tests; ``oracles`` holds the tests'
+references, so its definitions are exempt.  A classmethod or staticmethod
+is read only through its class (``<Class>.<name>`` or ``cls.<name>``), so
+a read of another object's method of the same name does not keep it.
+``python -O`` strips ``assert`` statements, so a check the package relies
+on raises AssertionError explicitly.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wittlink"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -100,30 +106,40 @@ def test_module_reads_every_local(path):
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def definitions(source: str) -> list[str]:
-    """The top-level functions and classes of source, and its classes' methods other than dunders."""
-    found = []
+def _on_class(fn) -> bool:
+    """Whether fn is a classmethod or a staticmethod."""
+    return any(isinstance(d, ast.Name) and d.id in ("classmethod", "staticmethod") for d in fn.decorator_list)
+
+
+def definitions(source: str) -> dict[str, set[str]]:
+    """The top-level functions and classes of source, and its classes' methods other than dunders,
+    each with the reads that count for it: its bare name, or for a classmethod or staticmethod
+    only ``<Class>.<name>`` and ``cls.<name>``."""
+    found = {}
     for node in ast.parse(source).body:
         if isinstance(node, (*_FUNCS, ast.ClassDef)):
-            found.append(node.name)
+            found[node.name] = {node.name}
         if isinstance(node, ast.ClassDef):
-            found += [f"{node.name}.{m.name}" for m in node.body
-                      if isinstance(m, _FUNCS) and not (m.name.startswith("__") and m.name.endswith("__"))]
+            for m in node.body:
+                if isinstance(m, _FUNCS) and not (m.name.startswith("__") and m.name.endswith("__")):
+                    qualified = f"{node.name}.{m.name}"
+                    found[qualified] = {qualified, f"cls.{m.name}"} if _on_class(m) else {m.name}
     return found
 
 
 def reads(source: str) -> set[str]:
-    """The names source reads, bare or as an attribute."""
-    nodes = list(ast.walk(ast.parse(source)))
-    return ({n.id for n in nodes if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
-            | {n.attr for n in nodes if isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store)})
+    """The names source reads, bare or as an attribute, and ``<name>.<attribute>`` for an attribute of a name."""
+    nodes = [n for n in ast.walk(ast.parse(source)) if not isinstance(getattr(n, "ctx", None), ast.Store)]
+    return ({n.id for n in nodes if isinstance(n, ast.Name)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            | {f"{n.value.id}.{n.attr}" for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)})
 
 
 def dead_definitions(defining: dict, reading, named=frozenset()) -> list[str]:
     """The definitions of each module in defining that no reading source reads and named lacks."""
     read = set().union(*map(reads, reading)) | set(named)
     return sorted(f"{module}: {name}" for module, source in defining.items()
-                  for name in definitions(source) if name.rsplit(".", 1)[-1] not in read)
+                  for name, readers in definitions(source).items() if not readers & read)
 
 
 def test_the_check_sees_a_dead_definition():
@@ -144,10 +160,35 @@ def test_the_check_sees_a_dead_definition():
     assert dead_definitions(defining, reading, {"documented"}) == ["a.py: A.unused", "a.py: helper"]
 
 
+def test_the_check_reads_a_classmethod_only_through_its_class():
+    defining = {"a.py": (
+        "class A:\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        return cls.build()\n"
+        "    @classmethod\n"
+        "    def build(cls):\n"
+        "        return cls()\n"
+        "    @classmethod\n"
+        "    def zero(cls):\n"
+        "        return cls()\n"
+        "    @staticmethod\n"
+        "    def pow(a, b):\n"
+        "        return a ** b\n"
+        "class B:\n"
+        "    def zero(self):\n"
+        "        return 0\n"
+    )}
+    # the builtin pow and B's own zero do not read A.pow and A.zero
+    reading = [*defining.values(), "from .a import A, B\nA.make()\nB().zero()\nprint(pow(2, 3))\n"]
+    assert dead_definitions(defining, reading) == ["a.py: A.pow", "a.py: A.zero"]
+
+
 # definitions no module reads and README does not name, kept on purpose
 KEPT = {
     "psi_level": "the level map psi on one point, which the bridge docstring and the roadmap name",
-    "cyclotomic_conjugate": "the conjugation of one element, which README's rings row lists",
+    "WittVector.zero": "the Witt ring's additive identity, the constant series 1",
+    "WittVector.one": "the Witt ring's multiplicative identity, the Teichmueller lift 1 - t",
     "_Parser.error": "argparse calls it on a usage error; the override turns exit 2 into ParseError",
 }
 
@@ -172,6 +213,16 @@ def test_the_check_sees_an_assert():
     assert asserts(source) == [3]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_assert_statement(path):
     assert asserts(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_alone(path):
+    # a fresh interpreter, so no other module of the package is loaded first
+    module = "wittlink" if path.name == "__init__.py" else f"wittlink.{path.stem}"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", f"import {module}"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr

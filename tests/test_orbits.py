@@ -18,6 +18,7 @@ from wittlink.cft import (
     cyclotomic_field,
     linking_hom,
     quadratic_field_subgroup,
+    quotient_group,
     rationals_field,
 )
 from wittlink.errors import (
@@ -37,7 +38,6 @@ from wittlink.orbits import (
     normalize_point,
     odd_prime_pairs,
     packet_fibers,
-    quotient_group,
     reciprocity_row,
     reciprocity_rows,
 )
@@ -321,8 +321,8 @@ def test_packet_fibers_rejects_a_label_split_across_components():
 def test_packet_fibers_rejects_a_label_split_across_components_under_python_O():
     # the check is the flow side's own, so it must survive python -O
     code = (
-        "from wittlink.cft import cyclotomic_field\n"
-        "from wittlink.orbits import MappingTorus, packet_fibers, quotient_group\n"
+        "from wittlink.cft import cyclotomic_field, quotient_group\n"
+        "from wittlink.orbits import MappingTorus, packet_fibers\n"
         "T = MappingTorus(quotient_group(15, frozenset({1})), 1, 19, field=cyclotomic_field(5))\n"
         "try:\n"
         "    packet_fibers(T)\n"

@@ -41,8 +41,13 @@ F7 = RingSpec.prime_field(7)
 C5 = RingSpec.cyclotomic(5)
 
 
+def vec(spec, num, den=(1,)):
+    """num/den from integer coefficients, through WittVector.from_polys."""
+    return WittVector.from_polys(Polynomial.from_ints(spec, num), Polynomial.from_ints(spec, den))
+
+
 def w(num, den=(1,)):
-    return WittVector.from_ints(Z, num, den)
+    return vec(Z, num, den)
 
 
 # --------------------------------------------------------------------------
@@ -84,10 +89,10 @@ def test_normalization_reduces_common_factor():
     )
     assert f.num == Polynomial.from_ints(Z, [1, -2]) and f.den.is_one
     Q = RingSpec.rationals()
-    g = WittVector.from_ints(Q, [1, -5, 6], [1, -3])
+    g = vec(Q, [1, -5, 6], [1, -3])
     assert g.num == Polynomial.from_ints(Q, [1, -2]) and g.den.is_one
     F7 = RingSpec.prime_field(7)
-    h = WittVector.from_ints(F7, [1, -5, 6], [1, -3])
+    h = vec(F7, [1, -5, 6], [1, -3])
     assert h.num == Polynomial.from_ints(F7, [1, -2]) and h.den.is_one
 
 
@@ -220,13 +225,13 @@ def test_ghost_additive(a, b):
 
 
 def test_ghost_vectors_refuse_mixed_rings_and_lengths():
-    a = GhostVector.from_ints(Z, [1, 2, 3])
+    a = GhostVector(Z, (1, 2, 3))
     assert (a + a).components == (2, 4, 6) and (a * a).components == (1, 4, 9)
     for op in (operator.add, operator.mul):
         with pytest.raises(SpecMismatch):
-            op(a, GhostVector.from_ints(F7, [1, 2]))
+            op(a, GhostVector(F7, (1, 2)))
         with pytest.raises(DomainViolation):
-            op(a, GhostVector.from_ints(Z, [1, 2]))
+            op(a, GhostVector(Z, (1, 2)))
 
 
 def test_ghost_vectors_refuse_mixed_rings_and_lengths_under_python_O():
@@ -237,8 +242,8 @@ def test_ghost_vectors_refuse_mixed_rings_and_lengths_under_python_O():
         "from wittlink.rings import RingSpec\n"
         "from wittlink.witt import GhostVector\n"
         "Z, F7 = RingSpec.integers(), RingSpec.prime_field(7)\n"
-        "a = GhostVector.from_ints(Z, [1, 2, 3])\n"
-        "for other, error in ((GhostVector.from_ints(F7, [1, 2]), SpecMismatch), (GhostVector.from_ints(Z, [1, 2]), DomainViolation)):\n"
+        "a = GhostVector(Z, (1, 2, 3))\n"
+        "for other, error in ((GhostVector(F7, (1, 2)), SpecMismatch), (GhostVector(Z, (1, 2)), DomainViolation)):\n"
         "    for op in (operator.add, operator.mul):\n"
         "        try:\n"
         "            op(a, other)\n"
@@ -258,9 +263,9 @@ def test_ghost_vectors_refuse_mixed_rings_and_lengths_under_python_O():
 def test_groupring_to_witt_examples():
     Q = RingSpec.rationals()
     x = GroupRingElement.of(Q, [(2, 1), (3, 1)])
-    assert groupring_to_witt(x) == WittVector.from_ints(Q, [1, -5, 6])
+    assert groupring_to_witt(x) == vec(Q, [1, -5, 6])
     assert groupring_to_witt(GroupRingElement.of(Q, [])) == WittVector.zero(Q)
-    assert groupring_to_witt(GroupRingElement.of(Q, [(2, -1)])) == WittVector.from_ints(
+    assert groupring_to_witt(GroupRingElement.of(Q, [(2, -1)])) == vec(
         Q, [1], [1, -2]
     )
 
@@ -273,7 +278,7 @@ def test_groupring_requires_units():
 
 
 def test_witt_to_groupring_roots_mod7():
-    f = WittVector.from_ints(F7, [1, -5, 6])
+    f = vec(F7, [1, -5, 6])
     assert witt_to_groupring(f).terms == ((2, 1), (3, 1))
 
 
@@ -283,11 +288,11 @@ def test_witt_to_groupring_lift_of_one():
 
 def test_witt_to_groupring_not_split():
     with pytest.raises(NotSplit):
-        witt_to_groupring(WittVector.from_ints(F5, [1, 1, 1]), 1)
+        witt_to_groupring(vec(F5, [1, 1, 1]), 1)
 
 
 def test_witt_to_groupring_extension_decode():
-    f = WittVector.from_ints(F5, [1, 1, 1])
+    f = vec(F5, [1, 1, 1])
     x = witt_to_groupring(f, 2)
     assert x.spec == RingSpec.ext_field(5, 2)
     lifted = WittVector.from_polys(
@@ -343,18 +348,18 @@ def orbit_product():
 
 def test_orbit_product_is_rational():
     f = orbit_product()
-    assert f == WittVector.from_ints(C5, [1, 1, 1, 1, 1])
+    assert f == vec(C5, [1, 1, 1, 1, 1])
     assert galois_fixed_check(f)
 
 
 def test_galois_fixed_examples():
-    assert galois_fixed_check(WittVector.from_ints(C5, [1, 1, 1, 1, 1]))
+    assert galois_fixed_check(vec(C5, [1, 1, 1, 1, 1]))
     zt = WittVector.from_polys(
         Polynomial.from_payloads(C5, [C5.one(), C5.neg((0, 1, 0, 0))])
     )
     assert not galois_fixed_check(zt)
     assert galois_conjugate(zt, 2) != zt
-    assert galois_fixed_check(WittVector.from_ints(C5, [1, -4, 7], [1, 2]))
+    assert galois_fixed_check(vec(C5, [1, -4, 7], [1, 2]))
 
 
 def test_galois_fixed_wrong_ring():
@@ -589,7 +594,7 @@ def test_power_sums_of_a_linear_part_reach_large_indices():
     f = w([1, -3])
     assert frobenius(2000, f) == w([1, -(3**2000)])
     F2 = RingSpec.prime_field(2)
-    assert frobenius(1000, WittVector.from_ints(F2, [1, 1, 1])).num.degree == 2
+    assert frobenius(1000, vec(F2, [1, 1, 1])).num.degree == 2
 
 
 def _corrupt_newton_rebuild(monkeypatch, above: int) -> None:
@@ -1333,14 +1338,14 @@ def test_decoding_refuses_a_field_above_the_cap_before_searching(monkeypatch):
 
     F = RingSpec.prime_field(4099)  # the least prime above 2^12
     assert F.n > MAX_DECODE_FIELD_SIZE
-    f = WittVector.from_ints(F, [1, -5])
+    f = vec(F, [1, -5])
     monkeypatch.setattr(witt, "_roots_with_multiplicity", unreachable)
     with pytest.raises(DomainViolation, match="limit of 4096 elements"):
         witt_to_groupring(f)
     with pytest.raises(DomainViolation):  # 67^2 > 4096, although 67 alone is below the cap
-        witt_to_groupring(WittVector.from_ints(RingSpec.prime_field(67), [1, -5]), 2)
+        witt_to_groupring(vec(RingSpec.prime_field(67), [1, -5]), 2)
     with pytest.raises(DomainViolation):  # a huge degree bound is refused without computing p^k
-        witt_to_groupring(WittVector.from_ints(F7, [1, -5]), 10**9)
+        witt_to_groupring(vec(F7, [1, -5]), 10**9)
     monkeypatch.undo()
     F4093 = RingSpec.prime_field(4093)  # the largest prime field at the cap still decodes
     x = GroupRingElement.of(F4093, [(4092, 2), (17, -1)])
