@@ -23,15 +23,14 @@ inverse monodromy on both sides.
 psi and the three checks run on plain integer pairs (a, n) at a level
 given once as (P, P^-1 mod m', m'), through one kernel, _psi_residue.
 psi_level and the public checks validate and normalize their point, then
-call the kernels; bridge_compare validates p, m and the p-part budget once
-per report and draws its sample pairs directly.
+call the kernels; bridge_compare draws its sample pairs directly.
 
-bridge_compare assembles the structural report: component counts and
-covering degrees of the fiber over a prime computed on both sides, the
-monodromy coset pushed through the restriction character, the vanishing
-p-part of psi on sample points, and randomized equivariance runs.  The
-flow side is computed in one pass over the packet, which checks every
-closed-orbit label against a single decomposition of the pushed torus.
+bridge_compare reads both sides of the fiber over a prime from one
+orbits.FieldFibers, which also makes its refusals: component counts and
+covering degrees on both sides and the monodromy coset pushed through the
+restriction character, with every closed-orbit label checked against a
+single decomposition of the pushed torus.  The report adds the vanishing
+p-part of psi on sample points and randomized equivariance runs.
 """
 
 from __future__ import annotations
@@ -43,24 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainViolation, NotCoprime
-from .cft import (
-    AbelianField,
-    Coset,
-    at_conductor,
-    check_unramified,
-    conductor,
-    unit_group,
-)
-from .orbits import (
-    DeningerPointFL,
-    FiberDecomposition,
-    cc_fiber,
-    decompose,
-    deninger_packet,
-    normalize_point,
-    packet_fibers,
-)
-from .rings import is_prime
+from .cft import AbelianField, Coset, unit_group
+from .orbits import DeningerPointFL, FiberDecomposition, FieldFibers, normalize_point
 
 # --------------------------------------------------------------------------
 # the level map
@@ -258,7 +241,7 @@ class BridgeReport:
                 "count": d.count,
                 "covering_degree": d.covering_degree,
                 "components": [list(c) for c in d.components],
-                **d.length_fields(),
+                **d.length_fields(self.prime),
             }
 
         return {
@@ -298,30 +281,21 @@ def bridge_compare(
     """Compare the fiber structure over p computed along both routes.
 
     The covering side decomposes Gal(F/Q) under the Artin monodromy at the
-    field's own level; the flow side builds the level-m packet and pushes
+    field's own level (at the conductor when p divides it); the flow side builds the level-m packet and pushes
     it through the character, checking every closed-orbit label; the
     report also verifies the vanishing p-part of psi and randomized
     equivariance at this (p, m).
     """
-    if not is_prime(p):
-        raise DomainViolation(f"{p} is not prime")
-    c = conductor(F)
-    check_unramified(F, p)
-    if m % c:
-        raise DomainViolation(f"level {m} must be a multiple of the conductor {c}")
-    if math.gcd(p, m) != 1:
-        raise NotCoprime(f"level {m} must be coprime to {p}")
+    fibers = FieldFibers(F)
+    fibers.check(p, m)
     if p_exponent < 1:
         raise DomainViolation("the p-part budget must be >= 1")
 
-    cc = decompose(cc_fiber(F, p))
-    T = deninger_packet(F, p, m)
-    den = packet_fibers(T)  # checks every closed-orbit label in one pass
-
-    pres = at_conductor(F)
-    cc_mono = Coset.of(pres.level, pres.subgroup, p)
-    den_mono = Coset.of(pres.level, pres.subgroup, T.monodromy)
-    monodromy_match = cc_mono == den_mono
+    cc = fibers.covering(p)[2]
+    pushed, den = fibers.flow(p, m)  # checks every closed-orbit label in one pass
+    c, H = fibers.gal.modulus, fibers.gal.subgroup
+    cc_mono = Coset(c, H, fibers.artin(p)[0])  # the Artin coset at the conductor
+    den_mono = Coset(c, H, pushed)
 
     # psi and the checks run on (a, n) pairs at the one level P * m; the
     # draw order (each point, then its k, sigma or flow t) fixes the report
@@ -363,7 +337,7 @@ def bridge_compare(
         cc_side=cc,
         deninger_monodromy=den_mono,
         cc_monodromy=cc_mono,
-        monodromy_match=monodromy_match,
+        monodromy_match=cc_mono == den_mono,
         psi_zero_ok=psi_zero_ok,
         psi_samples=tuple(psi_samples),
         equivariance_checks=(("frobenius", frob_ok), ("galois", galois_ok)),
@@ -371,28 +345,20 @@ def bridge_compare(
     )
 
 
-def level_reduction_compatible(F: AbelianField, p: int, m_small: int, m_big: int, *, seed: int = 0) -> bool:
+def level_reduction_compatible(F: AbelianField, p: int, m_small: int, m_big: int) -> bool:
     """Level-m_big data reduces to level-m_small data under residue reduction.
 
     Both levels must be multiples of the conductor and coprime to p with
-    m_small | m_big.  Checks equal component shapes and monodromy cosets,
-    and reduction of psi residues on every unit of the big level.
+    m_small | m_big.  Checks that the flow side pushes the same monodromy
+    coset onto the same component shape at both levels, and reduction of
+    psi residues on every unit of the big level.
     """
     if m_big % m_small:
         raise DomainViolation(f"{m_small} does not divide {m_big}")
-    big = bridge_compare(F, p, m_big, seed=seed, samples=5)
-    small = bridge_compare(F, p, m_small, seed=seed, samples=5)
-    if (big.cc_side.count, big.cc_side.covering_degree) != (
-        small.cc_side.count,
-        small.cc_side.covering_degree,
-    ):
-        return False
-    if (big.deninger_side.count, big.deninger_side.covering_degree) != (
-        small.deninger_side.count,
-        small.deninger_side.covering_degree,
-    ):
-        return False
-    if big.deninger_monodromy != small.deninger_monodromy:
+    fibers = FieldFibers(F)
+    fibers.check(p, m_big, m_small)
+    # the pushed monodromy and its decomposition; each flow call lands its level's packet
+    if fibers.flow(p, m_big) != fibers.flow(p, m_small):
         return False
     P = p  # p-part budget 1
     inv_big, inv_small = _inverse_mod(P, m_big), _inverse_mod(P, m_small)

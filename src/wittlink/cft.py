@@ -152,7 +152,11 @@ class QuotientUnitGroup:
         return self.canon_table[a * b % self.modulus]
 
     def element_order(self, a: int) -> int:
-        return _order(self.modulus, a, self.subgroup)
+        """The order of the class of a, which must divide the group order (the degree, for a Galois group)."""
+        f = _order(self.modulus, a, self.subgroup)
+        if self.order % f:
+            raise AssertionError(f"an element order {f} that does not divide the group order {self.order}")
+        return f
 
     def __eq__(self, other) -> bool:
         return (
@@ -410,7 +414,7 @@ class Coset:
     @property
     def order(self) -> int:
         """Order of the coset in the quotient group."""
-        return _order(self.modulus, self.rep, self.subgroup)
+        return quotient_group(self.modulus, self.subgroup).element_order(self.rep)
 
     def __str__(self) -> str:
         return f"{self.rep}*H mod {self.modulus}"
@@ -443,8 +447,6 @@ class SplitData:
 def split_invariants(F: AbelianField, p: int) -> SplitData:
     art = artin_symbol(F, p)
     f = art.order
-    if F.degree % f:
-        raise AssertionError(f"an Artin order {f} that does not divide the degree {F.degree}")
     return SplitData(p, art, f, F.degree // f, p**f)
 
 

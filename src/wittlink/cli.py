@@ -44,6 +44,7 @@ from .witt import WittVector, frobenius, ghost, split_counit, teichmuller, witt_
 from .cft import (
     AbelianField,
     abelian_field,
+    check_unramified,
     conductor,
     cyclotomic_field,
     linking_hom,
@@ -54,13 +55,12 @@ from .cft import (
     subgroup_generated,
 )
 from .orbits import (
-    cc_fiber,
+    FieldFibers,
+    MappingTorus,
     cc_fiber_infinite_level,
     closed_orbit_labels,
     decompose,
-    deninger_packet,
     odd_prime_pairs,
-    packet_fibers,
     reciprocity_rows,
 )
 from .bridge import bridge_compare
@@ -425,34 +425,37 @@ def cmd_linking(ns: argparse.Namespace) -> Output:
 
 def cmd_monodromy(ns: argparse.Namespace) -> Output:
     _cap("monodromy level", ns.level, MAX_BRIDGE_LEVEL)
+    p, m = ns.prime, ns.level
     label_info = {}
-    if ns.side == "cc":
-        if ns.quadratic is not None or ns.cyclotomic is not None or ns.subgroup is not None:
-            F = parse_field(ns)
-            linking_hom(ns.prime, ns.level)  # only checked: the table is Gal(F/Q) at F's own level
-            T = cc_fiber(F, ns.prime)
-        else:
-            T = cc_fiber_infinite_level(ns.prime, ns.level)
-        dec = decompose(T)
+    if ns.side == "cc" and ns.quadratic is None and ns.cyclotomic is None and ns.subgroup is None:
+        T = cc_fiber_infinite_level(p, m)
+        G, monodromy, dec = T.group, T.monodromy, decompose(T)
     else:
         F = parse_field(ns)
-        T = deninger_packet(F, ns.prime, ns.level)
-        dec = decompose(T)
-        label_info["labels"] = [lab.base_class for lab in closed_orbit_labels(ns.prime, ns.level)]
-        if ns.level % conductor(F) == 0:  # label fibers need the character
-            fib = packet_fibers(T)
-            label_info["fiber_per_label"] = {
-                "count": fib.count,
-                "covering_degree": fib.covering_degree,
-                **fib.length_fields(),
-            }
+        # p is a prime not dividing the level, then unramified in F
+        if ns.side == "cc":
+            linking_hom(p, m)  # only checked: the table is Gal(F/Q) at F's own level or its conductor
+        else:
+            label_info["labels"] = closed_orbit_labels(p, m)
+        check_unramified(F, p)
+        fibers = FieldFibers(F)
+        if ns.side == "cc":
+            G, monodromy, dec = fibers.covering(p)
+        else:
+            G, monodromy = fibers.packet(p, m)
+            dec = decompose(MappingTorus(G, monodromy, p))
+            if m % fibers.gal.modulus == 0:  # label fibers need the character
+                fib = fibers.flow(p, m)[1]
+                label_info["fiber_per_label"] = {
+                    "count": fib.count,
+                    "covering_degree": fib.covering_degree,
+                    **fib.length_fields(p),
+                }
     components = [" ".join(map(str, members)) for members in dec.components]
     text = [
-        f"side={ns.side} prime={ns.prime} group order {T.group.order} "
-        f"monodromy {T.monodromy} mod {T.level}",
+        f"side={ns.side} prime={p} group order {G.order} monodromy {monodromy} mod {G.modulus}",
         f"components: {dec.count} of size {dec.covering_degree} "
-        f"(length {dec.covering_degree}*log({dec.base_prime}) "
-        f"~ {dec.circle_length_display():.6f} display-only)",
+        f"(length {dec.covering_degree}*log({p}) ~ {dec.circle_length_display(p):.6f} display-only)",
         *("  " + c for c in components),
     ]
     if "fiber_per_label" in label_info:
@@ -463,18 +466,18 @@ def cmd_monodromy(ns: argparse.Namespace) -> Output:
         )
     report = {
         "side": ns.side,
-        "prime": ns.prime,
-        "level": T.level,
-        "monodromy": T.monodromy,
-        "group_order": T.group.order,
+        "prime": p,
+        "level": G.modulus,
+        "monodromy": monodromy,
+        "group_order": G.order,
         "components": [
-            {"component": list(members), "size": dec.covering_degree, **dec.length_fields()}
+            {"component": list(members), "size": dec.covering_degree, **dec.length_fields(p)}
             for members in dec.components
         ],
         **label_info,
     }
     return Output(
-        {"side": ns.side, "prime": ns.prime, "level": ns.level}, report, text,
+        {"side": ns.side, "prime": p, "level": m}, report, text,
         table=(["component", "size"], [[c, dec.covering_degree] for c in components]),
     )
 
@@ -627,7 +630,8 @@ def build_parser() -> _Parser:
     m.add_argument("--prime", type=int, required=True)
     m.add_argument("--level", type=int, required=True,
                    help=f"at most {MAX_BRIDGE_LEVEL}; with --side cc and a field flag it is only checked: "
-                        "the table is Gal(F/Q) at the field's own level")
+                        "the table is Gal(F/Q) at the field's own level, or at its conductor when the "
+                        "prime divides that level")
     _add_field_flags(m)
 
     r = command("reciprocity", cmd_reciprocity, "component-count table over odd prime pairs")

@@ -20,15 +20,16 @@ Two constructions produce tori:
     coprime to p; it and the closed-orbit labels (Z/m)^*/<p> are the one
     cached cft.cyclic_quotient.
 
-packet_fibers pushes the level-m packet data through the restriction
-character onto the Galois quotient, orbit-enumerates there once and
-checks every closed-orbit label against that one decomposition; the
-covering side computes the same (r, f) shape by order arithmetic at the
-field's own level.  Their agreement over a grid of fields and primes is
-the structural consistency this package exists to check.
+FieldFibers assembles both sides of one field over a prime, each step
+once: the covering side decomposes the Galois quotient under the Artin
+coset; the flow side pushes the level-m packet data through the
+restriction character onto the Galois quotient, orbit-enumerates there
+once and checks every closed-orbit label against that one decomposition.
+Their agreement over a grid of fields and primes is the structural
+consistency this package exists to check.
 
-The packet, the closed-orbit labels and the infinite-level fiber take
-their check that p is a prime not dividing the level m from cft.
+The closed-orbit labels and the infinite-level fiber take their check
+that p is a prime not dividing the level m from cft.
 """
 
 from __future__ import annotations
@@ -43,16 +44,12 @@ from .cft import (
     ModUnit,
     QuotientUnitGroup,
     _check_prime_to_level,
-    artin_symbol,
     at_conductor,
     check_unramified,
-    conductor,
     cyclic_quotient,
     euler_criterion,
     quadratic_field_subgroup,
     quotient_group,
-    ramified_set,
-    split_invariants,
 )
 from .rings import is_prime, primes_below
 
@@ -67,36 +64,29 @@ class MappingTorus:
     group: QuotientUnitGroup
     monodromy: int
     base_prime: int
-    field: AbelianField | None = None
-
-    @property
-    def level(self) -> int:
-        return self.group.modulus
-
-    def __str__(self) -> str:
-        return (
-            f"torus over {self.group!r}, monodromy {self.monodromy}, base prime {self.base_prime}"
-        )
 
 
 @dataclass(frozen=True)
 class FiberDecomposition:
-    """Connected components of a mapping torus: r circles covering with degree f."""
+    """Connected components of a mapping torus: r circles covering with degree f.
+
+    The components do not depend on the base prime p, only their length
+    f*log(p) does, so the lengths take p.
+    """
 
     components: tuple  # tuple of member tuples, sorted by least member
     covering_degree: int
     count: int
-    base_prime: int
 
-    def circle_length_display(self) -> float:
+    def circle_length_display(self, p: int) -> float:
         """Float rendering, display only; never used in comparisons."""
-        return self.covering_degree * math.log(self.base_prime)
+        return self.covering_degree * math.log(p)
 
-    def length_fields(self) -> dict:
-        """The component length as report fields: exact (p, f) and the display float to 6 places."""
+    def length_fields(self, p: int) -> dict:
+        """The component length over p as report fields: exact (p, f) and the display float to 6 places."""
         return {
-            "circle_length": {"prime": self.base_prime, "exponent": self.covering_degree},
-            "circle_length_display": round(self.circle_length_display(), 6),
+            "circle_length": {"prime": p, "exponent": self.covering_degree},
+            "circle_length_display": round(self.circle_length_display(p), 6),
         }
 
 
@@ -128,20 +118,11 @@ def decompose(T: MappingTorus) -> FiberDecomposition:
         components=tuple(comps),
         covering_degree=f,
         count=len(comps),
-        base_prime=T.base_prime,
     )
 
 
 # --------------------------------------------------------------------------
 # the two sides
-
-
-def cc_fiber(F: AbelianField, p: int) -> MappingTorus:
-    """Covering-side fiber over the base circle of p: Gal(F/Q) with the Artin monodromy."""
-    art = artin_symbol(F, p)  # raises on ramified p
-    pres = F if art.modulus == F.level else at_conductor(F)
-    G = quotient_group(pres.level, pres.subgroup)
-    return MappingTorus(G, G.canon(art.rep), p, field=pres)
 
 
 def cc_fiber_infinite_level(p: int, m: int) -> MappingTorus:
@@ -155,70 +136,100 @@ def cc_fiber_infinite_level(p: int, m: int) -> MappingTorus:
     return MappingTorus(G, G.canon(p), p)
 
 
-def deninger_packet(F: AbelianField, p: int, m: int) -> MappingTorus:
-    """Flow-side packet over a prime of F above p, truncated at level m.
-
-    Group (Z/m)^*/<p^f mod m> (f the residue degree of p in F) with
-    monodromy the class of p: the norm subgroup is divided out, crossing
-    the base circle multiplies by p.
-    """
+def closed_orbit_labels(p: int, m: int) -> list[int]:
+    """The closed-orbit labels of the level-m base packet over p: the classes mod <p> at level m."""
     _check_prime_to_level(p, m)
-    f = split_invariants(F, p).residue_degree  # raises on ramified p
-    G = cyclic_quotient(m, pow(p, f, m))
-    return MappingTorus(G, G.canon(p), p, field=F)
+    return list(cyclic_quotient(m, p).reps)
 
 
-@dataclass(frozen=True)
-class ClosedOrbitLabel:
-    """Index of one closed orbit in the base packet: a class mod <p> at level m."""
+class FieldFibers:
+    """Both fibers of one abelian field F over its unramified primes, each step once.
 
-    base_class: int
-    prime: int
-    level: int
+    The one assembly of the comparison: bridge_compare and
+    level_reduction_compatible build one per call, the reciprocity table one
+    per field for the rows of one call, and the monodromy command one per
+    run.  Its steps:
 
+      * check: p is an unramified prime, each level a multiple of the
+        conductor (so that the restriction character exists) prime to p;
+      * artin: the Artin coset of p in Gal(F/Q) at the conductor and its
+        order f, which divides the degree;
+      * covering: Gal(F/Q) decomposed under the Artin coset, at the field's
+        own level when p does not divide it, else at the conductor;
+      * packet: the flow-side packet (Z/m)^*/<p^f> with monodromy the class
+        of p, at any level m prime to p;
+      * flow: the packet's monodromy pushed through the restriction
+        character (reduction mod the conductor) onto Gal(F/Q), decomposed
+        there, and the landing pass of every packet point.
 
-def closed_orbit_labels(p: int, m: int) -> list[ClosedOrbitLabel]:
-    """All closed-orbit labels of the level-m base packet over p."""
-    _check_prime_to_level(p, m)
-    return [ClosedOrbitLabel(r, p, m) for r in cyclic_quotient(m, p).reps]
-
-
-def packet_fibers(T: MappingTorus) -> FiberDecomposition:
-    """Components of the full covering fiber, shared by every closed-orbit label.
-
-    The level-m points of the packet over one label form a single
-    monodromy orbit per sheet; the sheets are indexed by the cosets of the
-    Artin class in the Galois quotient.  Pushing the packet data through
-    the restriction character (reduction mod the conductor) and
-    orbit-enumerating there yields r components of size f, each a circle
-    of length f*log(p), carried exactly.  The pushed torus is decomposed
-    once; one landing pass over the packet then checks that the points
-    over each label land in a single component and that every label is
-    reached.
+    Each memo is keyed on the Galois element it decomposes under: one per
+    Artin coset on the covering side, one per pushed monodromy on the flow
+    side.  The flow side reads only the order f, never the covering side's
+    decomposition.  The steps after check take p and m as checked.
     """
-    if T.field is None:
-        raise DomainViolation("fiber labels apply to packets attached to a field")
-    F, p, m = T.field, T.base_prime, T.level
-    c = conductor(F)
-    if m % c:
-        raise DomainViolation(
-            f"level {m} is not a multiple of the conductor {c}; the character is undefined"
-        )
-    pres = at_conductor(F)
-    gal = quotient_group(pres.level, pres.subgroup)
-    dec, component_of = _pushed_fibers(gal, T.monodromy, p, pres)
-    _land(T.group, cyclic_quotient(m, p), gal, component_of)
-    return dec
 
+    def __init__(self, F: AbelianField):
+        pres = at_conductor(F)
+        self.field = F
+        self.own = quotient_group(F.level, F.subgroup)  # Gal(F/Q) at the field's own level
+        self.gal = quotient_group(pres.level, pres.subgroup)  # and at the conductor
+        self.orders: dict[int, int] = {}  # Artin coset -> its order f
+        self.covering_sides: dict[tuple, tuple] = {}  # (level, Artin coset) -> (group, coset, decomposition)
+        self.flow_sides: dict[int, tuple] = {}  # pushed monodromy -> (decomposition, component index)
 
-def _pushed_fibers(gal: QuotientUnitGroup, monodromy: int, p: int, field: AbelianField):
-    """The packet's monodromy pushed through the restriction character onto gal, decomposed.
+    def check(self, p: int, *levels: int) -> None:
+        """Refuse p unless it is a prime unramified in F, then each level unless the conductor divides it and p does not."""
+        if not is_prime(p):
+            raise DomainViolation(f"{p} is not prime")
+        check_unramified(self.field, p)
+        c = self.gal.modulus
+        for m in levels:
+            if m % c:
+                raise DomainViolation(f"level {m} must be a multiple of the conductor {c}")
+            if math.gcd(p, m) != 1:
+                raise NotCoprime(f"level {m} must be coprime to {p}")
 
-    Returns the decomposition and the index of the component each Galois
-    element lies in.
-    """
-    dec = decompose(MappingTorus(gal, gal.canon(monodromy), p, field=field))
-    return dec, {r: i for i, comp in enumerate(dec.components) for r in comp}
+    def artin(self, p: int) -> tuple[int, int]:
+        """The Artin coset of p at the conductor and its order f."""
+        art = self.gal.canon_table[p % self.gal.modulus]
+        f = self.orders.get(art)
+        if f is None:
+            f = self.orders[art] = self.gal.element_order(art)
+        return art, f
+
+    def covering(self, p: int) -> tuple:
+        """(group, Artin coset, decomposition) of the covering side over p."""
+        G = self.own if self.field.level % p else self.gal
+        art = G.canon_table[p % G.modulus]
+        side = self.covering_sides.get((G.modulus, art))
+        if side is None:
+            side = self.covering_sides[G.modulus, art] = (G, art, decompose(MappingTorus(G, art, p)))
+        return side
+
+    def packet(self, p: int, m: int) -> tuple[QuotientUnitGroup, int]:
+        """The level-m packet (Z/m)^*/<p^f> and its monodromy, the class of p."""
+        G = cyclic_quotient(m, pow(p, self.artin(p)[1], m))
+        return G, G.canon_table[p % m]
+
+    def flow(self, p: int, m: int) -> tuple[int, FiberDecomposition]:
+        """(pushed monodromy, decomposition) of the flow side over p at level m.
+
+        The level-m points of the packet over one closed-orbit label form a
+        single monodromy orbit per sheet, and the sheets are indexed by the
+        cosets of the Artin class: the pushed torus has r components of size
+        f.  It is decomposed once per pushed monodromy; the landing pass then
+        checks that the points over each label land in one component and
+        that every label is reached.
+        """
+        packet, monodromy = self.packet(p, m)
+        gal = self.gal
+        pushed = gal.canon_table[monodromy % gal.modulus]
+        side = self.flow_sides.get(pushed)
+        if side is None:
+            dec = decompose(MappingTorus(gal, pushed, p))
+            side = self.flow_sides[pushed] = (dec, {r: i for i, comp in enumerate(dec.components) for r in comp})
+        _land(packet, cyclic_quotient(m, p), gal, side[1])
+        return pushed, side[0]
 
 
 def _land(packet: QuotientUnitGroup, labels: QuotientUnitGroup, gal: QuotientUnitGroup,
@@ -311,10 +322,11 @@ def reciprocity_rows(pairs) -> list[ReciprocityRow]:
 
     Contract: both counts equal 2 iff (q|p) = +1, and both equal 1
     otherwise.  Each distinct prime is checked on the first row it appears
-    in, and each field's Galois data is built on its first row; both live
-    only as long as this call.
+    in, and each field's FieldFibers is built on its first row; both live
+    only as long as this call.  A field's level is q or 4q, so an odd
+    p != q is unramified and prime to it.
     """
-    tables: dict[int, _FieldTable] = {}
+    tables: dict[int, FieldFibers] = {}
     odd_primes: set[int] = set()
     rows = []
     for p, q in pairs:
@@ -325,11 +337,12 @@ def reciprocity_rows(pairs) -> list[ReciprocityRow]:
                 odd_primes.add(v)
         if p == q:
             raise EqualPrimes(f"need distinct primes, got {p} twice")
-        table = tables.get(q)
-        if table is None:
-            table = tables[q] = _FieldTable(quadratic_field_subgroup(q))
+        fibers = tables.get(q)
+        if fibers is None:
+            fibers = tables[q] = FieldFibers(quadratic_field_subgroup(q))
         leg = euler_criterion(q, p)  # p is validated above
-        cc, den = table.counts(p)
+        cc = fibers.covering(p)[2].count
+        den = fibers.flow(p, fibers.gal.modulus)[1].count
         expected = 2 if leg == 1 else 1
         rows.append(ReciprocityRow(p, q, leg, cc, den, cc == den == expected))
     return rows
@@ -339,44 +352,3 @@ def reciprocity_row(p: int, q: int) -> ReciprocityRow:
     """One row of reciprocity_rows."""
     return reciprocity_rows([(p, q)])[0]
 
-
-class _FieldTable:
-    """One field's Galois data and per-side decompositions, for the rows of one table.
-
-    The covering side takes the order f of the Artin coset, checks that it
-    divides the degree and decomposes Gal(F/Q) under the coset; the flow
-    side builds the packet (Z/m)^*/<p^f>, pushes its monodromy onto the
-    Galois group and lands every packet point.  Each side keeps its own
-    memo, keyed on the Galois element it decomposes under; the flow side
-    never reads the covering side's.
-    """
-
-    def __init__(self, F: AbelianField):
-        self.field = at_conductor(F)
-        self.gal = quotient_group(self.field.level, self.field.subgroup)
-        self.ramified = ramified_set(self.field)
-        self.covering: dict[int, tuple[int, int]] = {}  # Artin coset -> (order f, component count)
-        self.flow: dict[int, tuple] = {}  # pushed monodromy -> (component count, component index)
-
-    def counts(self, p: int) -> tuple[int, int]:
-        """(covering-side, flow-side) component counts over the odd prime p."""
-        if p in self.ramified:
-            check_unramified(self.field, p)  # raises RamifiedPrime
-        gal, F, m = self.gal, self.field, self.field.level
-        art = gal.canon_table[p % m]
-        covering = self.covering.get(art)
-        if covering is None:
-            f = gal.element_order(art)
-            if gal.order % f:
-                raise AssertionError(f"an Artin order {f} that does not divide the degree {gal.order}")
-            covering = self.covering[art] = (f, decompose(MappingTorus(gal, art, p, field=F)).count)
-        f, cc = covering
-        packet = cyclic_quotient(m, pow(p, f, m))
-        monodromy = packet.canon_table[p % m]
-        pushed = gal.canon_table[monodromy]
-        if pushed not in self.flow:
-            dec, component_of = _pushed_fibers(gal, monodromy, p, F)
-            self.flow[pushed] = (dec.count, component_of)
-        count, component_of = self.flow[pushed]
-        _land(packet, cyclic_quotient(m, p), gal, component_of)
-        return cc, count

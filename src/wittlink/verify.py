@@ -357,7 +357,7 @@ def criterion_equivariance(seed: int, cases: int = 500) -> SuiteResult:
         (AbelianField(7, frozenset({1, 2, 4})), 3, 7, 14),
     ]
     for F, p, m_small, m_big in grid:
-        tally.expect(level_reduction_compatible(F, p, m_small, m_big, seed=seed))
+        tally.expect(level_reduction_compatible(F, p, m_small, m_big))
     return tally.result("equivariance")
 
 

@@ -218,7 +218,11 @@ def test_anti_equivariance_rejects_nonpositive_flows_like_the_oracle(t):
 
 
 def test_bridge_decomposes_the_flow_side_once(monkeypatch):
-    # Q(mu_5) at level 15 over p = 11: four closed-orbit labels, one decomposition
+    # Q(mu_5) at level 15 over p = 11: four closed-orbit labels, one
+    # flow-side decomposition.  The covering side decomposes the same torus
+    # (11 = 1 mod 5), so the calls are told apart by the step that makes them
+    import sys
+
     from wittlink import orbits
 
     assert len(orbits.closed_orbit_labels(11, 15)) >= 3
@@ -226,12 +230,41 @@ def test_bridge_decomposes_the_flow_side_once(monkeypatch):
     original = orbits.decompose
 
     def counted(T):
-        calls.append(T)
+        calls.append(sys._getframe(1).f_code.co_name)
         return original(T)
 
     monkeypatch.setattr(orbits, "decompose", counted)
     r = bridge_compare(cyclotomic_field(5), 11, 15)
-    assert len(calls) == 1 and r.match
+    assert calls.count("flow") == 1 and r.match
+
+
+def test_one_report_checks_its_prime_once(capsys, monkeypatch):
+    # a bridge report checks that p is prime once and decomposes once per
+    # side; so does the flow-side monodromy table with its label fibers
+    from wittlink import bridge, cft, cli, orbits, rings
+
+    checked, decomposed = [], []
+    is_prime, decompose = rings.is_prime, orbits.decompose
+
+    def counted_is_prime(n):
+        checked.append(n)
+        return is_prime(n)
+
+    def counted_decompose(T):
+        decomposed.append(T)
+        return decompose(T)
+
+    for module in (rings, cft, orbits, bridge, cli):
+        if hasattr(module, "is_prime"):
+            monkeypatch.setattr(module, "is_prime", counted_is_prime)
+    monkeypatch.setattr(orbits, "decompose", counted_decompose)
+    assert bridge_compare(cyclotomic_field(5), 7, 45).match
+    assert (checked, len(decomposed)) == ([7], 2)
+
+    checked.clear()
+    argv = ["monodromy", "--side", "deninger", "--quadratic", "5", "--prime", "11", "--level", "15"]
+    assert cli.main(argv) == 0 and "fiber over each of" in capsys.readouterr().out
+    assert checked.count(11) == 1
 
 
 def test_bridge_quadratic_split():
@@ -311,7 +344,8 @@ def test_bridge_rejects_a_zero_p_exponent_before_any_draw(monkeypatch):
         raise AssertionError("drew before refusing")
 
     monkeypatch.setattr(bridge, "random", SimpleNamespace(Random=refuse))
-    monkeypatch.setattr(bridge, "deninger_packet", refuse)
+    monkeypatch.setattr(bridge.FieldFibers, "covering", refuse)
+    monkeypatch.setattr(bridge.FieldFibers, "flow", refuse)
     for e in (0, -1):
         with pytest.raises(DomainViolation, match="p-part budget"):
             bridge_compare(cyclotomic_field(5), 7, 45, p_exponent=e)

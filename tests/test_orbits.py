@@ -16,6 +16,7 @@ from wittlink.cft import (
     ModUnit,
     conductor,
     cyclotomic_field,
+    legendre,
     linking_hom,
     quadratic_field_subgroup,
     quotient_group,
@@ -29,15 +30,13 @@ from wittlink.errors import (
 )
 from wittlink.orbits import (
     DeningerPointFL,
+    FieldFibers,
     MappingTorus,
-    cc_fiber,
     cc_fiber_infinite_level,
     closed_orbit_labels,
     decompose,
-    deninger_packet,
     normalize_point,
     odd_prime_pairs,
-    packet_fibers,
     reciprocity_row,
     reciprocity_rows,
 )
@@ -49,32 +48,32 @@ from wittlink.rings import is_prime
 
 
 def test_cc_fiber_cyclotomic():
-    T = cc_fiber(cyclotomic_field(5), 7)
-    assert T.group.order == 4
-    assert T.monodromy == 2
-    assert T.base_prime == 7
+    G, monodromy, dec = FieldFibers(cyclotomic_field(5)).covering(7)
+    assert G.order == 4
+    assert monodromy == 2
+    assert (dec.count, dec.covering_degree) == (1, 4)
 
 
 def test_cc_fiber_base_field():
-    T = cc_fiber(rationals_field(), 7)
-    assert T.group.order == 1
-    assert T.monodromy == T.group.canon(1)
+    G, monodromy, _ = FieldFibers(rationals_field()).covering(7)
+    assert G.order == 1
+    assert monodromy == G.canon(1)
 
 
 def test_cc_fiber_quadratic_split_prime():
-    T = cc_fiber(quadratic_field_subgroup(5), 11)
-    assert T.group.order == 2
-    assert T.monodromy == T.group.canon(1)
+    G, monodromy, _ = FieldFibers(quadratic_field_subgroup(5)).covering(11)
+    assert G.order == 2
+    assert monodromy == G.canon(1)
 
 
 def test_cc_fiber_ramified_rejected():
     with pytest.raises(RamifiedPrime):
-        cc_fiber(cyclotomic_field(5), 5)
+        FieldFibers(cyclotomic_field(5)).check(5)
 
 
 def test_cc_fiber_infinite_level():
     T = cc_fiber_infinite_level(3, 5)
-    assert T.group.order == 4 and T.monodromy == 3 and T.field is None
+    assert T.group.order == 4 and T.monodromy == 3
     T = cc_fiber_infinite_level(7, 5)
     assert T.monodromy == 2
     with pytest.raises(NotCoprime):
@@ -86,35 +85,36 @@ def test_cc_fiber_infinite_level():
 
 
 def test_deninger_packet_base_field():
-    T = deninger_packet(rationals_field(), 7, 5)
-    assert T.group.order == 1  # <7 mod 5> = <2> is everything
+    G, _ = FieldFibers(rationals_field()).packet(7, 5)
+    assert G.order == 1  # <7 mod 5> = <2> is everything
 
 
 def test_deninger_packet_cyclotomic_level9():
-    T = deninger_packet(cyclotomic_field(5), 7, 9)
-    assert T.group.subgroup == frozenset({1, 4, 7})  # <7^4 mod 9> = <7>
-    assert T.group.order == 2
-    assert T.monodromy == T.group.canon(7)
+    G, monodromy = FieldFibers(cyclotomic_field(5)).packet(7, 9)
+    assert G.subgroup == frozenset({1, 4, 7})  # <7^4 mod 9> = <7>
+    assert G.order == 2
+    assert monodromy == G.canon(7)
 
 
 def test_deninger_packet_identity_monodromy():
-    T = deninger_packet(rationals_field(), 11, 5)
-    assert T.group.order == 4
-    assert T.monodromy == T.group.canon(1)
+    G, monodromy = FieldFibers(rationals_field()).packet(11, 5)
+    assert G.order == 4
+    assert monodromy == G.canon(1)
 
 
 def test_deninger_packet_errors():
     # every route to a prime-to-level datum checks primality before coprimality with the level
-    routes = (lambda p, m: deninger_packet(rationals_field(), p, m), closed_orbit_labels,
-              cc_fiber_infinite_level, linking_hom)
-    for route in routes:
-        with pytest.raises(NotCoprime, match="^3 divides the level 6$"):
+    fibers = FieldFibers(rationals_field())
+    routes = ((closed_orbit_labels, "^3 divides the level 6$"), (cc_fiber_infinite_level, "^3 divides the level 6$"),
+              (linking_hom, "^3 divides the level 6$"), (fibers.check, "^level 6 must be coprime to 3$"))
+    for route, coprime in routes:
+        with pytest.raises(NotCoprime, match=coprime):
             route(3, 6)
         for p, m in ((4, 5), (4, 6), (0, 5)):
             with pytest.raises(DomainViolation, match=f"^{p} is not prime$"):
                 route(p, m)
     with pytest.raises(RamifiedPrime):
-        deninger_packet(cyclotomic_field(5), 5, 7)
+        FieldFibers(cyclotomic_field(5)).check(5, 7)
 
 
 # --------------------------------------------------------------------------
@@ -125,20 +125,21 @@ def test_decompose_transitive():
     dec = decompose(cc_fiber_infinite_level(2, 5))
     assert dec.count == 1 and dec.covering_degree == 4
     assert dec.components == ((1, 2, 3, 4),)
-    assert dec.length_fields()["circle_length"] == {"prime": 2, "exponent": 4}
+    assert dec.length_fields(2)["circle_length"] == {"prime": 2, "exponent": 4}
 
 
 def test_decompose_identity_monodromy():
-    T = deninger_packet(rationals_field(), 11, 5)
-    dec = decompose(T)
+    G, monodromy = FieldFibers(rationals_field()).packet(11, 5)
+    dec = decompose(MappingTorus(G, monodromy, 11))
     assert dec.count == 4 and dec.covering_degree == 1
 
 
 _WRONG_ORDER = (
     "from wittlink import cft\n"
     "from wittlink.cft import cyclotomic_field, rationals_field\n"
-    "from wittlink.orbits import cc_fiber, decompose, deninger_packet\n"
-    "tori = (cc_fiber(cyclotomic_field(5), 7), deninger_packet(rationals_field(), 11, 5))\n"
+    "from wittlink.orbits import FieldFibers, MappingTorus, decompose\n"
+    "G, art, _ = FieldFibers(cyclotomic_field(5)).covering(7)\n"
+    "tori = (MappingTorus(G, art, 7), MappingTorus(*FieldFibers(rationals_field()).packet(11, 5), 11))\n"
     "real = cft._order\n"
     "cft._order = lambda m, g, H: real(m, g, H) + 1\n"
     "raised = 0\n"
@@ -216,10 +217,8 @@ def test_decompose_matches_union_find_suspension():
             for p in primes_below(14):
                 if p in ramified_set(F):
                     continue
-                T = cc_fiber(F, p)
-                dec = decompose(T)
-                G = T.group
-                assert dec.count == _suspension_components_union_find(G.reps, G.mul, T.monodromy)
+                G, monodromy, dec = FieldFibers(F).covering(p)
+                assert dec.count == _suspension_components_union_find(G.reps, G.mul, monodromy)
 
 
 def test_component_sizes_match_artin_order():
@@ -231,7 +230,7 @@ def test_component_sizes_match_artin_order():
             F = cyclotomic_field(n)
             if p in ramified_set(F):
                 continue
-            dec = decompose(cc_fiber(F, p))
+            dec = FieldFibers(F).covering(p)[2]
             assert dec.covering_degree == artin_symbol(F, p).order
             assert dec.covering_degree * dec.count == F.degree
 
@@ -278,54 +277,50 @@ def test_point_validation():
 
 
 def test_label_fiber_split_prime():
-    F = quadratic_field_subgroup(5)
-    fib = packet_fibers(deninger_packet(F, 11, 5))
+    fib = FieldFibers(quadratic_field_subgroup(5)).flow(11, 5)[1]
     assert fib.count == 2 and fib.covering_degree == 1
 
 
 def test_label_fiber_inert_prime():
-    F = quadratic_field_subgroup(5)
-    fib = packet_fibers(deninger_packet(F, 7, 5))
+    fib = FieldFibers(quadratic_field_subgroup(5)).flow(7, 5)[1]
     assert fib.count == 1 and fib.covering_degree == 2
-    assert fib.length_fields()["circle_length"] == {"prime": 7, "exponent": 2}
+    assert fib.length_fields(7)["circle_length"] == {"prime": 7, "exponent": 2}
 
 
 def test_label_fiber_base_field():
-    fib = packet_fibers(deninger_packet(rationals_field(), 7, 5))
+    fib = FieldFibers(rationals_field()).flow(7, 5)[1]
     assert fib.count == 1 and fib.covering_degree == 1
 
 
 def test_label_fiber_mismatch_rejected():
-    with pytest.raises(DomainViolation, match="packets attached to a field"):
-        packet_fibers(cc_fiber_infinite_level(11, 5))
-    low = deninger_packet(quadratic_field_subgroup(5), 3, 7)  # conductor 5 does not divide 7
-    with pytest.raises(DomainViolation, match="not a multiple of the conductor 5"):
-        packet_fibers(low)
+    # the restriction character needs the level to be a multiple of the conductor
+    with pytest.raises(DomainViolation, match="^level 7 must be a multiple of the conductor 5$"):
+        FieldFibers(quadratic_field_subgroup(5)).check(3, 7)
 
 
 def test_packet_fibers_is_every_label_fiber():
     # the one fiber over the labels at level 15 is the fiber at the conductor level 5
-    fib = packet_fibers(deninger_packet(cyclotomic_field(5), 11, 15))
+    fib = FieldFibers(cyclotomic_field(5)).flow(11, 15)[1]
     assert (fib.count, fib.covering_degree) == (4, 1)
-    assert packet_fibers(deninger_packet(cyclotomic_field(5), 11, 5)) == fib
+    assert FieldFibers(cyclotomic_field(5)).flow(11, 5)[1] == fib
 
 
-def test_packet_fibers_rejects_a_label_split_across_components():
-    # a wrong monodromy (1 in place of 19) makes the pushed components
+def test_packet_fibers_rejects_a_label_split_across_components(monkeypatch):
+    # a wrong packet monodromy (1 in place of 19) makes the pushed components
     # singletons, so the points 1 and 4 over one label land apart
-    T = MappingTorus(quotient_group(15, frozenset({1})), 1, 19, field=cyclotomic_field(5))
-    with pytest.raises(AssertionError):
-        packet_fibers(T)
+    monkeypatch.setattr(FieldFibers, "packet", lambda self, p, m: (quotient_group(15, frozenset({1})), 1))
+    with pytest.raises(AssertionError, match="land in two components"):
+        FieldFibers(cyclotomic_field(5)).flow(19, 15)
 
 
 def test_packet_fibers_rejects_a_label_split_across_components_under_python_O():
     # the check is the flow side's own, so it must survive python -O
     code = (
         "from wittlink.cft import cyclotomic_field, quotient_group\n"
-        "from wittlink.orbits import MappingTorus, packet_fibers\n"
-        "T = MappingTorus(quotient_group(15, frozenset({1})), 1, 19, field=cyclotomic_field(5))\n"
+        "from wittlink.orbits import FieldFibers\n"
+        "FieldFibers.packet = lambda self, p, m: (quotient_group(15, frozenset({1})), 1)\n"
         "try:\n"
-        "    packet_fibers(T)\n"
+        "    FieldFibers(cyclotomic_field(5)).flow(19, 15)\n"
         "except AssertionError:\n"
         "    print('raised')\n"
     )
@@ -336,23 +331,25 @@ def test_packet_fibers_rejects_a_label_split_across_components_under_python_O():
 
 
 def test_label_fiber_matches_cc_routes():
-    # the two routes to (r, f), over a small grid
-    from wittlink.cft import all_subgroups, conductor, ramified_set
+    # each side's (r, f) over cyclotomic fields against the oracle, the
+    # distinct-degree factorization of Phi_c over F_p at the conductor c;
+    # at level 10, 2 is unramified and divides the level
+    from wittlink.oracles import cyclotomic_factor_degrees
     from wittlink.rings import primes_below
 
-    for n in (5, 8, 12):
-        for H in all_subgroups(n):
-            F = AbelianField(n, H)
-            c = conductor(F)
-            for p in primes_below(20):
-                if p in ramified_set(F):
+    for n in (1, 3, 5, 7, 8, 9, 10, 12, 15, 16, 20, 21):
+        F = cyclotomic_field(n)
+        c = conductor(F)
+        for p in primes_below(30):
+            if c % p == 0:
+                continue
+            f, r = cyclotomic_factor_degrees(c, p)
+            assert FieldFibers(F).covering(p)[2].count == r
+            for m in (c, 3 * c if math.gcd(p, 3 * c) == 1 else 2 * c):
+                if math.gcd(p, m) != 1:
                     continue
-                for m in (c, 3 * c if math.gcd(p, 3 * c) == 1 else 2 * c):
-                    if math.gcd(p, m) != 1:
-                        continue
-                    fib = packet_fibers(deninger_packet(F, p, m))
-                    cc = decompose(cc_fiber(F, p))
-                    assert (fib.count, fib.covering_degree) == (cc.count, cc.covering_degree)
+                fib = FieldFibers(F).flow(p, m)[1]
+                assert (fib.count, fib.covering_degree) == (r, f)
 
 
 # --------------------------------------------------------------------------
@@ -414,17 +411,15 @@ def test_reciprocity_table_lands_once_per_row(monkeypatch):
 
 
 def test_reciprocity_table_is_its_rows():
-    # one call over every pair below 100 shares each field's memos; the
-    # one-pair calls and the per-row routes of cc_fiber and packet_fibers
-    # build everything afresh
+    # every row of one call over the pairs below 100, against the Legendre
+    # symbol: both counts are 2 when q is a square mod p, else 1
     pairs = odd_prime_pairs(100)
     table = reciprocity_rows(pairs)
-    assert table == [reciprocity_row(p, q) for p, q in pairs]
+    assert len(table) == len(pairs)
     for (p, q), row in zip(pairs, table):
-        F = quadratic_field_subgroup(q)
-        cc = decompose(cc_fiber(F, p)).count
-        den = packet_fibers(deninger_packet(F, p, conductor(F))).count
-        assert (row.p, row.q, row.cc_count, row.deninger_count) == (p, q, cc, den)
+        leg = legendre(q, p)
+        count = 2 if leg == 1 else 1
+        assert row == (p, q, leg, count, count, True)
 
 
 def test_reciprocity_table_decomposes_each_field_at_most_four_times(monkeypatch):
