@@ -291,10 +291,11 @@ def bridge_compare(
     if p_exponent < 1:
         raise DomainViolation("the p-part budget must be >= 1")
 
-    cc = fibers.covering(p)[2]
+    _, art, cc = fibers.covering(p)
     pushed, den = fibers.flow(p, m)  # checks every closed-orbit label in one pass
-    c, H = fibers.gal.modulus, fibers.gal.subgroup
-    cc_mono = Coset(c, H, fibers.artin(p)[0])  # the Artin coset at the conductor
+    gal = fibers.gal  # built by flow
+    c, H = gal.modulus, gal.subgroup
+    cc_mono = Coset(c, H, gal.canon_table[art % c])  # the Artin coset, read at the conductor
     den_mono = Coset(c, H, pushed)
 
     # psi and the checks run on (a, n) pairs at the one level P * m; the

@@ -3,8 +3,8 @@
 An abelian field F is presented by a level n and a subgroup H of (Z/n)^*:
 F is the subfield of the n-th cyclotomic field fixed by H, and its Galois
 group over Q is the quotient (Z/n)^*/H.  Everything downstream (Artin
-symbols, splitting invariants, fibers) is finite quotient-group
-arithmetic, and this module owns it, each group fact in one routine:
+cosets, splitting shapes, fibers) is finite quotient-group arithmetic,
+and this module owns it, each group fact in one routine:
 _order(m, g, H), the order of the unit g modulo H read off Carmichael's
 lambda(m) as factored by rings.factor; _adjoin, the coset step <S, g> of
 Dimino's method, which subgroup_generated folds over generators,
@@ -18,9 +18,13 @@ already built, and walks the powers of g only for a subgroup not seen
 before.
 
 The splitting shape (f, r) of an unramified prime p comes from the order
-of its Artin coset in the quotient group; this module holds no polynomial
-code.  Its oracle, a distinct-degree factorization of Phi_n over F_p,
-lives in ``oracles``.
+of its Artin coset in the quotient group, which orbits.FieldFibers
+presents; this module holds no polynomial code.  Its oracle, a
+distinct-degree factorization of Phi_n over F_p, lives in ``oracles``.
+
+A level that p divides is refused by check_coprime, with one message;
+_check_prime_to_level checks primality first and then calls it, for
+linking_hom, the infinite-level fiber and the flow-side points.
 """
 
 from __future__ import annotations
@@ -29,11 +33,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    DomainViolation,
-    NotCoprime,
-    RamifiedPrime,
-)
+from .errors import DomainViolation, NotCoprime, RamifiedPrime
 from .rings import divisors, euler_phi, factor, is_prime
 
 # --------------------------------------------------------------------------
@@ -262,12 +262,17 @@ class ModUnit:
         return f"{self.value} mod {self.modulus}"
 
 
+def check_coprime(p: int, m: int) -> None:
+    """Raise NotCoprime when the prime p divides the level m."""
+    if math.gcd(p, m) != 1:
+        raise NotCoprime(f"{p} divides the level {m}")
+
+
 def _check_prime_to_level(p: int, m: int) -> None:
     """Raise unless p is a prime not dividing the level m; primality is checked first."""
     if not is_prime(p):
         raise DomainViolation(f"{p} is not prime")
-    if math.gcd(p, m) != 1:
-        raise NotCoprime(f"{p} divides the level {m}")
+    check_coprime(p, m)
 
 
 def linking_hom(p: int, m: int) -> ModUnit:
@@ -396,7 +401,7 @@ def check_unramified(F: AbelianField, p: int) -> None:
 
 
 # --------------------------------------------------------------------------
-# cosets, Artin symbols, splitting invariants
+# cosets
 
 
 @dataclass(frozen=True)
@@ -407,47 +412,8 @@ class Coset:
     subgroup: frozenset
     rep: int
 
-    @classmethod
-    def of(cls, modulus: int, subgroup: frozenset, element: int) -> "Coset":
-        return cls(modulus, subgroup, quotient_group(modulus, subgroup).canon(element))
-
-    @property
-    def order(self) -> int:
-        """Order of the coset in the quotient group."""
-        return quotient_group(self.modulus, self.subgroup).element_order(self.rep)
-
     def __str__(self) -> str:
         return f"{self.rep}*H mod {self.modulus}"
-
-
-def artin_symbol(F: AbelianField, p: int) -> Coset:
-    """The Frobenius coset of the unramified prime p: (p mod n) * H.
-
-    When p divides the level but not the conductor, the field is
-    re-presented at the conductor first.
-    """
-    if not is_prime(p):
-        raise DomainViolation(f"{p} is not prime")
-    check_unramified(F, p)
-    pres = F if math.gcd(p, F.level) == 1 else at_conductor(F)
-    return Coset.of(pres.level, pres.subgroup, p)
-
-
-@dataclass(frozen=True)
-class SplitData:
-    """Shape of the splitting of p: r primes of residue degree f, norm p^f."""
-
-    prime: int
-    artin_class: Coset
-    residue_degree: int
-    num_primes: int
-    norm: int
-
-
-def split_invariants(F: AbelianField, p: int) -> SplitData:
-    art = artin_symbol(F, p)
-    f = art.order
-    return SplitData(p, art, f, F.degree // f, p**f)
 
 
 # --------------------------------------------------------------------------

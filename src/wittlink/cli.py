@@ -44,21 +44,19 @@ from .witt import WittVector, frobenius, ghost, split_counit, teichmuller, witt_
 from .cft import (
     AbelianField,
     abelian_field,
-    check_unramified,
+    check_coprime,
     conductor,
+    cyclic_quotient,
     cyclotomic_field,
     linking_hom,
     quadratic_field_subgroup,
     ramified_set,
     rationals_field,
-    split_invariants,
     subgroup_generated,
 )
 from .orbits import (
     FieldFibers,
-    MappingTorus,
     cc_fiber_infinite_level,
-    closed_orbit_labels,
     decompose,
     odd_prime_pairs,
     reciprocity_rows,
@@ -396,15 +394,18 @@ def cmd_field(ns: argparse.Namespace) -> Output:
     label, sub = F.describe(), ns.field_op
     table = None
     if sub == "split":
-        if ns.prime is None:
+        p = ns.prime
+        if p is None:
             raise ParseError("field split needs --prime")
-        data = split_invariants(F, ns.prime)
-        f, r, artin = data.residue_degree, data.num_primes, data.artin_class
-        row = {"field": label, "prime": ns.prime, "f": f, "r": r, "norm": data.norm, "artin_rep": artin.rep,
-               "artin_modulus": artin.modulus}
-        text = f"f={f} r={r} artin={artin.rep} mod {artin.modulus} norm={_render(data.norm)}"
-        header = ["field", "prime", "f", "r", "norm", "artin_rep"]
-        table = (header, [[label, ns.prime, f, r, data.norm, artin.rep]])
+        fibers = FieldFibers(F)
+        fibers.check(p)
+        G, art = fibers.artin(p)
+        f = G.element_order(art)
+        r, norm = F.degree // f, p**f
+        row = {"field": label, "prime": p, "f": f, "r": r, "norm": norm, "artin_rep": art,
+               "artin_modulus": G.modulus}
+        text = f"f={f} r={r} artin={art} mod {G.modulus} norm={_render(norm)}"
+        table = (["field", "prime", "f", "r", "norm", "artin_rep"], [[label, p, f, r, norm, art]])
     elif sub == "conductor":
         c = conductor(F)
         row = {"field": label, "conductor": c}
@@ -428,23 +429,21 @@ def cmd_monodromy(ns: argparse.Namespace) -> Output:
     p, m = ns.prime, ns.level
     label_info = {}
     if ns.side == "cc" and ns.quadratic is None and ns.cyclotomic is None and ns.subgroup is None:
-        T = cc_fiber_infinite_level(p, m)
-        G, monodromy, dec = T.group, T.monodromy, decompose(T)
+        G, monodromy = cc_fiber_infinite_level(p, m)
+        dec = decompose(G, monodromy)
     else:
-        F = parse_field(ns)
-        # p is a prime not dividing the level, then unramified in F
-        if ns.side == "cc":
-            linking_hom(p, m)  # only checked: the table is Gal(F/Q) at F's own level or its conductor
-        else:
-            label_info["labels"] = closed_orbit_labels(p, m)
-        check_unramified(F, p)
-        fibers = FieldFibers(F)
+        fibers = FieldFibers(parse_field(ns))
+        # p is an unramified prime, then prime to the level; with --side cc
+        # the level is only checked: the table is Gal(F/Q) as fibers.artin presents it
+        fibers.check(p)
+        check_coprime(p, m)
         if ns.side == "cc":
             G, monodromy, dec = fibers.covering(p)
         else:
+            label_info["labels"] = list(cyclic_quotient(m, p).reps)
             G, monodromy = fibers.packet(p, m)
-            dec = decompose(MappingTorus(G, monodromy, p))
-            if m % fibers.gal.modulus == 0:  # label fibers need the character
+            dec = decompose(G, monodromy)
+            if m % conductor(fibers.field) == 0:  # label fibers need the character
                 fib = fibers.flow(p, m)[1]
                 label_info["fiber_per_label"] = {
                     "count": fib.count,

@@ -3,13 +3,13 @@
 A mapping torus here is a finite abelian group G (a quotient of a unit
 group (Z/m)^*, the cft.QuotientUnitGroup that every Galois-group
 computation shares, built by cft.quotient_group) together with a
-monodromy element and a base prime p: it models G x_{p^Z} R_+, the
-suspension whose flow crosses the base circle of length log p by
-multiplying the fiber coordinate with the monodromy.  Its connected
-components are the orbits of the cyclic group generated by the
-monodromy, each a circle of length f*log(p) where f is the monodromy
-order.  Circle lengths are carried exactly as the pair (p, f); a float
-rendering exists only for display.
+monodromy element: over the base circle of a prime p it models
+G x_{p^Z} R_+, the suspension whose flow crosses the circle of length
+log p by multiplying the fiber coordinate with the monodromy.
+decompose(G, monodromy) finds its connected components, the orbits of
+the cyclic group generated by the monodromy, each a circle of length
+f*log(p) where f is the monodromy order.  Circle lengths are carried
+exactly as the pair (p, f); a float rendering exists only for display.
 
 Two constructions produce tori:
 
@@ -21,15 +21,19 @@ Two constructions produce tori:
     cached cft.cyclic_quotient.
 
 FieldFibers assembles both sides of one field over a prime, each step
-once: the covering side decomposes the Galois quotient under the Artin
-coset; the flow side pushes the level-m packet data through the
-restriction character onto the Galois quotient, orbit-enumerates there
-once and checks every closed-orbit label against that one decomposition.
+once, and is the one place that presents Gal(F/Q) for a prime: at the
+field's own level when p does not divide it, else at the conductor.  The
+covering side decomposes that quotient under the Artin coset; the flow
+side pushes the level-m packet data through the restriction character
+onto the Galois quotient at the conductor, orbit-enumerates there once
+and checks every closed-orbit label against that one decomposition.
 Their agreement over a grid of fields and primes is the structural
 consistency this package exists to check.
 
-The closed-orbit labels and the infinite-level fiber take their check
-that p is a prime not dividing the level m from cft.
+The infinite-level fiber and the flow-side points take their check that
+p is a prime not dividing the level m from cft._check_prime_to_level;
+FieldFibers.check refuses such a level through the same
+cft.check_coprime.
 """
 
 from __future__ import annotations
@@ -38,14 +42,16 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainViolation, EqualPrimes, NotCoprime
+from .errors import DomainViolation, EqualPrimes
 from .cft import (
     AbelianField,
     ModUnit,
     QuotientUnitGroup,
     _check_prime_to_level,
     at_conductor,
+    check_coprime,
     check_unramified,
+    conductor,
     cyclic_quotient,
     euler_criterion,
     quadratic_field_subgroup,
@@ -55,15 +61,6 @@ from .rings import is_prime, primes_below
 
 # --------------------------------------------------------------------------
 # mapping tori and decompositions
-
-
-@dataclass(frozen=True)
-class MappingTorus:
-    """Finite model of G x_{p^Z} R_+ with a distinguished monodromy."""
-
-    group: QuotientUnitGroup
-    monodromy: int
-    base_prime: int
 
 
 @dataclass(frozen=True)
@@ -90,24 +87,23 @@ class FiberDecomposition:
         }
 
 
-def decompose(T: MappingTorus) -> FiberDecomposition:
-    """Orbits of the cyclic group generated by the monodromy.
+def decompose(G: QuotientUnitGroup, monodromy: int) -> FiberDecomposition:
+    """Orbits of the cyclic group generated by the monodromy on G.
 
     Multiplication by a group element acts freely, so every orbit has size
     equal to the monodromy order f and there are |G|/f of them.
     """
-    G = T.group
-    f = G.element_order(T.monodromy)
+    f = G.element_order(monodromy)
     seen: set[int] = set()
     comps = []
     for r in G.reps:
         if r in seen:
             continue
         orbit = [r]
-        cur = G.mul(r, T.monodromy)
+        cur = G.mul(r, monodromy)
         while cur != r:
             orbit.append(cur)
-            cur = G.mul(cur, T.monodromy)
+            cur = G.mul(cur, monodromy)
         if len(orbit) != f:
             raise AssertionError(f"an orbit of size {len(orbit)} under a monodromy of order {f}")
         members = tuple(sorted(orbit))
@@ -125,90 +121,98 @@ def decompose(T: MappingTorus) -> FiberDecomposition:
 # the two sides
 
 
-def cc_fiber_infinite_level(p: int, m: int) -> MappingTorus:
-    """Level-m truncation of the fiber over every field unramified at p.
+def cc_fiber_infinite_level(p: int, m: int) -> tuple[QuotientUnitGroup, int]:
+    """Level-m truncation of the fiber over every field unramified at p: (group, monodromy).
 
     Group (Z/m)^* with monodromy p mod m.  The flow orbits of the object
     this truncates are lines rather than circles.
     """
     _check_prime_to_level(p, m)
     G = quotient_group(m, frozenset({1 % m}))
-    return MappingTorus(G, G.canon(p), p)
-
-
-def closed_orbit_labels(p: int, m: int) -> list[int]:
-    """The closed-orbit labels of the level-m base packet over p: the classes mod <p> at level m."""
-    _check_prime_to_level(p, m)
-    return list(cyclic_quotient(m, p).reps)
+    return G, G.canon(p)
 
 
 class FieldFibers:
     """Both fibers of one abelian field F over its unramified primes, each step once.
 
-    The one assembly of the comparison: bridge_compare and
-    level_reduction_compatible build one per call, the reciprocity table one
-    per field for the rows of one call, and the monodromy command one per
-    run.  Its steps:
+    The one assembly of the comparison and the one presentation of the
+    Frobenius: bridge_compare and level_reduction_compatible build one per
+    call, the reciprocity table one per field for the rows of one call,
+    and the field split and monodromy commands one per run.  Its steps:
 
       * check: p is an unramified prime, each level a multiple of the
         conductor (so that the restriction character exists) prime to p;
-      * artin: the Artin coset of p in Gal(F/Q) at the conductor and its
-        order f, which divides the degree;
-      * covering: Gal(F/Q) decomposed under the Artin coset, at the field's
-        own level when p does not divide it, else at the conductor;
+      * artin: Gal(F/Q) and the Artin coset of p in it, at the field's own
+        level when p does not divide it, else at the conductor;
+      * covering: that group decomposed under the Artin coset;
       * packet: the flow-side packet (Z/m)^*/<p^f> with monodromy the class
-        of p, at any level m prime to p;
+        of p, at any level m prime to p, where f is the order of the Artin
+        coset, which divides the degree;
       * flow: the packet's monodromy pushed through the restriction
         character (reduction mod the conductor) onto Gal(F/Q), decomposed
         there, and the landing pass of every packet point.
 
-    Each memo is keyed on the Galois element it decomposes under: one per
+    Gal(F/Q) at the own level and at the conductor are each built on first
+    use, so a step builds only the table it reads.  Each memo is keyed on
+    the Galois element it decomposes under or takes the order of: one per
     Artin coset on the covering side, one per pushed monodromy on the flow
     side.  The flow side reads only the order f, never the covering side's
     decomposition.  The steps after check take p and m as checked.
     """
 
+    own = gal = None  # Gal(F/Q) at the own level and at the conductor; _galois builds each on first use
+
     def __init__(self, F: AbelianField):
-        pres = at_conductor(F)
         self.field = F
-        self.own = quotient_group(F.level, F.subgroup)  # Gal(F/Q) at the field's own level
-        self.gal = quotient_group(pres.level, pres.subgroup)  # and at the conductor
-        self.orders: dict[int, int] = {}  # Artin coset -> its order f
+        self.orders: dict[int, int] = {}  # Artin coset at the conductor -> its order f
         self.covering_sides: dict[tuple, tuple] = {}  # (level, Artin coset) -> (group, coset, decomposition)
         self.flow_sides: dict[int, tuple] = {}  # pushed monodromy -> (decomposition, component index)
+
+    def _galois(self, name: str) -> QuotientUnitGroup:
+        """Build Gal(F/Q) as the attribute name: own at the field's own level, gal at the conductor.
+
+        A plain attribute, not a property, so that a per-row read costs no descriptor call.
+        """
+        pres = self.field if name == "own" else at_conductor(self.field)
+        G = quotient_group(pres.level, pres.subgroup)
+        setattr(self, name, G)
+        return G
 
     def check(self, p: int, *levels: int) -> None:
         """Refuse p unless it is a prime unramified in F, then each level unless the conductor divides it and p does not."""
         if not is_prime(p):
             raise DomainViolation(f"{p} is not prime")
         check_unramified(self.field, p)
-        c = self.gal.modulus
+        c = conductor(self.field)
         for m in levels:
             if m % c:
                 raise DomainViolation(f"level {m} must be a multiple of the conductor {c}")
-            if math.gcd(p, m) != 1:
-                raise NotCoprime(f"level {m} must be coprime to {p}")
+            check_coprime(p, m)
 
-    def artin(self, p: int) -> tuple[int, int]:
-        """The Artin coset of p at the conductor and its order f."""
-        art = self.gal.canon_table[p % self.gal.modulus]
-        f = self.orders.get(art)
-        if f is None:
-            f = self.orders[art] = self.gal.element_order(art)
-        return art, f
+    def artin(self, p: int) -> tuple[QuotientUnitGroup, int]:
+        """(Gal(F/Q), the Artin coset of p): at the field's own level when p does not divide it, else at the conductor."""
+        if self.field.level % p:
+            G = self.own or self._galois("own")
+        else:
+            G = self.gal or self._galois("gal")
+        return G, G.canon_table[p % G.modulus]
 
     def covering(self, p: int) -> tuple:
         """(group, Artin coset, decomposition) of the covering side over p."""
-        G = self.own if self.field.level % p else self.gal
-        art = G.canon_table[p % G.modulus]
+        G, art = self.artin(p)
         side = self.covering_sides.get((G.modulus, art))
         if side is None:
-            side = self.covering_sides[G.modulus, art] = (G, art, decompose(MappingTorus(G, art, p)))
+            side = self.covering_sides[G.modulus, art] = (G, art, decompose(G, art))
         return side
 
     def packet(self, p: int, m: int) -> tuple[QuotientUnitGroup, int]:
         """The level-m packet (Z/m)^*/<p^f> and its monodromy, the class of p."""
-        G = cyclic_quotient(m, pow(p, self.artin(p)[1], m))
+        gal = self.gal or self._galois("gal")  # f is read where the flow side lands: at the conductor
+        art = gal.canon_table[p % gal.modulus]
+        f = self.orders.get(art)
+        if f is None:
+            f = self.orders[art] = gal.element_order(art)
+        G = cyclic_quotient(m, pow(p, f, m))
         return G, G.canon_table[p % m]
 
     def flow(self, p: int, m: int) -> tuple[int, FiberDecomposition]:
@@ -222,11 +226,11 @@ class FieldFibers:
         that every label is reached.
         """
         packet, monodromy = self.packet(p, m)
-        gal = self.gal
+        gal = self.gal or self._galois("gal")
         pushed = gal.canon_table[monodromy % gal.modulus]
         side = self.flow_sides.get(pushed)
         if side is None:
-            dec = decompose(MappingTorus(gal, pushed, p))
+            dec = decompose(gal, pushed)
             side = self.flow_sides[pushed] = (dec, {r: i for i, comp in enumerate(dec.components) for r in comp})
         _land(packet, cyclic_quotient(m, p), gal, side[1])
         return pushed, side[0]
@@ -269,12 +273,7 @@ class DeningerPointFL:
     p_exponent_budget: int = 1
 
     def __post_init__(self):
-        if not is_prime(self.prime):
-            raise DomainViolation(f"{self.prime} is not prime")
-        if math.gcd(self.prime, self.unit.modulus) != 1:
-            raise NotCoprime(
-                f"point level {self.unit.modulus} must be coprime to the prime {self.prime}"
-            )
+        _check_prime_to_level(self.prime, self.unit.modulus)
         if self.scale < 1:
             raise DomainViolation(f"scale must be a positive integer, got {self.scale}")
         if self.p_exponent_budget < 1:
@@ -323,8 +322,9 @@ def reciprocity_rows(pairs) -> list[ReciprocityRow]:
     Contract: both counts equal 2 iff (q|p) = +1, and both equal 1
     otherwise.  Each distinct prime is checked on the first row it appears
     in, and each field's FieldFibers is built on its first row; both live
-    only as long as this call.  A field's level is q or 4q, so an odd
-    p != q is unramified and prime to it.
+    only as long as this call.  A field's level is q or 4q, its conductor,
+    so an odd p != q is unramified and prime to it, and the flow side is
+    read at that level.
     """
     tables: dict[int, FieldFibers] = {}
     odd_primes: set[int] = set()
@@ -342,13 +342,7 @@ def reciprocity_rows(pairs) -> list[ReciprocityRow]:
             fibers = tables[q] = FieldFibers(quadratic_field_subgroup(q))
         leg = euler_criterion(q, p)  # p is validated above
         cc = fibers.covering(p)[2].count
-        den = fibers.flow(p, fibers.gal.modulus)[1].count
+        den = fibers.flow(p, fibers.field.level)[1].count
         expected = 2 if leg == 1 else 1
         rows.append(ReciprocityRow(p, q, leg, cc, den, cc == den == expected))
     return rows
-
-
-def reciprocity_row(p: int, q: int) -> ReciprocityRow:
-    """One row of reciprocity_rows."""
-    return reciprocity_rows([(p, q)])[0]
-

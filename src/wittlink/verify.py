@@ -34,11 +34,10 @@ from .cft import (
     conductor,
     cyclotomic_field,
     ramified_set,
-    split_invariants,
     unit_group,
 )
 from .oracles import _resultant_frobenius, _resultant_product, cyclotomic_factor_degrees
-from .orbits import DeningerPointFL, odd_prime_pairs, reciprocity_rows
+from .orbits import DeningerPointFL, FieldFibers, odd_prime_pairs, reciprocity_rows
 from .rings import (
     Polynomial,
     RingElement,
@@ -265,14 +264,15 @@ def criterion_split_double_oracle(n_max: int = 40, p_max: int = 50) -> SuiteResu
     tally = _Tally()
     for n in range(1, n_max + 1):
         F = cyclotomic_field(n)
+        fibers = FieldFibers(F)
         for p in primes_below(p_max):
             if math.gcd(p, n) != 1:
                 continue
-            si = split_invariants(F, p)
-            dd = cyclotomic_factor_degrees(n, p)
-            tally.expect(
-                (si.residue_degree, si.num_primes) == dd and si.residue_degree * si.num_primes == euler_phi(n)
-            )
+            fibers.check(p)
+            G, art = fibers.artin(p)
+            f = G.element_order(art)
+            r = F.degree // f
+            tally.expect((f, r) == cyclotomic_factor_degrees(n, p) and f * r == euler_phi(n))
     return tally.result("split-double-oracle", f"n <= {n_max}, p < {p_max}")
 
 

@@ -224,14 +224,15 @@ def test_bridge_decomposes_the_flow_side_once(monkeypatch):
     import sys
 
     from wittlink import orbits
+    from wittlink.cft import cyclic_quotient
 
-    assert len(orbits.closed_orbit_labels(11, 15)) >= 3
+    assert cyclic_quotient(15, 11).order >= 3
     calls = []
     original = orbits.decompose
 
-    def counted(T):
+    def counted(G, monodromy):
         calls.append(sys._getframe(1).f_code.co_name)
-        return original(T)
+        return original(G, monodromy)
 
     monkeypatch.setattr(orbits, "decompose", counted)
     r = bridge_compare(cyclotomic_field(5), 11, 15)
@@ -250,9 +251,9 @@ def test_one_report_checks_its_prime_once(capsys, monkeypatch):
         checked.append(n)
         return is_prime(n)
 
-    def counted_decompose(T):
-        decomposed.append(T)
-        return decompose(T)
+    def counted_decompose(G, monodromy):
+        decomposed.append((G, monodromy))
+        return decompose(G, monodromy)
 
     for module in (rings, cft, orbits, bridge, cli):
         if hasattr(module, "is_prime"):

@@ -8,11 +8,9 @@ from hypothesis import given, settings, strategies as st
 from wittlink import cft
 from wittlink.cft import (
     AbelianField,
-    Coset,
     ModUnit,
     QuotientUnitGroup,
     all_subgroups,
-    artin_symbol,
     at_conductor,
     conductor,
     cyclic_quotient,
@@ -23,13 +21,13 @@ from wittlink.cft import (
     quotient_group,
     ramified_set,
     rationals_field,
-    split_invariants,
     subgroup_generated,
     subgroup_generators,
     unit_group,
 )
 from wittlink.errors import DomainViolation, NotCoprime, RamifiedPrime
 from wittlink.oracles import crt_combine, cyclotomic_factor_degrees, ramified_set_via_inertia
+from wittlink.orbits import FieldFibers
 from wittlink.rings import euler_phi, primes_below
 
 
@@ -155,7 +153,7 @@ def test_order_modulo_every_subgroup_is_the_walked_order():
             G = quotient_group(m, H)
             for g in unit_group(m):
                 assert cft._order(m, g, H) == G.element_order(g) == _walked_order(G, g)
-                assert Coset.of(m, H, g).order == _walked_order(G, g)
+                assert G.element_order(G.canon(g)) == _walked_order(G, g)
 
 
 def test_order_refuses_a_non_unit_and_a_set_that_is_not_a_subgroup():
@@ -224,8 +222,8 @@ def test_quadratic_field_reciprocity_consistency():
         for p in primes_below(200):
             if p == 2 or p == q:
                 continue
-            art = artin_symbol(F, p)
-            assert (art.rep in art.subgroup) == (legendre(q, p) == 1)
+            G, art = FieldFibers(F).artin(p)
+            assert (art in G.subgroup) == (legendre(q, p) == 1)
             count += 1
             if count >= 20:
                 break
@@ -320,43 +318,51 @@ def test_ramified_two_routes_agree():
 
 
 # --------------------------------------------------------------------------
-# Artin symbols and splitting
+# Artin cosets and splitting, as FieldFibers presents them
 
 
-def test_artin_symbol_examples():
-    a = artin_symbol(cyclotomic_field(5), 7)
-    assert a.rep == 2 and a.order == 4
+def _split_shape(F: AbelianField, p: int) -> tuple[int, int, int]:
+    """(f, r, norm) of p in F, as the field split command reads them: f is the Artin coset's order."""
+    fibers = FieldFibers(F)
+    fibers.check(p)
+    G, art = fibers.artin(p)
+    f = G.element_order(art)
+    return f, F.degree // f, p**f
+
+
+def test_artin_coset_examples():
+    G, art = FieldFibers(cyclotomic_field(5)).artin(7)
+    assert art == 2 and G.element_order(art) == 4
     for F in (cyclotomic_field(5), quadratic_field_subgroup(5)):
-        a = artin_symbol(F, 11)
-        assert a.rep in a.subgroup
+        G, art = FieldFibers(F).artin(11)
+        assert art in G.subgroup
 
 
-def test_artin_symbol_ramified_rejected():
+def test_artin_coset_ramified_rejected():
     with pytest.raises(RamifiedPrime):
-        artin_symbol(cyclotomic_field(5), 5)
+        FieldFibers(cyclotomic_field(5)).check(5)
+    with pytest.raises(RamifiedPrime):
+        _split_shape(cyclotomic_field(5), 5)
 
 
-def test_artin_symbol_level_with_unramified_divisor():
+def test_artin_coset_level_with_unramified_divisor():
     # p = 2 divides the level 10 but not the conductor 5
     F = AbelianField(10, frozenset({1}))
-    a = artin_symbol(F, 2)
-    assert a.modulus == 5 and a.rep == 2
+    G, art = FieldFibers(F).artin(2)
+    assert G.modulus == 5 and art == 2
 
 
 def test_artin_depends_only_on_conductor_class():
-    F = cyclotomic_field(7)
+    fibers = FieldFibers(cyclotomic_field(7))
     for p, q in ((11, 53), (3, 17), (5, 19)):
         assert p % 7 == q % 7
-        assert artin_symbol(F, p) == artin_symbol(F, q)
+        assert fibers.artin(p) == fibers.artin(q)
 
 
-def test_split_invariants_examples():
-    s = split_invariants(cyclotomic_field(5), 7)
-    assert (s.residue_degree, s.num_primes, s.norm) == (4, 1, 2401)
-    s = split_invariants(cyclotomic_field(5), 11)
-    assert (s.residue_degree, s.num_primes) == (1, 4)
-    s = split_invariants(rationals_field(), 7)
-    assert (s.residue_degree, s.num_primes) == (1, 1)
+def test_split_shape_examples():
+    assert _split_shape(cyclotomic_field(5), 7) == (4, 1, 2401)
+    assert _split_shape(cyclotomic_field(5), 11)[:2] == (1, 4)
+    assert _split_shape(rationals_field(), 7)[:2] == (1, 1)
 
 
 def test_split_times_count_is_degree():
@@ -366,8 +372,8 @@ def test_split_times_count_is_degree():
             for p in primes_below(30):
                 if p in ramified_set(F):
                     continue
-                s = split_invariants(F, p)
-                assert s.residue_degree * s.num_primes == F.degree
+                f, r, _ = _split_shape(F, p)
+                assert f * r == F.degree
 
 
 def test_cyclotomic_factor_degrees_examples():
@@ -384,9 +390,9 @@ def test_split_double_oracle_small_grid():
         for p in primes_below(20):
             if math.gcd(n, p) != 1:
                 continue
-            s = split_invariants(F, p)
-            assert (s.residue_degree, s.num_primes) == cyclotomic_factor_degrees(n, p)
-            assert s.residue_degree * s.num_primes == euler_phi(n)
+            f, r, _ = _split_shape(F, p)
+            assert (f, r) == cyclotomic_factor_degrees(n, p)
+            assert f * r == euler_phi(n)
 
 
 # --------------------------------------------------------------------------
@@ -431,9 +437,9 @@ def test_all_subgroups_is_the_closure_of_cyclic_joins():
 
 def test_coset_order():
     H = frozenset({1})
-    assert Coset.of(5, H, 2).order == 4
-    assert Coset.of(5, frozenset({1, 4}), 4).order == 1
-    assert Coset.of(1, frozenset({0}), 0).order == 1
+    assert quotient_group(5, H).element_order(2) == _walked_order(quotient_group(5, H), 2) == 4
+    assert quotient_group(5, frozenset({1, 4})).element_order(4) == 1
+    assert quotient_group(1, frozenset({0})).element_order(0) == 1
 
 
 @given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(2, 60))

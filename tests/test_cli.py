@@ -463,6 +463,42 @@ def test_bad_input_exit_codes(capsys, argv, code, prefix):
     assert "Traceback" not in err and not out
 
 
+@pytest.mark.parametrize("prime, level, line", [
+    ("7", "35", "error: 7 divides the level 35\n"),
+    ("5", "45", "error: 5 ramifies in Q(mu_5) (ramified set [5])\n"),
+], ids=["p divides the level", "p ramifies and divides the level"])
+def test_bridge_and_monodromy_refuse_a_level_alike(capsys, prime, level, line):
+    # both commands refuse through one path: p an unramified prime first, then prime to the level
+    flags = ["--cyclotomic", "5", "--prime", prime, "--level", level]
+    for command in (["bridge"], ["monodromy", "--side", "deninger"]):
+        assert run(capsys, *command, *flags) == (2, "", line)
+
+
+def _split_moduli(monkeypatch, argv) -> set:
+    """The moduli of every quotient group a field split run asks for."""
+    from wittlink import cft, orbits
+
+    asked = set()
+    real = cft.quotient_group
+
+    def counted(modulus, subgroup):
+        asked.add(modulus)
+        return real(modulus, subgroup)
+
+    for module in (cft, orbits):
+        monkeypatch.setattr(module, "quotient_group", counted)
+    assert main(argv) == 0
+    return asked
+
+
+def test_field_split_builds_only_the_table_it_reads(capsys, monkeypatch):
+    # Q(mu_10): 3 is prime to the level, so Gal(F/Q) is read at the level 10;
+    # 2 divides it but not the conductor 5, so only the conductor's table is built
+    assert _split_moduli(monkeypatch, ["field", "split", "--cyclotomic", "10", "--prime", "3"]) == {10}
+    assert _split_moduli(monkeypatch, ["field", "split", "--cyclotomic", "10", "--prime", "2"]) == {5}
+    assert capsys.readouterr().out == "f=4 r=1 artin=3 mod 10 norm=81\nf=4 r=1 artin=2 mod 5 norm=16\n"
+
+
 # --------------------------------------------------------------------------
 # the literal boundary: small literals, zero constant terms and 0 included
 

@@ -1,6 +1,5 @@
 """Mapping tori, packets, fiber decompositions, flow-side points."""
 
-import dataclasses
 import math
 import os
 import random
@@ -31,13 +30,10 @@ from wittlink.errors import (
 from wittlink.orbits import (
     DeningerPointFL,
     FieldFibers,
-    MappingTorus,
     cc_fiber_infinite_level,
-    closed_orbit_labels,
     decompose,
     normalize_point,
     odd_prime_pairs,
-    reciprocity_row,
     reciprocity_rows,
 )
 from wittlink.rings import is_prime
@@ -72,10 +68,9 @@ def test_cc_fiber_ramified_rejected():
 
 
 def test_cc_fiber_infinite_level():
-    T = cc_fiber_infinite_level(3, 5)
-    assert T.group.order == 4 and T.monodromy == 3
-    T = cc_fiber_infinite_level(7, 5)
-    assert T.monodromy == 2
+    G, monodromy = cc_fiber_infinite_level(3, 5)
+    assert G.order == 4 and monodromy == 3
+    assert cc_fiber_infinite_level(7, 5)[1] == 2
     with pytest.raises(NotCoprime):
         cc_fiber_infinite_level(3, 6)
 
@@ -103,12 +98,12 @@ def test_deninger_packet_identity_monodromy():
 
 
 def test_deninger_packet_errors():
-    # every route to a prime-to-level datum checks primality before coprimality with the level
-    fibers = FieldFibers(rationals_field())
-    routes = ((closed_orbit_labels, "^3 divides the level 6$"), (cc_fiber_infinite_level, "^3 divides the level 6$"),
-              (linking_hom, "^3 divides the level 6$"), (fibers.check, "^level 6 must be coprime to 3$"))
-    for route, coprime in routes:
-        with pytest.raises(NotCoprime, match=coprime):
+    # every route to a prime-to-level datum checks primality before
+    # coprimality with the level, and refuses a level p divides in one message
+    routes = (cc_fiber_infinite_level, linking_hom, FieldFibers(rationals_field()).check,
+              lambda p, m: DeningerPointFL(p, ModUnit(1, m), 1))
+    for route in routes:
+        with pytest.raises(NotCoprime, match="^3 divides the level 6$"):
             route(3, 6)
         for p, m in ((4, 5), (4, 6), (0, 5)):
             with pytest.raises(DomainViolation, match=f"^{p} is not prime$"):
@@ -122,30 +117,28 @@ def test_deninger_packet_errors():
 
 
 def test_decompose_transitive():
-    dec = decompose(cc_fiber_infinite_level(2, 5))
+    dec = decompose(*cc_fiber_infinite_level(2, 5))
     assert dec.count == 1 and dec.covering_degree == 4
     assert dec.components == ((1, 2, 3, 4),)
     assert dec.length_fields(2)["circle_length"] == {"prime": 2, "exponent": 4}
 
 
 def test_decompose_identity_monodromy():
-    G, monodromy = FieldFibers(rationals_field()).packet(11, 5)
-    dec = decompose(MappingTorus(G, monodromy, 11))
+    dec = decompose(*FieldFibers(rationals_field()).packet(11, 5))
     assert dec.count == 4 and dec.covering_degree == 1
 
 
 _WRONG_ORDER = (
     "from wittlink import cft\n"
     "from wittlink.cft import cyclotomic_field, rationals_field\n"
-    "from wittlink.orbits import FieldFibers, MappingTorus, decompose\n"
-    "G, art, _ = FieldFibers(cyclotomic_field(5)).covering(7)\n"
-    "tori = (MappingTorus(G, art, 7), MappingTorus(*FieldFibers(rationals_field()).packet(11, 5), 11))\n"
+    "from wittlink.orbits import FieldFibers, decompose\n"
+    "tori = (FieldFibers(cyclotomic_field(5)).covering(7)[:2], FieldFibers(rationals_field()).packet(11, 5))\n"
     "real = cft._order\n"
     "cft._order = lambda m, g, H: real(m, g, H) + 1\n"
     "raised = 0\n"
     "for T in tori:\n"
     "    try:\n"
-    "        decompose(T)\n"
+    "        decompose(*T)\n"
     "    except AssertionError:\n"
     "        raised += 1\n"
     "print(raised)\n"
@@ -165,18 +158,16 @@ def test_decompose_checks_every_orbit_against_the_order(flags):
 
 def test_decompose_swap():
     G = quotient_group(5, frozenset({1, 4}))
-    T = MappingTorus(G, G.canon(2), 7)
-    dec = decompose(T)
+    dec = decompose(G, G.canon(2))
     assert dec.count == 1 and dec.covering_degree == 2
 
 
 def test_decompose_generator_invariance():
     # the orbit partition depends only on the subgroup the monodromy generates
     G = quotient_group(13, frozenset({1}))
-    base = MappingTorus(G, G.canon(2), 7)  # 2 has order 12 mod 13
-    ref = decompose(base)
+    ref = decompose(G, G.canon(2))  # 2 has order 12 mod 13
     for k in (5, 7, 11):  # units mod 12
-        alt = decompose(MappingTorus(G, G.canon(pow(2, k, 13)), 7))
+        alt = decompose(G, G.canon(pow(2, k, 13)))
         assert alt.components == ref.components
 
 
@@ -222,7 +213,10 @@ def test_decompose_matches_union_find_suspension():
 
 
 def test_component_sizes_match_artin_order():
-    from wittlink.cft import artin_symbol, ramified_set
+    # the covering side's (f, r) against the distinct-degree factorization
+    # of Phi_n over F_p; n is the conductor of each of these fields
+    from wittlink.cft import ramified_set
+    from wittlink.oracles import cyclotomic_factor_degrees
     from wittlink.rings import primes_below
 
     for n in (5, 7, 8, 12, 15):
@@ -231,7 +225,7 @@ def test_component_sizes_match_artin_order():
             if p in ramified_set(F):
                 continue
             dec = FieldFibers(F).covering(p)[2]
-            assert dec.covering_degree == artin_symbol(F, p).order
+            assert (dec.covering_degree, dec.count) == cyclotomic_factor_degrees(n, p)
             assert dec.covering_degree * dec.count == F.degree
 
 
@@ -357,19 +351,19 @@ def test_label_fiber_matches_cc_routes():
 
 
 def test_reciprocity_rows():
-    row = reciprocity_row(11, 5)
+    row = reciprocity_rows([(11, 5)])[0]
     assert (row.legendre, row.cc_count, row.deninger_count, row.agree) == (1, 2, 2, True)
-    row = reciprocity_row(7, 5)
+    row = reciprocity_rows([(7, 5)])[0]
     assert (row.legendre, row.cc_count, row.deninger_count, row.agree) == (-1, 1, 1, True)
 
 
 def test_reciprocity_rejects():
     with pytest.raises(EqualPrimes):
-        reciprocity_row(5, 5)
+        reciprocity_rows([(5, 5)])[0]
     with pytest.raises(DomainViolation):
-        reciprocity_row(2, 5)
+        reciprocity_rows([(2, 5)])[0]
     with pytest.raises(DomainViolation):
-        reciprocity_row(9, 5)
+        reciprocity_rows([(9, 5)])[0]
     with pytest.raises(EqualPrimes):
         reciprocity_rows([(3, 5), (5, 5)])
     with pytest.raises(DomainViolation, match="9 must be an odd prime"):
@@ -428,9 +422,9 @@ def test_reciprocity_table_decomposes_each_field_at_most_four_times(monkeypatch)
     calls = []
     real = orbits.decompose
 
-    def counted(T):
-        calls.append(T.group.modulus)
-        return real(T)
+    def counted(G, monodromy):
+        calls.append(G.modulus)
+        return real(G, monodromy)
 
     monkeypatch.setattr(orbits, "decompose", counted)
     pairs = odd_prime_pairs(150)
@@ -446,7 +440,7 @@ def test_reciprocity_table_rejects_a_label_split_across_components(monkeypatch):
     # components become singletons, so the points over one label of the
     # row (3, 5), where 3 is not a square mod 5, land apart
     real = orbits.decompose
-    monkeypatch.setattr(orbits, "decompose", lambda T: real(dataclasses.replace(T, monodromy=T.group.canon(1))))
+    monkeypatch.setattr(orbits, "decompose", lambda G, monodromy: real(G, G.canon(1)))
     with pytest.raises(AssertionError, match="land in two components"):
         reciprocity_rows([(3, 5)])
 
@@ -454,10 +448,9 @@ def test_reciprocity_table_rejects_a_label_split_across_components(monkeypatch):
 def test_reciprocity_table_rejects_a_label_split_across_components_under_python_O():
     # the same broken decompose; the landing check must survive python -O
     code = (
-        "import dataclasses\n"
         "from wittlink import orbits\n"
         "real = orbits.decompose\n"
-        "orbits.decompose = lambda T: real(dataclasses.replace(T, monodromy=T.group.canon(1)))\n"
+        "orbits.decompose = lambda G, monodromy: real(G, G.canon(1))\n"
         "try:\n"
         "    orbits.reciprocity_rows([(3, 5)])\n"
         "except AssertionError:\n"
