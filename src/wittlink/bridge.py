@@ -51,23 +51,16 @@ from .orbits import DeningerPointFL, FiberDecomposition, FieldFibers, normalize_
 
 @dataclass(frozen=True)
 class FiniteAdeleFL:
-    """A level p^e * m' residue whose p-part is forced to vanish.
-
-    The archimedean place is carried as an exact positive rational
-    multiplicative coordinate; logarithms appear only in display code.
-    """
+    """A level p^e * m' residue whose p-part is forced to vanish."""
 
     modulus: int
     residue: int
     prime: int
     p_exponent: int
-    arch: Fraction = Fraction(1)
 
     def __post_init__(self):
         if not (0 <= self.residue < self.modulus):
             raise DomainViolation("residue out of range")
-        if self.arch.numerator <= 0:
-            raise DomainViolation("archimedean coordinate must be positive")
 
     @property
     def zero_part(self) -> int:

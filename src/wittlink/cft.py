@@ -40,13 +40,6 @@ from .rings import divisors, euler_phi, factor, is_prime
 # elementary pieces
 
 
-def legendre(q: int, p: int) -> int:
-    """Legendre symbol (q|p) by Euler's criterion; p an odd prime."""
-    if p == 2 or not is_prime(p):
-        raise DomainViolation(f"{p} is not an odd prime")
-    return euler_criterion(q, p)
-
-
 def euler_criterion(q: int, p: int) -> int:
     """(q|p) for a p the caller has already checked to be an odd prime."""
     q %= p
@@ -249,11 +242,6 @@ class ModUnit:
     def mul(self, other: "ModUnit | int") -> "ModUnit":
         v = other.value if isinstance(other, ModUnit) else other
         return ModUnit(self.value * v % self.modulus, self.modulus)
-
-    def reduce(self, m: int) -> "ModUnit":
-        if self.modulus % m:
-            raise DomainViolation(f"{m} does not divide the level {self.modulus}")
-        return ModUnit(self.value % m, m)
 
     def __int__(self) -> int:
         return self.value

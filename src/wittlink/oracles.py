@@ -12,15 +12,12 @@ Resultants use the convention
     Res(f, g) = lc(f)^deg(g) * prod of g(alpha) over the roots alpha of f
 
 which equals the determinant of the Sylvester matrix built from deg(g)
-rows of f over deg(f) rows of g.  The primary route is a scalar-tracked
-subresultant remainder sequence (exact over any integral domain, controls
-coefficient growth); a division-free Berkowitz determinant of the
-Sylvester matrix backs rings without exact division and serves as an
-independent oracle in the tests.  Both routes run over the base ring or
-over polynomial rings R[t], which serve only the resultant form of the
-Witt product and Frobenius, the oracle of their Newton route: the ops
-object they take is the RingSpec itself, or _PolyRingOps, which gives
-R[t] the same method names.
+rows of f over deg(f) rows of g.  One route computes it: a division-free
+Berkowitz determinant of that matrix, exact over any commutative ring.
+It runs over the base ring or over polynomial rings R[t], which serve
+only the resultant form of the Witt product and Frobenius, the oracle of
+their Newton route: the ops object it takes is the RingSpec itself, or
+_PolyRingOps, which gives R[t] the same method names.
 """
 
 from __future__ import annotations
@@ -49,10 +46,10 @@ from .witt import WittVector
 
 
 def poly_divmod(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Division with remainder, each leading term divided exactly by lc(g).
+    """Division with remainder by a g whose leading coefficient is a unit.
 
-    Any g != 0 divides over a field; over a domain a leading term that
-    lc(g) does not divide raises DomainViolation.
+    Each leading term is multiplied by the inverse of lc(g); a lc(g) that
+    is not a unit raises NotAUnit.
     """
     f._check(g)
     s = f.spec
@@ -60,9 +57,10 @@ def poly_divmod(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
         raise DomainViolation("division by the zero polynomial")
     r = list(f.coeffs)
     dg = g.degree
+    inv = s.inv(g.coeffs[-1])
     q = [s.zero()] * max(len(r) - dg, 0)
     while len(r) - 1 >= dg and r:
-        coef = s.exact_div(r[-1], g.coeffs[-1])
+        coef = s.mul(r[-1], inv)
         shift = len(r) - 1 - dg
         q[shift] = coef
         for i, gc in enumerate(g.coeffs):
@@ -70,14 +68,6 @@ def poly_divmod(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
         while r and s.is_zero(r[-1]):
             r.pop()
     return Polynomial.from_payloads(s, q), Polynomial(s, tuple(r))
-
-
-def poly_exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
-    """f / g when g divides f exactly; works over any domain spec."""
-    q, r = poly_divmod(f, g)
-    if not r.is_zero:
-        raise DomainViolation("inexact polynomial division")
-    return q
 
 
 def poly_gcd_monic(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -104,10 +94,6 @@ class _PolyRingOps:
     def __init__(self, spec: RingSpec):
         self.spec = spec
 
-    @property
-    def is_domain(self):
-        return self.spec.is_domain
-
     def zero(self):
         return Polynomial.zero(self.spec)
 
@@ -117,118 +103,20 @@ class _PolyRingOps:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
     def neg(self, a):
         return -a
 
-    def exact_div(self, a, b):
-        return poly_exact_div(a, b)
-
-    pow_payload = RingSpec.pow_payload  # square-and-multiply through one() and mul()
-
     def is_zero(self, a):
         return a.is_zero
-
-    def is_one(self, a):
-        return a.is_one
 
 
 def _lp_trim(c: list, ops) -> list:
     while c and ops.is_zero(c[-1]):
         c.pop()
     return c
-
-
-def _lp_prem(A: list, B: list, ops) -> list:
-    """Pseudo-remainder: lc(B)^(degA-degB+1) * A mod B."""
-    dA, dB = len(A) - 1, len(B) - 1
-    lb = B[-1]
-    lb_is_one = ops.is_one(lb)
-    r = list(A)
-    e = dA - dB + 1
-    while r and len(r) - 1 >= dB:
-        lr = r[-1]
-        shift = len(r) - 1 - dB
-        if not lb_is_one:
-            r = [ops.mul(lb, c) for c in r]
-        for i, bc in enumerate(B):
-            r[i + shift] = ops.sub(r[i + shift], ops.mul(lr, bc))
-        _lp_trim(r, ops)
-        e -= 1
-    if e > 0 and not lb_is_one:
-        f = ops.pow_payload(lb, e)
-        r = [ops.mul(f, c) for c in r]
-    return r
-
-
-def _lp_resultant_prs(A: list, B: list, ops):
-    """Resultant by a scalar-tracked subresultant remainder sequence.
-
-    The recursion Res(A, B) = (-1)^(dA dB) lc(B)^(dA - dR - delta*dB)
-    Res(B, R) with R = prem(A, B), delta = dA - dB + 1, is tracked through
-    exact numerator/denominator scalars, so any exactly-dividing beta may
-    rescale the remainders without touching correctness; the classical
-    subresultant beta keeps coefficient growth polynomial.
-    """
-    sign = 1
-    if len(A) < len(B):
-        if ((len(A) - 1) * (len(B) - 1)) % 2:
-            sign = -sign
-        A, B = B, A
-    if len(B) - 1 == 0:
-        res = ops.pow_payload(B[0], len(A) - 1)
-        return ops.neg(res) if sign < 0 else res
-    num = ops.one()
-    den = ops.one()
-    psi = None
-    prev_gap = None
-    prev_lc = None
-    while True:
-        dA, dB = len(A) - 1, len(B) - 1
-        if dB == 0:
-            base = ops.pow_payload(B[0], dA)
-            break
-        lb = B[-1]
-        R = _lp_prem(A, B, ops)
-        if not R:
-            return ops.zero()
-        dR = len(R) - 1
-        delta = dA - dB + 1
-        if (dA * dB) % 2:
-            sign = -sign
-        e = dA - dR - delta * dB
-        if e >= 0:
-            num = ops.mul(num, ops.pow_payload(lb, e))
-        else:
-            den = ops.mul(den, ops.pow_payload(lb, -e))
-        # subresultant beta for size control
-        gap = dA - dB
-        if psi is None:
-            beta = ops.one() if (gap + 1) % 2 == 0 else ops.neg(ops.one())
-            psi = ops.neg(ops.one())
-        else:
-            if prev_gap == 0:
-                pass  # psi unchanged; only reachable while psi is a sign
-            else:
-                psi = ops.exact_div(ops.pow_payload(ops.neg(prev_lc), prev_gap), ops.pow_payload(psi, prev_gap - 1))
-            beta = ops.neg(ops.mul(prev_lc, ops.pow_payload(psi, gap)))
-        prev_gap = gap
-        prev_lc = lb
-        try:
-            R_small = [ops.exact_div(c, beta) for c in R]
-            num = ops.mul(num, ops.pow_payload(beta, dB))
-            R = R_small
-        except DomainViolation:  # pragma: no cover - beta always divides
-            pass
-        A, B = B, R
-    total = ops.mul(num, base)
-    res = ops.exact_div(total, den)
-    return ops.neg(res) if sign < 0 else res
 
 
 def _sylvester_matrix(A: list, B: list, ops) -> list[list]:
@@ -284,22 +172,16 @@ def _berkowitz_det(M: list[list], ops):
     return det if n % 2 == 0 else ops.neg(det)
 
 
-def _lp_resultant_det(A: list, B: list, ops):
-    return _berkowitz_det(_sylvester_matrix(A, B, ops), ops)
-
-
-def _lp_resultant(A: list, B: list, ops, prs: bool = True):
-    """Res(A, B) by the remainder sequence over a domain when prs, else by the determinant."""
-    # two constants give 1 on either route: B[0]^0, or the empty Sylvester determinant
+def _lp_resultant(A: list, B: list, ops):
+    """Res(A, B) as the determinant of the Sylvester matrix."""
+    # two constants give 1: the empty Sylvester determinant
     A = _lp_trim(list(A), ops)
     B = _lp_trim(list(B), ops)
     if not A and not B:
         raise DomainViolation("resultant of two zero polynomials")
     if not A or not B:
         return ops.zero()
-    if prs and ops.is_domain:
-        return _lp_resultant_prs(A, B, ops)
-    return _lp_resultant_det(A, B, ops)
+    return _berkowitz_det(_sylvester_matrix(A, B, ops), ops)
 
 
 def poly_resultant(f: Polynomial, g: Polynomial) -> RingElement:
@@ -310,13 +192,7 @@ def poly_resultant(f: Polynomial, g: Polynomial) -> RingElement:
     when one argument is the zero polynomial; rejects two zeros.
     """
     f._check(g)
-    return RingElement(f.spec, _lp_resultant(list(f.coeffs), list(g.coeffs), f.spec))
-
-
-def poly_resultant_det(f: Polynomial, g: Polynomial) -> RingElement:
-    """Sylvester-determinant route; independent cross-check of poly_resultant."""
-    f._check(g)
-    return RingElement(f.spec, _lp_resultant(f.coeffs, g.coeffs, f.spec, prs=False))
+    return RingElement(f.spec, _lp_resultant(f.coeffs, g.coeffs, f.spec))
 
 
 # --------------------------------------------------------------------------
@@ -328,8 +204,8 @@ def _star_polys_resultant(p: Polynomial, q: Polynomial) -> Polynomial:
 
     p~(y) = sum p_rev[i] t^(d-i) y^i is monic in y with roots t*a_i, so the
     resultant equals prod q(t*a_i) without any sign correction; q keeps
-    constant (t-degree 0) coefficients, which keeps the remainder sequence
-    cheap.
+    constant (t-degree 0) coefficients, which keeps the determinant's
+    products cheap.
     """
     spec = p.spec
     d, e = p.degree, q.degree

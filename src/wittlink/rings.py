@@ -8,8 +8,8 @@ Every ring element is a plain payload interpreted through a RingSpec:
     Fp        int in [0, p), p prime
     C(n)      tuple of deg(Phi_n) ints: a residue mod the n-th cyclotomic
               polynomial Phi_n, i.e. an element of Z[x]/Phi_n(x).  It
-              inverts and divides by an inverse mod Phi_n over Q, kept
-              when integral.
+              inverts by an inverse mod Phi_n over Q, kept when
+              integral.
     Fq(p, k)  tuple of k ints mod p: a residue mod a fixed irreducible
               polynomial of degree k over F_p.  This is the internal
               extension point used by the group-ring decoder; the public
@@ -21,8 +21,8 @@ characteristic 0.  It is (Phi_n, 0) over Z[zeta_n], (g, p) over F_q and
 ((), n) over the scalar rings (n = 0 over Z and Q).  The payload ops read
 only (m, p), with one branch for vectors (m nonempty) and one for scalars,
 each reducing mod p when p > 0; the kind itself is read where the rings
-really differ (naming, Q's Fractions, units and exact division over Z and
-Z[zeta_n]).  The fused sum of products ``_fused`` takes (m, p), never a
+really differ (naming, Q's Fractions, units over Z and Z[zeta_n]).
+The fused sum of products ``_fused`` takes (m, p), never a
 RingSpec; so do the Witt kernels, which run the product on (m, 0), the
 characteristic-0 lift.  Every product of payload vectors goes through
 ``_fused``, which runs the modulus's ``_kernel``: one straight-line
@@ -485,12 +485,6 @@ class RingSpec:
         return self.kind in (_KIND_Q, _KIND_FP, _KIND_FQ)
 
     @property
-    def is_domain(self) -> bool:
-        # Zn is excluded wholesale: composite moduli have zero divisors and
-        # the Zn contract promises no general division anyway.
-        return self.kind != _KIND_ZN
-
-    @property
     def width(self) -> int:
         """Length of a payload vector: phi(n) over Z[zeta_n], k over F_{p^k}, 1 over the scalar rings."""
         return max(len(self.m) - 1, 1)
@@ -570,27 +564,6 @@ class RingSpec:
             if inv is None:
                 raise NotAUnit(f"{self.render(a)} is not a unit in {self}")
         return tuple(inv + [0] * (self.width - len(inv)))
-
-    def exact_div(self, a, b):
-        """a / b when the quotient exists in the ring; raises otherwise."""
-        if self.kind == _KIND_Z:
-            if b == 0:
-                raise DomainViolation("division by zero")
-            q, r = divmod(a, b)
-            if r:
-                raise DomainViolation(f"{a} is not divisible by {b} in Z")
-            return q
-        if self.is_field:
-            return self.mul(a, self.inv(b))
-        if self.kind == _KIND_C:
-            if self.is_zero(b):
-                raise DomainViolation("division by zero")
-            m = self.m  # the quotient in Q(zeta_n), kept when integral
-            quot = _integral(_dl_divmod(_dl_mul(a, _dl_invmod(b, m)), m)[1])
-            if quot is None:
-                raise DomainViolation("inexact division in Z[zeta]")
-            return tuple(quot + [0] * (self.width - len(quot)))
-        raise UnsupportedRing(f"no exact division in {self}")
 
     def pow_payload(self, a, e: int):
         if e < 0:

@@ -132,12 +132,12 @@ def _random_witt(rng: random.Random, spec: RingSpec, max_deg: int = 4, bound: in
 # criterion 1: ring laws, direct and through the ghost oracle
 
 
-def criterion_witt_ring_laws(seed: int, samples: int = 200, precision: int = 12) -> SuiteResult:
+def criterion_witt_ring_laws(seed: int, samples: int = 200) -> SuiteResult:
     tally = _Tally()
     rng = random.Random(seed)
     Z = RingSpec.integers()
     vectors = [_random_witt(rng, Z) for _ in range(samples)]
-    N = precision
+    N = 12
     for i in range(0, samples - 1, 2):
         f, g = vectors[i], vectors[i + 1]
         gf, gg = ghost(f, 3 * N), ghost(g, 3 * N)

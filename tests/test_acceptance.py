@@ -30,7 +30,7 @@ def _report(result, budget=None):
 def test_criterion_1_witt_ring_laws():
     # >= 200 random vectors, coefficients |c| <= 9, degrees <= 4, ghost N = 12,
     # direct and ghost-oracle equality, runtime < 30 s
-    _report(criterion_witt_ring_laws(CFG.seed, samples=200, precision=12), budget=30)
+    _report(criterion_witt_ring_laws(CFG.seed, samples=200), budget=30)
 
 
 def test_criterion_2_teichmuller_split():

@@ -2,10 +2,10 @@
 
 A ring map R -> R' induces a map on rational Witt vectors by acting on
 coefficients.  Reducing Z -> Z/n and Z -> F_p before or after an operation
-must agree; this exercises the composite-modulus determinant route for the
-product against the integer subresultant route, a genuinely independent
-pairing.  Galois conjugation of cyclotomic coefficients is likewise a ring
-automorphism and must commute with (+), (x), and the power operators.
+must agree; this holds each operation over Z against the same operation
+computed over Z/n or F_p.  Galois conjugation of cyclotomic coefficients
+is likewise a ring automorphism and must commute with (+), (x), and the
+power operators.
 """
 
 import random

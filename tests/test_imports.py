@@ -9,9 +9,14 @@ cannot bind a second import path for a name: each name is imported from
 its own module.  A stale local is the same leftover inside one function.
 A definition that no module of the package reads and README does not name
 is surface kept alive only by its own tests; ``oracles`` holds the tests'
-references, so its definitions are exempt.  A classmethod or staticmethod
-is read only through its class (``<Class>.<name>`` or ``cls.<name>``), so
-a read of another object's method of the same name does not keep it.
+references, so its definitions are exempt.  A top-level function or class
+is read only through its bare name or an import of it, and a method only
+through an attribute of something other than an imported module, so
+``r.legendre`` does not keep a function ``legendre`` and
+``functools.reduce`` does not keep a method ``reduce``.  A classmethod or
+staticmethod is read only through its class (``<Class>.<name>`` or
+``cls.<name>``), so a read of another object's method of the same name
+does not keep it.
 ``python -O`` strips ``assert`` statements, so a check the package relies
 on raises AssertionError explicitly.
 """
@@ -113,8 +118,8 @@ def _on_class(fn) -> bool:
 
 def definitions(source: str) -> dict[str, set[str]]:
     """The top-level functions and classes of source, and its classes' methods other than dunders,
-    each with the reads that count for it: its bare name, or for a classmethod or staticmethod
-    only ``<Class>.<name>`` and ``cls.<name>``."""
+    each with the reads that count for it: its bare name; for a method ``.<name>``; for a
+    classmethod or staticmethod only ``<Class>.<name>`` and ``cls.<name>``."""
     found = {}
     for node in ast.parse(source).body:
         if isinstance(node, (*_FUNCS, ast.ClassDef)):
@@ -123,16 +128,21 @@ def definitions(source: str) -> dict[str, set[str]]:
             for m in node.body:
                 if isinstance(m, _FUNCS) and not (m.name.startswith("__") and m.name.endswith("__")):
                     qualified = f"{node.name}.{m.name}"
-                    found[qualified] = {qualified, f"cls.{m.name}"} if _on_class(m) else {m.name}
+                    found[qualified] = {qualified, f"cls.{m.name}"} if _on_class(m) else {f".{m.name}"}
     return found
 
 
 def reads(source: str) -> set[str]:
-    """The names source reads, bare or as an attribute, and ``<name>.<attribute>`` for an attribute of a name."""
-    nodes = [n for n in ast.walk(ast.parse(source)) if not isinstance(getattr(n, "ctx", None), ast.Store)]
-    return ({n.id for n in nodes if isinstance(n, ast.Name)}
-            | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
-            | {f"{n.value.id}.{n.attr}" for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)})
+    """The names source reads or imports, ``.<attribute>`` for an attribute of anything but an
+    imported module, and ``<name>.<attribute>`` for an attribute of a name."""
+    tree = ast.parse(source)
+    nodes = [n for n in ast.walk(tree) if not isinstance(getattr(n, "ctx", None), ast.Store)]
+    modules = {a.asname or a.name.split(".")[0] for n in nodes if isinstance(n, ast.Import) for a in n.names}
+    imported = {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
+    attributes = [n for n in nodes if isinstance(n, ast.Attribute)]
+    return ({n.id for n in nodes if isinstance(n, ast.Name)} | imported
+            | {f".{n.attr}" for n in attributes if not (isinstance(n.value, ast.Name) and n.value.id in modules)}
+            | {f"{n.value.id}.{n.attr}" for n in attributes if isinstance(n.value, ast.Name)})
 
 
 def dead_definitions(defining: dict, reading, named=frozenset()) -> list[str]:
@@ -182,6 +192,21 @@ def test_the_check_reads_a_classmethod_only_through_its_class():
     # the builtin pow and B's own zero do not read A.pow and A.zero
     reading = [*defining.values(), "from .a import A, B\nA.make()\nB().zero()\nprint(pow(2, 3))\n"]
     assert dead_definitions(defining, reading) == ["a.py: A.pow", "a.py: A.zero"]
+
+
+def test_the_check_reads_no_definition_through_an_unrelated_attribute():
+    defining = {"a.py": (
+        "class A:\n"
+        "    def reduce(self):\n"
+        "        return 0\n"
+        "def legendre():\n"
+        "    pass\n"
+    )}
+    # functools.reduce is not A.reduce, and another object's legendre attribute is not the function
+    reading = [*defining.values(), "import functools\nfrom .a import A\nfunctools.reduce(max, [A()])\nprint(r.legendre)\n"]
+    assert dead_definitions(defining, reading) == ["a.py: A.reduce", "a.py: legendre"]
+    reading = [*defining.values(), "from .a import A, legendre\nA().reduce()\n"]
+    assert dead_definitions(defining, reading) == []
 
 
 # definitions no module reads and README does not name, kept on purpose

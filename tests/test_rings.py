@@ -36,7 +36,7 @@ from wittlink.rings import (
     _kernel,
     _reduce,
 )
-from wittlink.oracles import poly_divmod, poly_gcd_monic, poly_resultant, poly_resultant_det
+from wittlink.oracles import _PolyRingOps, _lp_resultant, poly_divmod, poly_gcd_monic, poly_resultant
 from wittlink.witt import MAX_DECODE_FIELD_SIZE
 
 Z = RingSpec.integers()
@@ -449,7 +449,6 @@ def test_resultant_linear_linear():
     # Sylvester oracle [[1, -2], [1, -3]] -> det -1; equals g(2) = 2 - 3
     f, g = zpoly(-2, 1), zpoly(-3, 1)
     assert poly_resultant(f, g).payload == -1
-    assert poly_resultant_det(f, g).payload == -1
 
 
 def test_resultant_against_constant_one():
@@ -482,39 +481,67 @@ def test_resultant_multiplicative_in_second_argument(a, b, c):
     assert lhs == rhs
 
 
-def _resultant_inputs(spec):
-    if spec == F8:
-        coeff = st.lists(st.integers(0, 1), min_size=3, max_size=3).map(tuple)
-    elif spec == Q:
-        coeff = st.fractions(-5, 5, max_denominator=4)
-    else:
-        coeff = st.integers(-5, 5)
-    part = st.lists(coeff, min_size=1, max_size=5)
-    return st.tuples(st.just(spec), part, part)
+def _list_mul(a, b, ops):
+    out = [ops.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = ops.add(out[i + j], ops.mul(x, y))
+    return out
 
 
-@given(st.sampled_from([Z, Q, F7, F8]).flatmap(_resultant_inputs))
-@settings(max_examples=240, deadline=None)
-def test_resultant_routes_agree(case):
-    spec, a, b = case
-    f = Polynomial.from_payloads(spec, a)
-    g = Polynomial.from_payloads(spec, b)
-    if f.is_zero and g.is_zero:
-        return
-    assert poly_resultant(f, g).payload == poly_resultant_det(f, g).payload
+def _horner(g, x, ops):
+    acc = ops.zero()
+    for c in reversed(g):
+        acc = ops.add(ops.mul(acc, x), c)
+    return acc
 
 
-@given(
-    st.lists(st.integers(0, 6), min_size=1, max_size=5),
-    st.lists(st.integers(0, 6), min_size=1, max_size=5),
-)
-@settings(max_examples=60, deadline=None)
-def test_resultant_routes_agree_prime_field(a, b):
-    f = Polynomial.from_ints(F7, a)
-    g = Polynomial.from_ints(F7, b)
-    if f.is_zero and g.is_zero:
-        return
-    assert poly_resultant(f, g).payload == poly_resultant_det(f, g).payload
+ZT = _PolyRingOps(Z)  # Z[t], with RingSpec's op names
+_ELEMENTS = {
+    Z: st.integers(-5, 5),
+    Q: st.fractions(-5, 5, max_denominator=4),
+    F7: st.integers(0, 6),
+    F8: st.tuples(*[st.integers(0, 1)] * 3),
+    ZT: st.lists(st.integers(-3, 3), max_size=3).map(lambda c: Polynomial.from_ints(Z, c)),
+}
+
+
+@st.composite
+def _resultant_case(draw):
+    """A ring's ops, f = c * prod (x - alpha_i), g with a nonzero leading coefficient, c and the alphas."""
+    ops = draw(st.sampled_from(list(_ELEMENTS)))
+    element = _ELEMENTS[ops]
+    nonzero = element.filter(lambda a: not ops.is_zero(a))
+    c = draw(nonzero)
+    roots = draw(st.lists(element, max_size=3))
+    f = [c]
+    for alpha in roots:
+        f = _list_mul(f, [ops.neg(alpha), ops.one()], ops)
+    g = draw(st.lists(element, max_size=3)) + [draw(nonzero)]
+    return ops, f, g, c, roots
+
+
+@given(_resultant_case())
+@settings(max_examples=200, deadline=None)
+def test_resultant_is_the_product_over_the_roots(case):
+    # the definition, not a second algorithm: Res(f, g) = c^deg g * prod g(alpha_i)
+    # for f = c * prod (x - alpha_i), over Z, Q, F_7, F_8 and Z[t]
+    ops, f, g, c, roots = case
+    want = ops.one()
+    for _ in range(len(g) - 1):
+        want = ops.mul(want, c)
+    for alpha in roots:
+        want = ops.mul(want, _horner(g, alpha, ops))
+
+    def res(a, b):
+        if ops is ZT:
+            return _lp_resultant(a, b, ops)
+        return poly_resultant(Polynomial.from_payloads(ops, a), Polynomial.from_payloads(ops, b)).payload
+
+    fg = res(f, g)
+    assert fg == want
+    assert res(g, f) == (ops.neg(fg) if len(roots) * (len(g) - 1) % 2 else fg)
+    assert res(f, []) == res([], g) == ops.zero()  # against the zero polynomial
 
 
 # --------------------------------------------------------------------------

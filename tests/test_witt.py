@@ -426,24 +426,6 @@ def test_frobenius_matches_newton_reconstruction():
         )
 
 
-def test_product_resultant_routes_agree_over_polynomial_ring():
-    # the remainder-sequence and determinant routes on the exact R[t][y]
-    # resultants behind the product must agree coefficient for coefficient
-    from wittlink.oracles import _PolyRingOps, _lp_resultant_det, _lp_resultant_prs
-
-    rng = random.Random(125)
-    pops = _PolyRingOps(Z)
-    for _ in range(25):
-        a = _random_part(rng, 3)
-        b = _random_part(rng, 3)
-        d = a.degree
-        zero = Z.zero()
-        rev = list(reversed(a.coeffs))
-        A = [Polynomial.from_payloads(Z, [zero] * (d - i) + [rev[i]]) for i in range(d + 1)]
-        B = [Polynomial.constant(Z, c) for c in b.coeffs]
-        assert _lp_resultant_prs(list(A), list(B), pops) == _lp_resultant_det(list(A), list(B), pops)
-
-
 # --------------------------------------------------------------------------
 # cross-cutting ring laws (small seeded sample; the full run is acceptance)
 
@@ -573,8 +555,7 @@ def test_extension_field_route_needs_no_resultant(monkeypatch):
     def unreachable(*args):
         raise AssertionError("resultant called on the production route")
 
-    monkeypatch.setattr(oracles, "_lp_resultant_prs", unreachable)
-    monkeypatch.setattr(oracles, "_lp_resultant_det", unreachable)
+    monkeypatch.setattr(oracles, "_lp_resultant", unreachable)
     F9 = RingSpec.ext_field(3, 2)
     x = F9.canon((0, 1))
     f = WittVector.from_polys(
@@ -628,7 +609,7 @@ def test_criterion_one_catches_a_wrong_newton_reconstruction(monkeypatch):
     p = witt_mul(f, g)
     assert ghost(p, 12).components == (ghost(f, 12) * ghost(g, 12)).components
     assert p != _resultant_product(f, g)
-    result = criterion_witt_ring_laws(20240901, samples=40, precision=12)
+    result = criterion_witt_ring_laws(20240901, samples=40)
     assert not result.passed and result.failures > 0
 
 
@@ -927,14 +908,14 @@ def _cyclotomic_shared_case(draw):
 @given(_cyclotomic_shared_case())
 @settings(max_examples=80, deadline=None)
 def test_cyclotomic_normalization_is_equal_and_coprime(case):
-    from wittlink.oracles import poly_resultant_det
+    from wittlink.oracles import poly_resultant
 
     num, den = case
     f = WittVector.from_polys(num, den)
     assert f.num * den == num * f.den
     assert f.spec.is_one(f.num.constant_term) and f.spec.is_one(f.den.constant_term)
     if f.num.degree > 0 and f.den.degree > 0:
-        assert not poly_resultant_det(f.num, f.den).is_zero
+        assert not poly_resultant(f.num, f.den).is_zero
 
 
 def _spy_field_gcd(monkeypatch):
@@ -1286,7 +1267,7 @@ def test_extension_field_ops_normalize_on_the_lists(monkeypatch):
     for op, x, y in (("add", f, g), ("mul", h, g), ("mul", f, h)):
         want = _oracle_op(op, x, y, 1, ())
         with monkeypatch.context() as m:
-            for name in ("mul", "add", "sub", "inv", "exact_div"):
+            for name in ("mul", "add", "sub", "inv"):
                 m.setattr(RingSpec, name, forbid)
             m.setattr(Polynomial, "__mul__", forbid)
             got = _production_op(op, x, y, 1, ())
