@@ -9,7 +9,8 @@ of unity.  At level p^e * m' this is the residue
     psi(p; a; n)  =  CRT(0 mod p^e,  a*n mod m').
 
 The two-modulus CRT has the closed form P * (a*n * P^-1 mod m') with
-P = p^e, one cached inverse per (P, m'); oracles.crt_combine is its oracle.
+P = p^e and P^-1 mod m' taken once per call; oracles.crt_combine is its
+oracle.
 
 The map is checked to commute with inverse-root powering (exponent k
 multiplies the residue by k), with the Galois action (sigma, passed as
@@ -35,7 +36,6 @@ p-part of psi on sample points and randomized equivariance runs.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -87,7 +87,6 @@ def psi_level(x: DeningerPointFL, p_exponent: int | None = None) -> FiniteAdeleF
     return FiniteAdeleFL(P * m2, residue, x.prime, e)
 
 
-@functools.lru_cache(maxsize=None)
 def _inverse_mod(P: int, m: int) -> int:
     """P^-1 mod m for the closed-form CRT of psi_level."""
     if math.gcd(P, m) != 1:

@@ -17,6 +17,9 @@ cyclic_quotient finds <g> by its order among the cyclic subgroups it has
 already built, and walks the powers of g only for a subgroup not seen
 before.
 
+An AbelianField computes its degree, conductor, presentation at the
+conductor and ramified set once, on first read.
+
 The splitting shape (f, r) of an unramified prime p comes from the order
 of its Artin coset in the quotient group, which orbits.FieldFibers
 presents; this module holds no polynomial code.  Its oracle, a
@@ -33,7 +36,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import DomainViolation, NotCoprime, RamifiedPrime
+from .errors import DomainViolation, NotCoprime
 from .rings import divisors, euler_phi, factor, is_prime
 
 # --------------------------------------------------------------------------
@@ -54,7 +57,7 @@ def _check_level(n: int) -> None:
         raise DomainViolation(f"level must be >= 1, got {n}")
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)  # one tuple per level asked for; unbounded (ROADMAP item 1)
 def unit_group(n: int) -> tuple[int, ...]:
     """Units mod n, sorted.  unit_group(1) is the trivial group (0,)."""
     _check_level(n)
@@ -165,7 +168,7 @@ class QuotientUnitGroup:
         return f"QuotientUnitGroup(mod {self.modulus}, |G| = {self.order})"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)  # one table per (modulus, subgroup) asked for; unbounded (ROADMAP item 1)
 def quotient_group(modulus: int, subgroup: frozenset) -> QuotientUnitGroup:
     return QuotientUnitGroup(modulus, subgroup)
 
@@ -176,11 +179,11 @@ def cyclic_quotient(m: int, g: int) -> QuotientUnitGroup:
 
 
 # (m, d) -> the quotients of (Z/m)^* by the cyclic subgroups of order d built
-# so far; a short list, since (Z/m)^* need not be cyclic
+# so far; a short list, since (Z/m)^* need not be cyclic.  Unbounded (ROADMAP item 1)
 _cyclic_quotients: dict[tuple[int, int], list[QuotientUnitGroup]] = {}
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)  # one quotient per (m, g mod m) asked for; unbounded (ROADMAP item 1)
 def _cyclic_quotient(m: int, g: int) -> QuotientUnitGroup:
     # a subgroup of order ord(g) that contains g is <g>
     seen = _cyclic_quotients.setdefault((m, _order(m, g, frozenset({1 % m}))), [])
@@ -192,7 +195,7 @@ def _cyclic_quotient(m: int, g: int) -> QuotientUnitGroup:
     return G
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)  # one per modulus of a quotient table whose orders are taken
 def _carmichael(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Carmichael's lambda(m), the exponent of (Z/m)^*, and its factorization."""
     lam = 1
@@ -275,7 +278,10 @@ def linking_hom(p: int, m: int) -> ModUnit:
 
 @dataclass(frozen=True)
 class AbelianField:
-    """Subfield of the level-n cyclotomic field fixed by H <= (Z/n)^*."""
+    """Subfield of the level-n cyclotomic field fixed by H <= (Z/n)^*.
+
+    Its facts are set on first read, outside the dataclass fields that eq, hash and repr read.
+    """
 
     level: int
     subgroup: frozenset
@@ -290,14 +296,31 @@ class AbelianField:
             raise DomainViolation("subgroup must contain the identity")
         subgroup_generators(self.level, self.subgroup)
 
-    @property
+    @functools.cached_property
     def degree(self) -> int:
         return euler_phi(self.level) // len(self.subgroup)
+
+    @functools.cached_property
+    def conductor(self) -> int:
+        """Least c | level with the reduction kernel inside H; 1 encodes Q."""
+        H, units = self.subgroup, unit_group(self.level)
+        return next(c for c in divisors(self.level) if all(u in H for u in units if u % c == 1 % c))
+
+    @functools.cached_property
+    def at_conductor(self) -> "AbelianField":
+        """The same field presented at its conductor level; the field itself when already there."""
+        c = self.conductor
+        return self if c == self.level else AbelianField(c, frozenset(u % c for u in self.subgroup), self.label)
+
+    @functools.cached_property
+    def ramified(self) -> frozenset:
+        """Primes ramified in the field: exactly the prime divisors of the conductor."""
+        return frozenset(p for p, _ in factor(self.conductor))
 
     def describe(self) -> str:
         if self.label:
             return self.label
-        if len(self.subgroup) == euler_phi(self.level):
+        if self.degree == 1:
             return "Q"
         if len(self.subgroup) == 1:
             return f"Q(mu_{self.level})"
@@ -316,12 +339,12 @@ def cyclotomic_field(n: int) -> AbelianField:
     return AbelianField(n, frozenset({1 % n}), label=f"Q(mu_{n})")
 
 
-def abelian_field(level: int, subgroup_elements, label: str = "") -> AbelianField:
+def abelian_field(level: int, subgroup_elements) -> AbelianField:
     _check_level(level)
-    return AbelianField(level, frozenset(e % level for e in subgroup_elements), label)
+    return AbelianField(level, frozenset(e % level for e in subgroup_elements))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)  # one field per odd prime q; the CLI's reciprocity table takes q < 2,000
 def quadratic_field_subgroup(q: int) -> AbelianField:
     """Q(sqrt(q)) for an odd prime q, as a kernel-of-character subgroup.
 
@@ -341,51 +364,6 @@ def quadratic_field_subgroup(q: int) -> AbelianField:
         u for u in unit_group(level) if (pow(u, half, q) == 1) == (u % 4 == 1)
     )
     return AbelianField(level, H, label=f"Q(sqrt({q}))")
-
-
-@functools.lru_cache(maxsize=None)
-def _conductor_cached(level: int, subgroup: frozenset) -> int:
-    units = unit_group(level)
-    for c in divisors(level):
-        kernel = [u for u in units if u % c == 1 % c]
-        if all(u in subgroup for u in kernel):
-            return c
-    raise AssertionError("level divides itself")  # unreachable
-
-
-def conductor(F: AbelianField) -> int:
-    """Least c | level with the reduction kernel inside H; 1 encodes Q."""
-    return _conductor_cached(F.level, F.subgroup)
-
-
-def at_conductor(F: AbelianField) -> AbelianField:
-    """Re-present the same field at its conductor level; F itself when already there."""
-    if conductor(F) == F.level:
-        return F
-    return _re_presented(F)
-
-
-@functools.lru_cache(maxsize=None)
-def _re_presented(F: AbelianField) -> AbelianField:
-    c = conductor(F)
-    return AbelianField(c, frozenset(u % c for u in F.subgroup), label=F.label)
-
-
-@functools.lru_cache(maxsize=None)
-def _prime_divisors(n: int) -> frozenset:
-    return frozenset(p for p, _ in factor(n))
-
-
-def ramified_set(F: AbelianField) -> frozenset:
-    """Primes ramified in F: exactly the prime divisors of the conductor."""
-    return _prime_divisors(conductor(F))
-
-
-def check_unramified(F: AbelianField, p: int) -> None:
-    """Raise RamifiedPrime when p ramifies in F."""
-    R = ramified_set(F)
-    if p in R:
-        raise RamifiedPrime(f"{p} ramifies in {F.describe()} (ramified set {sorted(R)})")
 
 
 # --------------------------------------------------------------------------
@@ -408,7 +386,6 @@ class Coset:
 # subgroup enumeration (acceptance grids)
 
 
-@functools.lru_cache(maxsize=None)
 def all_subgroups(n: int) -> tuple[frozenset, ...]:
     """Every subgroup of (Z/n)^*, as frozensets: {1} and every unit adjoined to each subgroup found."""
     subs = {frozenset({1 % n})}

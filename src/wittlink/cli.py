@@ -43,14 +43,13 @@ from .rings import Polynomial, RingElement, RingSpec
 from .witt import WittVector, frobenius, ghost, split_counit, teichmuller, witt_add, witt_mul
 from .cft import (
     AbelianField,
+    _check_level,
     abelian_field,
     check_coprime,
-    conductor,
     cyclic_quotient,
     cyclotomic_field,
     linking_hom,
     quadratic_field_subgroup,
-    ramified_set,
     rationals_field,
     subgroup_generated,
 )
@@ -168,7 +167,7 @@ def _skip_spaces(s: str, i: int) -> int:
     return i
 
 
-def parse_poly_literal(text: str, spec: RingSpec, var: str = "t") -> Polynomial:
+def parse_poly_literal(text: str, spec: RingSpec) -> Polynomial:
     """Parse integer-coefficient literals such as ``1-5t+6t^2``."""
     s = text
     terms: dict[int, int] = {}
@@ -189,7 +188,7 @@ def parse_poly_literal(text: str, spec: RingSpec, var: str = "t") -> Polynomial:
         coef = _parse_int(s[i:j]) if j > i else None
         i = _skip_spaces(s, j)
         exp = 0
-        if i < len(s) and s[i] == var:
+        if i < len(s) and s[i] == "t":
             exp = 1
             i += 1
             if i < len(s) and s[i] == "^":
@@ -206,7 +205,7 @@ def parse_poly_literal(text: str, spec: RingSpec, var: str = "t") -> Polynomial:
                     )
                 i = j
         elif coef is None:
-            raise ParseError(f"expected a coefficient or '{var}' at position {i}: {s[i:i+8]!r}")
+            raise ParseError(f"expected a coefficient or 't' at position {i}: {s[i:i+8]!r}")
         terms[exp] = terms.get(exp, 0) + sign * (1 if coef is None else coef)
         first = False
         i = _skip_spaces(s, i)
@@ -407,11 +406,11 @@ def cmd_field(ns: argparse.Namespace) -> Output:
         text = f"f={f} r={r} artin={art} mod {G.modulus} norm={_render(norm)}"
         table = (["field", "prime", "f", "r", "norm", "artin_rep"], [[label, p, f, r, norm, art]])
     elif sub == "conductor":
-        c = conductor(F)
+        c = F.conductor
         row = {"field": label, "conductor": c}
         text = str(c)
     else:  # ramified
-        R = sorted(ramified_set(F))
+        R = sorted(F.ramified)
         row = {"field": label, "ramified": R}
         text = " ".join(map(str, R)) or "(none)"
         table = (["field", "ramified"], [[label, " ".join(map(str, R))]])
@@ -433,17 +432,18 @@ def cmd_monodromy(ns: argparse.Namespace) -> Output:
         dec = decompose(G, monodromy)
     else:
         fibers = FieldFibers(parse_field(ns))
-        # p is an unramified prime, then prime to the level; with --side cc
+        # p is an unramified prime, then prime to the level, which is at least 1; with --side cc
         # the level is only checked: the table is Gal(F/Q) as fibers.artin presents it
         fibers.check(p)
         check_coprime(p, m)
+        _check_level(m)
         if ns.side == "cc":
             G, monodromy, dec = fibers.covering(p)
         else:
             label_info["labels"] = list(cyclic_quotient(m, p).reps)
             G, monodromy = fibers.packet(p, m)
             dec = decompose(G, monodromy)
-            if m % conductor(fibers.field) == 0:  # label fibers need the character
+            if m % fibers.field.conductor == 0:  # label fibers need the character
                 fib = fibers.flow(p, m)[1]
                 label_info["fiber_per_label"] = {
                     "count": fib.count,
@@ -586,7 +586,7 @@ def _add_field_flags(p: argparse.ArgumentParser) -> None:
                        help="the quadratic field of the odd prime Q")
 
 
-@functools.cache
+@functools.cache  # one parser: it takes no argument
 def build_parser() -> _Parser:
     """The parser, built on the first ``main`` call and shared by the later ones (it keeps no per-call state)."""
     usage = __doc__.split("\nHow a command runs")[0]  # the rest describes the code

@@ -22,7 +22,7 @@ Two constructions produce tori:
 
 FieldFibers assembles both sides of one field over a prime, each step
 once, and is the one place that presents Gal(F/Q) for a prime: at the
-field's own level when p does not divide it, else at the conductor.  The
+field's own level when p does not divide it, else at F.at_conductor.  The
 covering side decomposes that quotient under the Artin coset; the flow
 side pushes the level-m packet data through the restriction character
 onto the Galois quotient at the conductor, orbit-enumerates there once
@@ -42,16 +42,13 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainViolation, EqualPrimes
+from .errors import DomainViolation, EqualPrimes, RamifiedPrime
 from .cft import (
     AbelianField,
     ModUnit,
     QuotientUnitGroup,
     _check_prime_to_level,
-    at_conductor,
     check_coprime,
-    check_unramified,
-    conductor,
     cyclic_quotient,
     euler_criterion,
     quadratic_field_subgroup,
@@ -140,8 +137,8 @@ class FieldFibers:
     call, the reciprocity table one per field for the rows of one call,
     and the field split and monodromy commands one per run.  Its steps:
 
-      * check: p is an unramified prime, each level a multiple of the
-        conductor (so that the restriction character exists) prime to p;
+      * check: p is a prime outside F.ramified, each level a multiple of
+        F.conductor (so that the restriction character exists) prime to p;
       * artin: Gal(F/Q) and the Artin coset of p in it, at the field's own
         level when p does not divide it, else at the conductor;
       * covering: that group decomposed under the Artin coset;
@@ -173,7 +170,7 @@ class FieldFibers:
 
         A plain attribute, not a property, so that a per-row read costs no descriptor call.
         """
-        pres = self.field if name == "own" else at_conductor(self.field)
+        pres = self.field if name == "own" else self.field.at_conductor
         G = quotient_group(pres.level, pres.subgroup)
         setattr(self, name, G)
         return G
@@ -182,8 +179,10 @@ class FieldFibers:
         """Refuse p unless it is a prime unramified in F, then each level unless the conductor divides it and p does not."""
         if not is_prime(p):
             raise DomainViolation(f"{p} is not prime")
-        check_unramified(self.field, p)
-        c = conductor(self.field)
+        F = self.field
+        if p in F.ramified:
+            raise RamifiedPrime(f"{p} ramifies in {F.describe()} (ramified set {sorted(F.ramified)})")
+        c = F.conductor
         for m in levels:
             if m % c:
                 raise DomainViolation(f"level {m} must be a multiple of the conductor {c}")

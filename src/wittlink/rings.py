@@ -30,7 +30,7 @@ function, generated once per modulus m of width up to MAX_KERNEL_WIDTH
 (96), that sums the products of its pairs of vectors and reduces the sum
 once mod m through a constant table of x^r mod m.  Wider moduli, which
 only library callers can build, take a loop over ``_dl_mul`` and the
-reduction ``_reduce``.
+reduction ``_reduce``, which is ``_dl_rem`` padded to the width.
 
 Polynomials are dense tuples of payloads, constant term first, with no
 trailing zero coefficients.  Underneath, every list-level polynomial
@@ -129,7 +129,6 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-@functools.lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     return math.prod((p - 1) * p ** (e - 1) for p, e in factor(n))
 
@@ -233,7 +232,7 @@ def _dl_invmod(a: list, m: list, p: int = 0) -> list | None:
     return _dl_trim([c * inv for c in s0], p)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)  # one per level n: C<n> and its divisors stop at 100, verify-all at --cyclotomic-bound
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, ascending, computed exactly.
 
@@ -251,7 +250,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)  # one per (p, k): the decoder's fields F_p^k have at most 2^12 elements
 def _ext_field_modulus(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree k over F_p.
 
@@ -273,29 +272,10 @@ def _ext_field_modulus(p: int, k: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-@functools.lru_cache(maxsize=None)
-def _fold_terms(m: tuple) -> tuple[tuple[int, int], ...]:
-    """(i, m_i) for the nonzero coefficients of a monic modulus m below its leading one."""
-    return tuple((i, mi) for i, mi in enumerate(m[:-1]) if mi)
-
-
 def _reduce(c: list, m: tuple, p: int) -> tuple:
-    """c modulo the monic modulus m (and mod p when p > 0), padded to the width len(m) - 1.
-
-    The remainder of the division by m, folded from the top through m's
-    nonzero lower terms only (Phi_8 = x^4 + 1 has one).
-    """
+    """c modulo the monic modulus m (and mod p when p > 0) by ``_dl_rem``, padded to the width len(m) - 1."""
     w = len(m) - 1
-    r = list(c)
-    terms = _fold_terms(m)
-    for top in range(len(r) - 1, w - 1, -1):
-        v = r.pop() % p if p else r.pop()
-        if v:
-            base = top - w
-            for i, mi in terms:
-                r[base + i] -= v * mi
-    if p:
-        r = [v % p for v in r]
+    r = _dl_rem(list(c), m, p)
     return tuple(r + [0] * (w - len(r)))
 
 
@@ -306,7 +286,7 @@ def _reduce(c: list, m: tuple, p: int) -> tuple:
 MAX_KERNEL_WIDTH = 96
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)  # one per modulus: width at most 96 over the CLI's C<n> rings, 12 over F_q
 def _kernel(m: tuple):
     """The sum of products of payload vectors modulo the monic m, as one function of (base, xs, ys).
 
@@ -799,7 +779,7 @@ def conjugate_polynomial(f: Polynomial, sigma: int) -> Polynomial:
 # rendering
 
 
-def format_polynomial(f: Polynomial, var: str = "t") -> str:
+def format_polynomial(f: Polynomial) -> str:
     """Render ascending, integer-style sign merging: ``1-5t+6t^2``.
 
     A vector coefficient with no terms in z (or w) prints as its constant
@@ -811,7 +791,7 @@ def format_polynomial(f: Polynomial, var: str = "t") -> str:
     for i, c in enumerate(f.coeffs):
         if s.is_zero(c):
             continue
-        power = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
+        power = "" if i == 0 else ("t" if i == 1 else f"t^{i}")
         if s.m and any(c[1:]):
             body = s.render(c)
             if i or "+" in body or "-" in body[1:]:

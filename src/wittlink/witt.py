@@ -90,7 +90,9 @@ from .rings import (
 # normalization helpers
 
 
-_PROBES: dict[int, list] = {}  # n -> the pairs (q, omega) found so far, q ascending
+# n -> the pairs (q, omega) found so far, q ascending; one list per level n
+# (C<n> stops at 100), as long as the most probes one gcd took
+_PROBES: dict[int, list] = {}
 
 
 def _probe_primes(n: int):
@@ -117,7 +119,7 @@ def _probe_primes(n: int):
         yield found[i]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)  # one pair of matrices per (n, q, omega) that _PROBES holds
 def _root_maps(n: int, q: int, omega: int) -> tuple[list, list]:
     """Evaluation at the roots r of Phi_n mod q (the omega^u, u prime to n), and its inverse.
 

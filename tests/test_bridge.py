@@ -23,11 +23,8 @@ from wittlink.cft import (
     AbelianField,
     ModUnit,
     all_subgroups,
-    at_conductor,
-    conductor,
     cyclotomic_field,
     quadratic_field_subgroup,
-    ramified_set,
     rationals_field,
     unit_group,
 )
@@ -294,10 +291,10 @@ def test_bridge_base_field():
 def test_bridge_above_the_conductor():
     # Q(sqrt(5)) presented at level 15: both sides are computed separately
     F = AbelianField(15, frozenset({1, 4, 11, 14}), label="Q(sqrt(5))")
-    G = at_conductor(F)
+    G = F.at_conductor
     assert (G.level, G.subgroup, G.label) == (5, frozenset({1, 4}), "Q(sqrt(5))")
-    assert at_conductor(G) is G
-    assert at_conductor(AbelianField(15, F.subgroup)).label == ""
+    assert G.at_conductor is G
+    assert AbelianField(15, F.subgroup).at_conductor.label == ""
     for p, m in ((11, 5), (7, 15), (2, 15)):
         r = bridge_compare(F, p, m)
         assert r.cc_side is not r.deninger_side
@@ -372,9 +369,9 @@ def bridge_level_digest(n: int, samples: int = 4, p_exponent: int = 1) -> str:
     reports = []
     for H in all_subgroups(n):
         F = AbelianField(n, H)
-        c = conductor(F)
+        c = F.conductor
         for p in primes_below(30):
-            if p in ramified_set(F):
+            if p in F.ramified:
                 continue
             for m in sorted({c, second_level(c, p)}):
                 report = bridge_compare(F, p, m, seed=0, samples=samples, p_exponent=p_exponent)

@@ -11,15 +11,12 @@ from wittlink.cft import (
     ModUnit,
     QuotientUnitGroup,
     all_subgroups,
-    at_conductor,
-    conductor,
     cyclic_quotient,
     cyclotomic_field,
     euler_criterion,
     linking_hom,
     quadratic_field_subgroup,
     quotient_group,
-    ramified_set,
     rationals_field,
     subgroup_generated,
     subgroup_generators,
@@ -282,23 +279,45 @@ def test_subgroup_generators_of_unit_groups():
 
 
 def test_conductor_examples():
-    assert conductor(AbelianField(5, frozenset(unit_group(5)))) == 1
-    assert conductor(AbelianField(5, frozenset({1, 4}))) == 5
-    assert conductor(AbelianField(10, frozenset({1}))) == 5
-    assert conductor(rationals_field()) == 1
+    assert AbelianField(5, frozenset(unit_group(5))).conductor == 1
+    assert AbelianField(5, frozenset({1, 4})).conductor == 5
+    assert AbelianField(10, frozenset({1})).conductor == 5
+    assert rationals_field().conductor == 1
 
 
 def test_at_conductor_re_presentation():
     F = AbelianField(10, frozenset({1}))
-    G = at_conductor(F)
+    G = F.at_conductor
     assert G.level == 5 and G.subgroup == frozenset({1})
     assert G.degree == F.degree
 
 
+def test_at_conductor_over_every_subgroup():
+    # the presentation at the conductor is the same field: its level is
+    # the conductor, and degree and label carry over
+    for n in range(1, 41):
+        for H in all_subgroups(n):
+            F = AbelianField(n, H, label=f"F{n}")
+            G = F.at_conductor
+            assert (G.level, G.degree, G.label) == (F.conductor, F.degree, F.label)
+            assert G.conductor == G.level and G.at_conductor is G
+
+
+def test_field_facts_stay_out_of_its_identity():
+    for F in (AbelianField(15, frozenset({1, 4, 11, 14}), label="Q(sqrt(5))"), cyclotomic_field(12),
+              rationals_field()):
+        twin = AbelianField(F.level, F.subgroup, F.label)
+        before = repr(F)
+        facts = F.conductor, F.at_conductor, F.ramified
+        assert F == twin and hash(F) == hash(twin) and {F, twin} == {F}
+        assert repr(F) == repr(twin) == before
+        assert F.at_conductor is facts[1]  # read once and kept on the field
+
+
 def test_ramified_sets():
-    assert ramified_set(cyclotomic_field(5)) == frozenset({5})
-    assert ramified_set(rationals_field()) == frozenset()
-    assert ramified_set(cyclotomic_field(12)) == frozenset({2, 3})
+    assert cyclotomic_field(5).ramified == frozenset({5})
+    assert rationals_field().ramified == frozenset()
+    assert cyclotomic_field(12).ramified == frozenset({2, 3})
 
 
 def test_ramified_two_routes_agree():
@@ -313,7 +332,7 @@ def test_ramified_two_routes_agree():
         rationals_field(),
     ]
     for F in fields:
-        assert ramified_set(F) == ramified_set_via_inertia(F)
+        assert F.ramified == ramified_set_via_inertia(F)
 
 
 # --------------------------------------------------------------------------
@@ -369,7 +388,7 @@ def test_split_times_count_is_degree():
         for H in all_subgroups(n):
             F = AbelianField(n, H)
             for p in primes_below(30):
-                if p in ramified_set(F):
+                if p in F.ramified:
                     continue
                 f, r, _ = _split_shape(F, p)
                 assert f * r == F.degree

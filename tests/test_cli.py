@@ -367,6 +367,9 @@ BAD_INPUTS = [
     (["monodromy", "--side", "cc", "--prime", "3", "--level", "6", "--cyclotomic", "7"], 2,
      "error: 3 divides the level 6"),
     (["monodromy", "--side", "cc", "--prime", "4", "--level", "6", "--cyclotomic", "7"], 2, "error: 4 is not prime"),
+    # a level below 1 is refused as on every other route; gcd(7, -5) = 1, and this exited 0
+    (["--format", "json", "monodromy", "--side", "cc", "--cyclotomic", "5", "--prime", "7", "--level", "-5"], 2,
+     "error: level must be >= 1, got -5"),
     # a field flag that would be ignored is refused: these exited 0 with Q, the quadratic field
     # and the level-5 fiber
     (["field", "conductor", "--subgroup", "1,2"], 1, "error: --subgroup needs --cyclotomic"),

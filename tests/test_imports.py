@@ -19,6 +19,10 @@ staticmethod is read only through its class (``<Class>.<name>`` or
 does not keep it.
 ``python -O`` strips ``assert`` statements, so a check the package relies
 on raises AssertionError explicitly.
+Every module-level cache (a function under ``functools.lru_cache`` or
+``functools.cache``, or a module dict built empty) is listed in ``CACHES``
+with its owner and why its key space is bounded, or that it is not.  A
+``functools.cached_property`` is owned by its instance and is not listed.
 """
 
 import ast
@@ -226,6 +230,67 @@ def test_every_definition_has_a_reader():
     assert set(KEPT) <= {d for source in defining.values() for d in definitions(source)}
     dead = dead_definitions(defining, sources.values(), named)
     assert [d for d in dead if d.split(": ", 1)[1] not in KEPT] == []
+
+
+def caches(source: str) -> list[str]:
+    """The functions source decorates with functools.lru_cache or functools.cache, and its
+    module-level dicts built empty."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, _FUNCS):
+            for d in node.decorator_list:
+                d = d.func if isinstance(d, ast.Call) else d
+                if isinstance(d, ast.Attribute) and isinstance(d.value, ast.Name) and d.value.id == "functools" \
+                        and d.attr in ("lru_cache", "cache"):
+                    found.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict) \
+                and not node.value.keys:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [t.id for t in targets if isinstance(t, ast.Name)]
+    return sorted(found)
+
+
+def test_the_check_sees_a_cache():
+    source = (
+        "import functools\n"
+        "_SEEN: dict[int, list] = {}\n"
+        "_TABLE = {1: 2}\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def a(n):\n"
+        "    return n\n"
+        "@functools.cache\n"
+        "def b():\n"
+        "    return 0\n"
+        "class C:\n"
+        "    @functools.cached_property\n"
+        "    def d(self):\n"
+        "        return 0\n"
+    )
+    assert caches(source) == ["_SEEN", "a", "b"]
+
+
+# every module-level cache of the package: its owner, and the bound its
+# comment gives; bounding the unbounded ones is ROADMAP item 1
+CACHES = {
+    "cft.unit_group": "cft's groups: one tuple per level asked for; unbounded",
+    "cft.quotient_group": "cft's groups: one table per (modulus, subgroup) asked for; unbounded",
+    "cft._cyclic_quotient": "cyclic_quotient: one quotient per (m, g mod m) asked for; unbounded",
+    "cft._cyclic_quotients": "cyclic_quotient: a short list per (m, order) of the quotients built; unbounded",
+    "cft._carmichael": "cft._order: one per modulus of a quotient table whose orders are taken",
+    "cft.quadratic_field_subgroup": "the quadratic fields: one per odd prime q; the CLI's reciprocity table takes q < 2,000",
+    "cli.build_parser": "cli.main: one parser, as it takes no argument",
+    "rings.cyclotomic_polynomial": "RingSpec.cyclotomic and the oracles: one per level n; C<n> and its divisors stop at 100, "
+                                   "verify-all at --cyclotomic-bound",
+    "rings._ext_field_modulus": "RingSpec.ext_field: one per (p, k); the decoder's fields F_p^k have at most 2^12 elements",
+    "rings._kernel": "rings._fused: one per modulus, of width at most 96 over the CLI's C<n> rings and 12 over F_q",
+    "witt._PROBES": "witt._probe_primes: one list per level n (C<n> stops at 100), as long as the most probes one gcd took",
+    "witt._root_maps": "witt._cyclotomic_gcd: one pair of matrices per (n, q, omega) that _PROBES holds",
+}
+
+
+def test_every_cache_is_listed():
+    found = {f"{p.stem}.{name}" for p in MODULES for name in caches(p.read_text())}
+    assert found == set(CACHES)
 
 
 def asserts(source: str) -> list[int]:

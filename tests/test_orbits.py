@@ -13,7 +13,6 @@ from wittlink import orbits
 from wittlink.cft import (
     AbelianField,
     ModUnit,
-    conductor,
     cyclotomic_field,
     linking_hom,
     quadratic_field_subgroup,
@@ -198,14 +197,14 @@ def _suspension_components_union_find(group_elems, mult, monodromy, steps=3):
 
 
 def test_decompose_matches_union_find_suspension():
-    from wittlink.cft import all_subgroups, ramified_set
+    from wittlink.cft import all_subgroups
     from wittlink.rings import primes_below
 
     for n in (5, 8, 12, 15):
         for H in all_subgroups(n):
             F = AbelianField(n, H)
             for p in primes_below(14):
-                if p in ramified_set(F):
+                if p in F.ramified:
                     continue
                 G, monodromy, dec = FieldFibers(F).covering(p)
                 assert dec.count == _suspension_components_union_find(G.reps, G.mul, monodromy)
@@ -214,14 +213,13 @@ def test_decompose_matches_union_find_suspension():
 def test_component_sizes_match_artin_order():
     # the covering side's (f, r) against the distinct-degree factorization
     # of Phi_n over F_p; n is the conductor of each of these fields
-    from wittlink.cft import ramified_set
     from wittlink.oracles import cyclotomic_factor_degrees
     from wittlink.rings import primes_below
 
     for n in (5, 7, 8, 12, 15):
         for p in primes_below(30):
             F = cyclotomic_field(n)
-            if p in ramified_set(F):
+            if p in F.ramified:
                 continue
             dec = FieldFibers(F).covering(p)[2]
             assert (dec.covering_degree, dec.count) == cyclotomic_factor_degrees(n, p)
@@ -332,7 +330,7 @@ def test_label_fiber_matches_cc_routes():
 
     for n in (1, 3, 5, 7, 8, 9, 10, 12, 15, 16, 20, 21):
         F = cyclotomic_field(n)
-        c = conductor(F)
+        c = F.conductor
         for p in primes_below(30):
             if c % p == 0:
                 continue
