@@ -175,7 +175,7 @@ def quotient_group(modulus: int, subgroup: frozenset) -> QuotientUnitGroup:
 
 def cyclic_quotient(m: int, g: int) -> QuotientUnitGroup:
     """(Z/m)^*/<g>, cached on g mod m."""
-    return _cyclic_quotient(m, g % m)
+    return _cyclic_quotient(m, g % m if m else g)
 
 
 # (m, d) -> the quotients of (Z/m)^* by the cyclic subgroups of order d built
@@ -185,6 +185,7 @@ _cyclic_quotients: dict[tuple[int, int], list[QuotientUnitGroup]] = {}
 
 @functools.lru_cache(maxsize=None)  # one quotient per (m, g mod m) asked for; unbounded (ROADMAP item 1)
 def _cyclic_quotient(m: int, g: int) -> QuotientUnitGroup:
+    _check_level(m)  # before _order and the (m, d) lists cache anything for it
     # a subgroup of order ord(g) that contains g is <g>
     seen = _cyclic_quotients.setdefault((m, _order(m, g, frozenset({1 % m}))), [])
     for G in seen:

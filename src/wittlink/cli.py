@@ -645,7 +645,8 @@ def build_parser() -> _Parser:
     v.add_argument("--cyclotomic-bound", type=int, default=40)
     v.add_argument("--max-prime", type=int, default=100)
     v.add_argument("--witt-samples", type=int, default=None,
-                   help="random vectors for the ring-law suite (default 200, quick 40)")
+                   help=f"random vectors for the ring-law suite (default {VerifyConfig().witt_samples}, "
+                        f"quick {VerifyConfig.quick().witt_samples})")
     v.add_argument("--descent-samples", type=int, default=None)
     v.add_argument("--equivariance-cases", type=int, default=None)
     v.add_argument("--roundtrip-samples", type=int, default=None)

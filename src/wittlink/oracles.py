@@ -7,17 +7,21 @@ module, so an oracle cannot turn into a second production route.
 their gcds in loops over RingSpec payload ops, apart from the ``_dl_*``
 kernel and the Witt normalization on kernel lists that they check.
 
-Resultants use the convention
+One division-free Berkowitz loop, ``_charpoly``, gives det(I - t*M) of a
+square matrix over any commutative ring, on RingSpec payload ops.  It
+serves two routes.  Resultants use the convention
 
     Res(f, g) = lc(f)^deg(g) * prod of g(alpha) over the roots alpha of f
 
 which equals the determinant of the Sylvester matrix built from deg(g)
-rows of f over deg(f) rows of g.  One route computes it: a division-free
-Berkowitz determinant of that matrix, exact over any commutative ring.
-It runs over the base ring or over polynomial rings R[t], which serve
-only the resultant form of the Witt product and Frobenius, the oracle of
-their Newton route: the ops object it takes is the RingSpec itself, or
-_PolyRingOps, which gives R[t] the same method names.
+rows of f over deg(f) rows of g, read off the characteristic polynomial.
+The Witt product and Frobenius, the oracle of their Newton route, are
+characteristic polynomials of companion matrices (Almkvist): a part
+p = prod (1 - a_i t) is det(I - t*C_p), so the star product is that of
+the Kronecker product C_p (x) C_q and F_n(p) that of C_p^n.
+
+``series_coefficients`` expands a Witt vector as a power series, the
+independent route of the descent check.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .errors import DomainViolation, NotCoprime, UnsupportedRing
 from .rings import (
     Polynomial,
     RingElement,
-    RingSpec,
     _dl_divmod,
     _dl_gcd,
     _dl_powmod,
@@ -83,34 +86,33 @@ def poly_gcd_monic(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 # --------------------------------------------------------------------------
-# generic resultant machinery over a RingSpec or _PolyRingOps
+# characteristic polynomials on RingSpec payloads
 
 
-class _PolyRingOps:
-    """Polynomial-over-spec as the coefficient ring R[t], with RingSpec's op names."""
+def _dot(xs, ys, ops):
+    """sum x*y over the pairs of two nonempty payload sequences."""
+    return functools.reduce(ops.add, map(ops.mul, xs, ys))
 
-    __slots__ = ("spec",)
 
-    def __init__(self, spec: RingSpec):
-        self.spec = spec
+def _charpoly(M: list[list], ops) -> list:
+    """det(I - t*M), ascending, by Berkowitz's division-free recursion.
 
-    def zero(self):
-        return Polynomial.zero(self.spec)
-
-    def one(self):
-        return Polynomial.one(self.spec)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a):
-        return a.is_zero
+    The Berkowitz vector of M: exact over any commutative ring, and
+    ``[one]`` for the 0 x 0 matrix.
+    """
+    V = [ops.one()]
+    for r in range(len(M)):
+        # the leading r x r block, the row and column that border it
+        A = [M[i][:r] for i in range(r)]
+        row, vec = M[r][:r], [M[i][r] for i in range(r)]
+        toep = [ops.one(), ops.neg(M[r][r])]
+        for j in range(r):
+            if j:
+                vec = [_dot(a, vec, ops) for a in A]
+            toep.append(ops.neg(_dot(row, vec, ops)))
+        # the lower-triangular Toeplitz matrix of toep applied to V
+        V = [_dot(toep[i::-1], V, ops) for i in range(r + 2)]
+    return V
 
 
 def _lp_trim(c: list, ops) -> list:
@@ -133,47 +135,8 @@ def _sylvester_matrix(A: list, B: list, ops) -> list[list]:
     return rows
 
 
-def _berkowitz_det(M: list[list], ops):
-    """Division-free determinant (Berkowitz); works over any commutative ring."""
-    n = len(M)
-    if n == 0:
-        return ops.one()
-    V = [ops.one(), ops.neg(M[0][0])]
-    for r in range(1, n):
-        row = M[r][:r]
-        col = [M[i][r] for i in range(r)]
-        sums = []
-        vec = col
-        for j in range(r):
-            acc = ops.zero()
-            for x, y in zip(row, vec):
-                acc = ops.add(acc, ops.mul(x, y))
-            sums.append(acc)
-            if j < r - 1:
-                vec = [
-                    functools.reduce(
-                        ops.add,
-                        (ops.mul(M[i][t], vec[t]) for t in range(r)),
-                        ops.zero(),
-                    )
-                    for i in range(r)
-                ]
-        toep = [ops.one(), ops.neg(M[r][r])] + [ops.neg(s) for s in sums]
-        V_new = []
-        for i in range(r + 2):
-            acc = ops.zero()
-            for j in range(len(V)):
-                k = i - j
-                if 0 <= k < len(toep):
-                    acc = ops.add(acc, ops.mul(toep[k], V[j]))
-            V_new.append(acc)
-        V = V_new
-    det = V[n]
-    return det if n % 2 == 0 else ops.neg(det)
-
-
 def _lp_resultant(A: list, B: list, ops):
-    """Res(A, B) as the determinant of the Sylvester matrix."""
+    """Res(A, B) as the determinant (-1)^n V[n] of the n x n Sylvester matrix."""
     # two constants give 1: the empty Sylvester determinant
     A = _lp_trim(list(A), ops)
     B = _lp_trim(list(B), ops)
@@ -181,7 +144,9 @@ def _lp_resultant(A: list, B: list, ops):
         raise DomainViolation("resultant of two zero polynomials")
     if not A or not B:
         return ops.zero()
-    return _berkowitz_det(_sylvester_matrix(A, B, ops), ops)
+    V = _charpoly(_sylvester_matrix(A, B, ops), ops)
+    n = len(V) - 1
+    return V[n] if n % 2 == 0 else ops.neg(V[n])
 
 
 def poly_resultant(f: Polynomial, g: Polynomial) -> RingElement:
@@ -196,81 +161,87 @@ def poly_resultant(f: Polynomial, g: Polynomial) -> RingElement:
 
 
 # --------------------------------------------------------------------------
-# the Witt product and Frobenius as R[t] resultants (criterion 1)
+# the Witt product and Frobenius as characteristic polynomials (criterion 1)
 
 
-def _star_polys_resultant(p: Polynomial, q: Polynomial) -> Polynomial:
-    """The star product as Res_y(p~, q): the oracle of the Newton route.
+def _companion(p: Polynomial) -> list[list]:
+    """The d x d matrix C with det(I - t*C) = p for p = 1 + c_1 t + ... + c_d t^d.
 
-    p~(y) = sum p_rev[i] t^(d-i) y^i is monic in y with roots t*a_i, so the
-    resultant equals prod q(t*a_i) without any sign correction; q keeps
-    constant (t-degree 0) coefficients, which keeps the determinant's
-    products cheap.
+    Ones on the subdiagonal and -c_(d-i) down the last column: its
+    eigenvalues are p's inverse roots.
     """
-    spec = p.spec
-    d, e = p.degree, q.degree
-    if d <= 0 or e <= 0:
-        return Polynomial.one(spec)
-    pops = _PolyRingOps(spec)
-    zero = spec.zero()
-    rev = list(reversed(p.coeffs))  # rev[i] = coefficient of y^i in rev(p)
-    A = [Polynomial.from_payloads(spec, [zero] * (d - i) + [rev[i]]) for i in range(d + 1)]
-    B = [Polynomial.constant(spec, c) for c in q.coeffs]
-    res = _lp_resultant(A, B, pops)
-    return _rescale_constant_to_one(res)
+    s, d = p.spec, p.degree
+    C = [[s.zero()] * d for _ in range(d)]
+    for i in range(d):
+        if i:
+            C[i][i - 1] = s.one()
+        C[i][d - 1] = s.neg(p.coeffs[d - i])
+    return C
 
 
-def _power_roots_resultant(p: Polynomial, n: int) -> Polynomial:
-    """F_n on one part by a resultant: the oracle of the Newton route.
+def _matmul(A: list[list], B: list[list], ops) -> list[list]:
+    cols = list(zip(*B))
+    return [[_dot(row, col, ops) for col in cols] for row in A]
 
-    rev(p) is reduced modulo the monic y^n - u (substituting y^n -> u), a
-    small resultant in u finishes, and reversing u-coefficients with the
-    sign (-1)^d turns prod (a_i^n - u) into prod (1 - a_i^n t).
+
+def _star_charpoly(p: Polynomial, q: Polynomial) -> Polynomial:
+    """prod (1 - a_i b_j t) as det(I - t*(C_p (x) C_q)): the oracle of the Newton route.
+
+    The Kronecker product of the companion matrices has the eigenvalues
+    a_i * b_j, the Witt product of Almkvist's tensor product.
     """
-    spec = p.spec
-    d = p.degree
-    if d <= 0:
-        return Polynomial.one(spec)
-    if n == 1:
-        return p
-    pops = _PolyRingOps(spec)
-    zero = spec.zero()
-    rev = list(reversed(p.coeffs))
-    # rev(p) mod (y^n - u): y^(q*n + r) contributes u^q to the y^r slot
-    width = d // n + 1
-    buckets = [[zero] * width for _ in range(min(n, d + 1))]
-    for i, c in enumerate(rev):
-        buckets[i % n][i // n] = spec.add(buckets[i % n][i // n], c)
-    R = [Polynomial.from_payloads(spec, b) for b in buckets]
-    B = [Polynomial.from_ints(spec, [0, -1])] + [Polynomial.zero(spec)] * (n - 1) + [
-        Polynomial.one(spec)
-    ]
-    res = _lp_resultant(B, R, pops)  # Res(y^n - u, rev(p) mod (y^n - u))
-    if (d * n) % 2:
-        res = -res
-    g = list(res.coeffs) + [zero] * (d + 1 - len(res.coeffs))
-    out = [g[d - m] for m in range(d + 1)]
-    if d % 2:
-        out = [spec.neg(c) for c in out]
-    return _rescale_constant_to_one(Polynomial.from_payloads(spec, out))
+    s = p.spec
+    K = [[s.mul(a, b) for a in ra for b in rb] for ra in _companion(p) for rb in _companion(q)]
+    return Polynomial.from_payloads(s, _charpoly(K, s))
 
 
-def _rescale_constant_to_one(poly: Polynomial) -> Polynomial:
-    spec = poly.spec
-    c0 = poly.constant_term
-    if spec.is_one(c0):
-        return poly
-    return poly.scale(spec.inv(c0))
+def _power_roots_charpoly(p: Polynomial, n: int) -> Polynomial:
+    """F_n(p) = prod (1 - a_i^n t) as det(I - t*C_p^n): the oracle of the Newton route.
+
+    C_p^n is taken by repeated squaring, n >= 1.
+    """
+    s = p.spec
+    C = P = _companion(p)
+    for bit in bin(n)[3:]:
+        P = _matmul(P, P, s)
+        if bit == "1":
+            P = _matmul(P, C, s)
+    return Polynomial.from_payloads(s, _charpoly(P, s))
 
 
-def _resultant_product(f: WittVector, g: WittVector) -> WittVector:
-    """f (x) g by the R[t][y] resultants, independent of the Newton route."""
-    star = _star_polys_resultant
+def _charpoly_product(f: WittVector, g: WittVector) -> WittVector:
+    """f (x) g by characteristic polynomials, independent of the Newton route."""
+    star = _star_charpoly
     return WittVector(f.spec, star(f.num, g.num) * star(f.den, g.den), star(f.num, g.den) * star(f.den, g.num))
 
 
-def _resultant_frobenius(n: int, f: WittVector) -> WittVector:
-    return WittVector(f.spec, _power_roots_resultant(f.num, n), _power_roots_resultant(f.den, n))
+def _charpoly_frobenius(n: int, f: WittVector) -> WittVector:
+    return WittVector(f.spec, _power_roots_charpoly(f.num, n), _power_roots_charpoly(f.den, n))
+
+
+# --------------------------------------------------------------------------
+# the power series of a Witt vector (criterion 3)
+
+
+def series_coefficients(f: WittVector, N: int) -> list:
+    """Power-series coefficients of f through t^N (constant term included).
+
+    Denominator inversion is division-free because den(0) = 1.
+    """
+    spec = f.spec
+    inv = [spec.one()]
+    for k in range(1, N + 1):
+        acc = spec.zero()
+        for i in range(1, k + 1):
+            acc = spec.add(acc, spec.mul(f.den.coefficient(i), inv[k - i]))
+        inv.append(spec.neg(acc))
+    out = []
+    for k in range(N + 1):
+        acc = spec.zero()
+        for i in range(0, k + 1):
+            acc = spec.add(acc, spec.mul(f.num.coefficient(i), inv[k - i]))
+        out.append(acc)
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from .cft import (
     AbelianField,
     ModUnit,
     QuotientUnitGroup,
+    _check_level,
     _check_prime_to_level,
     check_coprime,
     cyclic_quotient,
@@ -176,7 +177,7 @@ class FieldFibers:
         return G
 
     def check(self, p: int, *levels: int) -> None:
-        """Refuse p unless it is a prime unramified in F, then each level unless the conductor divides it and p does not."""
+        """Refuse p unless it is a prime unramified in F, then each level unless it is positive, the conductor divides it and p does not."""
         if not is_prime(p):
             raise DomainViolation(f"{p} is not prime")
         F = self.field
@@ -187,6 +188,7 @@ class FieldFibers:
             if m % c:
                 raise DomainViolation(f"level {m} must be a multiple of the conductor {c}")
             check_coprime(p, m)
+            _check_level(m)
 
     def artin(self, p: int) -> tuple[QuotientUnitGroup, int]:
         """(Gal(F/Q), the Artin coset of p): at the field's own level when p does not divide it, else at the conductor."""

@@ -673,14 +673,6 @@ class Polynomial:
         return cls.from_payloads(spec, [spec.from_int(v) for v in ints])
 
     @classmethod
-    def constant(cls, spec: RingSpec, payload) -> "Polynomial":
-        return cls.from_payloads(spec, [payload])
-
-    @classmethod
-    def zero(cls, spec: RingSpec) -> "Polynomial":
-        return cls(spec, ())
-
-    @classmethod
     def one(cls, spec: RingSpec) -> "Polynomial":
         return cls(spec, (spec.one(),))
 

@@ -34,7 +34,7 @@ from .cft import (
     cyclotomic_field,
     unit_group,
 )
-from .oracles import _resultant_frobenius, _resultant_product, cyclotomic_factor_degrees
+from .oracles import _charpoly_frobenius, _charpoly_product, cyclotomic_factor_degrees, series_coefficients
 from .orbits import DeningerPointFL, FieldFibers, odd_prime_pairs, reciprocity_rows
 from .rings import (
     Polynomial,
@@ -50,7 +50,6 @@ from .witt import (
     galois_fixed_check,
     ghost,
     groupring_to_witt,
-    series_coefficients,
     split_counit,
     teichmuller,
     witt_to_groupring,
@@ -130,7 +129,7 @@ def _random_witt(rng: random.Random, spec: RingSpec) -> WittVector:
 # criterion 1: ring laws, direct and through the ghost oracle
 
 
-def criterion_witt_ring_laws(seed: int, samples: int = 200) -> SuiteResult:
+def criterion_witt_ring_laws(seed: int, samples: int) -> SuiteResult:
     tally = _Tally()
     rng = random.Random(seed)
     Z = RingSpec.integers()
@@ -147,15 +146,15 @@ def criterion_witt_ring_laws(seed: int, samples: int = 200) -> SuiteResult:
             gs.components == tuple(Z.add(a, b) for a, b in zip(gf.components[:N], gg.components[:N]))
         )
         # the product and Frobenius come from ghost components themselves, so
-        # each is also held against the resultant route: ghosts alone would be circular
+        # each is also held against the characteristic polynomials: ghosts alone would be circular
         tally.expect(
-            p == _resultant_product(f, g)
+            p == _charpoly_product(f, g)
             and gp.components == tuple(Z.mul(a, b) for a, b in zip(gf.components[:N], gg.components[:N]))
         )
         n = rng.choice((2, 3))
         Ff = frobenius(n, f)
         tally.expect(
-            Ff == _resultant_frobenius(n, f)
+            Ff == _charpoly_frobenius(n, f)
             and ghost(Ff, N).components == tuple(gf.components[n * k - 1] for k in range(1, N + 1))
         )
         tally.expect(frobenius(n, s) == Ff + frobenius(n, g))
@@ -240,7 +239,7 @@ def _is_rational_series(f: WittVector) -> bool:
     return True
 
 
-def criterion_descent(seed: int, per_level: int = 100) -> SuiteResult:
+def criterion_descent(seed: int, per_level: int) -> SuiteResult:
     tally = _Tally()
     rng = random.Random(seed)
     for n in (3, 4, 5):
@@ -258,7 +257,7 @@ def criterion_descent(seed: int, per_level: int = 100) -> SuiteResult:
 # criterion 4: splitting invariants against the factorization oracle
 
 
-def criterion_split_double_oracle(n_max: int = 40, p_max: int = 50) -> SuiteResult:
+def criterion_split_double_oracle(n_max: int, p_max: int) -> SuiteResult:
     tally = _Tally()
     for n in range(1, n_max + 1):
         F = cyclotomic_field(n)
@@ -278,7 +277,7 @@ def criterion_split_double_oracle(n_max: int = 40, p_max: int = 50) -> SuiteResu
 # criterion 5: the quadratic reciprocity table
 
 
-def criterion_reciprocity(prime_bound: int = 100) -> SuiteResult:
+def criterion_reciprocity(prime_bound: int) -> SuiteResult:
     tally = _Tally()
     for row in reciprocity_rows(odd_prime_pairs(prime_bound)):
         tally.expect(row.agree)
@@ -297,7 +296,7 @@ def second_level(c: int, p: int) -> int:
     raise AssertionError("one of 2c, 3c is coprime to p")  # p > 3 ruled out above
 
 
-def criterion_bridge_grid(n_max: int = 40, p_max: int = 50, seed: int = 0) -> SuiteResult:
+def criterion_bridge_grid(n_max: int, p_max: int, seed: int) -> SuiteResult:
     tally = _Tally()
     for n in range(1, n_max + 1):
         for H in all_subgroups(n):
@@ -315,7 +314,7 @@ def criterion_bridge_grid(n_max: int = 40, p_max: int = 50, seed: int = 0) -> Su
 # criterion 7: equivariance and level reduction
 
 
-def criterion_equivariance(seed: int, cases: int = 500) -> SuiteResult:
+def criterion_equivariance(seed: int, cases: int) -> SuiteResult:
     tally = _Tally()
     rng = random.Random(seed)
     small_primes = [2, 3, 5, 7, 11, 13]
@@ -363,7 +362,7 @@ def criterion_equivariance(seed: int, cases: int = 500) -> SuiteResult:
 # criterion 8: group-ring roundtrip
 
 
-def criterion_groupring_roundtrip(seed: int, per_prime: int = 50) -> SuiteResult:
+def criterion_groupring_roundtrip(seed: int, per_prime: int) -> SuiteResult:
     tally = _Tally()
     rng = random.Random(seed)
     for p in (5, 7, 11):

@@ -38,7 +38,8 @@ product loop past it.  Parts multiply on the lists by
 ``Polynomial.__mul__``.  ``_from_kernel`` normalizes on the lists, and
 ``_settle`` builds the only Fractions and the result's parts once.
 
-Criterion 1 holds both routes against the resultant forms in ``oracles``.
+Criterion 1 holds both routes against the characteristic polynomials of
+companion matrices in ``oracles``.
 
 Equality never relies on normal forms: f == g iff
 f.num * g.den == g.num * f.den, valid because denominators with constant
@@ -824,23 +825,3 @@ def galois_fixed_check(f: WittVector) -> bool:
             return False
     return True
 
-
-def series_coefficients(f: WittVector, N: int) -> list:
-    """Power-series coefficients of f through t^N (constant term included).
-
-    Denominator inversion is division-free because den(0) = 1.
-    """
-    spec = f.spec
-    inv = [spec.one()]
-    for k in range(1, N + 1):
-        acc = spec.zero()
-        for i in range(1, k + 1):
-            acc = spec.add(acc, spec.mul(f.den.coefficient(i), inv[k - i]))
-        inv.append(spec.neg(acc))
-    out = []
-    for k in range(N + 1):
-        acc = spec.zero()
-        for i in range(0, k + 1):
-            acc = spec.add(acc, spec.mul(f.num.coefficient(i), inv[k - i]))
-        out.append(acc)
-    return out

@@ -125,6 +125,22 @@ def test_order_keyed_cyclic_quotient_is_the_generated_subgroup():
         assert sorted(walked, key=sorted) == sorted(generated, key=sorted)
 
 
+def test_a_level_below_one_is_refused_before_the_quotient_caches(monkeypatch, capsys):
+    # the level check comes before _order: no (m, d) list and no lambda(m) is kept for m < 1
+    from wittlink.cli import main
+
+    asked = []
+    real = cft._carmichael
+    monkeypatch.setattr(cft, "_carmichael", lambda m: asked.append(m) or real(m))
+    for m, g in ((-5, 7), (0, 5)):
+        with pytest.raises(DomainViolation, match=f"level must be >= 1, got {m}"):
+            cyclic_quotient(m, g)
+    assert main(["bridge", "--cyclotomic", "5", "--prime", "7", "--level", "-5"]) == 2
+    assert capsys.readouterr().err == "error: level must be >= 1, got -5\n"
+    assert [m for m in asked if m < 1] == []
+    assert [m for m, _ in cft._cyclic_quotients if m < 1] == []
+
+
 def _walked_order(G: QuotientUnitGroup, a: int) -> int:
     """The order of a's coset by walking its powers to the identity coset."""
     a = G.canon(a)

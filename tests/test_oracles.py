@@ -86,3 +86,32 @@ def test_the_oracle_name_guard_sees_each_form(statement):
 def test_oracles_defines_the_payload_division_and_gcd():
     source = (Path(wittlink.__file__).parent / "oracles.py").read_text()
     assert _binds_oracle_only_names(source) == list(ORACLE_ONLY)
+
+
+def _names_from_witt(source: str) -> set[str]:
+    """The names source imports from a module witt, at any depth; ``witt`` for the module itself."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "witt":
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {"witt" for alias in node.names if alias.name.split(".")[-1] == "witt"}
+    return found
+
+
+def test_oracles_takes_only_the_vector_type_from_witt():
+    # an oracle reading the Newton route's power sums or rebuilds would check that route against itself
+    source = (Path(wittlink.__file__).parent / "oracles.py").read_text()
+    assert _names_from_witt(source) == {"WittVector"}
+
+
+@pytest.mark.parametrize("statement", [
+    "from .witt import _power_sums",
+    "from wittlink.witt import WittVector, frobenius",
+    "from . import witt",
+    "import wittlink.witt",
+    "def f():\n    from .witt import _power_sums",
+])
+def test_the_witt_guard_sees_each_import_form(statement):
+    assert _names_from_witt(statement) - {"WittVector"}
+    assert not _names_from_witt(statement.replace("witt", "rings"))

@@ -1,5 +1,6 @@
 """Rational Witt vectors: ring operations, ghost oracle, group-ring maps, descent."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -26,7 +27,6 @@ from wittlink.witt import (
     galois_fixed_check,
     ghost,
     groupring_to_witt,
-    series_coefficients,
     split_counit,
     teichmuller,
     witt_add,
@@ -368,6 +368,8 @@ def test_galois_fixed_wrong_ring():
 
 
 def test_series_coefficients():
+    from wittlink.oracles import series_coefficients
+
     f = w([1, -2], [1, -3])
     # (1-2t)/(1-3t) = 1 + t + 3t^2 + 9t^3 + ...
     assert series_coefficients(f, 3) == [1, 1, 3, 9]
@@ -375,7 +377,7 @@ def test_series_coefficients():
 
 # --------------------------------------------------------------------------
 # reconstruction oracle: rebuild product/power polynomials from power sums
-# over Q by Newton's identities, entirely independent of the resultant path
+# over Q by Newton's identities, entirely independent of the characteristic-polynomial path
 
 
 def _poly_from_power_sums(s, d):
@@ -499,7 +501,7 @@ def test_probe_primes_carry_roots_of_cyclotomic_polynomials():
 
 
 # --------------------------------------------------------------------------
-# the Newton route against the resultant route it replaced
+# the Newton route against the characteristic polynomials of companion matrices
 
 
 _ROUTE_RINGS = [
@@ -539,23 +541,61 @@ def _route_case(draw):
 
 @given(_route_case())
 @settings(max_examples=150, deadline=None)
-def test_newton_route_matches_resultant_route(case):
+def test_newton_route_matches_charpoly_route(case):
     # over F_2 and F_3 the product degree D = deg p * deg q often reaches p
-    from wittlink.oracles import _power_roots_resultant, _star_polys_resultant
+    from wittlink.oracles import _power_roots_charpoly, _star_charpoly
 
     _, p, q, n = case
-    assert witt_mul(WittVector.from_polys(p), WittVector.from_polys(q)).num == _star_polys_resultant(p, q)
-    assert frobenius(n, WittVector.from_polys(p)).num == _power_roots_resultant(p, n)
+    assert witt_mul(WittVector.from_polys(p), WittVector.from_polys(q)).num == _star_charpoly(p, q)
+    assert frobenius(n, WittVector.from_polys(p)).num == _power_roots_charpoly(p, n)
+
+
+_ROOT_RINGS = {
+    RingSpec.integers(): st.integers(-4, 4),
+    RingSpec.rationals(): st.fractions(-3, 3, max_denominator=3),
+    F7: st.integers(0, 6),
+    RingSpec.ext_field(2, 3): st.tuples(*[st.integers(0, 1)] * 3),
+    RingSpec.mod_ring(12): st.integers(0, 11),
+    C5: st.tuples(*[st.integers(-2, 2)] * 4),
+}
+
+
+@st.composite
+def _roots_case(draw):
+    """A ring, two lists of inverse roots (empty ones included) and n <= 5."""
+    spec = draw(st.sampled_from(list(_ROOT_RINGS)))
+    roots = st.lists(_ROOT_RINGS[spec].map(spec.canon), max_size=3)
+    return spec, draw(roots), draw(roots), draw(st.integers(1, 5))
+
+
+@given(_roots_case())
+@settings(max_examples=120, deadline=None)
+def test_charpoly_oracles_are_products_over_the_inverse_roots(case):
+    # the definition, not a second algorithm: prod (1 - a_i t) star prod (1 - b_j t)
+    # is prod (1 - a_i b_j t), and F_n of prod (1 - a_i t) is prod (1 - a_i^n t)
+    from wittlink.oracles import _power_roots_charpoly, _star_charpoly
+
+    spec, a, b, n = case
+
+    def part(roots):
+        one = Polynomial.one(spec)
+        return functools.reduce(
+            operator.mul, (Polynomial.from_payloads(spec, [spec.one(), spec.neg(r)]) for r in roots), one
+        )
+
+    assert _star_charpoly(part(a), part(b)) == part([spec.mul(x, y) for x in a for y in b])
+    assert _power_roots_charpoly(part(a), n) == part([spec.pow_payload(x, n) for x in a])
 
 
 def test_extension_field_route_needs_no_resultant(monkeypatch):
-    # F_q runs on its characteristic-0 lift (g, 0): no R[t] resultant is reached
+    # F_q runs on its characteristic-0 lift (g, 0): the Berkowitz loop behind
+    # every resultant and characteristic-polynomial oracle is never reached
     from wittlink import oracles
 
     def unreachable(*args):
-        raise AssertionError("resultant called on the production route")
+        raise AssertionError("an oracle called on the production route")
 
-    monkeypatch.setattr(oracles, "_lp_resultant", unreachable)
+    monkeypatch.setattr(oracles, "_charpoly", unreachable)
     F9 = RingSpec.ext_field(3, 2)
     x = F9.canon((0, 1))
     f = WittVector.from_polys(
@@ -600,24 +640,24 @@ def _corrupt_newton_rebuild(monkeypatch, above: int) -> None:
 
 def test_criterion_one_catches_a_wrong_newton_reconstruction(monkeypatch):
     # Corrupt only the coefficients above the suite's ghost precision N = 12.
-    # The ghost comparisons cannot see it; the resultant comparison must.
-    from wittlink.oracles import _resultant_product
+    # The ghost comparisons cannot see it; the characteristic-polynomial comparison must.
+    from wittlink.oracles import _charpoly_product
     from wittlink.verify import criterion_witt_ring_laws
 
     _corrupt_newton_rebuild(monkeypatch, 12)
     f, g = w([1, 2, -3, 4, 5]), w([1, -1, 2, 7, -2])
     p = witt_mul(f, g)
     assert ghost(p, 12).components == (ghost(f, 12) * ghost(g, 12)).components
-    assert p != _resultant_product(f, g)
+    assert p != _charpoly_product(f, g)
     result = criterion_witt_ring_laws(20240901, samples=40)
     assert not result.passed and result.failures > 0
 
 
 @pytest.mark.parametrize("spec", [RingSpec.cyclotomic(5), RingSpec.ext_field(3, 2)], ids=str)
-def test_resultant_comparison_catches_a_wrong_vector_rebuild(monkeypatch, spec):
-    # the same corruption on the vector kernel (Z[zeta_5], and F_9 on its
-    # lift): criterion 1's resultant comparison sees it, ghosts to N = 12 do not
-    from wittlink.oracles import _resultant_product
+def test_charpoly_comparison_catches_a_wrong_vector_rebuild(monkeypatch, spec):
+    # the same corruption on the vector kernel (Z[zeta_5], and F_9 on its lift):
+    # criterion 1's characteristic-polynomial comparison sees it, ghosts to N = 12 do not
+    from wittlink.oracles import _charpoly_product
 
     _corrupt_newton_rebuild(monkeypatch, 12)
     z = spec.canon((0, 1))
@@ -626,7 +666,7 @@ def test_resultant_comparison_catches_a_wrong_vector_rebuild(monkeypatch, spec):
     g = WittVector.from_polys(Polynomial.from_payloads(spec, [one, minus_one, z, z, z]))
     p = witt_mul(f, g)
     assert ghost(p, 12).components == (ghost(f, 12) * ghost(g, 12)).components
-    assert p != _resultant_product(f, g)
+    assert p != _charpoly_product(f, g)
 
 
 # --------------------------------------------------------------------------
