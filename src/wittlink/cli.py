@@ -80,10 +80,14 @@ MAX_FROBENIUS_DEGREE = 10_000
 # work below by w^2.  The limits over Z stay the degree caps.  At D = 2,500
 # (two degree-50 literals, digits 1-9) the product took 2.8-4.3 s over Z;
 # the worst accepted C<n> input is C1 or C2 (phi = 1) at the same D,
-# 3.6-4.3 s, on the same integer kernels as Z.  C3 at D = 1,225 took
-# 0.33-0.48 s and C5 at D = 625 0.08-0.09 s.  The first refused C97 product
-# has degree 27; degrees 25 and 26 take 0.04-0.07 s, most of it generating
-# the width-96 payload kernel once.
+# 3.6-4.3 s, on the same integer kernels as Z.  The worst accepted gcd
+# input is (P0)/(P1) times (P2)/(P3), four degree-35 literals with digits
+# 1-9 (D = 2,450): 2.8-4.2 s over Z and 2.9-3.4 s over Q, of which the
+# modular gcd of the coprime result parts, 1.3 * 10^6 packed bits and so
+# past witt.MAX_HEURISTIC_BITS, takes 0.7 s (the heuristic gcd would take
+# 2.0 s).  C3 at D = 1,225 took 0.33-0.48 s and C5 at D = 625 0.08-0.09
+# s.  The first refused C97 product has degree 27; degrees 25 and 26 take
+# 0.04-0.07 s, most of it generating the width-96 payload kernel once.
 # F_n's n * deg power sums cost O(deg) each.  At n * deg^2 = 200,000 (n =
 # 500, degree 20, digits 1-9), frob took 0.13-0.17 s over Z; the worst
 # accepted C<n> input is C1 or C2 at that size, 0.14-0.16 s, and C3 at n =
@@ -149,7 +153,7 @@ def parse_ring(text: str) -> RingSpec:
     if s in ("Q", "q"):
         return RingSpec.rationals()
     head, rest = s[:1].upper(), s[1:]
-    if rest.isdigit():
+    if rest.isdecimal():
         n = _parse_int(rest)
         if head == "F":
             return RingSpec.prime_field(n)
@@ -183,7 +187,7 @@ def parse_poly_literal(text: str, spec: RingSpec) -> Polynomial:
         elif not first:
             raise ParseError(f"expected '+' or '-' at position {i}: {s[i:i+8]!r}")
         j = i
-        while j < len(s) and s[j].isdigit():
+        while j < len(s) and s[j].isdecimal():
             j += 1
         coef = _parse_int(s[i:j]) if j > i else None
         i = _skip_spaces(s, j)
@@ -194,7 +198,7 @@ def parse_poly_literal(text: str, spec: RingSpec) -> Polynomial:
             if i < len(s) and s[i] == "^":
                 i += 1
                 j = i
-                while j < len(s) and s[j].isdigit():
+                while j < len(s) and s[j].isdecimal():
                     j += 1
                 if j == i:
                     raise ParseError(f"expected exponent digits at position {i}: {s[i:i+8]!r}")
@@ -341,7 +345,7 @@ def _check_work(what: str, work: int, limit: int, spec: RingSpec, power: int) ->
 
 
 def _int_operand(op: str, text: str, what: str) -> int:
-    if not text.lstrip("-").isdigit():
+    if not text.lstrip("-").isdecimal():
         raise ParseError(f"witt {op} needs {what}, got {text!r}")
     return _parse_int(text)
 

@@ -45,8 +45,11 @@ def test_parse_ring():
     assert parse_ring("F7") == RingSpec.prime_field(7)
     assert parse_ring("Z10") == RingSpec.mod_ring(10)
     assert parse_ring("C5") == RingSpec.cyclotomic(5)
+    assert parse_ring("F١٣") == RingSpec.prime_field(13)  # decimal digits of any script, as int() reads them
     with pytest.raises(ParseError):
         parse_ring("GF9")
+    with pytest.raises(ParseError, match="unknown ring"):
+        parse_ring("F¹³")
 
 
 def test_parse_poly_literal():
@@ -55,6 +58,7 @@ def test_parse_poly_literal():
     assert parse_poly_literal("-t+1", Z) == Polynomial.from_ints(Z, [1, -1])
     assert parse_poly_literal("7", Z) == Polynomial.from_ints(Z, [7])
     assert parse_poly_literal("t^3", Z) == Polynomial.from_ints(Z, [0, 0, 0, 1])
+    assert parse_poly_literal("1-٢t^٣", Z) == Polynomial.from_ints(Z, [1, 0, 0, -2])
 
 
 def test_parse_poly_errors_cite_position():
@@ -340,6 +344,9 @@ BAD_INPUTS = [
      "error: integer literal of 5000 digits is too long"),
     (["witt", "frob", "0", "1-2t"], 2, "error: Frobenius index must be >= 1"),
     (["witt", "frob", "x", "1-2t"], 1, "error: witt frob needs an integer index"),
+    # superscript digits pass str.isdigit but not int(): the grammar's own messages apply
+    (["witt", "frob", "²", "1-t"], 1, "error: witt frob needs an integer index, got '²'\n"),
+    (["witt", "mul", "1-t", "1-2t", "--ring", "F¹³"], 1, "error: unknown ring 'F¹³'; use Z, Q, F<p>, Z<n> or C<n>\n"),
     (["witt", "mul", "1-2x", "1-3t"], 1, "error: expected"),
     (["witt", "add", "1-2t", "1-3t", "--ring", "Z1"], 2, "error: modulus must be >= 2"),
     (["witt", "mul", "1-t", "1-2t", "--ring", "C101"], 2,

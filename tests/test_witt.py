@@ -10,11 +10,12 @@ import os
 import random
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wittlink.errors import DomainViolation, NotSplit, SpecMismatch, UnsupportedRing
 from wittlink.rings import Polynomial, RingElement, RingSpec
@@ -692,8 +693,16 @@ def _euclid_reference(num, den):
     return _payload_euclid(*(Polynomial.from_payloads(Q, [Fraction(c) for c in x.coeffs]) for x in (num, den)))
 
 
+def _z_images(a, b):
+    """The images of gcd(a, b) mod q that ``_normalize_lists`` feeds the modular gcd over Z."""
+    from wittlink.witt import _gcd_mod
+
+    return lambda q, _: _gcd_mod(a, b, q) if a[-1] % q and b[-1] % q else None
+
+
 def test_modular_gcd_matches_field_euclid():
-    from wittlink.witt import _normalize_lists
+    # the modular route over Z on its own, below and above the size gate alike
+    from wittlink.witt import _divide_out, _modular_gcd
 
     rng = random.Random(29)
 
@@ -708,11 +717,111 @@ def test_modular_gcd_matches_field_euclid():
         for _ in range(30):
             g = part(rng.randint(1, 4), size)
             num, den = g * part(rng.randint(0, 5), 9), g * part(rng.randint(0, 5), 9)
-            got = _normalize_lists(list(num.coeffs), list(den.coeffs), ((), 0))
+            a, b = list(num.coeffs), list(den.coeffs)
+            got = _modular_gcd(a, b, 1, _z_images(a, b), _divide_out)
             want = tuple([int(c) for c in x.coeffs] for x in _euclid_reference(num, den))
             assert got == want
             cases += 1
     assert cases == 90
+
+
+@st.composite
+def _integer_parts(draw):
+    """Two parts over Z with constant term 1: a drawn common factor (1 for coprime draws) times two cofactors."""
+    size = draw(st.sampled_from([9, 2**20, 2**45]))
+
+    def part(max_degree, bound):
+        tail = draw(st.lists(st.integers(-bound, bound), max_size=max_degree))
+        return Polynomial.from_ints(Z, [1] + tail)
+
+    common = part(4, size) if draw(st.booleans()) else Polynomial.one(Z)
+    num, den = common * part(5, draw(st.sampled_from([9, size]))), common * part(5, 9)
+    assume(num.degree > 0 and den.degree > 0)
+    return num, den
+
+
+@given(_integer_parts())
+@settings(max_examples=150, deadline=None)
+def test_integer_normalization_matches_field_euclid(parts):
+    # the route _normalize_lists picks over Z: the heuristic gcd at these sizes
+    from wittlink.witt import _normalize_lists
+
+    num, den = parts
+    got = _normalize_lists(list(num.coeffs), list(den.coeffs), ((), 0))
+    assert got == tuple([int(c) for c in x.coeffs] for x in _euclid_reference(*parts))
+
+
+def _spy_routes(monkeypatch):
+    """Record which gcd route over Z each _normalize_lists call takes."""
+    from wittlink import witt
+
+    taken = []
+    for name in ("_heuristic_gcd", "_modular_gcd"):
+        def spy(*args, _real=getattr(witt, name), _name=name):
+            taken.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(witt, name, spy)
+    return taken
+
+
+def test_heuristic_failures_fall_back_to_the_modular_gcd(monkeypatch):
+    # an integer gcd that returns h * a(xi) makes every heuristic try fail:
+    # G(0) G/G(0) (xi) = h a(xi) with G/G(0) dividing g would need |G(0)| >= |a(xi)| > xi/2
+    from wittlink import witt
+    from wittlink.witt import _normalize_lists
+
+    rng = random.Random(31)
+    taken = _spy_routes(monkeypatch)
+    fake = types.SimpleNamespace(gcd=lambda x, y: math.gcd(x, y) * abs(x))
+    cases = 0
+    for size in (9, 2**20, 2**45):
+        for planted in (False, True):
+            common = Polynomial.from_ints(Z, [1] + [rng.randint(-size, size) for _ in range(3 * planted)])
+            num, den = (common * Polynomial.from_ints(Z, [1] + [rng.randint(-9, 9) or 1 for _ in range(d)]) for d in (3, 2))
+            want = tuple([int(c) for c in x.coeffs] for x in _euclid_reference(num, den))
+            taken.clear()
+            with monkeypatch.context() as m:
+                m.setattr(witt, "math", fake)
+                got = _normalize_lists(list(num.coeffs), list(den.coeffs), ((), 0))
+            assert got == want
+            assert taken == ["_heuristic_gcd", "_modular_gcd"]
+            cases += 1
+    assert cases == 6
+
+
+def test_a_fractional_gcd_image_is_refused(monkeypatch):
+    # digits G = 3 + 3t + 4t^2: the floor of G / G(0), 1 + t + t^2, divides
+    # both parts, but G / G(0) is not integral, so the try fails; the gcd is
+    # (1 + t + t^2)(1 + 2t).  Later tries get the failing h * a(xi).
+    from wittlink import witt
+    from wittlink.witt import _heuristic_gcd
+
+    common = Polynomial.from_ints(Z, [1, 1, 1]) * Polynomial.from_ints(Z, [1, 2])
+    a, b = (list((common * Polynomial.from_ints(Z, c)).coeffs) for c in ([1, -1], [1, 3]))
+    k, xi = 20, 2**20
+    images = iter([3 + 3 * xi + 4 * xi**2])
+    monkeypatch.setattr(witt, "math", types.SimpleNamespace(gcd=lambda x, y: next(images, math.gcd(x, y) * abs(x))))
+    assert _heuristic_gcd(a, b, k) is None
+
+
+def test_the_size_gate_routes_by_packed_size(monkeypatch):
+    # packed size k * (longer length) at xi = 2^k: with |c|_inf = 2^(k-18) for
+    # every part, 2 |c|_inf + 2 needs k - 16 bits and the 2^16 margin makes it k
+    from wittlink import witt
+    from wittlink.witt import _divide_out, _modular_gcd, _normalize_lists
+
+    rng = random.Random(37)
+    k = witt.MAX_HEURISTIC_BITS // 50
+    top = 2 ** (k - 18)
+    taken = _spy_routes(monkeypatch)
+    for length, route in ((50, "_heuristic_gcd"), (51, "_modular_gcd")):
+        assert (length * k <= witt.MAX_HEURISTIC_BITS) == (route == "_heuristic_gcd")
+        a, b = ([1] + [rng.randint(-top, top) for _ in range(length - 2)] + [top] for _ in range(2))
+        taken.clear()
+        got = _normalize_lists(a, b, ((), 0))
+        assert taken == [route]
+        assert got == _modular_gcd(a, b, 1, _z_images(a, b), _divide_out)
 
 
 def _spy_euclid_over_q(monkeypatch):
@@ -736,25 +845,31 @@ def test_modular_gcd_refuses_a_constant_term_other_than_one(flags):
     # constant term 1, 1 + t/2, is not integral, so no lift ever divides and
     # the search over probe primes once ran without end; a timeout fails it.
     # 1 + t against (2 + t)(1 + t) has one part with constant term 2
+    # The Z route of _normalize_lists refuses both before its heuristic gcd
+    # runs (the spy would print), and returns no quotient.
     code = (
+        "from wittlink import witt\n"
         "from wittlink.rings import cyclotomic_polynomial\n"
-        "from wittlink.witt import _cyclotomic_gcd, _divide_out, _gcd_mod, _modular_gcd\n"
+        "from wittlink.witt import _cyclotomic_gcd, _divide_out, _gcd_mod, _modular_gcd, _normalize_lists\n"
+        "witt._heuristic_gcd = lambda *args: print('heuristic ran')\n"
         "a, b = [2, 1], [2, 3, 1]\n"
         "v = lambda c: [(x, 0, 0, 0) for x in c]\n"
         "for run in (\n"
         "    lambda: _modular_gcd(a, b, 1, lambda q, _: _gcd_mod(a, b, q), _divide_out),\n"
         "    lambda: _modular_gcd([1, 1], b, 1, lambda q, _: _gcd_mod([1, 1], b, q), _divide_out),\n"
         "    lambda: _cyclotomic_gcd(v(a), v(b), 5, cyclotomic_polynomial(5)),\n"
+        "    lambda: _normalize_lists(a, b, ((), 0)),\n"
+        "    lambda: _normalize_lists([1, 1], b, ((), 0)),\n"
         "):\n"
         "    try:\n"
-        "        run()\n"
+        "        print('returned', run())\n"
         "    except AssertionError:\n"
         "        print('raised')\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, timeout=30)
-    assert (proc.returncode, proc.stdout) == (0, "raised\n" * 3), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "raised\n" * 5), proc.stderr
 
 
 @pytest.mark.parametrize("kind", ["Z", "Q"])
