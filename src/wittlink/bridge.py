@@ -26,12 +26,14 @@ given once as (P, P^-1 mod m', m'), through one kernel, _psi_residue.
 psi_level and the public checks validate and normalize their point, then
 call the kernels; bridge_compare draws its sample pairs directly.
 
-bridge_compare reads both sides of the fiber over a prime from one
-orbits.FieldFibers, which also makes its refusals: component counts and
-covering degrees on both sides and the monodromy coset pushed through the
-restriction character, with every closed-orbit label checked against a
-single decomposition of the pushed torus.  The report adds the vanishing
-p-part of psi on sample points and randomized equivariance runs.
+bridge_compare reads both sides of the fiber over a prime from the
+field's own orbits.FieldFibers, F.fibers, which also makes its refusals:
+component counts and covering degrees on both sides and the monodromy
+coset pushed through the restriction character, with every closed-orbit
+label checked against a single decomposition of the pushed torus.  F
+owns those, one per Galois class; the checks run on every call.  The
+report adds the vanishing p-part of psi on sample points and randomized
+equivariance runs.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from fractions import Fraction
 
 from .errors import DomainViolation, NotCoprime
 from .cft import AbelianField, Coset, unit_group
-from .orbits import DeningerPointFL, FiberDecomposition, FieldFibers, normalize_point
+from .orbits import DeningerPointFL, FiberDecomposition, normalize_point
 
 # --------------------------------------------------------------------------
 # the level map
@@ -278,7 +280,7 @@ def bridge_compare(
     report also verifies the vanishing p-part of psi and randomized
     equivariance at this (p, m).
     """
-    fibers = FieldFibers(F)
+    fibers = F.fibers
     fibers.check(p, m)
     if p_exponent < 1:
         raise DomainViolation("the p-part budget must be >= 1")
@@ -348,7 +350,7 @@ def level_reduction_compatible(F: AbelianField, p: int, m_small: int, m_big: int
     """
     if m_big % m_small:
         raise DomainViolation(f"{m_small} does not divide {m_big}")
-    fibers = FieldFibers(F)
+    fibers = F.fibers
     fibers.check(p, m_big, m_small)
     # the pushed monodromy and its decomposition; each flow call lands its level's packet
     if fibers.flow(p, m_big) != fibers.flow(p, m_small):

@@ -18,7 +18,7 @@ already built, and walks the powers of g only for a subgroup not seen
 before.
 
 An AbelianField computes its degree, conductor, presentation at the
-conductor and ramified set once, on first read.
+conductor, ramified set and fibers once, on first read, and owns them.
 
 The splitting shape (f, r) of an unramified prime p comes from the order
 of its Artin coset in the quotient group, which orbits.FieldFibers
@@ -318,6 +318,12 @@ class AbelianField:
         """Primes ramified in the field: exactly the prime divisors of the conductor."""
         return frozenset(p for p, _ in factor(self.conductor))
 
+    @functools.cached_property
+    def fibers(self):
+        """The field's one orbits.FieldFibers, kept as long as F: one decomposition per Galois class per memo."""
+        from .orbits import FieldFibers  # orbits imports this module
+        return FieldFibers(self)
+
     def describe(self) -> str:
         if self.label:
             return self.label
@@ -345,7 +351,7 @@ def abelian_field(level: int, subgroup_elements) -> AbelianField:
     return AbelianField(level, frozenset(e % level for e in subgroup_elements))
 
 
-@functools.lru_cache(maxsize=None)  # one field per odd prime q; the CLI's reciprocity table takes q < 2,000
+@functools.lru_cache(maxsize=None)  # one field, with its degree-2 fibers, per odd prime q; reciprocity takes q < 2,000
 def quadratic_field_subgroup(q: int) -> AbelianField:
     """Q(sqrt(q)) for an odd prime q, as a kernel-of-character subgroup.
 

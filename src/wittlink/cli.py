@@ -34,6 +34,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -54,7 +55,6 @@ from .cft import (
     subgroup_generated,
 )
 from .orbits import (
-    FieldFibers,
     cc_fiber_infinite_level,
     decompose,
     odd_prime_pairs,
@@ -323,10 +323,11 @@ def _render(value, to_str=str) -> str:
     try:
         return to_str(value)
     except ValueError as exc:
-        raise DomainViolation(
-            f"result too large to render: an integer has more than "
-            f"{sys.get_int_max_str_digits()} digits"
-        ) from exc
+        raise _too_large() from exc
+
+
+def _too_large() -> DomainViolation:
+    return DomainViolation(f"result too large to render: an integer has more than {sys.get_int_max_str_digits()} digits")
 
 
 # --------------------------------------------------------------------------
@@ -400,10 +401,11 @@ def cmd_field(ns: argparse.Namespace) -> Output:
         p = ns.prime
         if p is None:
             raise ParseError("field split needs --prime")
-        fibers = FieldFibers(F)
-        fibers.check(p)
-        G, art = fibers.artin(p)
+        F.fibers.check(p)
+        G, art = F.fibers.artin(p)
         f = G.element_order(art)
+        if f * math.log10(p) > (sys.get_int_max_str_digits() or math.inf) * (1 + 1e-12):
+            raise _too_large()  # p**f has floor(f log10 p) + 1 digits; the margin covers float error
         r, norm = F.degree // f, p**f
         row = {"field": label, "prime": p, "f": f, "r": r, "norm": norm, "artin_rep": art,
                "artin_modulus": G.modulus}
@@ -435,7 +437,7 @@ def cmd_monodromy(ns: argparse.Namespace) -> Output:
         G, monodromy = cc_fiber_infinite_level(p, m)
         dec = decompose(G, monodromy)
     else:
-        fibers = FieldFibers(parse_field(ns))
+        fibers = parse_field(ns).fibers
         # p is an unramified prime, then prime to the level, which is at least 1; with --side cc
         # the level is only checked: the table is Gal(F/Q) as fibers.artin presents it
         fibers.check(p)

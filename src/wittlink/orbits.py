@@ -28,7 +28,8 @@ side pushes the level-m packet data through the restriction character
 onto the Galois quotient at the conductor, orbit-enumerates there once
 and checks every closed-orbit label against that one decomposition.
 Their agreement over a grid of fields and primes is the structural
-consistency this package exists to check.
+consistency this package exists to check.  The field owns its one
+FieldFibers, F.fibers, so each Galois class is decomposed once per field.
 
 The infinite-level fiber and the flow-side points take their check that
 p is a prime not dividing the level m from cft._check_prime_to_level;
@@ -134,9 +135,9 @@ class FieldFibers:
     """Both fibers of one abelian field F over its unramified primes, each step once.
 
     The one assembly of the comparison and the one presentation of the
-    Frobenius: bridge_compare and level_reduction_compatible build one per
-    call, the reciprocity table one per field for the rows of one call,
-    and the field split and monodromy commands one per run.  Its steps:
+    Frobenius.  Its owner is F: every caller reads the one F.fibers, so
+    the memos last as long as F, and a CLI run, one call, keeps no more
+    than before.  Its steps:
 
       * check: p is a prime outside F.ramified, each level a multiple of
         F.conductor (so that the restriction character exists) prime to p;
@@ -154,8 +155,10 @@ class FieldFibers:
     use, so a step builds only the table it reads.  Each memo is keyed on
     the Galois element it decomposes under or takes the order of: one per
     Artin coset on the covering side, one per pushed monodromy on the flow
-    side.  The flow side reads only the order f, never the covering side's
-    decomposition.  The steps after check take p and m as checked.
+    side: at most one entry per Galois class, of at most deg F residues.
+    The flow side reads only the order f, never the covering side's
+    decomposition.  check and the landing pass run on every call, never
+    memoized; the steps after check take p and m as checked.
     """
 
     own = gal = None  # Gal(F/Q) at the own level and at the conductor; _galois builds each on first use
@@ -322,12 +325,11 @@ def reciprocity_rows(pairs) -> list[ReciprocityRow]:
 
     Contract: both counts equal 2 iff (q|p) = +1, and both equal 1
     otherwise.  Each distinct prime is checked on the first row it appears
-    in, and each field's FieldFibers is built on its first row; both live
-    only as long as this call.  A field's level is q or 4q, its conductor,
-    so an odd p != q is unramified and prime to it, and the flow side is
-    read at that level.
+    in, once per call; each row reads its field's own fibers, which last
+    as long as the cached quadratic field.  A field's level is q or 4q,
+    its conductor, so an odd p != q is unramified and prime to it, and
+    the flow side is read at that level.
     """
-    tables: dict[int, FieldFibers] = {}
     odd_primes: set[int] = set()
     rows = []
     for p, q in pairs:
@@ -338,9 +340,7 @@ def reciprocity_rows(pairs) -> list[ReciprocityRow]:
                 odd_primes.add(v)
         if p == q:
             raise EqualPrimes(f"need distinct primes, got {p} twice")
-        fibers = tables.get(q)
-        if fibers is None:
-            fibers = tables[q] = FieldFibers(quadratic_field_subgroup(q))
+        fibers = quadratic_field_subgroup(q).fibers
         leg = euler_criterion(q, p)  # p is validated above
         cc = fibers.covering(p)[2].count
         den = fibers.flow(p, fibers.field.level)[1].count

@@ -35,7 +35,7 @@ from .cft import (
     unit_group,
 )
 from .oracles import _charpoly_frobenius, _charpoly_product, cyclotomic_factor_degrees, series_coefficients
-from .orbits import DeningerPointFL, FieldFibers, odd_prime_pairs, reciprocity_rows
+from .orbits import DeningerPointFL, odd_prime_pairs, reciprocity_rows
 from .rings import (
     Polynomial,
     RingElement,
@@ -261,7 +261,7 @@ def criterion_split_double_oracle(n_max: int, p_max: int) -> SuiteResult:
     tally = _Tally()
     for n in range(1, n_max + 1):
         F = cyclotomic_field(n)
-        fibers = FieldFibers(F)
+        fibers = F.fibers
         for p in primes_below(p_max):
             if math.gcd(p, n) != 1:
                 continue

@@ -1,5 +1,6 @@
 """The comparison map: residues, equivariance, structural reports."""
 
+import functools
 import hashlib
 import json
 import math
@@ -32,7 +33,7 @@ from wittlink.errors import DomainViolation, NotCoprime, RamifiedPrime
 from wittlink.oracles import crt_combine
 from wittlink.orbits import DeningerPointFL, normalize_point
 from wittlink.rings import primes_below
-from wittlink.verify import second_level
+from wittlink.verify import VerifyConfig, second_level
 
 
 # --------------------------------------------------------------------------
@@ -236,6 +237,46 @@ def test_bridge_decomposes_the_flow_side_once(monkeypatch):
     assert calls.count("flow") == 1 and r.match
 
 
+def test_a_field_decomposes_each_class_once_and_checks_every_call(monkeypatch):
+    # Q(mu_5) presented at level 15: 3 divides the level, so its covering side is read at the
+    # conductor 5 and every other prime's at 15.  Over the sweep the field's own fibers decompose
+    # once per (presentation, Artin class) and once per pushed class, while every call lands its
+    # own packet and checks its own p and m
+    import sys
+
+    from wittlink import orbits
+
+    decomposed, landed = [], []
+    decompose, land = orbits.decompose, orbits._land
+
+    def counted_decompose(G, monodromy):
+        decomposed.append((sys._getframe(1).f_code.co_name, G.modulus, monodromy))
+        return decompose(G, monodromy)
+
+    def counted_land(*args):
+        landed.append(args)
+        return land(*args)
+
+    monkeypatch.setattr(orbits, "decompose", counted_decompose)
+    monkeypatch.setattr(orbits, "_land", counted_land)
+    F = AbelianField(15, frozenset({1, 11}))
+    calls = 0
+    for p in primes_below(50):
+        if p in F.ramified:
+            continue
+        for m in sorted({F.conductor, second_level(F.conductor, p)}):
+            assert bridge_compare(F, p, m).match
+            calls += 1
+    assert (F.conductor, F.degree, calls) == (5, 4, 28)
+    assert len(landed) == calls
+    assert len(decomposed) == len(set(decomposed))
+    assert {step_level[:2] for step_level in decomposed} == {("covering", 15), ("covering", 5), ("flow", 5)}
+    with pytest.raises(RamifiedPrime):
+        bridge_compare(F, 5, 15)
+    with pytest.raises(NotCoprime):
+        bridge_compare(F, 7, 35)
+
+
 def test_one_report_checks_its_prime_once(capsys, monkeypatch):
     # a bridge report checks that p is prime once and decomposes once per
     # side; so does the flow-side monodromy table with its label fibers
@@ -336,14 +377,14 @@ def test_bridge_checks_catch_a_wrong_psi_kernel(monkeypatch):
 def test_bridge_rejects_a_zero_p_exponent_before_any_draw(monkeypatch):
     from types import SimpleNamespace
 
-    from wittlink import bridge
+    from wittlink import bridge, orbits
 
     def refuse(*args):
         raise AssertionError("drew before refusing")
 
     monkeypatch.setattr(bridge, "random", SimpleNamespace(Random=refuse))
-    monkeypatch.setattr(bridge.FieldFibers, "covering", refuse)
-    monkeypatch.setattr(bridge.FieldFibers, "flow", refuse)
+    monkeypatch.setattr(orbits.FieldFibers, "covering", refuse)
+    monkeypatch.setattr(orbits.FieldFibers, "flow", refuse)
     for e in (0, -1):
         with pytest.raises(DomainViolation, match="p-part budget"):
             bridge_compare(cyclotomic_field(5), 7, 45, p_exponent=e)
@@ -365,23 +406,47 @@ def test_level_reduction_compatibility():
 BRIDGE_GOLDEN = json.loads(Path(__file__).with_name("bridge_golden.json").read_text())
 
 
-def bridge_level_digest(n: int, samples: int = 4, p_exponent: int = 1) -> str:
-    reports = []
+def level_grid(n: int, p_max: int, fresh: bool = False):
+    """(field, p, c, second level) for every subgroup at level n and unramified p < p_max.
+
+    field() is the subgroup's one AbelianField, reused over the grid as verify reuses it, or with
+    fresh a new AbelianField per call, so that no call reads another's fibers.
+    """
     for H in all_subgroups(n):
         F = AbelianField(n, H)
+        field = functools.partial(AbelianField, n, H) if fresh else lambda: F
         c = F.conductor
-        for p in primes_below(30):
-            if p in F.ramified:
-                continue
-            for m in sorted({c, second_level(c, p)}):
-                report = bridge_compare(F, p, m, seed=0, samples=samples, p_exponent=p_exponent)
-                reports.append(report.to_dict())
+        for p in primes_below(p_max):
+            if p not in F.ramified:
+                yield field, p, c, second_level(c, p)
+
+
+def bridge_level_digest(n: int, samples: int = 4, p_exponent: int = 1) -> str:
+    reports = [
+        bridge_compare(field(), p, m, seed=0, samples=samples, p_exponent=p_exponent).to_dict()
+        for field, p, c, second in level_grid(n, 30)
+        for m in sorted({c, second})
+    ]
     return hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+
+
+def verify_grid_results(n: int, fresh: bool) -> list:
+    """verify's bridge grid at level n as to_dict() reports, each p followed by its level reduction."""
+    cfg = VerifyConfig()
+    results = []
+    for field, p, c, second in level_grid(n, cfg.max_prime, fresh):
+        results += [bridge_compare(field(), p, m, seed=cfg.seed + 3, samples=4).to_dict() for m in sorted({c, second})]
+        results.append(level_reduction_compatible(field(), p, c, second))
+    return results
 
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_bridge_golden_digest(n):
     assert bridge_level_digest(n) == BRIDGE_GOLDEN[str(n)]
+    # a field reused over every call of verify's grid reports what a fresh field per call reports
+    reused = verify_grid_results(n, fresh=False)
+    assert reused == verify_grid_results(n, fresh=True)
+    assert all(r is True or r["match"] for r in reused)
 
 
 # the same grid at the CLI's default sample count and at p-part budget 2,

@@ -130,6 +130,23 @@ def test_field_split(capsys):
     assert code == 0 and out.startswith("f=4 r=1")
     code, out, _ = run(capsys, "field", "split", "--quadratic", "5", "--prime", "11")
     assert code == 0 and out.startswith("f=1 r=2")
+    # the largest norm that renders: 13^3860 has 4,300 digits, Python's default limit
+    code, out, _ = run(capsys, "field", "split", "--cyclotomic", "8503", "--prime", "13")
+    assert code == 0 and out.startswith("f=3860 r=2") and len(out.split("norm=")[1].strip()) == 4300
+
+
+def test_field_split_refuses_a_norm_before_building_it(capsys, monkeypatch):
+    # 3 has order 9126 mod 9127, so the norm 3^9126 has 4,355 digits: f * log10(p) refuses it
+    # before p**f is built or any render runs
+    from wittlink import cli
+
+    def refuse(*args):
+        raise AssertionError("the norm reached the render guard")
+
+    monkeypatch.setattr(cli, "_render", refuse)
+    for fmt in ("text", "json", "csv"):
+        code, out, err = run(capsys, "--format", fmt, "field", "split", "--cyclotomic", "9127", "--prime", "3")
+        assert (code, out) == (2, "") and err.startswith("error: result too large to render")
 
 
 def test_field_conductor_and_ramified(capsys):

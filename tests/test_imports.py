@@ -277,7 +277,9 @@ CACHES = {
     "cft._cyclic_quotient": "cyclic_quotient: one quotient per (m, g mod m) asked for; unbounded",
     "cft._cyclic_quotients": "cyclic_quotient: a short list per (m, order) of the quotients built; unbounded",
     "cft._carmichael": "cft._order: one per modulus of a quotient table whose orders are taken",
-    "cft.quadratic_field_subgroup": "the quadratic fields: one per odd prime q; the CLI's reciprocity table takes q < 2,000",
+    "cft.quadratic_field_subgroup": "the quadratic fields: one per odd prime q; the CLI's reciprocity table takes q < 2,000. "
+                                    "Each carries its fibers, of degree 2: at most two decompositions per memo, "
+                                    "of at most two residues each",
     "cli.build_parser": "cli.main: one parser, as it takes no argument",
     "rings.cyclotomic_polynomial": "RingSpec.cyclotomic and the oracles: one per level n; C<n> and its divisors stop at 100, "
                                    "verify-all at --cyclotomic-bound",

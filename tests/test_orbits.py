@@ -1,5 +1,6 @@
 """Mapping tori, packets, fiber decompositions, flow-side points."""
 
+import functools
 import math
 import os
 import random
@@ -413,7 +414,15 @@ def test_reciprocity_table_is_its_rows():
         assert row == (p, q, leg, count, count, True)
 
 
-def test_reciprocity_table_decomposes_each_field_at_most_four_times(monkeypatch):
+@pytest.fixture
+def fresh_quadratic_fields(monkeypatch):
+    """Quadratic fields cached for this test only: the shared ones keep their fibers, so a
+    counted or broken decompose would not run on them, and a broken one would stay in them."""
+    monkeypatch.setattr(orbits, "quadratic_field_subgroup",
+                        functools.lru_cache(maxsize=None)(quadratic_field_subgroup.__wrapped__))
+
+
+def test_reciprocity_table_decomposes_each_field_at_most_four_times(monkeypatch, fresh_quadratic_fields):
     # two Artin cosets on the covering side and two pushed monodromies on
     # the flow side per quadratic field; one pair per row would make two
     calls = []
@@ -432,7 +441,7 @@ def test_reciprocity_table_decomposes_each_field_at_most_four_times(monkeypatch)
     assert all(calls.count(m) <= 4 for m in set(calls))
 
 
-def test_reciprocity_table_rejects_a_label_split_across_components(monkeypatch):
+def test_reciprocity_table_rejects_a_label_split_across_components(monkeypatch, fresh_quadratic_fields):
     # decompose under the identity in place of the monodromy: the pushed
     # components become singletons, so the points over one label of the
     # row (3, 5), where 3 is not a square mod 5, land apart
