@@ -288,7 +288,7 @@ def bridge_compare(
     _, art, cc = fibers.covering(p)
     pushed, den = fibers.flow(p, m)  # checks every closed-orbit label in one pass
     gal = fibers.gal  # built by flow
-    c, H = gal.modulus, gal.subgroup
+    c, H = gal.modulus, F.at_conductor.subgroup
     cc_mono = Coset(c, H, gal.canon_table[art % c])  # the Artin coset, read at the conductor
     den_mono = Coset(c, H, pushed)
 

@@ -10,12 +10,13 @@ lambda(m) as factored by rings.factor; _adjoin, the coset step <S, g> of
 Dimino's method, which subgroup_generated folds over generators,
 subgroup_generators grows one closure with and all_subgroups applies to
 every subgroup found.  QuotientUnitGroup (cached by quotient_group, and by
-cyclic_quotient for (Z/m)^*/<g> on g mod m) holds the canonical least
-coset representatives, built in one ascending pass.  Level 1 presents Q
-itself with the one-element unit group (0,), the residue of 1 mod 1.
-cyclic_quotient finds <g> by its order among the cyclic subgroups it has
-already built, and walks the powers of g only for a subgroup not seen
-before.
+cyclic_quotient for (Z/m)^*/<g> on g mod m) is its coset table: an array
+indexed by residue that holds each unit's least coset representative,
+built in one ascending pass.  It keeps no set of the subgroup, which is
+the coset of 1, so membership is x in G.  Level 1 presents Q itself with
+the one-element unit group (0,), the residue of 1 mod 1.  cyclic_quotient
+finds <g> by its order among the cyclic quotients it has already built,
+by g in G, and builds one not seen before from the power walk of g.
 
 An AbelianField computes its degree, conductor, presentation at the
 conductor, ramified set and fibers once, on first read, and owns them.
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 
 from .errors import DomainViolation, NotCoprime
@@ -110,23 +112,26 @@ def subgroup_generators(n: int, H) -> list[int]:
 
 
 class QuotientUnitGroup:
-    """(Z/m)^* modulo a subgroup, with canonical (least) coset reps.
+    """(Z/m)^* modulo a subgroup H, with canonical (least) coset reps.
 
-    canon_table maps each unit residue mod m to its rep.  canon reduces
+    canon_table is an array indexed by residue mod m (16-bit up to modulus
+    65,536, else 32-bit) holding each unit's rep and 0 at a non-unit, which
+    is never a rep above level 1.  H is the coset of 1: x in G is
+    canon_table[x % m] == 1 % m, and no set of H is kept.  canon reduces
     and checks its argument; a caller holding unit residues may index the
     table directly.
     """
 
-    __slots__ = ("modulus", "subgroup", "reps", "canon_table")
+    __slots__ = ("modulus", "reps", "canon_table")
 
-    def __init__(self, modulus: int, subgroup: frozenset):
+    def __init__(self, modulus: int, subgroup):
+        """The quotient by the subgroup whose members the iterable subgroup lists."""
         self.modulus = modulus
-        self.subgroup = subgroup
         # units ascend, so the first one not yet in the table is the least of its coset
-        canon: dict[int, int] = {}
+        canon = array("H" if modulus <= 65536 else "I", [0]) * modulus
         reps = []
         for u in unit_group(modulus):
-            if u in canon:
+            if canon[u]:
                 continue
             reps.append(u)
             for h in subgroup:
@@ -138,18 +143,23 @@ class QuotientUnitGroup:
     def order(self) -> int:
         return len(self.reps)
 
+    def __contains__(self, x: int) -> bool:
+        """Whether x lies in H, the coset of 1."""
+        return self.canon_table[x % self.modulus] == 1 % self.modulus
+
     def canon(self, u: int) -> int:
         u %= self.modulus
-        if u not in self.canon_table:
+        rep = self.canon_table[u]
+        if not rep and self.modulus > 1:
             raise DomainViolation(f"{u} is not a unit mod {self.modulus}")
-        return self.canon_table[u]
+        return rep
 
     def mul(self, a: int, b: int) -> int:
         return self.canon_table[a * b % self.modulus]
 
     def element_order(self, a: int) -> int:
         """The order of the class of a, which must divide the group order (the degree, for a Galois group)."""
-        f = _order(self.modulus, a, self.subgroup)
+        f = _order(self.modulus, a, self)
         if self.order % f:
             raise AssertionError(f"an element order {f} that does not divide the group order {self.order}")
         return f
@@ -158,11 +168,11 @@ class QuotientUnitGroup:
         return (
             isinstance(other, QuotientUnitGroup)
             and self.modulus == other.modulus
-            and self.subgroup == other.subgroup
+            and self.canon_table == other.canon_table
         )
 
     def __hash__(self) -> int:
-        return hash((self.modulus, self.subgroup))
+        return hash((self.modulus, self.reps))
 
     def __repr__(self) -> str:
         return f"QuotientUnitGroup(mod {self.modulus}, |G| = {self.order})"
@@ -186,12 +196,17 @@ _cyclic_quotients: dict[tuple[int, int], list[QuotientUnitGroup]] = {}
 @functools.lru_cache(maxsize=None)  # one quotient per (m, g mod m) asked for; unbounded (ROADMAP item 1)
 def _cyclic_quotient(m: int, g: int) -> QuotientUnitGroup:
     _check_level(m)  # before _order and the (m, d) lists cache anything for it
+    one = 1 % m
     # a subgroup of order ord(g) that contains g is <g>
-    seen = _cyclic_quotients.setdefault((m, _order(m, g, frozenset({1 % m}))), [])
+    seen = _cyclic_quotients.setdefault((m, _order(m, g, {one})), [])
     for G in seen:
-        if g in G.subgroup:
+        if G.canon_table[g] == one:
             return G
-    G = quotient_group(m, subgroup_generated(m, [g]))
+    powers, x = [one], g
+    while x != one:
+        powers.append(x)
+        x = x * g % m
+    G = QuotientUnitGroup(m, powers)
     seen.append(G)
     return G
 
@@ -208,9 +223,10 @@ def _carmichael(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 def _order(m: int, g: int, H) -> int:
     """The order of the unit g mod m modulo the subgroup H of (Z/m)^*.
 
-    Cohen, GTM 138, Alg. 1.4.3 against lambda(m), with x in H for x == 1:
-    each q^v exactly dividing lambda(m) is put back at most v times, so an
-    H that is not a subgroup raises AssertionError rather than looping.
+    Cohen, GTM 138, Alg. 1.4.3 against lambda(m), with x in H for x == 1
+    (H a set, or the QuotientUnitGroup modulo H): each q^v exactly dividing
+    lambda(m) is put back at most v times, so an H that is not a subgroup
+    raises AssertionError rather than looping.
     """
     g %= m
     if math.gcd(g, m) != 1:

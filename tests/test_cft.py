@@ -106,7 +106,16 @@ def test_cyclic_quotient_is_the_quotient_by_the_generated_subgroup(m, g):
         return
     G = cyclic_quotient(m, g)
     assert G is cyclic_quotient(m, g % m + m)  # cached on g mod m
-    assert G is quotient_group(m, subgroup_generated(m, [g]))
+    assert G == quotient_group(m, subgroup_generated(m, [g]))
+
+
+@given(st.integers(1, 2000), st.integers(-10**6, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_membership_in_a_cyclic_quotient_is_membership_in_the_generated_subgroup(m, g):
+    if math.gcd(g, m) != 1:
+        return
+    G = cyclic_quotient(m, g)
+    assert {x for x in range(m) if x in G} == subgroup_generated(m, [g])
 
 
 def test_order_keyed_cyclic_quotient_is_the_generated_subgroup():
@@ -119,9 +128,9 @@ def test_order_keyed_cyclic_quotient_is_the_generated_subgroup():
         for g in unit_group(m):
             S = subgroup_generated(m, [g])
             assert cft._order(m, g, frozenset({1 % m})) == len(S)
-            assert cyclic_quotient(m, g).subgroup == S
+            assert _members(cyclic_quotient(m, g)) == S
             generated.add(S)
-        walked = [G.subgroup for (n, _), seen in cft._cyclic_quotients.items() if n == m for G in seen]
+        walked = [_members(G) for (n, _), seen in cft._cyclic_quotients.items() if n == m for G in seen]
         assert sorted(walked, key=sorted) == sorted(generated, key=sorted)
 
 
@@ -139,6 +148,11 @@ def test_a_level_below_one_is_refused_before_the_quotient_caches(monkeypatch, ca
     assert capsys.readouterr().err == "error: level must be >= 1, got -5\n"
     assert [m for m in asked if m < 1] == []
     assert [m for m, _ in cft._cyclic_quotients if m < 1] == []
+
+
+def _members(G: QuotientUnitGroup) -> frozenset:
+    """H, the units x mod G.modulus with x in G."""
+    return frozenset(x for x in unit_group(G.modulus) if x in G)
 
 
 def _walked_order(G: QuotientUnitGroup, a: int) -> int:
@@ -196,8 +210,32 @@ def _min_of_coset_table(m: int, H: frozenset) -> tuple[tuple, dict]:
 def test_one_pass_quotient_table_matches_the_min_of_coset_build():
     for m in range(1, 61):
         for H in all_subgroups(m):
-            G = QuotientUnitGroup(m, H)
-            assert (G.reps, G.canon_table) == _min_of_coset_table(m, H)
+            _assert_table_is_the_min_of_coset_table(QuotientUnitGroup(m, H), H)
+
+
+def _assert_table_is_the_min_of_coset_table(G: QuotientUnitGroup, H: frozenset) -> None:
+    # reps, then the entry of every residue: the unit's rep, 0 at a non-unit
+    m = G.modulus
+    reps, canon = _min_of_coset_table(m, H)
+    assert G.reps == reps
+    assert len(G.canon_table) == m
+    for x in range(m):
+        assert G.canon_table[x] == canon.get(x, 0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 65535, 65536, 65537])
+def test_the_table_at_the_edges_of_its_width_is_the_min_of_coset_table(m):
+    # 16-bit entries up to modulus 65,536, 32-bit above; levels 1 and 2 have one unit each
+    for H in (frozenset({1 % m}), subgroup_generated(m, [-1])):
+        G = QuotientUnitGroup(m, H)
+        _assert_table_is_the_min_of_coset_table(G, H)
+        if m == 1:
+            assert G.canon(5) == 0 and 5 in G
+            continue
+        non_unit = next(x for x in range(m) if math.gcd(x, m) != 1)
+        with pytest.raises(DomainViolation, match=f"^{non_unit} is not a unit mod {m}$"):
+            G.canon(non_unit + m)
+        assert non_unit not in G
 
 
 def test_crt_combine():
@@ -235,7 +273,7 @@ def test_quadratic_field_reciprocity_consistency():
             if p == 2 or p == q:
                 continue
             G, art = FieldFibers(F).artin(p)
-            assert (art in G.subgroup) == (q % p in squares_mod(p))
+            assert (art in G) == (q % p in squares_mod(p))
             count += 1
             if count >= 20:
                 break
@@ -369,7 +407,7 @@ def test_artin_coset_examples():
     assert art == 2 and G.element_order(art) == 4
     for F in (cyclotomic_field(5), quadratic_field_subgroup(5)):
         G, art = FieldFibers(F).artin(11)
-        assert art in G.subgroup
+        assert art in G
 
 
 def test_artin_coset_ramified_rejected():

@@ -273,9 +273,12 @@ def test_the_check_sees_a_cache():
 # comment gives; bounding the unbounded ones is ROADMAP item 1
 CACHES = {
     "cft.unit_group": "cft's groups: one tuple per level asked for; unbounded",
-    "cft.quotient_group": "cft's groups: one table per (modulus, subgroup) asked for; unbounded",
-    "cft._cyclic_quotient": "cyclic_quotient: one quotient per (m, g mod m) asked for; unbounded",
-    "cft._cyclic_quotients": "cyclic_quotient: a short list per (m, order) of the quotients built; unbounded",
+    "cft.quotient_group": "cft's groups: one table per (modulus, subgroup) asked for, "
+                          "each one 16- or 32-bit array of m entries; unbounded",
+    "cft._cyclic_quotient": "cyclic_quotient: one quotient per (m, g mod m) asked for, "
+                            "each one 16- or 32-bit array of m entries; unbounded",
+    "cft._cyclic_quotients": "cyclic_quotient: a short list per (m, order) of the quotients built, "
+                             "each one 16- or 32-bit array of m entries; unbounded",
     "cft._carmichael": "cft._order: one per modulus of a quotient table whose orders are taken",
     "cft.quadratic_field_subgroup": "the quadratic fields: one per odd prime q; the CLI's reciprocity table takes q < 2,000. "
                                     "Each carries its fibers, of degree 2: at most two decompositions per memo, "
